@@ -46,7 +46,6 @@ from .covers import (
     iso_small,
     mul,
     preimage_subgroup,
-    release_lift_caches,
     verify_presentation,
 )
 from .edcalc import (

@@ -1,13 +1,18 @@
 """Double covers of S_n and A_n realized as (central bit, permutation) pairs
-with a 2-cocycle evaluated inside the Clifford algebra.
+twisted by a 2-cocycle.
 
-The canonical lift of a permutation is the ordered Clifford product of
-(e_i - e_{i+1})/sqrt(2) over its canonical reduced word.  The cocycle
-c(sigma, tau) is the sign relating lift(sigma)*lift(tau) to lift(sigma*tau);
-anything other than +-1 aborts, since it would mean the Clifford arithmetic
-itself is broken.  Elementary cocycle values c(rho, s_i) are memoized, and
-general products fold over reduced words, so group arithmetic never touches
-multivectors after warm-up.
+The cocycle lives in the Clifford algebra of +-(x_1^2 + ... + x_n^2): the
+canonical lift of a permutation is the product of v_i = (e_i - e_{i+1})/sqrt(2)
+over its canonical reduced word, and c(sigma, tau) is the sign relating
+lift(sigma)*lift(tau) to lift(sigma*tau).  Products fold over the canonical
+word of tau, so only the elementary values c(rho, s_i) are needed, and
+Cover.elementary_cocycle gives them in closed form from the inversions of rho.
+The closed form follows from Matsumoto/Tits moves (sign conventions as in
+Stembridge, Adv. Math. 74 (1989)): distant v_i anticommute and braid moves
+carry no sign, so T_w * (-1)^f(w), with f(w) the parity of the pairs of
+disjoint inversion pairs that w introduces in anti-lexicographic order, is
+the same for every reduced word w.  Cover.lift keeps the Clifford
+definition, and the tests compare the closed form with it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .clifford import CliffordElem, CliffordSignature, lift_transposition
+from .clifford import CliffordElem, CliffordSignature
 from .perms import (
     Perm,
     adjacent_transposition,
@@ -80,91 +83,17 @@ class CoverElem:
     perm: Perm
 
 
-# parity-of-popcount lookup for the vectorized sign computation
-_PARITY_BITS = 17
-_PARITY = np.zeros(1 << _PARITY_BITS, dtype=np.int64)
-for _i in range(1, 1 << _PARITY_BITS):
-    _PARITY[_i] = _PARITY[_i >> 1] ^ (_i & 1)
-
-
-# A lift is (masks, a, b, scale): the multivector
-# sum_m (a_m + b_m*sqrt 2) * sqrt(2)^(-scale), masks sorted ascending.
-FastLift = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
-
-
-def _flift_identity() -> FastLift:
-    return (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
-            np.array([0], dtype=np.int64), 0)
-
-
-def _flift_mul_vec(L: FastLift, i: int, sign_neg: bool) -> FastLift:
-    """L * (e_i - e_{i+1})/sqrt(2); identical algebra to
-    CliffordElem.mul_adjacent_vector, vectorized."""
-    masks, a, b, scale = L
-    bi = 1 << (i - 1)
-    bj = bi << 1
-    par1 = _PARITY[masks >> i]
-    par2 = _PARITY[masks >> (i + 1)] ^ 1
-    if sign_neg:
-        par1 = par1 ^ ((masks & bi) != 0)
-        par2 = par2 ^ ((masks & bj) != 0)
-    s1 = 1 - 2 * par1
-    s2 = 1 - 2 * par2
-    allk = np.concatenate([masks ^ bi, masks ^ bj])
-    alla = np.concatenate([a * s1, a * s2])
-    allb = np.concatenate([b * s1, b * s2])
-    uk, inv = np.unique(allk, return_inverse=True)
-    na = np.zeros(len(uk), dtype=np.int64)
-    nb = np.zeros(len(uk), dtype=np.int64)
-    np.add.at(na, inv, alla)
-    np.add.at(nb, inv, allb)
-    nz = (na != 0) | (nb != 0)
-    if not nz.all():
-        uk, na, nb = uk[nz], na[nz], nb[nz]
-    scale += 1
-    while scale > 0 and len(uk) and not (na & 1).any():
-        na, nb = nb, na >> 1
-        scale -= 1
-    if not len(uk):
-        scale = 0
-    return (uk, na, nb, scale)
-
-
-def _flift_cmp(x: FastLift, y: FastLift) -> Optional[int]:
-    """0 if x == y, 1 if x == -y, None otherwise."""
-    if x[3] != y[3] or len(x[0]) != len(y[0]) or not np.array_equal(x[0], y[0]):
-        return None
-    if np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2]):
-        return 0
-    if np.array_equal(x[1], -y[1]) and np.array_equal(x[2], -y[2]):
-        return 1
-    return None
-
-
-def _flift_to_elem(L: FastLift, sig: CliffordSignature) -> CliffordElem:
-    masks, a, b, scale = L
-    terms = {int(m): (int(x), int(y)) for m, x, y in zip(masks, a, b)}
-    return CliffordElem(sig, terms, scale)
-
-
 class Cover:
-    """Arithmetic context for one CoverSpec: cocycle oracle plus caches."""
-
-    # total multivector terms kept in the lift cache before it is dropped
-    LIFT_TERM_BUDGET = 6_000_000
+    """Arithmetic context for one CoverSpec: memoized cocycle bits and
+    canonical words."""
 
     def __init__(self, spec: CoverSpec):
         if spec.n > 16:
             raise ValueError("cover arithmetic is desk-scale: n <= 16")
         self.spec = spec
         self.sig = CliffordSignature(spec.n, spec.sign)
-        self._vec = [None] + [
-            lift_transposition(i, i + 1, self.sig) for i in range(1, spec.n)
-        ]
-        ident = identity_perm(spec.n)
-        self._ident_perm = ident
-        self._lifts: Dict[Perm, FastLift] = {ident: _flift_identity()}
-        self._lift_terms = 0
+        self._minus = int(spec.sign < 0)
+        self._ident_perm = identity_perm(spec.n)
         self._elem_bits: Dict[Tuple[Perm, int], int] = {}
         self._words: Dict[Perm, Tuple[int, ...]] = {}
 
@@ -187,55 +116,40 @@ class Cover:
             raise ValueError("permutation size does not match the cover spec")
         return CoverElem(eps & 1, perm)
 
-    # -- the Clifford oracle --------------------------------------------------
-
-    def _flift(self, perm: Perm) -> FastLift:
-        """Canonical lift: product of generator vectors over the canonical
-        word.  Prefix products are cached; the staircase word's prefixes are
-        themselves canonical words, so the cache stays consistent."""
-        cached = self._lifts.get(perm)
-        if cached is not None:
-            return cached
-        word = self._word(perm)
-        prefixes: List[Perm] = []
-        p = self._ident_perm
-        for i in word:
-            p = right_multiply_adjacent(p, i)
-            prefixes.append(p)
-        start = 0
-        val = self._lifts[self._ident_perm]
-        for idx in range(len(prefixes) - 1, -1, -1):
-            hit = self._lifts.get(prefixes[idx])
-            if hit is not None:
-                start = idx + 1
-                val = hit
-                break
-        if self._lift_terms > self.LIFT_TERM_BUDGET:
-            self._lifts = {self._ident_perm: _flift_identity()}
-            self._lift_terms = 0
-        neg = self.spec.sign < 0
-        for idx in range(start, len(word)):
-            val = _flift_mul_vec(val, word[idx], neg)
-            self._lifts[prefixes[idx]] = val
-            self._lift_terms += len(val[0])
-        return val
+    # -- the cocycle -----------------------------------------------------------
 
     def lift(self, perm: Perm) -> CliffordElem:
-        """Canonical lift as an exact CliffordElem."""
-        return _flift_to_elem(self._flift(perm), self.sig)
+        """Canonical lift by definition, as an exact CliffordElem; the
+        reference the closed-form cocycle is tested against."""
+        val = CliffordElem.scalar(self.sig, 1)
+        for i in self._word(perm):
+            val = val.mul_adjacent_vector(i)
+        return val
 
     def elementary_cocycle(self, perm: Perm, i: int) -> int:
-        """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i)."""
+        """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i).
+
+        With y = max(perm(i), perm(i+1)), c is the parity of the inversions
+        of perm whose larger value exceeds y (the letters v_i passes in the
+        canonical word), XOR 1 for a descent at i in the minus variant,
+        where the step ends in v_i^2 = -1.
+        """
         key = (perm, i)
         bit = self._elem_bits.get(key)
         if bit is not None:
             return bit
-        prod = _flift_mul_vec(self._flift(perm), i, self.spec.sign < 0)
-        target = self._flift(right_multiply_adjacent(perm, i))
-        bit = _flift_cmp(prod, target)
-        if bit is None:
-            raise CocycleInconsistency(
-                f"lift product is not +-canonical lift at ({perm}, s_{i})")
+        x, y = perm[i - 1], perm[i]
+        bit = 0
+        if x > y:
+            y = x
+            bit = self._minus
+        # a value b has b - 1 - (smaller values left of it) smaller values
+        # to its right, one inversion each
+        seen = 0
+        for b in perm:
+            if b > y:
+                bit ^= (b - 1 - (seen & ((1 << b) - 1)).bit_count()) & 1
+            seen |= 1 << b
         self._elem_bits[key] = bit
         return bit
 
@@ -295,16 +209,8 @@ def get_cover(spec: CoverSpec) -> Cover:
 
 
 def clear_cover_cache() -> None:
-    """Drop all memoized cover contexts (frees lift caches)."""
+    """Drop all memoized cover contexts (cocycle bits and words)."""
     _covers.clear()
-
-
-def release_lift_caches() -> None:
-    """Free the multivector caches of every live cover context.  Cheap to
-    refill on demand; the memoized cocycle bits are kept."""
-    for cov in _covers.values():
-        cov._lifts = {cov._ident_perm: _flift_identity()}
-        cov._lift_terms = 0
 
 
 def cocycle(sigma: Perm, tau: Perm, spec: CoverSpec) -> int:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Nothing here shares code with the implementation paths it checks: Clifford
-products are reduced by explicit generator-list bubbling, power sums come
+products are reduced by explicit generator-list bubbling, elementary cocycle
+values come from the Clifford definition of the canonical lifts, power sums come
 from companion matrices, permutation facts from naive mapping composition,
 and degree multisets from numeric decomposition of the regular
 representation.
@@ -69,6 +70,48 @@ def reversal_sign(k: int) -> int:
                 letters[j], letters[j + 1] = letters[j + 1], letters[j]
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# the cover cocycle by its Clifford definition
+# ---------------------------------------------------------------------------
+
+def clifford_elementary_cocycle(cover, perm, i, lifts=None) -> int:
+    """c(perm, s_i) by definition: 0 if lift(perm) * v_i is
+    +lift(perm * s_i), 1 if it is -lift(perm * s_i).  Anything else raises
+    CocycleInconsistency.
+
+    Without `lifts`, every lift comes from Cover.lift.  A dict passed as
+    `lifts` caches them instead, built one letter at a time along
+    canonical-word prefixes (dropping the last letter of a canonical word
+    gives the parent's), so a sweep over all of S_n costs one vector
+    product per permutation.
+    """
+    from schur_ed.covers import CocycleInconsistency
+    from schur_ed.perms import canonical_word, right_multiply_adjacent
+
+    def lift(p):
+        if lifts is None:
+            return cover.lift(p)
+        got = lifts.get(p)
+        if got is None:
+            word = canonical_word(p)
+            if word:
+                parent = right_multiply_adjacent(p, word[-1])
+                got = lift(parent).mul_adjacent_vector(word[-1])
+            else:
+                got = cover.lift(p)
+            lifts[p] = got
+        return got
+
+    prod = lift(perm).mul_adjacent_vector(i)
+    target = lift(right_multiply_adjacent(perm, i))
+    if prod == target:
+        return 0
+    if prod.equals_neg(target):
+        return 1
+    raise CocycleInconsistency(
+        f"lift product is not +-canonical lift at ({perm}, s_{i})")
 
 
 # ---------------------------------------------------------------------------

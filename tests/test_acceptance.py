@@ -24,7 +24,6 @@ from schur_ed.covers import (
     get_cover,
     iso_small,
     preimage_subgroup,
-    release_lift_caches,
     verify_presentation,
 )
 from schur_ed.edcalc import ed2_formula, table1
@@ -64,7 +63,6 @@ def test_criterion_1_presentations():
             ok = ok and rep.all_ok and rep.order == 2 * math.factorial(n)
             if n <= 8:
                 ok = ok and rep.order_method == "closure"
-    release_lift_caches()
     elapsed = time.time() - t0
     _report("criterion 1: presentations and orders, n=4..10, both variants",
             ok and elapsed < 120, f"{elapsed:.1f}s")
@@ -118,7 +116,6 @@ def test_criterion_3_centers(zoo):
                 members = sorted(cen.elements)
                 cov = get_cover(CoverSpec(n, variant))
                 ok = ok and members == sorted([cov.identity, cov.z])
-    release_lift_caches()
     _report("criterion 3: Z(sylow cover) = {1, z} for n=4..12, both "
             "variants, sym and alt", ok)
 
@@ -153,7 +150,6 @@ def test_criterion_4_stretch_n14():
     z = get_cover(spec).z
     got = min_faithful_irrep_dim(table, z)
     elapsed = time.time() - t0
-    release_lift_caches()
     _report("criterion 4 (stretch): n=14 sym Sylow cover",
             got == ed2_formula(14, "sym") == 32 and elapsed < 600,
             f"{elapsed:.0f}s")

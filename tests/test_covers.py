@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from schur_ed.clifford import CliffordElem, lift_transposition
 from schur_ed.covers import (
     CocycleInconsistency,
+    Cover,
     CoverElem,
     CoverSpec,
     FiniteGroupTable,
@@ -38,7 +41,7 @@ from schur_ed.perms import (
     sylow2_sym_generators,
 )
 
-from oracles import compose_naive, nu2_factorial
+from oracles import clifford_elementary_cocycle, compose_naive, nu2_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +208,49 @@ def test_fault_injection_reports_failure():
 
 
 def test_cocycle_abort_on_corrupt_lift():
-    spec = CoverSpec(4, "plus")
     cov = get_cover(CoverSpec(4, "plus"))
     sigma = from_cycles(4, [(1, 2)])
-    cov.elementary_cocycle(sigma, 2)  # warm the cache
-    corrupt = dict(cov._lifts)
+    lifts = {}
+    assert clifford_elementary_cocycle(cov, sigma, 2, lifts) == \
+        cov.elementary_cocycle(sigma, 2)
     # poison a cached lift so the product is neither +target nor -target
     key = right_multiply_adjacent(sigma, 2)
-    masks, a, b, scale = cov._flift(key)
-    cov._lifts[key] = (masks, a * 3, b, scale)
-    cov._elem_bits.pop((sigma, 2))
+    lifts[key] = lifts[key] + lifts[key]
     with pytest.raises(CocycleInconsistency):
-        cov.elementary_cocycle(sigma, 2)
-    cov._lifts.clear()
-    cov._lifts.update(corrupt)
-    cov._elem_bits.pop((sigma, 2), None)
+        clifford_elementary_cocycle(cov, sigma, 2, lifts)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_elementary_cocycle_matches_clifford_exhaustive(variant):
+    for n in range(4, 8):
+        cov = Cover(CoverSpec(n, variant))
+        lifts = {}
+        for perm in itertools.permutations(range(1, n + 1)):
+            for i in range(1, n):
+                assert cov.elementary_cocycle(perm, i) == \
+                    clifford_elementary_cocycle(cov, perm, i, lifts), (perm, i)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_elementary_cocycle_matches_clifford_sampled(variant):
+    rng = random.Random(2024)
+    for n in range(8, 13):
+        cov = Cover(CoverSpec(n, variant))
+        for _ in range(10):
+            img = list(range(1, n + 1))
+            rng.shuffle(img)
+            perm, i = tuple(img), rng.randrange(1, n)
+            assert cov.elementary_cocycle(perm, i) == \
+                clifford_elementary_cocycle(cov, perm, i), (perm, i)
+
+
+def test_lift_is_the_ordered_vector_product():
+    cov = get_cover(CoverSpec(5, "minus"))
+    perm = from_cycles(5, [(1, 4, 2), (3, 5)])
+    expected = CliffordElem.scalar(cov.sig, 1)
+    for i in canonical_word(perm):
+        expected = expected * lift_transposition(i, i + 1, cov.sig)
+    assert cov.lift(perm) == expected
 
 
 # ---------------------------------------------------------------------------
