@@ -50,6 +50,7 @@ from .covers import (
 )
 from .edcalc import (
     EdReport,
+    FormulaMismatch,
     alt_ed_bounds,
     ed2_computed,
     ed2_formula,

@@ -128,12 +128,10 @@ def cmd_ed2(args, config: RunConfig) -> int:
         report = edcalc.ed_report(args.n, args.which, args.variant,
                                   compute=args.computed,
                                   size_bound=config.size_bound)
-    except ValueError as err:
-        if "disagrees" in str(err):
-            print(f"verification failure: computed != formula ({formula}) "
-                  f"at n={args.n}", file=sys.stderr)
-            return EXIT_VERIFICATION
-        raise
+    except edcalc.FormulaMismatch:
+        print(f"verification failure: computed != formula ({formula}) "
+              f"at n={args.n}", file=sys.stderr)
+        return EXIT_VERIFICATION
     payload = report.to_json()
     payload["which"] = args.which
     _emit(config, payload)

@@ -13,8 +13,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .chartab import count_min_faithful, min_faithful_irrep_dim
-from .covers import DEFAULT_SIZE_BOUND, CoverSpec, get_cover, preimage_subgroup
+from .covers import (
+    DEFAULT_SIZE_BOUND,
+    CoverSpec,
+    VerificationError,
+    get_cover,
+    preimage_subgroup,
+)
 from .perms import sylow2_alt_generators, sylow2_sym_generators
+
+
+class FormulaMismatch(VerificationError):
+    """A value recomputed through the character pipeline disagrees with
+    its closed form."""
 
 
 def popcount(n: int) -> int:
@@ -128,7 +139,8 @@ class EdReport:
         if self.ed_lower > self.ed_upper:
             raise ValueError("empty interval")
         if self.ed2_computed is not None and self.ed2_computed != self.ed2_formula:
-            raise ValueError("computed value disagrees with the closed form")
+            raise FormulaMismatch(
+                "computed value disagrees with the closed form")
 
     def to_json(self) -> dict:
         return {

@@ -249,16 +249,13 @@ def format_poly(f: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility certificates mod p (Rabin's test)
+# irreducibility certificates mod p (Berlekamp's matrix)
 # ---------------------------------------------------------------------------
 
 def _pm(f: Poly, p: int) -> List[int]:
-    den = lcm(*[c.denominator for c in f]) if f else 1
-    if den % p == 0:
+    if any(c.denominator % p == 0 for c in f):
         raise ValueError("denominator divisible by p")
-    out = [int(c * den) % p for c in f]
-    inv = pow(den % p, p - 2, p)
-    out = [c * inv % p for c in out]
+    out = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -269,8 +266,8 @@ def _pm_mulmod(a: List[int], b: List[int], m: List[int], p: int) -> List[int]:
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_rem(out, m, p)
+                out[i + j] += x * y
+    return _pm_rem([c % p for c in out], m, p)
 
 
 def _pm_rem(a: List[int], m: List[int], p: int) -> List[int]:
@@ -291,45 +288,32 @@ def _pm_rem(a: List[int], m: List[int], p: int) -> List[int]:
 
 def _pm_gcd(a: List[int], b: List[int], p: int) -> List[int]:
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        db = len(b) - 1
-        while len(r) - 1 >= db:
-            if r[-1]:
-                c = r[-1] * inv % p
-                k = len(r) - 1 - db
-                for i, y in enumerate(b):
-                    r[k + i] = (r[k + i] - c * y) % p
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
+        a, b = b, _pm_rem(a, b, p)
     return a
 
 
-def _pm_pow_x(q: int, m: List[int], p: int) -> List[int]:
-    """x^q mod (m, p) by square and multiply."""
-    result = [1]
-    base = _pm_rem([0, 1], m, p)
-    while q:
-        if q & 1:
-            result = _pm_mulmod(result, base, m, p)
-        base = _pm_mulmod(base, base, m, p)
-        q >>= 1
-    return result
-
-
-def _pm_sub(a: List[int], b: List[int], p: int) -> List[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _gf_rank(rows: List[List[int]], p: int) -> int:
+    """Rank of a matrix over GF(p) by Gaussian elimination; consumes rows."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        prow = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            if c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
 
 
 def is_irreducible_mod_p(f: Poly, p: int) -> bool:
-    """Rabin's test: f irreducible mod p certifies irreducibility over Q
+    """Berlekamp's criterion: a squarefree f of degree d mod p has as many
+    irreducible factors as Q - I has nullity, where row i of Q is
+    x^(i*p) mod f.  f irreducible mod p certifies irreducibility over Q
     (for f whose degree does not drop mod p)."""
     try:
         fp = _pm(f, p)
@@ -345,22 +329,16 @@ def is_irreducible_mod_p(f: Poly, p: int) -> bool:
         der.pop()
     if not der or len(_pm_gcd(fp, der, p)) != 1:
         return False
-    xm = _pm_rem([0, 1], fp, p)
-    if _pm_sub(_pm_pow_x(p ** d, fp, p), xm, p):
-        return False
-    prime_divs = set()
-    dd = d
-    ell = 2
-    while dd > 1:
-        while dd % ell == 0:
-            prime_divs.add(ell)
-            dd //= ell
-        ell += 1
-    for ell in sorted(prime_divs):
-        diff = _pm_sub(_pm_pow_x(p ** (d // ell), fp, p), xm, p)
-        if not diff or len(_pm_gcd(fp, diff, p)) != 1:
-            return False
-    return True
+    xp = _pm_rem([0] * p + [1], fp, p)
+    rows: List[List[int]] = []
+    power = [1]
+    for i in range(d):
+        if i:
+            power = _pm_mulmod(power, xp, fp, p)
+        row = power + [0] * (d - len(power))
+        row[i] = (row[i] - 1) % p
+        rows.append(row)
+    return _gf_rank(rows, p) == d - 1
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

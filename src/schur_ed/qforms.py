@@ -108,6 +108,9 @@ def _square_product(x: Fraction, y: Fraction) -> bool:
     return is_perfect_square(v.numerator) and is_perfect_square(v.denominator)
 
 
+_HASH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 class SquareClass:
     """A class in Q^x / (Q^x)^2.  Equality never factors; the canonical
     squarefree integer representative is materialized on demand."""
@@ -141,9 +144,13 @@ class SquareClass:
         return _square_product(self.value, other.value)
 
     def __hash__(self):
-        # hash on sign only: equality is up to squares, so finer hashing
-        # would need the factored representative
-        return hash(self.value > 0)
+        # sign and the exponent parities of a few small primes, found by
+        # trial division: equal classes agree on both, and nothing factors
+        n = abs(self.value.numerator * self.value.denominator)
+        bits = 0
+        for i, p in enumerate(_HASH_PRIMES):
+            bits |= (valuation(n, p)[0] & 1) << i
+        return hash((self.value > 0, bits))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return SquareClass(self.value * other.value)
@@ -413,22 +420,13 @@ def _is_isotropic_inv(inv: _Invariants) -> bool:
 
 
 def _split_hyperbolic(inv: _Invariants) -> _Invariants:
-    """Invariants of q' where q = H + q'."""
-    new_sign = -inv.disc_sign
-    new_parity = dict(inv.disc_parity)
-    # w2(q) = w2(q') + (-1, d') with d' = -d
-    sym_class = quaternion_class(-1, Fraction(new_sign) *
-                                 _parity_product(new_parity))
-    return _Invariants(inv.dim - 2, new_sign, new_parity,
-                       inv.hasse ^ sym_class.ramified,
-                       inv.pos - 1, inv.neg - 1)
-
-
-def _parity_product(parity: Dict[int, int]) -> int:
-    out = 1
-    for p in parity:
-        out *= p
-    return out
+    """Invariants of q' where q = H + q'.  w2(q) = w2(q') + (-1, d') with
+    d' = -d; the symbol (-1, -d) can only ramify at oo, 2 and the odd
+    primes of d, and is read off the factored discriminant."""
+    places = [INF, TWO] + [Place(False, p) for p in inv.disc_parity if p != 2]
+    ramified = frozenset(v for v in places if _neg_disc_symbol(inv, v) == -1)
+    return _Invariants(inv.dim - 2, -inv.disc_sign, dict(inv.disc_parity),
+                       inv.hasse ^ ramified, inv.pos - 1, inv.neg - 1)
 
 
 def is_isotropic(q: QuadFormQ) -> bool:
@@ -436,25 +434,44 @@ def is_isotropic(q: QuadFormQ) -> bool:
     return _is_isotropic_inv(_invariants(q))
 
 
-def witt_index(q: QuadFormQ) -> int:
-    """Number of hyperbolic planes split off, at the invariant level."""
+def _witt_index(q: QuadFormQ, target: int) -> int:
+    """min(witt_index(q), target), splitting off hyperbolic planes.  While
+    the dimension is >= 5 a form over Q is isotropic iff it is indefinite
+    (Hasse-Minkowski with Meyer's theorem), so those splits need the
+    signature only; the local invariants are built (which factors the
+    entries) only for a residual of dimension <= 4."""
+    pos, neg = signature(q)
+    dim, w = q.dim, 0
+    while dim >= 5 and w < target:
+        if not (pos and neg):
+            return w
+        dim, pos, neg, w = dim - 2, pos - 1, neg - 1, w + 1
+    if w >= target:
+        return w
     inv = _invariants(q)
-    w = 0
-    while inv.dim >= 2 and _is_isotropic_inv(inv):
+    for _ in range(w):
+        inv = _split_hyperbolic(inv)
+    while w < target and inv.dim >= 2 and _is_isotropic_inv(inv):
         inv = _split_hyperbolic(inv)
         w += 1
     return w
 
 
+def witt_index(q: QuadFormQ) -> int:
+    """Number of hyperbolic planes split off, at the invariant level."""
+    return _witt_index(q, q.dim // 2)
+
+
 def contains_ones(q: QuadFormQ, s: int) -> bool:
     """Does q contain s<1> as a subform?  By Witt cancellation this is
-    witt_index(q + s<-1>) >= s."""
+    witt_index(q + s<-1>) >= s; for dim q >= s + 3 every split is decided by
+    the signature, so the answer is pos(q) >= s and nothing is factored."""
     if s < 0 or s > q.dim:
         raise ValueError("need 0 <= s <= dim q")
     if s == 0:
         return True
     probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s)
-    return witt_index(probe) >= s
+    return _witt_index(probe, s) >= s
 
 
 def is_isometric(q1: QuadFormQ, q2: QuadFormQ) -> bool:
@@ -624,8 +641,7 @@ def _random_irreducible(d: int, rng: random.Random) -> Optional[Poly]:
     for _ in range(64):
         coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(d)]
         f = polyq.poly(coeffs + [Fraction(1)])
-        if polyq.degree(f) != d or not polyq.is_squarefree(f):
-            continue
+        # certified irreducible implies squarefree: no separate check
         if polyq.certify_irreducible(f):
             return f
     return None

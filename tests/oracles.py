@@ -3,9 +3,9 @@
 Nothing here shares code with the implementation paths it checks: Clifford
 products are reduced by explicit generator-list bubbling, elementary cocycle
 values come from the Clifford definition of the canonical lifts, power sums come
-from companion matrices, permutation facts from naive mapping composition,
-and degree multisets from numeric decomposition of the regular
-representation.
+from companion matrices, irreducibility mod p from Rabin's test, permutation
+facts from naive mapping composition, and degree multisets from numeric
+decomposition of the regular representation.
 """
 
 from __future__ import annotations
@@ -148,6 +148,92 @@ def companion_power_traces(coeffs: Sequence[Fraction], count: int) -> List[Fract
              for i in range(d)]
         out.append(sum(M[i][i] for i in range(d)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# irreducibility mod p by Rabin's test
+# ---------------------------------------------------------------------------
+
+def _mod_p_coeffs(f: Sequence[Fraction], p: int) -> List[int]:
+    out = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _mod_p_rem(a: List[int], m: List[int], p: int) -> List[int]:
+    a = a[:]
+    inv = pow(m[-1], -1, p)
+    while len(a) >= len(m):
+        c = a[-1] * inv % p
+        shift = len(a) - len(m)
+        for i, y in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mod_p_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    while b:
+        a, b = b, _mod_p_rem(a, b, p)
+    return a
+
+
+def _mod_p_x_power(q: int, m: List[int], p: int) -> List[int]:
+    """x^q mod (m, p) by square and multiply."""
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _mod_p_rem([c % p for c in out], m, p)
+
+    result, base = [1], _mod_p_rem([0, 1], m, p)
+    while q:
+        if q & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        q >>= 1
+    return result
+
+
+def _mod_p_minus_x(a: List[int], p: int) -> List[int]:
+    out = a + [0] * max(0, 2 - len(a))
+    out[1] = (out[1] - 1) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
+    """Rabin's test: a squarefree f of degree d >= 2 mod p is irreducible
+    iff x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1 for every prime
+    l dividing d.  False when a denominator vanishes mod p or the degree
+    drops.  Its own mod-p arithmetic, nothing from polyq."""
+    if any(c.denominator % p == 0 for c in f):
+        return False
+    fp = _mod_p_coeffs(f, p)
+    d = len(fp) - 1
+    if d != len(f) - 1 or d < 1:
+        return False
+    if d == 1:
+        return True
+    der = [i * c % p for i, c in enumerate(fp)][1:]
+    while der and der[-1] == 0:
+        der.pop()
+    if not der or len(_mod_p_gcd(fp, der, p)) != 1:
+        return False
+    if _mod_p_minus_x(_mod_p_x_power(p ** d, fp, p), p):
+        return False
+    for ell in range(2, d + 1):
+        if d % ell or any(ell % k == 0 for k in range(2, ell)):
+            continue
+        diff = _mod_p_minus_x(_mod_p_x_power(p ** (d // ell), fp, p), p)
+        if not diff or len(_mod_p_gcd(fp, diff, p)) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from schur_ed import cli
-from schur_ed.covers import CoverElem
+import pytest
+
+from schur_ed import cli, edcalc
+from schur_ed.covers import CoverElem, VerificationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *args):
@@ -89,6 +97,18 @@ def test_ed2_computed(capsys):
     assert (data["ed_lower"], data["ed_upper"]) == (4, 4)
 
 
+def test_ed2_mismatch_is_a_typed_verification_failure(capsys, monkeypatch):
+    assert issubclass(edcalc.FormulaMismatch, VerificationError)
+    with pytest.raises(edcalc.FormulaMismatch):
+        edcalc.EdReport(n=8, variant="alt", ed2_formula=8, ed2_computed=4,
+                        ed_lower=8, ed_upper=8)
+    monkeypatch.setattr(edcalc, "ed2_computed", lambda *args: 4)
+    code, out, err = run(capsys, "ed2", "-n", "8", "--which", "alt",
+                         "--computed")
+    assert code == 1 and out == ""
+    assert err == "verification failure: computed != formula (8) at n=8\n"
+
+
 def test_ed2_formula_only_skips_computation(capsys):
     code, out, _ = run(capsys, "ed2", "-n", "16", "--which", "alt")
     assert code == 0
@@ -150,6 +170,40 @@ def test_trace_check_deterministic_output(capsys):
     _, out2, _ = run(capsys, "trace-check", "-n", "6", "--trials", "5",
                      "--seed", "9")
     assert out1 == out2
+
+
+def _python(args, timeout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable] + args, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_trace_check_finishes_on_the_advertised_degrees():
+    # degrees 13..24 once hung in Brent rho; every run must now pass, and
+    # all of them together within 60 s (the subprocess is killed at 60 s)
+    runs = [(n, 3, seed) for n in range(13, 25) for seed in (0, 1, 2)]
+    runs += [(24, 5, 0), (24, 5, 2)]
+    script = (
+        "import contextlib, io\n"
+        "from schur_ed import cli\n"
+        f"for n, trials, seed in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['--seed', str(seed), 'trace-check',\n"
+        "                         '-n', str(n), '--trials', str(trials)])\n"
+        "    print(n, trials, seed, code)\n")
+    done = _python(["-c", script], timeout=60)
+    assert done.returncode == 0, done.stderr
+    codes = [line.split() for line in done.stdout.splitlines()]
+    assert len(codes) == len(runs)
+    assert all(code == "0" for *_, code in codes), codes
+
+
+def test_trace_forms_demo_smoke():
+    done = _python([str(ROOT / "demos" / "06_trace_forms.py")], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "25/25" in done.stdout
 
 
 def test_size_bound_exit_code(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from schur_ed import polyq, qforms
 from schur_ed.numth import factorize, is_prime, squarefree_part
 from schur_ed.polyq import parse_poly
 from schur_ed.qforms import (
@@ -33,6 +35,7 @@ from schur_ed.qforms import (
 
 from oracles import (
     companion_power_traces,
+    rabin_irreducible_mod_p,
     sum_three_squares_insoluble_mod8,
     sum_three_squares_soluble_mod_p,
 )
@@ -139,6 +142,18 @@ def test_discriminant_examples():
     assert discriminant(QuadFormQ([1, -3])).representative == -3
 
 
+def test_square_class_hash_agrees_with_equality():
+    assert hash(SquareClass(2)) == hash(SquareClass(8)) == hash(SquareClass(18))
+    assert hash(SquareClass(Fraction(3, 4))) == hash(SquareClass(12))
+    classes = {SquareClass(k) for k in range(1, 500)}
+    assert len(classes) == sum(1 for k in range(1, 500)
+                               if squarefree_part(k) == k)
+    assert len({SquareClass(-k) for k in (1, 4, 9)} | {SquareClass(1)}) == 2
+    # classes told apart by the small primes hash apart
+    small = [k for k in range(1, 48) if squarefree_part(k) == k]
+    assert len({hash(SquareClass(k)) for k in small}) == len(small)
+
+
 def test_signature():
     assert signature(QuadFormQ([1, -1, 2, -7, 5])) == (3, 2)
 
@@ -179,6 +194,112 @@ def test_contains_ones():
     assert contains_ones(QuadFormQ([2, 3, 5, 30]), 0)
     with pytest.raises(ValueError):
         contains_ones(QuadFormQ([1]), 2)
+
+
+def _witt_index_by_invariants(q: QuadFormQ) -> int:
+    """The definitional loop: local invariants of the whole form, then one
+    invariant-level split per isotropy decision, whatever the dimension."""
+    inv = qforms._invariants(q)
+    w = 0
+    while inv.dim >= 2 and qforms._is_isotropic_inv(inv):
+        inv = qforms._split_hyperbolic(inv)
+        w += 1
+    return w
+
+
+def _random_form(rng: random.Random, dim: int) -> QuadFormQ:
+    return QuadFormQ([Fraction(rng.randint(1, 60) * rng.choice([1, -1]),
+                               rng.randint(1, 8)) for _ in range(dim)])
+
+
+def _count_factorize(monkeypatch):
+    """Route qforms.factorize through a recorder of its arguments, with an
+    empty factorization memo."""
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(qforms, "factorize", counting)
+    monkeypatch.setattr(qforms, "_factor_cache", {})
+    return seen
+
+
+def test_contains_ones_against_definition():
+    rng = random.Random(2718)
+    for _ in range(60):
+        q = _random_form(rng, rng.randint(1, 10))
+        for s in range(q.dim + 1):
+            probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s)
+            assert contains_ones(q, s) == (
+                _witt_index_by_invariants(probe) >= s), (q, s)
+
+
+def test_witt_index_against_definition():
+    rng = random.Random(3141)
+    for _ in range(150):
+        q = _random_form(rng, rng.randint(1, 10))
+        assert witt_index(q) == _witt_index_by_invariants(q), q
+
+
+def test_contains_ones_is_signature_only_when_dim_allows(monkeypatch):
+    seen = _count_factorize(monkeypatch)
+    rng = random.Random(1618)
+    for _ in range(200):
+        q = _random_form(rng, rng.randint(3, 24))
+        s = rng.randint(1, q.dim - 3) if q.dim > 3 else 0
+        assert contains_ones(q, s) == (signature(q)[0] >= s)
+    assert seen == []
+
+
+# witt_index of hand-picked forms, frozen from the implementation that
+# re-factored the discriminant at every hyperbolic split
+_HAND_PICKED = [
+    ([1, 1, 1], 0), ([1, 1, -1], 1), ([1, 1, -7], 0), ([1, 1, -3], 0),
+    ([2, 3, -5], 1), ([3, 7, -11], 0), ([Fraction(1, 3), Fraction(-5, 7), 2], 1),
+    ([-1, -1, -1], 0), ([1, 1, 1, 1], 0), ([1, 1, 1, -7], 0),
+    ([1, 1, 1, -5], 1), ([1, 1, -1, -1], 2), ([2, 3, -6, -1], 0),
+    ([5, 7, -35, -3], 1), ([Fraction(2, 3), Fraction(-3, 2), 11, -19], 1),
+    ([3, 3, -1, -1], 0), ([1, 1, 1, -1], 1), ([1, 1, 1, 1, 1], 0),
+    ([1, 1, 1, 1, -1], 1), ([2, 3, 5, -7, -11], 1), ([-1, -1, -1, -1, 6], 1),
+    ([1, 1, 1, -7, -7], 1), ([3, 5, 7, 11, -13, -17], 1),
+    ([1, 1, 1, 1, 1, -1], 1), ([1, 1, 1, -1, -1, -1], 3),
+    ([2, 2, 2, -3, -3, -3], 2),
+    ([Fraction(1, 6), Fraction(-10, 21), 7, -2, -5, 3], 1),
+    ([1, 1, 1, 1, -7, -7], 2), ([1, 1, 1, 1, 1, 1, -1, -1], 2),
+    ([1, 1, -1, -1, 1, -7, -5], 2),
+    ([4294967311, -4294967357, 1, 1, 1, -1], 2),
+]
+
+
+def test_witt_index_hand_picked_values():
+    for diag, want in _HAND_PICKED:
+        assert witt_index(QuadFormQ(diag)) == want, diag
+
+
+def test_witt_index_factors_only_the_diagonal(monkeypatch):
+    seen = _count_factorize(monkeypatch)
+    for diag, _ in _HAND_PICKED:
+        if 3 <= len(diag) <= 6:
+            q = QuadFormQ(diag)
+            allowed = {n for d in q.diag for n in (d.numerator, d.denominator)}
+            del seen[:]
+            witt_index(q)
+            assert set(seen) <= allowed, (diag, seen)
+
+
+def test_split_hyperbolic_gives_the_residual_invariants():
+    rng = random.Random(577)
+    for _ in range(200):
+        rest = _random_form(rng, rng.randint(1, 6))
+        split = qforms._split_hyperbolic(
+            qforms._invariants(QuadFormQ([1, -1]).orthogonal_sum(rest)))
+        want = qforms._invariants(rest)
+        assert (split.dim, split.disc_sign, split.disc_parity, split.hasse,
+                split.pos, split.neg) == (
+            want.dim, want.disc_sign, want.disc_parity, want.hasse,
+            want.pos, want.neg), rest
 
 
 def test_isometry_classification():
@@ -283,6 +404,63 @@ def test_random_etale_disc_and_subform():
             q = trace_form(E)
             assert discriminant(q) == etale_discriminant(E)
             assert contains_ones(q, s)
+
+
+def test_random_etale_draws_match_rabin_certificates(monkeypatch):
+    def draws():
+        out = []
+        for seed in (0, 1, 2, 4242):
+            rng = random.Random(seed)
+            out.extend(random_etale_algebra(n, rng).factors
+                       for n in (4, 5, 8, 12) for _ in range(5))
+        return out
+
+    fast = draws()
+    monkeypatch.setattr(polyq, "is_irreducible_mod_p", rabin_irreducible_mod_p)
+    assert draws() == fast
+
+
+# ---------------------------------------------------------------------------
+# irreducibility mod p: Berlekamp against Rabin
+# ---------------------------------------------------------------------------
+
+def test_berlekamp_matches_rabin_small_exhaustive():
+    for d in (2, 3, 4):
+        for coeffs in itertools.product(range(-3, 4), repeat=d):
+            f = polyq.poly(list(coeffs) + [1])
+            for p in polyq._CERT_PRIMES:
+                assert polyq.is_irreducible_mod_p(f, p) == \
+                    rabin_irreducible_mod_p(f, p), (f, p)
+
+
+def test_berlekamp_matches_rabin_random():
+    rng = random.Random(1967)
+    degrees = [d for d in range(5, 13) for _ in range(8)] + [16, 20, 24]
+    for d in degrees:
+        coeffs = [Fraction(rng.randint(-20, 20)) for _ in range(d)]
+        if rng.random() < 0.25:
+            coeffs[rng.randrange(d)] = Fraction(rng.randint(-9, 9),
+                                                rng.choice([2, 3, 5, 7]))
+        f = polyq.poly(coeffs + [1])
+        for p in polyq._CERT_PRIMES:
+            assert polyq.is_irreducible_mod_p(f, p) == \
+                rabin_irreducible_mod_p(f, p), (f, p)
+
+
+def test_berlekamp_known_factorizations():
+    # x^2 + 1 splits mod p = 1 mod 4 and stays irreducible mod p = 3 mod 4
+    f = parse_poly("x^2 + 1")
+    assert [p for p in (3, 5, 7, 11, 13) if polyq.is_irreducible_mod_p(f, p)] \
+        == [3, 7, 11]
+    # x^4 + 1 is irreducible over Q but reducible mod every prime
+    g = parse_poly("x^4 + 1")
+    assert not any(polyq.is_irreducible_mod_p(g, p) for p in polyq._CERT_PRIMES)
+    assert not polyq.certify_irreducible(g)
+    # degree drop and a vanishing denominator are rejected
+    assert not polyq.is_irreducible_mod_p(polyq.poly([1, 0, 3]), 3)
+    assert not polyq.is_irreducible_mod_p(
+        polyq.poly([Fraction(1, 5), 0, 1]), 5)
+    assert not polyq.is_irreducible_mod_p(parse_poly("x^2 - 2x + 1"), 7)
 
 
 # ---------------------------------------------------------------------------
