@@ -121,7 +121,8 @@ def _gf_nullspace(M: np.ndarray, p: int) -> np.ndarray:
     """Rows span {v : M v = 0}."""
     R, pivots = _gf_rref(M, p)
     n = M.shape[1]
-    free = [c for c in range(n) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, fc in enumerate(free):
         basis[k, fc] = 1
@@ -173,7 +174,71 @@ class _ClassData:
         return B
 
 
+def _hessenberg(A: np.ndarray, p: int) -> np.ndarray:
+    """An upper Hessenberg matrix similar to A mod p, by Gaussian
+    similarity transforms: for each column j, clear the entries below the
+    subdiagonal with row operations and undo them on the columns."""
+    H = A % p
+    k = H.shape[0]
+    for j in range(k - 2):
+        nz = np.flatnonzero(H[j + 1:, j])
+        if not nz.size:
+            continue
+        i = j + 1 + int(nz[0])
+        if i != j + 1:
+            H[[i, j + 1]] = H[[j + 1, i]]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        u = H[j + 2:, j] * pow(int(H[j + 1, j]), p - 2, p) % p
+        if not u.any():
+            continue
+        H[j + 2:] -= np.outer(u, H[j + 1])
+        H[j + 2:] %= p
+        H[:, j + 1] += H[:, j + 2:] @ u
+        H[:, j + 1] %= p
+    return H
+
+
+def _charpoly(A: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - A) mod p, constant term first.
+
+    With H the Hessenberg form and c_m the characteristic polynomial of
+    its leading m x m block, expanding along the last column gives
+    c_m = (x - h_{m-1,m-1}) c_{m-1}
+          - sum_{j < m-1} h_{j,m-1} h_{j+1,j} ... h_{m-1,m-2} c_j."""
+    H = _hessenberg(A, p)
+    k = H.shape[0]
+    C = np.zeros((k + 1, k + 1), dtype=np.int64)  # row m holds c_m
+    C[0, 0] = 1
+    for m in range(1, k + 1):
+        c = -H[m - 1, m - 1] * C[m - 1]
+        c[1:] += C[m - 1, :-1]
+        weights = np.zeros(m - 1, dtype=np.int64)
+        prod = 1
+        for j in range(m - 2, -1, -1):
+            prod = prod * int(H[j + 1, j]) % p
+            if not prod:
+                break
+            weights[j] = prod * int(H[j, m - 1]) % p
+        if m > 1:
+            c -= weights @ C[:m - 1]
+        C[m] = c % p
+    return C[k]
+
+
+def _roots(coeffs: np.ndarray, p: int) -> List[int]:
+    """The zeros in GF(p) of a polynomial given constant term first, in
+    increasing order: Horner's rule on all of GF(p) at once."""
+    xs = np.arange(p, dtype=np.int64)
+    values = np.zeros(p, dtype=np.int64)
+    for c in coeffs[::-1]:
+        values = (values * xs + int(c)) % p
+    return np.flatnonzero(values == 0).tolist()
+
+
 def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.ndarray]:
+    """Split each B-invariant space into the eigenspaces of B on it, one
+    nullspace per root of the characteristic polynomial of the restriction
+    (Schneider's refinement of Dixon's eigenvalue search)."""
     out: List[np.ndarray] = []
     for S in spaces:
         k = S.shape[0]
@@ -187,15 +252,13 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.nd
         if not np.array_equal(S.T @ R % p, BST):
             raise VerificationError("class matrix did not preserve a subspace")
         found = 0
-        for lam in range(p):
+        for lam in _roots(_charpoly(R, p), p):
             N = _gf_nullspace((R - lam * np.eye(k, dtype=np.int64)) % p, p)
             if N.shape[0]:
                 out.append(N @ S % p)
                 found += N.shape[0]
-                if found == k:
-                    break
         if found != k:
-            raise VerificationError("eigenvalue scan failed to exhaust a space")
+            raise VerificationError("eigenspaces failed to exhaust a space")
     return out
 
 

@@ -2,9 +2,11 @@
 machine-readable output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource bound
-exceeded.  Identical configurations produce byte-identical output; the
-worker flag only fans out independent computations and never affects
-ordering.
+exceeded.  Only input the user typed is a usage error: each subcommand
+turns the ValueError of a parser or a range check into UsageError, and any
+other exception is a bug and propagates.  Identical configurations produce
+byte-identical output; `--workers` is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -26,6 +27,7 @@ from .covers import (
     CoverSpec,
     SizeBoundExceeded,
     VerificationError,
+    get_cover,
     group_from_spec_json,
     verify_presentation,
 )
@@ -43,7 +45,6 @@ SIZE_BOUND_ENV = "SCHUR_ED_SIZE_BOUND"
 class RunConfig:
     seed: int = 0
     size_bound: int = DEFAULT_SIZE_BOUND
-    workers: int = 1
     format: str = "json"
 
 
@@ -65,6 +66,14 @@ def _emit(config: RunConfig, payload) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
+
+
+def _parse(parser, *args):
+    """Call a parser of user input; its ValueError is a usage error."""
+    try:
+        return parser(*args)
+    except (ValueError, ZeroDivisionError) as err:
+        raise UsageError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +108,7 @@ def cmd_cover_verify(args, config: RunConfig) -> int:
 
 
 def cmd_chartab(args, config: RunConfig) -> int:
+    _parse(lambda: get_cover(CoverSpec(args.n, args.variant)))
     table, z = group_from_spec_json(
         {"n": args.n, "variant": args.variant, "subgroup": args.subgroup},
         size_bound=config.size_bound)
@@ -121,6 +131,7 @@ def cmd_chartab(args, config: RunConfig) -> int:
 
 
 def cmd_ed2(args, config: RunConfig) -> int:
+    _require(args.n >= 4, "formulas assume n >= 4")
     if args.computed:
         _require(args.n <= 14, "computed values are capped at n = 14")
     formula = edcalc.ed2_formula(args.n, args.which)
@@ -138,33 +149,16 @@ def cmd_ed2(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_one(n: int, variant: str, size_bound: int) -> int:
-    return edcalc.ed2_computed(n, "alt", variant, size_bound)
-
-
 def cmd_table1(args, config: RunConfig) -> int:
     _require(4 <= args.n_max <= 16, "table1 supports 4 <= n_max <= 16")
-    verify_max = args.verify_max
-    tab = edcalc.table1(args.n_max, verify_max=0, variant=args.variant,
-                        size_bound=config.size_bound)
-    verified = {}
-    if verify_max:
-        ns = [n for n in tab.n_values if n <= min(verify_max, 14)]
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(
-                    lambda n: _verify_one(n, args.variant, config.size_bound), ns))
-        else:
-            results = [_verify_one(n, args.variant, config.size_bound)
-                       for n in ns]
-        for n, got in zip(ns, results):
-            want = edcalc.ed2_formula(n, "alt")
-            if got != want:
-                print(f"verification failed at n={n}: computed {got}, "
-                      f"formula {want}", file=sys.stderr)
-                return EXIT_VERIFICATION
-            verified[n] = got
-    tab.verified = verified
+    try:
+        tab = edcalc.table1(args.n_max, verify_max=args.verify_max,
+                            variant=args.variant,
+                            size_bound=config.size_bound)
+    except edcalc.FormulaMismatch as err:
+        print(f"verification failed at n={err.n}: computed {err.computed}, "
+              f"formula {err.formula}", file=sys.stderr)
+        return EXIT_VERIFICATION
     if config.format == "tsv":
         _emit(config, tab.to_tsv())
     else:
@@ -173,18 +167,15 @@ def cmd_table1(args, config: RunConfig) -> int:
 
 
 def cmd_qform(args, config: RunConfig) -> int:
-    q = qforms.QuadFormQ.parse(args.diag)
+    q = _parse(qforms.QuadFormQ.parse, args.diag)
     _emit(config, q.to_json())
     return EXIT_OK
 
 
 def cmd_trace_form(args, config: RunConfig) -> int:
-    f = parse_poly(args.poly)
+    f = _parse(parse_poly, args.poly)
     _require(1 <= len(f) - 1 <= 24, "polynomial degree must be in 1..24")
-    try:
-        E = qforms.EtaleAlgebraQ.from_polynomial(f)
-    except ValueError as err:
-        raise UsageError(str(err))
+    E = _parse(qforms.EtaleAlgebraQ.from_polynomial, f)
     q = qforms.trace_form(E)
     s = (len(f) - 1).bit_count()
     payload = q.to_json()
@@ -232,7 +223,8 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--size-bound", type=int, default=d(None),
                    help=f"element-count cap (default 2^18; env "
                         f"{SIZE_BOUND_ENV} overrides)")
-    p.add_argument("--workers", type=int, default=d(1))
+    p.add_argument("--workers", type=int, default=d(1),
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--format", choices=("json", "tsv"), default=d("json"))
 
 
@@ -299,18 +291,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    size_bound = args.size_bound
-    if size_bound is None:
-        env = os.environ.get(SIZE_BOUND_ENV)
-        size_bound = int(env) if env else DEFAULT_SIZE_BOUND
-    config = RunConfig(seed=args.seed, size_bound=size_bound,
-                       workers=max(1, args.workers), format=args.format)
     try:
+        size_bound = args.size_bound
+        if size_bound is None:
+            env = os.environ.get(SIZE_BOUND_ENV)
+            size_bound = _parse(int, env) if env else DEFAULT_SIZE_BOUND
+        config = RunConfig(seed=args.seed, size_bound=size_bound,
+                           format=args.format)
         return args.func(args, config)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SizeBoundExceeded as err:

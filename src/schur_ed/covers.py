@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElem, CliffordSignature
+from .numth import SizeBoundExceeded
 from .perms import (
     Perm,
     adjacent_transposition,
@@ -35,10 +36,6 @@ from .perms import (
 )
 
 DEFAULT_SIZE_BOUND = 1 << 18
-
-
-class SizeBoundExceeded(RuntimeError):
-    """Closure grew past the configured element-count cap."""
 
 
 class CocycleInconsistency(RuntimeError):

@@ -27,6 +27,11 @@ class FormulaMismatch(VerificationError):
     """A value recomputed through the character pipeline disagrees with
     its closed form."""
 
+    def __init__(self, n: int, computed: int, formula: int):
+        super().__init__(f"computed value {computed} disagrees with the "
+                         f"closed form {formula} at n={n}")
+        self.n, self.computed, self.formula = n, computed, formula
+
 
 def popcount(n: int) -> int:
     return n.bit_count()
@@ -139,8 +144,7 @@ class EdReport:
         if self.ed_lower > self.ed_upper:
             raise ValueError("empty interval")
         if self.ed2_computed is not None and self.ed2_computed != self.ed2_formula:
-            raise FormulaMismatch(
-                "computed value disagrees with the closed form")
+            raise FormulaMismatch(self.n, self.ed2_computed, self.ed2_formula)
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +212,7 @@ def table1(n_max: int = 16, verify_max: int = 0, variant: str = "plus",
            size_bound: int = DEFAULT_SIZE_BOUND) -> Table1:
     """The three-row table for n = 4..n_max.  Rows 1 and 3 are interval
     assemblies; row 2 is the closed form, re-derived from the character
-    pipeline for n <= verify_max (a mismatch raises)."""
+    pipeline for n <= verify_max (a mismatch raises FormulaMismatch)."""
     if not 4 <= n_max <= 16:
         raise ValueError("n_max must be between 4 and 16")
     ns = list(range(4, n_max + 1))
@@ -218,8 +222,7 @@ def table1(n_max: int = 16, verify_max: int = 0, variant: str = "plus",
             got = ed2_computed(n, "alt", variant, size_bound)
             want = ed2_formula(n, "alt")
             if got != want:
-                raise AssertionError(
-                    f"computed ed(cover A_{n}; 2) = {got} != formula {want}")
+                raise FormulaMismatch(n, got, want)
             verified[n] = got
     return Table1(
         n_values=ns,

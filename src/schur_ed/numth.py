@@ -10,6 +10,17 @@ from typing import Dict, List, Tuple
 
 _SMALL_PRIMES: List[int] = []
 
+# Brent-rho squarings one factorize call may spend.  Rho finds a prime
+# factor q after about sqrt(q) squarings, so this splits cofactors whose
+# smaller prime factors are below about 2^40; on 150-bit numbers it is a
+# few seconds of work.
+FACTOR_EFFORT = 1 << 22
+
+
+class SizeBoundExceeded(RuntimeError):
+    """A computation would pass a resource cap: the element count of a
+    group closure, or the factoring effort of FACTOR_EFFORT."""
+
 
 def _sieve(limit: int = 10_000) -> List[int]:
     global _SMALL_PRIMES
@@ -141,25 +152,33 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _brent_rho(n: int, seed: int) -> int:
-    """One Brent cycle attempt; returns a nontrivial factor or n."""
+def _brent_rho(n: int, seed: int, budget: int) -> Tuple[int, int]:
+    """One Brent cycle attempt of at most about `budget` squarings.
+
+    Returns (g, steps): g is a nontrivial factor of n, or n when the attempt
+    failed; steps is the squarings spent, all of `budget` when it ran out."""
     if n % 2 == 0:
-        return 2
+        return 2, 0
     y, c, m = (seed * 2 + 1) % n, (seed * 3 + 7) % n, 128
     if c == 0:
         c = 1
     g, r, q = 1, 1, 1
     x = ys = y
+    steps = 0
     while g == 1:
+        if steps + 2 * r > budget:
+            return n, budget
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        steps += r
         k = 0
         while k < r and g == 1:
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
+            steps += min(m, r - k)
             g = gcd(q, n)
             k += m
         r *= 2
@@ -167,12 +186,16 @@ def _brent_rho(n: int, seed: int) -> int:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
+            steps += 1
             g = gcd(abs(x - ys), n)
-    return g
+    return g, steps
 
 
 def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of |n| (n != 0) as {prime: exponent}."""
+    """Prime factorization of |n| (n != 0) as {prime: exponent}.
+
+    Raises SizeBoundExceeded when the cofactors left after trial division
+    need more than FACTOR_EFFORT Brent-rho squarings in all."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -186,6 +209,7 @@ def factorize(n: int) -> Dict[int, int]:
     if n == 1:
         return out
     stack = [n]
+    effort = 0
     while stack:
         m = stack.pop()
         if m == 1:
@@ -200,7 +224,12 @@ def factorize(n: int) -> Dict[int, int]:
         f = m
         seed = 1
         while f == m:
-            f = _brent_rho(m, seed)
+            if effort >= FACTOR_EFFORT:
+                raise SizeBoundExceeded(
+                    f"factoring a {m.bit_length()}-bit cofactor took more "
+                    f"than {FACTOR_EFFORT} Brent-rho steps")
+            f, steps = _brent_rho(m, seed, FACTOR_EFFORT - effort)
+            effort += steps
             seed += 1
         stack.extend([f, m // f])
     return out

@@ -4,8 +4,9 @@ Nothing here shares code with the implementation paths it checks: Clifford
 products are reduced by explicit generator-list bubbling, elementary cocycle
 values come from the Clifford definition of the canonical lifts, power sums come
 from companion matrices, irreducibility mod p from Rabin's test, permutation
-facts from naive mapping composition, and degree multisets from numeric
-decomposition of the regular representation.
+facts from naive mapping composition, degree multisets from numeric
+decomposition of the regular representation, and Dixon eigenspaces from a
+scan of every eigenvalue candidate in GF(p).
 """
 
 from __future__ import annotations
@@ -275,6 +276,91 @@ def regular_representation_degrees(table) -> List[int]:
                 f"isotypic block of dimension {len(cl)} is not a square")
         degrees.append(d)
     return sorted(degrees)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra mod p: determinants and the eigenvalue scan
+# ---------------------------------------------------------------------------
+
+def det_mod_p(M, p: int) -> int:
+    """Determinant mod p by Gaussian elimination on Python integers."""
+    A = [[int(v) % p for v in row] for row in M]
+    k = len(A)
+    det = 1
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if A[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            A[c], A[pivot] = A[pivot], A[c]
+            det = -det
+        det = det * A[c][c] % p
+        inv = pow(A[c][c], p - 2, p)
+        for r in range(c + 1, k):
+            f = A[r][c] * inv % p
+            if f:
+                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[c])]
+    return det % p
+
+
+def rref_mod_p(M, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form mod p (nonzero rows) and pivot columns,
+    eliminating one row at a time."""
+    A = np.array(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        below = [i for i in range(r, rows) if A[i, c]]
+        if not below:
+            continue
+        A[[r, below[0]]] = A[[below[0], r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return A[:len(pivots)], pivots
+
+
+def nullspace_mod_p(M, p: int) -> np.ndarray:
+    """Rows span {v : M v = 0 mod p}, one per free column."""
+    R, pivots = rref_mod_p(M, p)
+    cols = np.asarray(M).shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        basis[k, pivots] = (-R[:, fc]) % p
+    return basis
+
+
+def scan_split_spaces(spaces, B, p: int) -> List[np.ndarray]:
+    """Dixon's split of each B-invariant space into eigenspaces of B, by
+    trying every lambda in GF(p): one nullspace of R - lambda I per
+    candidate, R the restriction of B.  Stops once a space is exhausted and
+    raises AssertionError if it never is."""
+    out: List[np.ndarray] = []
+    for S in spaces:
+        k = S.shape[0]
+        if k == 1:
+            out.append(S)
+            continue
+        S, pivots = rref_mod_p(S, p)
+        R = (np.asarray(B) @ S.T % p)[pivots, :]
+        found = 0
+        for lam in range(p):
+            N = nullspace_mod_p((R - lam * np.eye(k, dtype=np.int64)) % p, p)
+            if N.shape[0]:
+                out.append(N @ S % p)
+                found += N.shape[0]
+                if found == k:
+                    break
+        if found != k:
+            raise AssertionError("eigenvalue scan did not exhaust a space")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+import hashlib
+import random
+
+import numpy as np
 import pytest
 
+from schur_ed import cli
 from schur_ed.chartab import (
     DixonPrime,
+    _charpoly,
+    _ClassData,
+    _roots,
+    _split_spaces,
     count_min_faithful,
     dixon_character_table,
     dixon_prime,
@@ -12,7 +21,12 @@ from schur_ed.covers import (
     cyclic_table,
     generalized_quaternion_table,
 )
-from oracles import regular_representation_degrees
+from oracles import (
+    det_mod_p,
+    regular_representation_degrees,
+    rref_mod_p,
+    scan_split_spaces,
+)
 
 
 def test_dixon_prime_constraints():
@@ -101,3 +115,118 @@ def test_chartab_json_roundtrippable(zoo):
     import json
 
     json.dumps(data)  # serializable
+
+
+# ---------------------------------------------------------------------------
+# the characteristic-polynomial split against the eigenvalue scan
+# ---------------------------------------------------------------------------
+
+def _random_invertible(rng, k, p):
+    while True:
+        P = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(k)],
+                     dtype=np.int64)
+        if det_mod_p(P, p):
+            return P
+
+
+def _conjugate(A, P, p):
+    P_inv = np.array(rref_mod_p(np.hstack([P, np.eye(len(P), dtype=np.int64)]),
+                                p)[0][:, len(P):])
+    return P @ A @ P_inv % p
+
+
+def _charpoly_cases(rng, p):
+    """Dense, derogatory and zero-subdiagonal k x k matrices, k < p."""
+    def rand(rows, cols):
+        return np.array([[rng.randrange(p) for _ in range(cols)]
+                         for _ in range(rows)], dtype=np.int64)
+
+    for k in range(1, min(p - 1, 12) + 1):
+        yield rand(k, k)
+        yield np.zeros((k, k), dtype=np.int64)
+        yield rng.randrange(p) * np.eye(k, dtype=np.int64)
+        repeated = np.diag([rng.choice((1, 2)) for _ in range(k)])
+        yield _conjugate(repeated, _random_invertible(rng, k, p), p)
+        if k < 2:
+            continue
+        h = k // 2
+        twice = np.zeros((k, k), dtype=np.int64)  # A + A, plus c if k is odd
+        twice[:h, :h] = twice[h:2 * h, h:2 * h] = rand(h, h)
+        twice[-1, -1] += rng.randrange(p) * (k % 2)
+        yield twice
+        upper = rand(k, k)  # block upper triangular
+        upper[h:, :h] = 0
+        yield upper
+        no_pivot = rand(k, k)  # nothing to reduce in the first column
+        no_pivot[1:, 0] = 0
+        yield no_pivot
+        hess = np.triu(rand(k, k), -1)  # Hessenberg, zero subdiagonal entries
+        hess[1, 0] = 0
+        i = rng.randrange(1, k)
+        hess[i, i - 1] = 0
+        yield hess
+
+
+@pytest.mark.parametrize("p", [7, 13, 97])
+def test_charpoly_equals_det_xI_minus_R(p):
+    rng = random.Random(p)
+    for R in _charpoly_cases(rng, p):
+        k = len(R)
+        coeffs = _charpoly(R.copy(), p)
+        assert len(coeffs) == k + 1 and coeffs[k] == 1
+        for lam in range(p):
+            value = 0
+            for c in reversed(coeffs.tolist()):
+                value = (value * lam + c) % p
+            assert value == det_mod_p(lam * np.eye(k, dtype=np.int64) - R, p)
+
+
+def test_roots_of_a_product_of_linear_factors():
+    p = 97
+    rng = random.Random(5)
+    for _ in range(20):
+        zeros = [rng.randrange(p) for _ in range(rng.randrange(1, 12))]
+        coeffs = np.array([1], dtype=np.int64)
+        for a in zeros:
+            coeffs = (np.concatenate([[0], coeffs])
+                      - a * np.concatenate([coeffs, [0]])) % p
+        assert _roots(coeffs, p) == sorted(set(zeros))
+    assert _roots(np.array([1, 0, 1]), 7) == []   # x^2 + 1 mod 7
+
+
+def _space_set(spaces, p):
+    return sorted(tuple(map(tuple, rref_mod_p(S, p)[0].tolist()))
+                  for S in spaces)
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_split_spaces_match_the_eigenvalue_scan(zoo, which):
+    for n in range(4, 11):
+        table, _ = zoo.sylow_cover(n, "plus", which)
+        data = _ClassData(table)
+        p = dixon_prime(table.order, data.exponent()).p
+        rng = random.Random(n)
+        M = sum(rng.randrange(1, p) * data.class_matrix(r)
+                for r in range(1, min(data.n - 1, 8) + 1)) % p
+        spaces = [np.eye(data.n, dtype=np.int64)]
+        for B in [M] + [data.class_matrix(r) for r in range(1, data.n)]:
+            if all(S.shape[0] == 1 for S in spaces):
+                break
+            got = _split_spaces(spaces, B, p)
+            assert _space_set(got, p) == _space_set(
+                scan_split_spaces(spaces, B, p), p), (n, which)
+            spaces = got
+        assert all(S.shape[0] == 1 for S in spaces)
+
+
+CHARTAB_N12_SHA256 = (  # stdout of the eigenvalue-scan implementation
+    "155f0d03441d3331bed7bcd812bedf00c131fd2b49d5bf17c9420bb5b64edb04")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_chartab_n12_json_is_unchanged(capsys, seed):
+    code = cli.main(["--seed", str(seed), "chartab", "-n", "12",
+                     "--subgroup", "sylow2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_N12_SHA256

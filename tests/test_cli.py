@@ -87,6 +87,52 @@ def test_table1_byte_identical_across_workers(capsys):
     assert out1 == out2
 
 
+def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
+    assert "no effect" in cli._build_parser().format_help()
+    real = edcalc.ed2_computed
+    monkeypatch.setattr(
+        edcalc, "ed2_computed",
+        lambda n, *args: real(n, *args) * (2 if n == 6 else 1))
+    with pytest.raises(edcalc.FormulaMismatch):
+        edcalc.table1(8, verify_max=8)
+    code, out, err = run(capsys, "table1", "--n-max", "8", "--verify-max",
+                         "8", "--workers", "2")
+    assert code == 1 and out == ""
+    assert err == "verification failed at n=6: computed 4, formula 2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chartab", "-n", "3"], "covers are only considered for n >= 4"),
+    (["chartab", "-n", "17"], "cover arithmetic is desk-scale: n <= 16"),
+    (["ed2", "-n", "3"], "formulas assume n >= 4"),
+    (["qform", "1,0"], "diagonal entries must be nonzero"),
+    (["qform", "1,x"], "Invalid literal for Fraction: 'x'"),
+    (["qform", "1/0"], "Fraction(1, 0)"),
+    (["trace-form", "x^^2"], "cannot parse polynomial near '^^2'"),
+    (["trace-form", "2x^2+1"], "factors must be monic of positive degree"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_bad_size_bound_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SIZE_BOUND_ENV, "lots")
+    code, _, err = run(capsys, "chartab", "-n", "4")
+    assert code == 2 and err.startswith("usage error: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "dixon_character_table", broken)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        cli.main(["chartab", "-n", "4"])
+    assert "usage error" not in capsys.readouterr().err
+
+
 def test_ed2_computed(capsys):
     code, out, _ = run(capsys, "ed2", "-n", "6", "--which", "alt",
                        "--computed")
@@ -198,6 +244,19 @@ def test_trace_check_finishes_on_the_advertised_degrees():
     codes = [line.split() for line in done.stdout.splitlines()]
     assert len(codes) == len(runs)
     assert all(code == "0" for *_, code in codes), codes
+
+
+def test_trace_form_gives_up_on_a_hard_factorization():
+    # a degree-24 factor drawn by random_etale_algebra(24, Random(2)): one
+    # entry of its trace form leaves a 122-bit composite cofactor that Brent
+    # rho does not split, so the effort cap ends the run with exit 3
+    poly = ("x^24 - x^23 + 2*x^22 - x^21 - 2*x^20 - x^18 + x^16 + 2*x^15"
+            " - 2*x^14 + x^13 - 2*x^12 - 2*x^11 + 2*x^10 - 2*x^9 + 2*x^7"
+            " + x^6 + x^5 + 2*x^4 - x^3 + 2*x^2 + 1")
+    done = _python(["-m", "schur_ed", "trace-form", poly], timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("resource bound exceeded: factoring a ")
 
 
 def test_trace_forms_demo_smoke():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from schur_ed import polyq, qforms
-from schur_ed.numth import factorize, is_prime, squarefree_part
+from schur_ed import covers, numth, polyq, qforms
+from schur_ed.numth import factorize, is_prime, next_prime, squarefree_part
 from schur_ed.polyq import parse_poly
 from schur_ed.qforms import (
     INF,
@@ -51,6 +51,18 @@ def test_numth_basics():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert squarefree_part(-108) == -3
     assert squarefree_part(4) == 1
+
+
+def test_factorize_effort_cap(monkeypatch):
+    p, q = next_prime(2 ** 30), next_prime(2 ** 31)
+    assert factorize(p * q * 12) == {2: 2, 3: 1, p: 1, q: 1}
+    monkeypatch.setattr(numth, "FACTOR_EFFORT", 1000)
+    with pytest.raises(covers.SizeBoundExceeded, match="Brent-rho"):
+        factorize(p * q)
+    # trial division, prime and square cofactors spend no effort
+    monkeypatch.setattr(numth, "FACTOR_EFFORT", 0)
+    assert factorize(360 * p) == {2: 3, 3: 2, 5: 1, p: 1}
+    assert factorize(q * q) == {q: 2}
 
 
 def test_place_validation():
