@@ -1,24 +1,25 @@
 """The 2^floor((n-1)/2)-dimensional matrix representation of the covers.
 
 Step 1: the standard tensor construction gives n-1 pairwise anticommuting
-matrices over Q(zeta_8) squaring to +-identity.  Step 2: unit vectors in
-their span meeting at 120 degrees represent the cover generators; the
-central element lands on -identity.  The mixing coefficients involve
-sqrt(k(k+1)/2), so step 2 works over Q(i, sqrt 2, sqrt 3, ...).
+matrices with entries 0, +-1, +-i, squaring to +-identity.  Step 2: unit
+vectors in their span meeting at 120 degrees represent the cover generators;
+the central element lands on -identity.  The mixing coefficients involve
+sqrt(k(k+1)/2); both steps work over Q(i, sqrt 2, sqrt 3, ...), the field of
+schur_ed.radicals.
 """
 
 from schur_ed import basic_spin_matrices, spin_representation, verify_spin_representation
-from schur_ed.clifford import Cyclotomic8, _mat_eq, _mat_identity, _mat_mul, _mat_scale
+from schur_ed.radicals import smat_eq, smat_identity, smat_mul, smat_neg
 
 n = 6
 gammas = basic_spin_matrices(n, sign=1)
 dim = len(gammas[0])
 print(f"n = {n}: {len(gammas)} gamma matrices of size {dim} x {dim}")
 
-ident = _mat_identity(dim)
-print("gamma_1^2 == I:", _mat_eq(_mat_mul(gammas[0], gammas[0]), ident))
-anti = _mat_eq(_mat_mul(gammas[0], gammas[1]),
-               _mat_scale(Cyclotomic8(-1), _mat_mul(gammas[1], gammas[0])))
+ident = smat_identity(dim)
+print("gamma_1^2 == I:", smat_eq(smat_mul(gammas[0], gammas[0]), ident))
+anti = smat_eq(smat_mul(gammas[0], gammas[1]),
+               smat_neg(smat_mul(gammas[1], gammas[0])))
 print("gamma_1 gamma_2 == -gamma_2 gamma_1:", anti)
 
 # The group generators and the full relation check:

@@ -13,10 +13,8 @@ from .chartab import (
 from .clifford import (
     CliffordElem,
     CliffordSignature,
-    Cyclotomic8,
     Dyadic,
     basic_spin_matrices,
-    cl_mul,
     grade_involution,
     lift_transposition,
     spin_representation,

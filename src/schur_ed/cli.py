@@ -5,8 +5,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource bound
 exceeded.  Only input the user typed is a usage error: each subcommand
 turns the ValueError of a parser or a range check into UsageError, and any
 other exception is a bug and propagates.  Identical configurations produce
-byte-identical output; `--workers` is accepted for compatibility and has no
-effect.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -223,8 +222,6 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--size-bound", type=int, default=d(None),
                    help=f"element-count cap (default 2^18; env "
                         f"{SIZE_BOUND_ENV} overrides)")
-    p.add_argument("--workers", type=int, default=d(1),
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--format", choices=("json", "tsv"), default=d("json"))
 
 

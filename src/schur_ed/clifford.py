@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+# the smat_* functions are imported where they are called, so that a wrapper
+# installed on schur_ed.radicals (bench/tracer.py's) sees every call
+from .radicals import SMatrix, SqrtNum
+
 
 # ---------------------------------------------------------------------------
 # Z[1/2, sqrt 2]
@@ -47,15 +51,6 @@ class Dyadic:
     def one(cls) -> "Dyadic":
         return cls(1, 0, 0)
 
-    @classmethod
-    def sqrt2(cls) -> "Dyadic":
-        return cls(0, 1, 0)
-
-    @classmethod
-    def inv_sqrt2(cls) -> "Dyadic":
-        # 1/sqrt(2) = sqrt(2)/2
-        return cls(0, 1, 1)
-
     def __add__(self, other: "Dyadic") -> "Dyadic":
         k = max(self.k, other.k)
         sa = self.a << (k - self.k)
@@ -85,9 +80,6 @@ class Dyadic:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def to_float(self) -> float:
-        return (self.a + self.b * 2 ** 0.5) / 2 ** self.k
 
     def rational_parts(self) -> Tuple[Fraction, Fraction]:
         """Return (p, q) with value = p + q*sqrt(2)."""
@@ -209,9 +201,6 @@ class CliffordElem:
         if not self.is_scalar():
             raise ValueError("element is not a scalar")
         return self.coefficient(0)
-
-    def grades(self) -> List[int]:
-        return sorted({m.bit_count() for m in self._terms})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordElem):
@@ -344,12 +333,8 @@ def _rescaled(terms: Dict[int, Tuple[int, int]], j: int) -> Dict[int, Tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (thin wrappers over the element methods)
+# involutions, spinor norms and transposition lifts
 # ---------------------------------------------------------------------------
-
-def cl_mul(x: CliffordElem, y: CliffordElem) -> CliffordElem:
-    return x * y
-
 
 def transpose(x: CliffordElem) -> CliffordElem:
     """Anti-automorphism reversing basis monomials.
@@ -395,135 +380,21 @@ def lift_transposition(i: int, j: int, sig: CliffordSignature) -> CliffordElem:
 
 
 # ---------------------------------------------------------------------------
-# Q(zeta_8) and the tensor-construction generator matrices
+# the tensor-construction gamma matrices
 # ---------------------------------------------------------------------------
 
-class Cyclotomic8:
-    """c0 + c1*z + c2*z^2 + c3*z^3 with z a primitive 8th root of unity
-    (z^4 = -1).  z^2 is a square root of -1 and z + z^-1 = sqrt(2)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    @classmethod
-    def zeta(cls, power: int = 1) -> "Cyclotomic8":
-        power %= 8
-        coeffs = [0, 0, 0, 0]
-        coeffs[power % 4] = -1 if power >= 4 else 1
-        return cls(*coeffs)
-
-    @classmethod
-    def i(cls) -> "Cyclotomic8":
-        return cls.zeta(2)
-
-    @classmethod
-    def sqrt2(cls) -> "Cyclotomic8":
-        return cls(0, 1, 0, -1)  # z + z^7 = z - z^3
-
-    def __add__(self, other):
-        other = _c8(other)
-        return Cyclotomic8(*(a + b for a, b in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return Cyclotomic8(*(-a for a in self.c))
-
-    def __sub__(self, other):
-        return self + (-_c8(other))
-
-    def __mul__(self, other):
-        other = _c8(other)
-        out = [Fraction(0)] * 4
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b == 0:
-                    continue
-                k = i + j
-                if k >= 4:
-                    out[k - 4] -= a * b
-                else:
-                    out[k] += a * b
-        return Cyclotomic8(*out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic8(other)
-        if not isinstance(other, Cyclotomic8):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c)
-
-    def __repr__(self):
-        return f"Cyclotomic8{self.c}"
-
-
-def _c8(v) -> Cyclotomic8:
-    if isinstance(v, Cyclotomic8):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Cyclotomic8(v)
-    raise TypeError(f"cannot coerce {type(v)} to Cyclotomic8")
-
-
-Matrix = List[List[Cyclotomic8]]
-
-
-def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
-    return [[sum((x[i][k] * y[k][j] for k in range(n)), Cyclotomic8())
-             for j in range(n)] for i in range(n)]
-
-
-def _mat_eq(x: Matrix, y: Matrix) -> bool:
-    return all(a == b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y))
-
-
-def _mat_scale(c: Cyclotomic8, x: Matrix) -> Matrix:
-    return [[c * v for v in row] for row in x]
-
-
-def _mat_identity(n: int) -> Matrix:
-    return [[Cyclotomic8(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _kron(x: Matrix, y: Matrix) -> Matrix:
-    nx, ny = len(x), len(y)
-    out = [[Cyclotomic8() for _ in range(nx * ny)] for _ in range(nx * ny)]
-    for i in range(nx):
-        for j in range(nx):
-            for k in range(ny):
-                for l in range(ny):
-                    out[i * ny + k][j * ny + l] = x[i][j] * y[k][l]
-    return out
-
-
-def cyclotomic_to_radical(c: Cyclotomic8):
-    """Embed Q(zeta_8) into the radical field: zeta = (1+i)/sqrt(2)."""
-    from .radicals import SqrtNum
-
-    c0, c1, c2, c3 = c.c
-    # zeta^2 = i, zeta = (sqrt2/2)(1+i), zeta^3 = (sqrt2/2)(-1+i)
-    return SqrtNum({
-        1: (c0, c2),
-        2: ((c1 - c3) / 2, (c1 + c3) / 2),
-    })
-
-
-def basic_spin_matrices(n: int, sign: int = 1) -> List[Matrix]:
+def basic_spin_matrices(n: int, sign: int = 1) -> List[SMatrix]:
     """Images of the n-1 Clifford generators under the standard tensor
     construction: pairwise anticommuting matrices of size 2^floor((n-1)/2)
-    over Q(zeta_8), squaring to sign*identity.
+    with entries in {0, +-1, +-i}, squaring to sign*identity.
+
+    With p = floor((n-1)/2) tensor slots 0..p-1, slot j gives the pair
+    Z x ... x Z x X x I x ... x I and the same with Y, the Z's in slots
+    0..j-1, for the Pauli matrices X, Y = [[0, -i], [i, 0]] and
+    Z = diag(1, -1); for sign -1 each is multiplied by i.  Slot j is bit
+    p-1-j of a row index, so row r of such a matrix has one nonzero entry,
+    in column r with that bit flipped, whose sign is the parity of r's bits
+    in the Z slots (and, for Y, in slot j).
 
     For odd rank the last generator is realized as a scalar multiple of the
     product of the others, which is the unique way to stay in this dimension.
@@ -535,34 +406,29 @@ def basic_spin_matrices(n: int, sign: int = 1) -> List[Matrix]:
     m = n - 1
     pairs = m // 2
     dim = 1 << pairs
+    zero = SqrtNum()
+    one = SqrtNum.rational(1)
+    ii = SqrtNum.imag_unit()
+    unit = one if sign == 1 else ii
 
-    one = Cyclotomic8(1)
-    ii = Cyclotomic8.i()
-    X = [[Cyclotomic8(), one], [one, Cyclotomic8()]]
-    Y = [[Cyclotomic8(), -ii], [ii, Cyclotomic8()]]
-    Z = [[one, Cyclotomic8()], [Cyclotomic8(), -one]]
+    def gamma(flip: int, z_mask: int, c: SqrtNum) -> SMatrix:
+        c = unit * c
+        out = [[zero] * dim for _ in range(dim)]
+        for r in range(dim):
+            out[r][r ^ flip] = -c if (r & z_mask).bit_count() & 1 else c
+        return out
 
-    gammas: List[Matrix] = []
+    gammas: List[SMatrix] = []
     for j in range(pairs):
-        for base in (X, Y):
-            g = _mat_identity(1)
-            for slot in range(pairs):
-                if slot < j:
-                    g = _kron(g, Z)
-                elif slot == j:
-                    g = _kron(g, base)
-                else:
-                    g = _kron(g, _mat_identity(2))
-            gammas.append(g)
+        bit = dim >> (j + 1)
+        z_slots = dim - 2 * bit
+        gammas.append(gamma(bit, z_slots, one))
+        # Y = -i Z X: the X entry times -i, negated where r has the slot-j bit
+        gammas.append(gamma(bit, z_slots | bit, -ii))
     if m % 2 == 1:
         # odd rank: gamma_m = Z tensor ... tensor Z anticommutes with the
         # rest and squares to +1
-        g = _mat_identity(1)
-        for _ in range(pairs):
-            g = _kron(g, Z)
-        gammas.append(g)
-    if sign == -1:
-        gammas = [_mat_scale(ii, g) for g in gammas]
+        gammas.append(gamma(0, dim - 1, one))
     return gammas
 
 
@@ -570,7 +436,7 @@ def basic_spin_matrices(n: int, sign: int = 1) -> List[Matrix]:
 # the 2^floor((n-1)/2)-dimensional representation of the covers
 # ---------------------------------------------------------------------------
 
-def spin_representation(n: int, variant: str):
+def spin_representation(n: int, variant: str) -> List[SMatrix]:
     """Generator images T_1, ..., T_{n-1} of the cover of S_n in dimension
     2^floor((n-1)/2).
 
@@ -578,17 +444,15 @@ def spin_representation(n: int, variant: str):
     gamma matrices, where consecutive vectors meet at 120 degrees (the
     Cholesky coordinates of the reflection-chain Gram matrix).  The
     coefficients involve sqrt(k(k+1)/2), so the matrices live over
-    Q(i, sqrt 2, sqrt 3, ...) rather than Q(zeta_8).
+    Q(i, sqrt 2, sqrt 3, ...), the field of `radicals.SqrtNum` in which the
+    gamma matrices are built.
     """
-    from .radicals import SqrtNum, smat_add, smat_scale
+    from .radicals import smat_add, smat_scale
 
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
     sign = 1 if variant == "plus" else -1
-    gammas = [
-        [[cyclotomic_to_radical(v) for v in row] for row in g]
-        for g in basic_spin_matrices(n, sign)
-    ]
+    gammas = basic_spin_matrices(n, sign)
     gens = []
     for k in range(1, n):
         if k == 1:

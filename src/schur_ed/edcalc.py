@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .chartab import count_min_faithful, min_faithful_irrep_dim
+from .chartab import min_faithful_irrep_dim
 from .covers import (
     DEFAULT_SIZE_BOUND,
     CoverSpec,
@@ -67,14 +67,6 @@ def ed2_computed(n: int, which: str, variant: str = "plus",
                               name=f"sylow2-{which}-{n}-{variant}")
     z = get_cover(spec).z
     return min_faithful_irrep_dim(table, z)
-
-
-def count_min_faithful_computed(n: int, which: str, variant: str = "plus",
-                                size_bound: int = DEFAULT_SIZE_BOUND) -> int:
-    spec = CoverSpec(n, variant)
-    gens = sylow2_sym_generators(n) if which == "sym" else sylow2_alt_generators(n)
-    table = preimage_subgroup(gens, spec, size_bound)
-    return count_min_faithful(table, get_cover(spec).z)
 
 
 # -- known values for ed(A_n) (exact small cases, then the +2 recursion for

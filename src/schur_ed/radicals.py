@@ -3,8 +3,9 @@
 Elements are finite sums  sum_d (re_d + im_d * i) * sqrt(d)  over squarefree
 positive integers d.  This is the smallest exact ring in which the unit
 vectors realizing the reflection-chain Gram matrix (1 on the diagonal, -1/2
-on the first off-diagonal) have coordinates, so the double-cover generator
-matrices built on top of the tensor-construction gamma matrices live here.
+on the first off-diagonal) have coordinates.  It is the one field of the spin
+matrices: the tensor-construction gamma matrices (entries 0, +-1, +-i) and
+the double-cover generator matrices built on top of them both live here.
 """
 
 from __future__ import annotations

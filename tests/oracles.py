@@ -5,8 +5,9 @@ products are reduced by explicit generator-list bubbling, elementary cocycle
 values come from the Clifford definition of the canonical lifts, power sums come
 from companion matrices, irreducibility mod p from Rabin's test, permutation
 facts from naive mapping composition, degree multisets from numeric
-decomposition of the regular representation, and Dixon eigenspaces from a
-scan of every eigenvalue candidate in GF(p).
+decomposition of the regular representation, Dixon eigenspaces from a
+scan of every eigenvalue candidate in GF(p), and gamma matrices from
+Kronecker products of explicit 2x2 Pauli matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from schur_ed.radicals import SqrtNum
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,40 @@ def clifford_elementary_cocycle(cover, perm, i, lifts=None) -> int:
         return 1
     raise CocycleInconsistency(
         f"lift product is not +-canonical lift at ({perm}, s_{i})")
+
+
+# ---------------------------------------------------------------------------
+# gamma matrices as Kronecker products
+# ---------------------------------------------------------------------------
+
+def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[SqrtNum]]]:
+    """The n-1 gamma matrices of the tensor construction with p = (n-1)//2
+    slots: Z x ... x Z x X x I x ... x I and the same with Y (j Z's first,
+    j = 0..p-1), then Z x ... x Z when n-1 is odd, each a Kronecker product
+    of explicit 2x2 matrices over SqrtNum, times i when sign is -1."""
+    zero, one, i = SqrtNum(), SqrtNum.rational(1), SqrtNum.imag_unit()
+    eye = [[one, zero], [zero, one]]
+    x = [[zero, one], [one, zero]]
+    y = [[zero, -i], [i, zero]]
+    z = [[one, zero], [zero, -one]]
+
+    def kron(a, b):
+        return [[u * v for u in ra for v in rb] for ra in a for rb in b]
+
+    pairs = (n - 1) // 2
+    words = [[z] * j + [pauli] + [eye] * (pairs - j - 1)
+             for j in range(pairs) for pauli in (x, y)]
+    if (n - 1) % 2:
+        words.append([z] * pairs)
+    out = []
+    for word in words:
+        g = [[one]]
+        for factor in word:
+            g = kron(g, factor)
+        if sign == -1:
+            g = [[i * v for v in row] for row in g]
+        out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------

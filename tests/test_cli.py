@@ -79,16 +79,8 @@ def test_table1_row3_values(capsys):
     assert row3[6] == "8-15"   # n = 10
 
 
-def test_table1_byte_identical_across_workers(capsys):
-    _, out1, _ = run(capsys, "table1", "--n-max", "8", "--verify-max", "6",
-                     "--format", "tsv")
-    _, out2, _ = run(capsys, "table1", "--n-max", "8", "--verify-max", "6",
-                     "--format", "tsv", "--workers", "4")
-    assert out1 == out2
-
-
 def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
-    assert "no effect" in cli._build_parser().format_help()
+    assert run(capsys, "table1", "--workers", "2")[0] == 2
     real = edcalc.ed2_computed
     monkeypatch.setattr(
         edcalc, "ed2_computed",
@@ -96,7 +88,7 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
     with pytest.raises(edcalc.FormulaMismatch):
         edcalc.table1(8, verify_max=8)
     code, out, err = run(capsys, "table1", "--n-max", "8", "--verify-max",
-                         "8", "--workers", "2")
+                         "8")
     assert code == 1 and out == ""
     assert err == "verification failed at n=6: computed 4, formula 2\n"
 
@@ -259,10 +251,14 @@ def test_trace_form_gives_up_on_a_hard_factorization():
     assert done.stderr.startswith("resource bound exceeded: factoring a ")
 
 
-def test_trace_forms_demo_smoke():
-    done = _python([str(ROOT / "demos" / "06_trace_forms.py")], timeout=120)
+@pytest.mark.parametrize(
+    "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_smoke(demo):
+    done = _python([str(ROOT / "demos" / demo)], timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "25/25" in done.stdout
+    assert "FAILED" not in done.stdout and "False" not in done.stdout
+    if demo == "06_trace_forms.py":
+        assert "25/25" in done.stdout
 
 
 def test_size_bound_exit_code(capsys, monkeypatch):

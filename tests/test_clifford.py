@@ -7,24 +7,25 @@ import pytest
 from schur_ed.clifford import (
     CliffordElem,
     CliffordSignature,
-    Cyclotomic8,
     Dyadic,
     basic_spin_matrices,
-    cyclotomic_to_radical,
     grade_involution,
     lift_transposition,
     spin_representation,
     spinor_norm,
     transpose,
     verify_spin_representation,
-    _mat_eq,
-    _mat_identity,
-    _mat_mul,
-    _mat_scale,
 )
-from schur_ed.radicals import smat_mul, smat_eq
+from schur_ed.radicals import (
+    SqrtNum,
+    smat_eq,
+    smat_identity,
+    smat_mul,
+    smat_neg,
+    smat_scale,
+)
 
-from oracles import reversal_sign, slow_multivector_mul
+from oracles import kronecker_gamma_matrices, reversal_sign, slow_multivector_mul
 
 
 def elem_from_tuples(sig, terms):
@@ -255,26 +256,23 @@ def test_gamma_relations(sign):
     for n in (4, 6, 7):
         gs = basic_spin_matrices(n, sign)
         dim = len(gs[0])
-        sI = _mat_scale(Cyclotomic8(sign), _mat_identity(dim))
+        sI = smat_scale(SqrtNum.rational(sign), smat_identity(dim))
         for i, g in enumerate(gs):
-            assert _mat_eq(_mat_mul(g, g), sI)
+            assert smat_eq(smat_mul(g, g), sI)
             for h in gs[i + 1:]:
-                gh = _mat_mul(g, h)
-                hg = _mat_mul(h, g)
-                assert _mat_eq(gh, _mat_scale(Cyclotomic8(-1), hg))
+                gh = smat_mul(g, h)
+                hg = smat_mul(h, g)
+                assert smat_eq(gh, smat_scale(SqrtNum.rational(-1), hg))
 
 
-def test_cyclotomic8_field_facts():
-    z = Cyclotomic8.zeta()
-    assert z * z == Cyclotomic8.i()
-    assert Cyclotomic8.sqrt2() * Cyclotomic8.sqrt2() == Cyclotomic8(2)
-    assert z * z * z * z == Cyclotomic8(-1)
-    # embedding into the radical field is a ring map on a spot check
-    for v in (z, Cyclotomic8.sqrt2(), z * z + Cyclotomic8(1, 2, 3, 4)):
-        w = Cyclotomic8(1, -1, 0, 2)
-        lhs = cyclotomic_to_radical(v * w)
-        rhs = cyclotomic_to_radical(v) * cyclotomic_to_radical(w)
-        assert lhs == rhs
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gammas_match_pauli_tensor_oracle(sign):
+    one, i = SqrtNum.rational(1), SqrtNum.imag_unit()
+    units = {SqrtNum(), one, -one, i, -i}
+    for n in range(2, 12):
+        gs = basic_spin_matrices(n, sign)
+        assert gs == kronecker_gamma_matrices(n, sign)
+        assert all(v in units for g in gs for row in g for v in row)
 
 
 def test_central_element_maps_to_minus_identity():
@@ -283,7 +281,6 @@ def test_central_element_maps_to_minus_identity():
     dim = len(gens[0])
     prod = smat_mul(gens[0], gens[2])
     prod = smat_mul(prod, prod)
-    from schur_ed.radicals import smat_identity, smat_neg
     assert smat_eq(prod, smat_neg(smat_identity(dim)))
 
 
