@@ -150,6 +150,7 @@ def cmd_ed2(args, config: RunConfig) -> int:
 
 def cmd_table1(args, config: RunConfig) -> int:
     _require(4 <= args.n_max <= 16, "table1 supports 4 <= n_max <= 16")
+    _require(args.verify_max <= 14, "computed values are capped at n = 14")
     try:
         tab = edcalc.table1(args.n_max, verify_max=args.verify_max,
                             variant=args.variant,

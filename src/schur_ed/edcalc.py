@@ -204,13 +204,15 @@ def table1(n_max: int = 16, verify_max: int = 0, variant: str = "plus",
            size_bound: int = DEFAULT_SIZE_BOUND) -> Table1:
     """The three-row table for n = 4..n_max.  Rows 1 and 3 are interval
     assemblies; row 2 is the closed form, re-derived from the character
-    pipeline for n <= verify_max (a mismatch raises FormulaMismatch)."""
+    pipeline for n <= verify_max <= 14 (a mismatch raises FormulaMismatch)."""
     if not 4 <= n_max <= 16:
         raise ValueError("n_max must be between 4 and 16")
+    if verify_max > 14:
+        raise ValueError("computed values are desk-scale: verify_max <= 14")
     ns = list(range(4, n_max + 1))
     verified: Dict[int, int] = {}
     for n in ns:
-        if n <= min(verify_max, 14):
+        if n <= verify_max:
             got = ed2_computed(n, "alt", variant, size_bound)
             want = ed2_formula(n, "alt")
             if got != want:

@@ -31,6 +31,9 @@ def _squarefree_split(n: int) -> Tuple[int, int]:
     return s, d * n
 
 
+_ZERO = Fraction(0)
+
+
 class SqrtNum:
     """Sparse element of Q(i)(sqrt 2, sqrt 3, sqrt 5, ...)."""
 
@@ -81,8 +84,16 @@ class SqrtNum:
             for d2, (r2, i2) in other.parts.items():
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                re = g * (r1 * r2 - i1 * i2)
-                im = g * (r1 * i2 + i1 * r2)
+                # products with a zero factor are skipped: the entries
+                # of the spin matrices are mostly real or imaginary
+                re = r1 * r2 if r1 and r2 else _ZERO
+                if i1 and i2:
+                    re -= i1 * i2
+                im = r1 * i2 if r1 and i2 else _ZERO
+                if i1 and r2:
+                    im += i1 * r2
+                if g != 1:
+                    re, im = g * re, g * im
                 if d in out:
                     out[d] = (out[d][0] + re, out[d][1] + im)
                 else:
@@ -145,7 +156,9 @@ def smat_mul(x: SMatrix, y: SMatrix) -> SMatrix:
 
 
 def smat_eq(x: SMatrix, y: SMatrix) -> bool:
-    return all(a == b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
+    return len(x) == len(y) and all(
+        len(rx) == len(ry) and all(a == b for a, b in zip(rx, ry))
+        for rx, ry in zip(x, y))
 
 
 def smat_scale(c: SqrtNum, x: SMatrix) -> SMatrix:
@@ -153,7 +166,12 @@ def smat_scale(c: SqrtNum, x: SMatrix) -> SMatrix:
 
 
 def smat_pow(x: SMatrix, e: int) -> SMatrix:
-    out = smat_identity(len(x))
-    for _ in range(e):
+    """x^e for e >= 0, in e - 1 products."""
+    if e < 0:
+        raise ValueError("smat_pow wants e >= 0")
+    if e == 0:
+        return smat_identity(len(x))
+    out = x
+    for _ in range(e - 1):
         out = smat_mul(out, x)
     return out

@@ -6,8 +6,9 @@ values come from the Clifford definition of the canonical lifts, power sums come
 from companion matrices, irreducibility mod p from Rabin's test, permutation
 facts from naive mapping composition, degree multisets from numeric
 decomposition of the regular representation, Dixon eigenspaces from a
-scan of every eigenvalue candidate in GF(p), and gamma matrices from
-Kronecker products of explicit 2x2 Pauli matrices.
+scan of every eigenvalue candidate in GF(p), gamma matrices from
+Kronecker products of explicit 2x2 Pauli matrices, and the spin relations
+from dense products of the generator matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from schur_ed.radicals import SqrtNum
+from schur_ed.clifford import spin_representation
+from schur_ed.radicals import SqrtNum, smat_eq, smat_identity, smat_mul, smat_neg, smat_pow
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def clifford_elementary_cocycle(cover, perm, i, lifts=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gamma matrices as Kronecker products
+# gamma matrices as Kronecker products, spin relations by dense products
 # ---------------------------------------------------------------------------
 
 def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[SqrtNum]]]:
@@ -150,6 +152,38 @@ def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[SqrtNum]]]:
             g = [[i * v for v in row] for row in g]
         out.append(g)
     return out
+
+
+def dense_spin_relations(n: int, variant: str) -> List[Tuple[str, bool]]:
+    """Check every defining relation of the matching presentation on the
+    spin generator matrices, with the central element represented by -I,
+    by dense products of the matrices."""
+    gens = spin_representation(n, variant)
+    dim = len(gens[0])
+    ident = smat_identity(dim)
+    neg_ident = smat_neg(ident)
+    plus = variant == "plus"
+    letter = "s" if plus else "t"
+    results: List[Tuple[str, bool]] = []
+    results.append(("rho(z) = -I with rho(z) = (g1 g3)^2",
+                    smat_eq(smat_pow(smat_mul(gens[0], gens[2]), 2),
+                            neg_ident)))
+    for k in range(1, n):
+        sq = smat_mul(gens[k - 1], gens[k - 1])
+        want = ident if plus else neg_ident
+        rel = f"{letter}{k}^2 = {'1' if plus else 'z'}"
+        results.append((rel, smat_eq(sq, want)))
+    for k in range(1, n):
+        for l in range(k + 2, n):
+            val = smat_pow(smat_mul(gens[k - 1], gens[l - 1]), 2)
+            results.append((f"({letter}{k} {letter}{l})^2 = z",
+                            smat_eq(val, neg_ident)))
+    for k in range(1, n - 1):
+        val = smat_pow(smat_mul(gens[k - 1], gens[k]), 3)
+        want = ident if plus else neg_ident
+        rel = f"({letter}{k} {letter}{k+1})^3 = {'1' if plus else 'z'}"
+        results.append((rel, smat_eq(val, want)))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,7 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
     (["qform", "1/0"], "Fraction(1, 0)"),
     (["trace-form", "x^^2"], "cannot parse polynomial near '^^2'"),
     (["trace-form", "2x^2+1"], "factors must be monic of positive degree"),
+    (["table1", "--verify-max", "15"], "computed values are capped at n = 14"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from schur_ed import clifford
 from schur_ed.clifford import (
     CliffordElem,
     CliffordSignature,
@@ -16,16 +17,25 @@ from schur_ed.clifford import (
     transpose,
     verify_spin_representation,
 )
+from schur_ed.covers import VerificationError
 from schur_ed.radicals import (
     SqrtNum,
+    smat_add,
     smat_eq,
     smat_identity,
     smat_mul,
     smat_neg,
+    smat_pow,
     smat_scale,
 )
 
-from oracles import kronecker_gamma_matrices, reversal_sign, slow_multivector_mul
+import oracles
+from oracles import (
+    dense_spin_relations,
+    kronecker_gamma_matrices,
+    reversal_sign,
+    slow_multivector_mul,
+)
 
 
 def elem_from_tuples(sig, terms):
@@ -289,3 +299,111 @@ def test_spin_representation_small(variant):
     for n in (4, 5, 6):
         results = verify_spin_representation(n, variant)
         assert all(ok for _, ok in results), [r for r, ok in results if not ok]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_spin_relations_match_dense_oracle(n, variant):
+    assert verify_spin_representation(n, variant) == dense_spin_relations(n, variant)
+
+
+def _patch_generators(monkeypatch, change):
+    real = clifford.spin_representation
+
+    def patched(n, variant):
+        gens = real(n, variant)
+        change(gens, basic_spin_matrices(n, 1 if variant == "plus" else -1))
+        return gens
+
+    monkeypatch.setattr(clifford, "spin_representation", patched)
+    monkeypatch.setattr(oracles, "spin_representation", patched)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_perturbed_generator_flags_match_dense_oracle(monkeypatch, variant):
+    # T_4 = a_4 G_3 + 2 b_4 G_4: still in the span, no longer a unit vector
+    def double_b4(gens, gammas):
+        a4 = SqrtNum.root(24, Fraction(-1, 8))
+        b4 = SqrtNum.root(40, Fraction(1, 8))
+        gens[3] = smat_add(smat_scale(a4, gammas[2]),
+                           smat_scale(b4 + b4, gammas[3]))
+
+    _patch_generators(monkeypatch, double_b4)
+    for n in (6, 7):
+        fast = verify_spin_representation(n, variant)
+        assert fast == dense_spin_relations(n, variant)
+        failing = [rel for rel, ok in fast if not ok]
+        letter = "s" if variant == "plus" else "t"
+        assert f"{letter}4^2 = {'1' if variant == 'plus' else 'z'}" in failing
+        assert f"({letter}1 {letter}4)^2 = z" in failing
+        assert f"({letter}1 {letter}3)^2 = z" not in failing
+
+
+def test_generator_outside_the_gamma_span_raises(monkeypatch):
+    def add_identity(gens, gammas):
+        gens[1] = smat_add(gens[1], smat_identity(len(gens[1])))
+
+    _patch_generators(monkeypatch, add_identity)
+    with pytest.raises(VerificationError, match="T_2 is not in the span"):
+        verify_spin_representation(5, "plus")
+
+
+@pytest.mark.parametrize("second_gamma, premise", [
+    # a repeated gamma is monomial but commutes with its copy
+    (lambda gs: gs[0], "break the Clifford relation"),
+    (lambda gs: smat_add(gs[0], gs[2]), "signed monomial matrix"),
+])
+def test_broken_gamma_raises(monkeypatch, second_gamma, premise):
+    real = clifford.basic_spin_matrices
+
+    def broken(n, sign=1):
+        gs = real(n, sign)
+        gs[1] = second_gamma(gs)
+        return gs
+
+    monkeypatch.setattr(clifford, "basic_spin_matrices", broken)
+    with pytest.raises(VerificationError, match=premise):
+        verify_spin_representation(6, "minus")
+
+
+# ---------------------------------------------------------------------------
+# SqrtNum arithmetic and matrices
+# ---------------------------------------------------------------------------
+
+def _as_complex(x):
+    return sum(complex(float(re), float(im)) * d ** 0.5
+               for d, (re, im) in x.parts.items())
+
+
+def test_sqrtnum_mul_matches_complex_floats():
+    # real, imaginary and mixed parts, over shared and coprime radicands
+    rng = random.Random(5)
+    parts = [Fraction(0), Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7)]
+
+    def draw():
+        return SqrtNum({d: (rng.choice(parts), rng.choice(parts))
+                        for d in rng.sample([1, 2, 3, 6, 10], rng.randint(1, 3))})
+
+    for _ in range(300):
+        x, y = draw(), draw()
+        assert abs(_as_complex(x * y) - _as_complex(x) * _as_complex(y)) < 1e-9
+
+
+def test_smat_eq_compares_shapes():
+    one = SqrtNum.rational(1)
+    assert not smat_eq([[one]], smat_identity(2))
+    assert not smat_eq(smat_identity(2), [[one]])
+    assert not smat_eq([], smat_identity(4))
+    assert not smat_eq([[one], [SqrtNum()]], smat_identity(2))
+    assert smat_eq(smat_identity(3), smat_identity(3))
+
+
+def test_smat_pow_matches_repeated_products():
+    x = spin_representation(5, "minus")[2]
+    assert smat_eq(smat_pow(x, 0), smat_identity(len(x)))
+    expected = x
+    for e in (1, 2, 3):
+        assert smat_eq(smat_pow(x, e), expected)
+        expected = smat_mul(expected, x)
+    with pytest.raises(ValueError):
+        smat_pow(x, -1)

@@ -86,6 +86,9 @@ def test_table1_bounds_validation():
         table1(17)
     with pytest.raises(ValueError):
         table1(3)
+    # a verify_max above the recompute cap is refused, never silently lowered
+    with pytest.raises(ValueError, match="verify_max <= 14"):
+        table1(16, verify_max=15)
 
 
 def test_table1_verified_marks(zoo):
