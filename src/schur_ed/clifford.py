@@ -514,9 +514,14 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     proper two-sided ideal.  So a word equals +-1 in C exactly when its
     matrix equals +-I: each flag is the flag of the dense product, for any
     coefficients c_kj, not only the intended ones.
+
+    The relation rho(z) = (g1 g3)^2 needs g3, so n >= 4; a smaller n raises
+    ValueError.
     """
     from .covers import VerificationError  # covers imports this module
 
+    if n < 4:
+        raise ValueError(f"verify_spin_representation needs n >= 4, got {n}")
     plus = variant == "plus"
     sign = 1 if plus else -1
     gammas = basic_spin_matrices(n, sign)

@@ -1,6 +1,7 @@
 """Dense univariate polynomials over Q: the small toolkit needed for trace
-forms of etale algebras (Newton power sums, resultants, squarefreeness) and
-for certifying irreducibility of randomly drawn factors via reduction mod p.
+forms of etale algebras (Newton power sums, resultants and discriminants,
+which decide squarefreeness and coprimality) and for certifying
+irreducibility of randomly drawn factors via reduction mod p.
 
 A polynomial is a tuple of Fractions, ascending degree, no trailing zeros.
 """
@@ -30,20 +31,6 @@ def is_monic(f: Poly) -> bool:
     return bool(f) and f[-1] == 1
 
 
-def add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return poly([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-                 for i in range(n)])
-
-
-def neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
-
-
 def mul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -55,52 +42,8 @@ def mul(f: Poly, g: Poly) -> Poly:
     return poly(out)
 
 
-def scale(f: Poly, c) -> Poly:
-    return poly([Fraction(c) * a for a in f])
-
-
-def divmod_poly(f: Poly, g: Poly) -> Tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q: List[Fraction] = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg, lg = len(g) - 1, g[-1]
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] / lg
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] -= c * b
-        r.pop()
-    return poly(q), poly(r)
-
-
-def gcd_poly(f: Poly, g: Poly) -> Poly:
-    a, b = f, g
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if not a:
-        return ()
-    return scale(a, 1 / a[-1])
-
-
 def derivative(f: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(f)][1:])
-
-
-def is_squarefree(f: Poly) -> bool:
-    return degree(gcd_poly(f, derivative(f))) == 0
-
-
-def evaluate(f: Poly, x) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(f):
-        out = out * x + c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +81,8 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     if n == 0:
         return g[0] ** m
     den = lcm(*[c.denominator for c in f + g])
-    fi = [int(c * den) for c in f]
-    gi = [int(c * den) for c in g]
+    fi = [c.numerator * (den // c.denominator) for c in f]
+    gi = [c.numerator * (den // c.denominator) for c in g]
     size = m + n
     M = [[0] * size for _ in range(size)]
     for row in range(n):
@@ -161,23 +104,26 @@ def discriminant(f: Poly) -> Fraction:
 
 
 def power_sums(f: Poly, count: int) -> List[Fraction]:
-    """Newton power sums p_0..p_{count-1} of the roots of monic f."""
+    """Newton power sums p_0..p_{count-1} of the roots of monic f, as
+    Fractions.  The recurrence runs in int when every coefficient is an
+    integer, since then every power sum is one."""
     if not is_monic(f):
         raise ValueError("power sums assume a monic polynomial")
     d = degree(f)
-    c = list(f)  # c[i] is the coefficient of x^i
-    p: List[Fraction] = [Fraction(d)]
+    # c[i] is the coefficient of x^i
+    c = [a.numerator for a in f] if all(a.denominator == 1 for a in f) else f
+    p = [d]
     for k in range(1, count):
         if k <= d:
             acc = -k * c[d - k]
             for j in range(1, k):
                 acc -= c[d - j] * p[k - j]
         else:
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, d + 1):
                 acc -= c[d - j] * p[k - j]
-        p.append(Fraction(acc))
-    return p
+        p.append(acc)
+    return [Fraction(x) for x in p]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +260,13 @@ def is_irreducible_mod_p(f: Poly, p: int) -> bool:
     """Berlekamp's criterion: a squarefree f of degree d mod p has as many
     irreducible factors as Q - I has nullity, where row i of Q is
     x^(i*p) mod f.  f irreducible mod p certifies irreducibility over Q
-    (for f whose degree does not drop mod p)."""
+    (for f whose degree does not drop mod p).
+
+    Before the matrix is built, f is evaluated at every residue by Horner's
+    rule: a root mod p is a linear factor of an f of degree >= 2, so the
+    answer is False either way.  A random f has a root mod p with
+    probability about 1 - 1/e, and is then rejected in p*d steps instead of
+    a d x d rank."""
     try:
         fp = _pm(f, p)
     except ValueError:
@@ -324,6 +276,12 @@ def is_irreducible_mod_p(f: Poly, p: int) -> bool:
         return False
     if d == 1:
         return True
+    for r in range(p):
+        acc = 0
+        for c in reversed(fp):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return False
     der = [(i * c) % p for i, c in enumerate(fp)][1:]
     while der and der[-1] == 0:
         der.pop()

@@ -11,8 +11,9 @@ difference and the index is 1 or 2 according to whether the set is empty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import polyq
@@ -488,20 +489,31 @@ def is_isometric(q1: QuadFormQ, q2: QuadFormQ) -> bool:
 # ---------------------------------------------------------------------------
 
 def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
-    """Symmetric congruence diagonalization, exact.  Pivots are chosen with
-    the smallest numerator*denominator bit size to limit coefficient growth.
-    Raises on singular input."""
-    m = [[Fraction(x) for x in row] for row in gram]
+    """Symmetric congruence diagonalization, exact and fraction-free.
+
+    The Gram matrix is scaled to integers by the lcm `den` of its
+    denominators and eliminated by symmetric Bareiss steps (Bareiss, Math.
+    Comp. 22 (1968)): after pivot d the trailing block becomes
+    (m[i][j]*d - m[i][0]*m[j][0]) // prev, an exact division, and an entry
+    m stands for the rational m / (den*prev), prev being the last pivot (1
+    at the start).  The pivot is the diagonal entry whose rational has the
+    smallest numerator*denominator bit size, to limit coefficient growth.
+    An all-zero diagonal is mended by adding row and column j to row and
+    column i for the first nonzero m[i][j]: a unimodular congruence, so the
+    divisions stay exact.  The diagonal returned is that of the
+    Schur-complement elimination over Q.  Raises on singular input."""
+    den = lcm(*[x.denominator for row in gram for x in row])
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
     n = len(m)
     diag: List[Fraction] = []
-    idx = list(range(n))
+    prev = 1
     for step in range(n):
         size = n - step
         best = None
         for i in range(size):
             if m[i][i] != 0:
-                cost = (abs(m[i][i].numerator).bit_length()
-                        + m[i][i].denominator.bit_length())
+                v = Fraction(m[i][i], den * prev)
+                cost = abs(v.numerator).bit_length() + v.denominator.bit_length()
                 if best is None or cost < best[0]:
                     best = (cost, i)
         if best is None:
@@ -528,10 +540,10 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
             for row in m:
                 row[0], row[piv] = row[piv], row[0]
         d = m[0][0]
-        diag.append(d)
-        # Schur complement: the congruence-eliminated symmetric block
-        m = [[m[i][j] - m[i][0] * m[j][0] / d for j in range(1, size)]
+        diag.append(Fraction(d, den * prev))
+        m = [[(m[i][j] * d - m[i][0] * m[j][0]) // prev for j in range(1, size)]
              for i in range(1, size)]
+        prev = d
     return diag
 
 
@@ -541,23 +553,35 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
 
 @dataclass(frozen=True)
 class EtaleAlgebraQ:
-    """Product of Q[x]/(f_i) for monic squarefree pairwise-coprime f_i."""
+    """Product of Q[x]/(f_i) for monic squarefree pairwise-coprime f_i.
+
+    Validity is proved with the integer Bareiss resultant: f_i is squarefree
+    iff disc(f_i) != 0, and f_i, f_j are coprime iff res(f_i, f_j) != 0.
+    The product disc(f_i) * res(f_i, f_j)^2 over all factors and pairs is
+    the discriminant of the defining polynomial; it is kept as `disc` for
+    `etale_discriminant`."""
 
     factors: Tuple[Poly, ...]
+    disc: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
+        disc = Fraction(1)
         for f in self.factors:
             if polyq.degree(f) < 1 or not polyq.is_monic(f):
                 raise ValueError("factors must be monic of positive degree")
-            if not polyq.is_squarefree(f):
+            d = polyq.discriminant(f)
+            if d == 0:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
+            disc *= d
         for i in range(len(self.factors)):
             for j in range(i + 1, len(self.factors)):
-                g = polyq.gcd_poly(self.factors[i], self.factors[j])
-                if polyq.degree(g) != 0:
+                r = polyq.resultant(self.factors[i], self.factors[j])
+                if r == 0:
                     raise ValueError("factors must be pairwise coprime")
+                disc *= r * r
+        object.__setattr__(self, "disc", disc)
 
     @classmethod
     def from_polynomial(cls, f: Poly) -> "EtaleAlgebraQ":
@@ -592,17 +616,10 @@ def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
 
 
 def etale_discriminant(E: EtaleAlgebraQ) -> SquareClass:
-    """Squarefree class of the discriminant of the defining polynomial:
-    product of the factor discriminants times squared cross-resultants."""
-    out = Fraction(1)
-    for f in E.factors:
-        out *= polyq.discriminant(f)
-    for i in range(len(E.factors)):
-        for j in range(i + 1, len(E.factors)):
-            out *= polyq.resultant(E.factors[i], E.factors[j]) ** 2
-    if out == 0:
-        raise ValueError("degenerate etale algebra")
-    return SquareClass(out)
+    """Square class of the discriminant of the defining polynomial: the
+    product of the factor discriminants times squared cross-resultants,
+    computed once when E was validated."""
+    return SquareClass(E.disc)
 
 
 def random_etale_algebra(n: int, rng: random.Random) -> EtaleAlgebraQ:

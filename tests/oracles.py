@@ -3,11 +3,12 @@
 Nothing here shares code with the implementation paths it checks: Clifford
 products are reduced by explicit generator-list bubbling, elementary cocycle
 values come from the Clifford definition of the canonical lifts, power sums come
-from companion matrices, irreducibility mod p from Rabin's test, permutation
-facts from naive mapping composition, degree multisets from numeric
-decomposition of the regular representation, Dixon eigenspaces from a
-scan of every eigenvalue candidate in GF(p), gamma matrices from
-Kronecker products of explicit 2x2 Pauli matrices, and the spin relations
+from companion matrices, the validity of an etale algebra from polynomial gcds
+over Q, Gram diagonals from Schur complements in Fractions, irreducibility mod p
+from Rabin's test, permutation facts from naive mapping composition, degree
+multisets from numeric decomposition of the regular representation, Dixon
+eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
+from Kronecker products of explicit 2x2 Pauli matrices, and the spin relations
 from dense products of the generator matrices.
 """
 
@@ -19,6 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from schur_ed.clifford import spin_representation
+from schur_ed.polyq import format_poly
 from schur_ed.radicals import SqrtNum, smat_eq, smat_identity, smat_mul, smat_neg, smat_pow
 
 
@@ -220,6 +222,87 @@ def companion_power_traces(coeffs: Sequence[Fraction], count: int) -> List[Fract
              for i in range(d)]
         out.append(sum(M[i][i] for i in range(d)))
     return out
+
+
+def _poly_rem(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
+    """Remainder of f by g over Q (ascending coefficients, g nonzero)."""
+    r = list(f)
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) >= len(g):
+        c = r[-1] / g[-1]
+        shift = len(r) - len(g)
+        for i, b in enumerate(g):
+            r[shift + i] -= c * b
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _poly_gcd_degree(f: Sequence[Fraction], g: Sequence[Fraction]) -> int:
+    """Degree of gcd(f, g) over Q by the Euclidean algorithm."""
+    a, b = list(f), list(g)
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return len(a) - 1
+
+
+def gcd_etale_validity(factors) -> None:
+    """The validity proof for an etale algebra by polynomial gcds over Q:
+    raises the ValueError that `EtaleAlgebraQ` raises, in the same order
+    (empty, then per factor monic and squarefree, then pairwise coprime)."""
+    if not factors:
+        raise ValueError("need at least one factor")
+    for f in factors:
+        if len(f) < 2 or f[-1] != 1:
+            raise ValueError("factors must be monic of positive degree")
+        der = [i * c for i, c in enumerate(f)][1:]
+        if _poly_gcd_degree(f, der) != 0:
+            raise ValueError(f"factor {format_poly(f)} is not squarefree")
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if _poly_gcd_degree(factors[i], factors[j]) != 0:
+                raise ValueError("factors must be pairwise coprime")
+
+
+def schur_diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
+    """Symmetric congruence diagonalization by Schur complements in
+    Fractions, with the pivot rule and zero-diagonal fold of
+    `qforms.diagonalize_gram`."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    n = len(m)
+    diag: List[Fraction] = []
+    for step in range(n):
+        size = n - step
+        best = None
+        for i in range(size):
+            if m[i][i] != 0:
+                cost = (abs(m[i][i].numerator).bit_length()
+                        + m[i][i].denominator.bit_length())
+                if best is None or cost < best[0]:
+                    best = (cost, i)
+        if best is None:
+            found = next(((i, j) for i in range(size)
+                          for j in range(i + 1, size) if m[i][j] != 0), None)
+            if found is None:
+                raise ValueError("degenerate Gram matrix")
+            i, j = found
+            for k in range(size):
+                m[i][k] += m[j][k]
+            for k in range(size):
+                m[k][i] += m[k][j]
+            best = (0, i)
+        _, piv = best
+        if piv != 0:
+            m[0], m[piv] = m[piv], m[0]
+            for row in m:
+                row[0], row[piv] = row[piv], row[0]
+        d = m[0][0]
+        diag.append(d)
+        m = [[m[i][j] - m[i][0] * m[j][0] / d for j in range(1, size)]
+             for i in range(1, size)]
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from schur_ed import cli, edcalc
+from schur_ed import cli, edcalc, polyq, qforms
 from schur_ed.covers import CoverElem, VerificationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -250,6 +251,22 @@ def test_trace_form_gives_up_on_a_hard_factorization():
     assert done.returncode == 3, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("resource bound exceeded: factoring a ")
+
+
+@pytest.mark.slow
+def test_trace_form_ends_cleanly_on_degrees_13_to_24():
+    # seeded squarefree inputs of every degree above criterion 10's range:
+    # most entries of these trace forms leave a cofactor that reaches the
+    # factorize cap (a few seconds), so each run gets its own 30 s budget
+    for n in range(13, 25):
+        f = qforms.random_etale_algebra(n, random.Random(n))
+        poly = polyq.format_poly(f.defining_polynomial())
+        done = _python(["-m", "schur_ed", "trace-form", poly], timeout=30)
+        assert done.returncode in (0, 1, 3), (n, done.stderr)
+        if done.returncode == 0:
+            assert json.loads(done.stdout)["dim"] == n
+        elif done.returncode == 3:
+            assert done.stderr.startswith("resource bound exceeded: "), n
 
 
 @pytest.mark.parametrize(

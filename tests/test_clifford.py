@@ -307,6 +307,12 @@ def test_spin_relations_match_dense_oracle(n, variant):
     assert verify_spin_representation(n, variant) == dense_spin_relations(n, variant)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_spin_representation_rejects_n_below_4(n):
+    with pytest.raises(ValueError, match="needs n >= 4"):
+        verify_spin_representation(n, "minus")
+
+
 def _patch_generators(monkeypatch, change):
     real = clifford.spin_representation
 

@@ -35,7 +35,9 @@ from schur_ed.qforms import (
 
 from oracles import (
     companion_power_traces,
+    gcd_etale_validity,
     rabin_irreducible_mod_p,
+    schur_diagonalize_gram,
     sum_three_squares_insoluble_mod8,
     sum_three_squares_soluble_mod_p,
 )
@@ -352,17 +354,115 @@ def test_diagonalize_gram_rejects_singular():
                           [Fraction(0), Fraction(1)]])
 
 
+def _congruent(g, rng, moves):
+    """g after `moves` random elementary congruences (row and column)."""
+    n = len(g)
+    g = [row[:] for row in g]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        for k in range(n):
+            g[i][k] += c * g[j][k]
+        for k in range(n):
+            g[k][i] += c * g[k][j]
+    return g
+
+
+def _gram_cases():
+    """Seeded (kind, matrix) pairs of dimension 1..12: definite and
+    indefinite, integer and rational, folds at the start and mid-way, and
+    singular."""
+    rng = random.Random(1968)
+    cases = []
+    for n in range(1, 13):
+        for _ in range(3):
+            # definite (all signs equal) or indefinite, then mixed up
+            sgn = rng.choice([1, -1, 0])
+            diag = [rng.randint(1, 9) * (sgn or rng.choice([1, -1]))
+                    for _ in range(n)]
+            g = [[Fraction(diag[i] if i == j else 0) for j in range(n)]
+                 for i in range(n)]
+            g = _congruent(g, rng, 2 * n)
+            cases.append(("integer", g))
+            # rational: a diagonal congruence by 1/r_i
+            r = [rng.choice([1, 2, 3, 4, 9]) for _ in range(n)]
+            cases.append(("rational", [[g[i][j] / (r[i] * r[j])
+                                        for j in range(n)] for i in range(n)]))
+            # random symmetric with small entries, then its diagonal zeroed
+            g = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = Fraction(rng.choice([-1, 0, 0, 1, 2]))
+            cases.append(("small", g))
+            cases.append(("zero diagonal", [[Fraction(0) if i == j else g[i][j]
+                                             for j in range(n)]
+                                            for i in range(n)]))
+        if n >= 3:
+            # [[1, v], [v, S + v v^T]] / den with S of zero diagonal: the
+            # pivot at index 0 is taken first and leaves S / den, so the
+            # fold runs mid-way
+            for den in (1, 1, 5):
+                v = [rng.randint(-2, 2) for _ in range(n - 1)]
+                S = [[0] * (n - 1) for _ in range(n - 1)]
+                for i in range(n - 1):
+                    for j in range(i + 1, n - 1):
+                        S[i][j] = S[j][i] = rng.randint(-3, 3)
+                g = [[1] + v] + [[v[i]] + [S[i][j] + v[i] * v[j]
+                                            for j in range(n - 1)]
+                                 for i in range(n - 1)]
+                cases.append(("mid-way fold",
+                              [[Fraction(x, den) for x in row] for row in g]))
+            # singular: rank n - 1 or less
+            r = rng.randint(1, n - 1)
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            d = [Fraction(rng.randint(1, 5) * rng.choice([1, -1]),
+                          rng.randint(1, 3)) for _ in range(r)]
+            cases.append(("singular",
+                          [[sum(B[k][i] * d[k] * B[k][j] for k in range(r))
+                            for j in range(n)] for i in range(n)]))
+    return cases
+
+
+def test_diagonalize_gram_matches_schur_oracle():
+    raised = {}
+    for kind, g in _gram_cases():
+        try:
+            want = schur_diagonalize_gram(g)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                diagonalize_gram(g)
+            raised[kind] = raised.get(kind, 0) + 1
+            continue
+        assert kind != "singular"
+        got = diagonalize_gram(g)
+        assert got == want, (kind, g)
+        assert all(type(x) is Fraction for x in got)
+        if kind == "mid-way fold":
+            assert want[0] == g[0][0]
+    assert raised["singular"] == 10
+
+
 # ---------------------------------------------------------------------------
 # trace forms
 # ---------------------------------------------------------------------------
 
 def test_power_sums_against_companion_oracle():
-    for text in ("x^2 - 1", "x^2 - 7", "x^3 - 2", "x^4 + x - 3"):
-        f = parse_poly(text)
-        from schur_ed.polyq import power_sums
+    from schur_ed.polyq import power_sums
 
+    texts = ["x^2 - 1", "x^2 - 7", "x^3 - 2", "x^4 + x - 3",
+             "x^2 - 1/2", "x^3 + x/3 - 7/5", "x^5 - 2/3*x^2 + x - 1/7",
+             "x^12 - 3*x^7 + 5*x^2 - x + 2", "x^12 + x^11/2 - 4*x^3 + 1/3"]
+    rng = random.Random(12)
+    for _ in range(3):
+        texts.append(polyq.format_poly(polyq.poly(
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+             for _ in range(12)] + [1])))
+    for text in texts:
+        f = parse_poly(text)
         d = len(f) - 1
-        assert power_sums(f, 2 * d) == companion_power_traces(f, 2 * d)
+        got = power_sums(f, 2 * d)
+        assert got == companion_power_traces(f, 2 * d), text
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_trace_form_examples():
@@ -404,6 +504,67 @@ def test_etale_disc_with_cross_terms():
 def test_etale_rejects_common_factor():
     with pytest.raises(ValueError):
         EtaleAlgebraQ((parse_poly("x^2 - 1"), parse_poly("x - 1")))
+
+
+def _validity(factors):
+    """'ok' or the ValueError message of EtaleAlgebraQ and of the gcd
+    oracle; asserts that the two agree."""
+    try:
+        gcd_etale_validity(factors)
+        want = "ok"
+    except ValueError as err:
+        want = str(err)
+    try:
+        E = EtaleAlgebraQ(factors)
+        got = "ok"
+    except ValueError as err:
+        got = str(err)
+    assert got == want, factors
+    if got == "ok":
+        # the kept product is the discriminant of the defining polynomial
+        recomputed = polyq.discriminant(E.defining_polynomial())
+        assert E.disc == recomputed
+        assert etale_discriminant(E) == SquareClass(recomputed)
+    return got
+
+
+def test_etale_validity_matches_gcd_oracle():
+    P = parse_poly
+    named = {
+        (P("x^2 - 2x + 1"),): "factor x^2 - 2*x + 1 is not squarefree",
+        (P("x^2 - 1"), P("x - 1")): "factors must be pairwise coprime",
+        (P("x^2 - 2"), P("x^2 - 2")): "factors must be pairwise coprime",
+        (P("x - 3"), P("x^3 - 2"), P("x - 3")):
+            "factors must be pairwise coprime",
+        (P("x^2 - 1/4"), P("x - 1/2")): "factors must be pairwise coprime",
+        (P("x^2 - x + 1/4"),): "factor x^2 - x + 1/4 is not squarefree",
+        (P("x^2 - 1/4"), P("x^3 + x/3 - 7/5")): "ok",
+        (P("x^2 - 2"), P("2x^2 + 1")):
+            "factors must be monic of positive degree",
+        (P("x^4 - 2*x^2 + 1"), P("2x + 1")):
+            "factor x^4 - 2*x^2 + 1 is not squarefree",
+        (polyq.poly([1]),): "factors must be monic of positive degree",
+        (): "need at least one factor",
+        (P("x"), P("x - 1"), P("x + 1")): "ok",
+    }
+    for factors, message in named.items():
+        assert _validity(factors) == message
+    # seeded draws: small random monic factors, products of them (repeated
+    # roots) and repeats of a factor (common factors)
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        pool = [polyq.poly([Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+                            for _ in range(rng.randint(1, 3))] + [1])
+                for _ in range(3)]
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            factors[0] = polyq.mul(factors[0], rng.choice(pool))
+        outcomes.add(_validity(tuple(factors)).split()[-1])
+    assert outcomes == {"ok", "coprime", "squarefree"}
+    for n in (4, 9, 12):
+        for _ in range(5):
+            assert _validity(random_etale_algebra(n, rng).factors) == "ok"
 
 
 def test_random_etale_disc_and_subform():
