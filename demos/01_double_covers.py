@@ -1,8 +1,9 @@
 """Walk through the two double covers of S_n.
 
 Elements are pairs (central bit, permutation); multiplying them consults a
-2-cocycle that is evaluated inside an exact Clifford algebra, where the
-transposition (i, i+1) lifts to the unit vector (e_i - e_{i+1})/sqrt(2).
+2-cocycle defined in the Clifford algebra, where the transposition (i, i+1)
+lifts to the unit vector (e_i - e_{i+1})/sqrt(2).  Its values come from a
+closed form in the inversions of the permutation, with no multivector.
 """
 
 from schur_ed import CoverSpec, get_cover, verify_presentation

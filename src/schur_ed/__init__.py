@@ -11,19 +11,11 @@ from .chartab import (
     min_faithful_irrep_dim,
 )
 from .clifford import (
-    CliffordElem,
-    CliffordSignature,
-    Dyadic,
     basic_spin_matrices,
-    grade_involution,
-    lift_transposition,
     spin_representation,
-    spinor_norm,
-    transpose,
     verify_spin_representation,
 )
 from .covers import (
-    CocycleInconsistency,
     Cover,
     CoverElem,
     CoverSpec,

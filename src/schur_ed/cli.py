@@ -22,7 +22,6 @@ from . import edcalc, qforms
 from .chartab import count_min_faithful, dixon_character_table, min_faithful_irrep_dim
 from .covers import (
     DEFAULT_SIZE_BOUND,
-    CocycleInconsistency,
     CoverSpec,
     SizeBoundExceeded,
     VerificationError,
@@ -178,11 +177,12 @@ def cmd_trace_form(args, config: RunConfig) -> int:
     E = _parse(qforms.EtaleAlgebraQ.from_polynomial, f)
     q = qforms.trace_form(E)
     s = (len(f) - 1).bit_count()
-    payload = q.to_json()
+    hasse = qforms.hasse_invariant(q)
+    payload = q.to_json(hasse)
     payload["polynomial"] = format_poly(f)
     payload["etale_disc"] = qforms.etale_discriminant(E).representative
     payload["contains_s_ones"] = {"s": s, "holds": qforms.contains_ones(q, s)}
-    payload["hasse_index"] = qforms.brauer_index(qforms.hasse_invariant(q))
+    payload["hasse_index"] = qforms.brauer_index(hasse)
     _emit(config, payload)
     return EXIT_OK
 
@@ -303,7 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SizeBoundExceeded as err:
         print(f"resource bound exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CocycleInconsistency, VerificationError, AssertionError) as err:
+    except (VerificationError, AssertionError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
 

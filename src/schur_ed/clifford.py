@@ -1,380 +1,21 @@
-"""Exact Clifford algebra arithmetic for the forms ±(x_1^2 + ... + x_n^2).
+"""The spin representation of the double covers, in the Clifford algebra of
+the forms ±(x_1^2 + ... + x_m^2).
 
-Generators e_1, ..., e_n satisfy e_i^2 = sign (a common value +1 or -1) and
-e_i e_j = -e_j e_i for i != j.  Coefficients live in the ring Z[1/2, sqrt(2)],
-which contains every coefficient that can appear in a product of the
-transposition lifts (e_i - e_j)/sqrt(2).  Everything here is immutable and
-side-effect free.
+Generators e_1, ..., e_m satisfy e_i^2 = sign (a common value +1 or -1) and
+e_i e_j = -e_j e_i for i != j.  The gamma matrices realize them over the
+field of `radicals.SqrtNum`, the generator images of the covers are unit
+vectors in their span, and the defining relations are checked by products
+of Clifford elements {blade bitmask: coefficient}.  Everything here is
+immutable and side-effect free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from .covers import VerificationError
 from .radicals import SMatrix, SqrtNum, smat_add, smat_scale
-
-
-# ---------------------------------------------------------------------------
-# Z[1/2, sqrt 2]
-# ---------------------------------------------------------------------------
-
-class Dyadic:
-    """(a + b*sqrt(2)) / 2^k with a, b integers and k >= 0 minimal.
-
-    Canonical form: if k > 0 then a and b are not both even, so equality of
-    the triples (a, b, k) is equality of real numbers (1 and sqrt(2) are
-    linearly independent over Q).
-    """
-
-    __slots__ = ("a", "b", "k")
-
-    def __init__(self, a: int, b: int = 0, k: int = 0):
-        if k < 0:
-            a, b, k = a << (-k), b << (-k), 0
-        while k > 0 and (a & 1) == 0 and (b & 1) == 0:
-            a >>= 1
-            b >>= 1
-            k -= 1
-        self.a = a
-        self.b = b
-        self.k = k
-
-    @classmethod
-    def zero(cls) -> "Dyadic":
-        return cls(0, 0, 0)
-
-    @classmethod
-    def one(cls) -> "Dyadic":
-        return cls(1, 0, 0)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        k = max(self.k, other.k)
-        sa = self.a << (k - self.k)
-        sb = self.b << (k - self.k)
-        oa = other.a << (k - other.k)
-        ob = other.b << (k - other.k)
-        return Dyadic(sa + oa, sb + ob, k)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.a, -self.b, self.k)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        a = self.a * other.a + 2 * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return Dyadic(a, b, self.k + other.k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.k))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def rational_parts(self) -> Tuple[Fraction, Fraction]:
-        """Return (p, q) with value = p + q*sqrt(2)."""
-        d = 1 << self.k
-        return Fraction(self.a, d), Fraction(self.b, d)
-
-    def __repr__(self) -> str:
-        return f"Dyadic({self.a}, {self.b}, {self.k})"
-
-
-@dataclass(frozen=True)
-class CliffordSignature:
-    """Rank n with common generator square e_i^2 = sign in {+1, -1}."""
-
-    n: int
-    sign: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rank must be at least 1")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def _reorder_parity(a: int, b: int) -> int:
-    """Parity of transpositions moving the generators of mask b past those
-    of mask a into canonical ascending order (a then b, bitwise)."""
-    a >>= 1
-    parity = 0
-    while a:
-        parity ^= (a & b).bit_count() & 1
-        a >>= 1
-    return parity
-
-
-class CliffordElem:
-    """Sparse multivector: a map basis-mask -> Z[1/2, sqrt 2] coefficient.
-
-    Internally all terms share one power of 1/sqrt(2): the element equals
-    sum_m (a_m + b_m*sqrt(2)) * sqrt(2)^(-scale).  This keeps the hot
-    multiplication loop in plain integer arithmetic.
-    """
-
-    __slots__ = ("signature", "_terms", "_scale")
-
-    def __init__(self, signature: CliffordSignature,
-                 terms: Dict[int, Tuple[int, int]], scale: int,
-                 _normalized: bool = False):
-        self.signature = signature
-        if _normalized:
-            self._terms = terms
-            self._scale = scale
-            return
-        terms = {m: ab for m, ab in terms.items() if ab != (0, 0)}
-        limit = 1 << signature.n
-        for m in terms:
-            if not 0 <= m < limit:
-                raise ValueError(f"basis mask {m} out of range for rank {signature.n}")
-        # reduce the global sqrt(2) exponent: dividing a + b*sqrt2 by sqrt2
-        # gives b + (a/2)*sqrt2, an integer pair iff every a is even
-        while scale > 0 and all(a & 1 == 0 for a, _ in terms.values()):
-            terms = {m: (b, a >> 1) for m, (a, b) in terms.items()}
-            scale -= 1
-        if scale < 0:
-            # multiply by sqrt2: (a + b*sqrt2)*sqrt2 = 2b + a*sqrt2
-            while scale < 0:
-                terms = {m: (2 * b, a) for m, (a, b) in terms.items()}
-                scale += 1
-        if not terms:
-            scale = 0
-        self._terms = terms
-        self._scale = scale
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, signature: CliffordSignature) -> "CliffordElem":
-        return cls(signature, {}, 0, _normalized=True)
-
-    @classmethod
-    def scalar(cls, signature: CliffordSignature, value: Dyadic | int) -> "CliffordElem":
-        if isinstance(value, int):
-            value = Dyadic(value)
-        if value.is_zero():
-            return cls.zero(signature)
-        # value = (a + b sqrt2)/2^k = (a + b sqrt2) * sqrt2^(-2k)
-        return cls(signature, {0: (value.a, value.b)}, 2 * value.k)
-
-    @classmethod
-    def generator(cls, signature: CliffordSignature, i: int) -> "CliffordElem":
-        if not 1 <= i <= signature.n:
-            raise ValueError(f"generator index {i} out of range 1..{signature.n}")
-        return cls(signature, {1 << (i - 1): (1, 0)}, 0, _normalized=True)
-
-    # -- inspection ----------------------------------------------------------
-
-    def terms(self) -> Dict[int, Dyadic]:
-        """Coefficients as canonical Dyadic values, keyed by basis mask."""
-        out = {}
-        half, odd = divmod(self._scale, 2)
-        for m, (a, b) in self._terms.items():
-            if odd:
-                # divide by one extra sqrt2: (a + b sqrt2)/sqrt2 = b + (a/2) sqrt2
-                out[m] = Dyadic(2 * b, a, half + 1)
-            else:
-                out[m] = Dyadic(a, b, half)
-        return out
-
-    def coefficient(self, mask: int) -> Dyadic:
-        return self.terms().get(mask, Dyadic.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_scalar(self) -> bool:
-        return not self._terms or set(self._terms) == {0}
-
-    def scalar_value(self) -> Dyadic:
-        if not self.is_scalar():
-            raise ValueError("element is not a scalar")
-        return self.coefficient(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CliffordElem):
-            return NotImplemented
-        return (self.signature == other.signature
-                and self._scale == other._scale
-                and self._terms == other._terms)
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self._scale,
-                     tuple(sorted(self._terms.items()))))
-
-    def __repr__(self) -> str:
-        parts = []
-        for m, c in sorted(self.terms().items()):
-            name = "1" if m == 0 else "e" + "".join(
-                str(i + 1) for i in range(self.signature.n) if m >> i & 1)
-            parts.append(f"{name}*{c!r}")
-        body = " + ".join(parts) if parts else "0"
-        return f"<CliffordElem {body}>"
-
-    # -- algebra -------------------------------------------------------------
-
-    def __add__(self, other: "CliffordElem") -> "CliffordElem":
-        self._check(other)
-        k = max(self._scale, other._scale)
-        out = dict(_rescaled(self._terms, k - self._scale))
-        for m, ab in _rescaled(other._terms, k - other._scale).items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = ab
-            else:
-                out[m] = (cur[0] + ab[0], cur[1] + ab[1])
-        return CliffordElem(self.signature, out, k)
-
-    def __neg__(self) -> "CliffordElem":
-        return CliffordElem(self.signature,
-                            {m: (-a, -b) for m, (a, b) in self._terms.items()},
-                            self._scale, _normalized=True)
-
-    def __sub__(self, other: "CliffordElem") -> "CliffordElem":
-        return self + (-other)
-
-    def __mul__(self, other: "CliffordElem") -> "CliffordElem":
-        self._check(other)
-        sign = self.signature.sign
-        out: Dict[int, Tuple[int, int]] = {}
-        for ma, (a1, b1) in self._terms.items():
-            for mb, (a2, b2) in other._terms.items():
-                neg = _reorder_parity(ma, mb)
-                if sign < 0:
-                    neg ^= (ma & mb).bit_count() & 1
-                a = a1 * a2 + 2 * b1 * b2
-                b = a1 * b2 + b1 * a2
-                if neg:
-                    a, b = -a, -b
-                m = ma ^ mb
-                cur = out.get(m)
-                if cur is None:
-                    out[m] = (a, b)
-                else:
-                    out[m] = (cur[0] + a, cur[1] + b)
-        return CliffordElem(self.signature, out, self._scale + other._scale)
-
-    def mul_adjacent_vector(self, i: int) -> "CliffordElem":
-        """self * (e_i - e_{i+1})/sqrt(2), the canonical generator vector.
-
-        Specialization of __mul__ for the cocycle hot path: right-multiplying
-        a monomial by a single e_t costs one popcount for the reorder sign.
-        """
-        neg_sign = self.signature.sign < 0
-        bi = 1 << (i - 1)
-        bj = bi << 1
-        out: Dict[int, Tuple[int, int]] = {}
-        get = out.get
-        for m, (a, b) in self._terms.items():
-            neg = (m >> i).bit_count() & 1
-            if neg_sign and m & bi:
-                neg ^= 1
-            key = m ^ bi
-            cur = get(key)
-            if neg:
-                out[key] = (-a, -b) if cur is None else (cur[0] - a, cur[1] - b)
-            else:
-                out[key] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
-            # the -e_{i+1} half
-            neg = ((m >> (i + 1)).bit_count() & 1) ^ 1
-            if neg_sign and m & bj:
-                neg ^= 1
-            key = m ^ bj
-            cur = get(key)
-            if neg:
-                out[key] = (-a, -b) if cur is None else (cur[0] - a, cur[1] - b)
-            else:
-                out[key] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
-        out = {m: ab for m, ab in out.items() if ab != (0, 0)}
-        scale = self._scale + 1
-        while scale > 0 and out:
-            if any(a & 1 for a, _ in out.values()):
-                break
-            out = {m: (b, a >> 1) for m, (a, b) in out.items()}
-            scale -= 1
-        if not out:
-            scale = 0
-        return CliffordElem(self.signature, out, scale, _normalized=True)
-
-    def equals_neg(self, other: "CliffordElem") -> bool:
-        """self == -other, without materializing the negation."""
-        if self.signature != other.signature or self._scale != other._scale:
-            return False
-        mine, theirs = self._terms, other._terms
-        if len(mine) != len(theirs):
-            return False
-        for m, (a, b) in mine.items():
-            ab = theirs.get(m)
-            if ab is None or ab[0] != -a or ab[1] != -b:
-                return False
-        return True
-
-    def _check(self, other: "CliffordElem") -> None:
-        if self.signature != other.signature:
-            raise ValueError("signature mismatch")
-
-
-def _rescaled(terms: Dict[int, Tuple[int, int]], j: int) -> Dict[int, Tuple[int, int]]:
-    """Multiply integer pairs by sqrt(2)^j, j >= 0."""
-    for _ in range(j):
-        terms = {m: (2 * b, a) for m, (a, b) in terms.items()}
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# involutions, spinor norms and transposition lifts
-# ---------------------------------------------------------------------------
-
-def transpose(x: CliffordElem) -> CliffordElem:
-    """Anti-automorphism reversing basis monomials.
-
-    e_{i1}...e_{ik} reversed equals (-1)^(k(k-1)/2) times itself.
-    """
-    out = {}
-    for m, ab in x._terms.items():
-        k = m.bit_count()
-        if (k * (k - 1) // 2) & 1:
-            out[m] = (-ab[0], -ab[1])
-        else:
-            out[m] = ab
-    return CliffordElem(x.signature, out, x._scale, _normalized=True)
-
-
-def grade_involution(x: CliffordElem) -> CliffordElem:
-    """Automorphism acting by (-1)^k on the degree-k component."""
-    out = {}
-    for m, ab in x._terms.items():
-        if m.bit_count() & 1:
-            out[m] = (-ab[0], -ab[1])
-        else:
-            out[m] = ab
-    return CliffordElem(x.signature, out, x._scale, _normalized=True)
-
-
-def spinor_norm(x: CliffordElem, variant: str) -> CliffordElem:
-    """x * x^T for 'plus', x * gamma(x^T) for 'minus'."""
-    if variant == "plus":
-        return x * transpose(x)
-    if variant == "minus":
-        return x * grade_involution(transpose(x))
-    raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
-
-
-def lift_transposition(i: int, j: int, sig: CliffordSignature) -> CliffordElem:
-    """(e_i - e_j)/sqrt(2), the fixed unit-vector lift of the transposition
-    (i j).  The order convention i < j is part of the cocycle determinism."""
-    if not (1 <= i < j <= sig.n):
-        raise ValueError(f"need 1 <= i < j <= {sig.n}, got ({i}, {j})")
-    return CliffordElem(sig, {1 << (i - 1): (1, 0), 1 << (j - 1): (-1, 0)}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +159,6 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     The relation rho(z) = (g1 g3)^2 needs g3, so n >= 4; a smaller n raises
     ValueError.
     """
-    from .covers import VerificationError  # covers imports this module
-
     if n < 4:
         raise ValueError(f"verify_spin_representation needs n >= 4, got {n}")
     plus = variant == "plus"

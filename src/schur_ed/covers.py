@@ -11,8 +11,9 @@ The closed form follows from Matsumoto/Tits moves (sign conventions as in
 Stembridge, Adv. Math. 74 (1989)): distant v_i anticommute and braid moves
 carry no sign, so T_w * (-1)^f(w), with f(w) the parity of the pairs of
 disjoint inversion pairs that w introduces in anti-lexicographic order, is
-the same for every reduced word w.  Cover.lift keeps the Clifford
-definition, and the tests compare the closed form with it.
+the same for every reduced word w.  The tests compare the closed form with
+the Clifford definition, evaluated on integer products of the vectors
+e_i - e_{i+1} (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .clifford import CliffordElem, CliffordSignature
 from .numth import SizeBoundExceeded
 from .perms import (
     Perm,
@@ -33,13 +33,10 @@ from .perms import (
     inverse,
     parity,
     right_multiply_adjacent,
+    sylow2_sym_generators,
 )
 
 DEFAULT_SIZE_BOUND = 1 << 18
-
-
-class CocycleInconsistency(RuntimeError):
-    """lift(sigma)*lift(tau) was not +-lift(sigma*tau); fatal."""
 
 
 class VerificationError(RuntimeError):
@@ -88,7 +85,6 @@ class Cover:
         if spec.n > 16:
             raise ValueError("cover arithmetic is desk-scale: n <= 16")
         self.spec = spec
-        self.sig = CliffordSignature(spec.n, spec.sign)
         self._minus = int(spec.sign < 0)
         self._ident_perm = identity_perm(spec.n)
         self._elem_bits: Dict[Tuple[Perm, int], int] = {}
@@ -114,14 +110,6 @@ class Cover:
         return CoverElem(eps & 1, perm)
 
     # -- the cocycle -----------------------------------------------------------
-
-    def lift(self, perm: Perm) -> CliffordElem:
-        """Canonical lift by definition, as an exact CliffordElem; the
-        reference the closed-form cocycle is tested against."""
-        val = CliffordElem.scalar(self.sig, 1)
-        for i in self._word(perm):
-            val = val.mul_adjacent_vector(i)
-        return val
 
     def elementary_cocycle(self, perm: Perm, i: int) -> int:
         """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i).
@@ -476,7 +464,6 @@ class FiniteGroupTable:
         return got
 
     def exponent(self) -> int:
-        import math
         exp = 1
         for i in range(self.order):
             exp = math.lcm(exp, self.order_of_idx(i))
@@ -690,7 +677,6 @@ def group_from_spec_json(data: dict,
     """Build the group named by the JSON wire format
     {"n": ..., "variant": "plus"|"minus", "subgroup": "sylow2"|"alt"|"full"}.
     Returns (table, z)."""
-    from .perms import sylow2_sym_generators
     spec = CoverSpec(int(data["n"]), data.get("variant", "plus"))
     which = data.get("subgroup", "sylow2")
     cov = get_cover(spec)

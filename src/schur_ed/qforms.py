@@ -273,13 +273,17 @@ class QuadFormQ:
     def orthogonal_sum(self, other: "QuadFormQ") -> "QuadFormQ":
         return QuadFormQ(self.diag + other.diag)
 
-    def to_json(self) -> dict:
+    def to_json(self, hasse: Optional[BrauerClass2] = None) -> dict:
+        """The invariants as JSON; `hasse` is the form's Hasse class, if the
+        caller has already computed it."""
+        if hasse is None:
+            hasse = hasse_invariant(self)
         return {
             "dim": self.dim,
             "diag": [str(d) for d in self.diag],
             "disc": discriminant(self).representative,
             "signature": list(signature(self)),
-            "hasse_ramified": hasse_invariant(self).to_json(),
+            "hasse_ramified": hasse.to_json(),
             "witt_index": witt_index(self),
         }
 

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the implementation paths it checks: Clifford
 products are reduced by explicit generator-list bubbling, elementary cocycle
-values come from the Clifford definition of the canonical lifts, power sums come
+values come from the Clifford definition of the canonical lifts (integer
+products of the vectors e_i - e_{i+1}, compared exactly), power sums come
 from companion matrices, the validity of an etale algebra from polynomial gcds
 over Q, Gram diagonals from Schur complements in Fractions, irreducibility mod p
 from Rabin's test, permutation facts from naive mapping composition, degree
@@ -20,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from schur_ed.clifford import spin_representation
+from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
 from schur_ed.radicals import SqrtNum, smat_eq, smat_identity, smat_mul, smat_neg, smat_pow
 
@@ -67,57 +69,75 @@ def slow_multivector_mul(x: Dict[Tuple[int, ...], Fraction],
     return {k: v for k, v in out.items() if v != 0}
 
 
-def reversal_sign(k: int) -> int:
-    """Sign of reversing e_1...e_k, computed by literally bubbling the
-    reversed list back to sorted order."""
-    letters = list(range(k, 0, -1))
-    sign = 1
-    for i in range(len(letters)):
-        for j in range(len(letters) - 1 - i):
-            if letters[j] > letters[j + 1]:
-                letters[j], letters[j + 1] = letters[j + 1], letters[j]
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # the cover cocycle by its Clifford definition
 # ---------------------------------------------------------------------------
 
+class CocycleInconsistency(RuntimeError):
+    """lift(sigma)*lift(tau) was not +-lift(sigma*tau); fatal."""
+
+
+def times_adjacent_vector(x: Dict[int, int], i: int, sign: int) -> Dict[int, int]:
+    """x * (e_i - e_{i+1}) for an integer multivector {blade mask: int}, with
+    e_j^2 = sign.  Bit j-1 of a mask stands for e_j."""
+    out: Dict[int, int] = {}
+    for j, c in ((i, 1), (i + 1, -1)):
+        bit = 1 << (j - 1)
+        for m, a in x.items():
+            # e_j moves left past the generators of m above it, then squares
+            neg = (m >> j).bit_count() & 1
+            if sign < 0 and m & bit:
+                neg ^= 1
+            out[m ^ bit] = out.get(m ^ bit, 0) + (-c * a if neg else c * a)
+    return {m: a for m, a in out.items() if a}
+
+
+def integer_lift(perm, sign: int, lifts=None) -> Dict[int, int]:
+    """The product of e_j - e_{j+1} over the canonical word of perm: the
+    canonical lift times sqrt(2)^length, so no sqrt(2) and no power of 2
+    appears.
+
+    A dict passed as `lifts` caches the products, built one letter at a
+    time along canonical-word prefixes (dropping the last letter of a
+    canonical word gives the parent's), so a sweep over all of S_n costs one
+    vector product per permutation.
+    """
+    if lifts is not None and perm in lifts:
+        return lifts[perm]
+    word = canonical_word(perm)
+    if lifts is None:
+        x = {0: 1}
+        for j in word:
+            x = times_adjacent_vector(x, j, sign)
+        return x
+    if word:
+        parent = integer_lift(right_multiply_adjacent(perm, word[-1]), sign, lifts)
+        x = times_adjacent_vector(parent, word[-1], sign)
+    else:
+        x = {0: 1}
+    lifts[perm] = x
+    return x
+
+
 def clifford_elementary_cocycle(cover, perm, i, lifts=None) -> int:
     """c(perm, s_i) by definition: 0 if lift(perm) * v_i is
-    +lift(perm * s_i), 1 if it is -lift(perm * s_i).  Anything else raises
-    CocycleInconsistency.
+    +lift(perm * s_i), 1 if it is -lift(perm * s_i), for the unit vector
+    v_i = (e_i - e_{i+1})/sqrt(2).
 
-    Without `lifts`, every lift comes from Cover.lift.  A dict passed as
-    `lifts` caches them instead, built one letter at a time along
-    canonical-word prefixes (dropping the last letter of a canonical word
-    gives the parent's), so a sweep over all of S_n costs one vector
-    product per permutation.
+    On the integer lifts L of `integer_lift` this reads
+    L(perm) * (e_i - e_{i+1}) = +-L(perm * s_i) when perm * s_i is one
+    letter longer than perm, and = +-2 L(perm * s_i) when it is one letter
+    shorter (perm has a descent at i), since (e_i - e_{i+1})^2 = 2 * sign.
+    Anything else raises CocycleInconsistency.  `lifts` is the cache of
+    `integer_lift`.
     """
-    from schur_ed.covers import CocycleInconsistency
-    from schur_ed.perms import canonical_word, right_multiply_adjacent
-
-    def lift(p):
-        if lifts is None:
-            return cover.lift(p)
-        got = lifts.get(p)
-        if got is None:
-            word = canonical_word(p)
-            if word:
-                parent = right_multiply_adjacent(p, word[-1])
-                got = lift(parent).mul_adjacent_vector(word[-1])
-            else:
-                got = cover.lift(p)
-            lifts[p] = got
-        return got
-
-    prod = lift(perm).mul_adjacent_vector(i)
-    target = lift(right_multiply_adjacent(perm, i))
-    if prod == target:
-        return 0
-    if prod.equals_neg(target):
-        return 1
+    sign = cover.spec.sign
+    prod = times_adjacent_vector(integer_lift(perm, sign, lifts), i, sign)
+    target = integer_lift(right_multiply_adjacent(perm, i), sign, lifts)
+    scale = 2 if perm[i - 1] > perm[i] else 1
+    for bit, factor in ((0, scale), (1, -scale)):
+        if prod == {m: factor * a for m, a in target.items()}:
+            return bit
     raise CocycleInconsistency(
         f"lift product is not +-canonical lift at ({perm}, s_{i})")
 

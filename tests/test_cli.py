@@ -189,6 +189,26 @@ def test_trace_form_invariants(capsys):
     assert data["hasse_ramified"] == []
 
 
+def test_trace_form_computes_the_hasse_invariant_once(capsys, monkeypatch):
+    # a totally real quintic: the trace form is positive definite of
+    # dimension 5, so witt_index and contains_ones are decided by the
+    # signature and only the printed Hasse set and index need the class
+    real = qforms.hasse_invariant
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(qforms, "hasse_invariant", counting)
+    code, out, _ = run(capsys, "trace-form", "x^5 - 5*x^3 + 5*x - 1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["hasse_ramified"] == [2, 3]
+    assert data["hasse_index"] == 2
+    assert len(calls) == 1
+
+
 def test_trace_form_not_squarefree(capsys):
     code, _, err = run(capsys, "trace-form", "x^2 - 2x + 1")
     assert code == 2

@@ -1,20 +1,13 @@
 import random
-from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
 from schur_ed import clifford
 from schur_ed.clifford import (
-    CliffordElem,
-    CliffordSignature,
-    Dyadic,
+    _blade_mul,
     basic_spin_matrices,
-    grade_involution,
-    lift_transposition,
     spin_representation,
-    spinor_norm,
-    transpose,
     verify_spin_representation,
 )
 from schur_ed.covers import VerificationError
@@ -33,221 +26,68 @@ import oracles
 from oracles import (
     dense_spin_relations,
     kronecker_gamma_matrices,
-    reversal_sign,
     slow_multivector_mul,
 )
 
 
-def elem_from_tuples(sig, terms):
-    """Build a CliffordElem from {sorted generator tuple: Fraction}."""
-    out = CliffordElem.zero(sig)
-    for key, c in terms.items():
-        mask = 0
-        for i in key:
-            mask |= 1 << (i - 1)
-        num, den = c.numerator, c.denominator
-        # den is a power of 2 in all tests here
-        k = den.bit_length() - 1
-        assert 1 << k == den
-        out = out + CliffordElem(sig, {mask: (num, 0)}, 2 * k)
-    return out
-
-
-def elem_to_tuples(x):
-    out = {}
-    for mask, d in x.terms().items():
-        key = tuple(i + 1 for i in range(x.signature.n) if mask >> i & 1)
-        p, q = d.rational_parts()
-        assert q == 0, "oracle comparison only used for sqrt2-free values"
-        out[key] = p
-    return out
+def to_blades(terms):
+    """{sorted generator tuple: Fraction} as {blade mask: SqrtNum}."""
+    return {sum(1 << (i - 1) for i in key): SqrtNum.rational(c)
+            for key, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
-# Dyadic ring
-# ---------------------------------------------------------------------------
-
-def test_dyadic_canonical_form():
-    d = Dyadic(2, 4, 3)
-    assert (d.a, d.b, d.k) == (1, 2, 2)
-    assert Dyadic(0, 0, 5) == Dyadic(0, 0, 0)
-    assert Dyadic(4, 0, 2) == Dyadic(1, 0, 0)
-    # k minimal: not both parts even when k > 0
-    assert not (d.a % 2 == 0 and d.b % 2 == 0)
-
-
-def test_dyadic_equality_is_real_equality():
-    assert Dyadic(1, 1, 1) == Dyadic(2, 2, 2)
-    assert Dyadic(1, 0, 0) != Dyadic(0, 1, 0)
-
-
-def test_dyadic_against_high_precision_decimals():
-    getcontext().prec = 50
-    sqrt2 = Decimal(2).sqrt()
-
-    def value(d):
-        return (Decimal(d.a) + Decimal(d.b) * sqrt2) / Decimal(2) ** d.k
-
-    rng = random.Random(0)
-    for _ in range(10_000):
-        x = Dyadic(rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(0, 6))
-        y = Dyadic(rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(0, 6))
-        s, p = x + y, x * y
-        assert abs(value(s) - (value(x) + value(y))) < Decimal("1e-20")
-        assert abs(value(p) - value(x) * value(y)) < Decimal("1e-20")
-
-
-# ---------------------------------------------------------------------------
-# products
+# blade products
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_generator_square_and_anticommutation(sign):
-    sig = CliffordSignature(4, sign)
-    e1 = CliffordElem.generator(sig, 1)
-    e2 = CliffordElem.generator(sig, 2)
-    assert (e1 * e1).scalar_value() == Dyadic(sign)
-    assert e1 * e2 == -(e2 * e1)
+    one = SqrtNum.rational(1)
+    e1, e2 = {0b01: one}, {0b10: one}
+    assert _blade_mul(e1, e1, sign) == {0: SqrtNum.rational(sign)}
+    assert _blade_mul(e1, e2, sign) == {0b11: one}
+    assert _blade_mul(e2, e1, sign) == {0b11: -one}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_lift_square_matches_presentation(sign):
-    sig = CliffordSignature(4, sign)
-    v = lift_transposition(1, 2, sig)
-    assert (v * v).scalar_value() == Dyadic(sign)
+    # the unit vector (e1 - e2)/sqrt(2) squares to sign: s_1^2 = 1, t_1^2 = z
+    c = SqrtNum.root(2, Fraction(1, 2))
+    v = {0b01: c, 0b10: -c}
+    assert _blade_mul(v, v, sign) == {0: SqrtNum.rational(sign)}
 
 
 def test_lift_expansion_oracle():
-    # ((e1 - e2)/sqrt2)^2 expanded term by term
+    # ((e1 - e2)/sqrt2) * ((e2 - e3)/sqrt2) * (e1 + e3)/sqrt2 expanded term
+    # by term: sqrt(2)^-3 = sqrt(2)/4 times the integer product
+    c = SqrtNum.root(2, Fraction(1, 2))
+    vectors = [{(1,): 1, (2,): -1}, {(2,): 1, (3,): -1}, {(1,): 1, (3,): 1}]
     for sign in (1, -1):
-        sig = CliffordSignature(3, sign)
-        half = Fraction(1, 2)
-        x = {(1,): half * 2, (2,): -half * 2}  # e1 - e2, then divide by sqrt2^2=2
-        prod = slow_multivector_mul(x, x, sign)
-        expected = {k: v * half for k, v in prod.items()}
-        got = elem_to_tuples(lift_transposition(1, 2, sig)
-                             * lift_transposition(1, 2, sig))
-        assert got == {k: v for k, v in expected.items() if v}
+        expected = {(): Fraction(1)}
+        got = {0: SqrtNum.rational(1)}
+        for vec in vectors:
+            expected = slow_multivector_mul(expected, vec, sign)
+            got = _blade_mul(got, {m: c * x for m, x in to_blades(vec).items()},
+                             sign)
+        scale = SqrtNum.root(2, Fraction(1, 4))
+        assert got == {m: scale * x for m, x in to_blades(expected).items()}
 
 
 def test_mul_against_term_oracle_random():
     rng = random.Random(3)
     for sign in (1, -1):
-        sig = CliffordSignature(5, sign)
         for _ in range(60):
             terms_x = {}
             terms_y = {}
             for _ in range(rng.randint(1, 4)):
                 key = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 3))))
-                terms_x[key] = Fraction(rng.randint(-4, 4))
+                terms_x[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 key = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 3))))
-                terms_y[key] = Fraction(rng.randint(-4, 4))
+                terms_y[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             terms_x = {k: v for k, v in terms_x.items() if v}
             terms_y = {k: v for k, v in terms_y.items() if v}
-            x = elem_from_tuples(sig, terms_x)
-            y = elem_from_tuples(sig, terms_y)
-            assert elem_to_tuples(x * y) == slow_multivector_mul(
-                terms_x, terms_y, sign)
-
-
-def test_signature_mismatch_raises():
-    x = CliffordElem.generator(CliffordSignature(3, 1), 1)
-    y = CliffordElem.generator(CliffordSignature(4, 1), 1)
-    with pytest.raises(ValueError):
-        x * y
-
-
-def test_lift_index_validation():
-    sig = CliffordSignature(4, 1)
-    with pytest.raises(ValueError):
-        lift_transposition(2, 2, sig)
-    with pytest.raises(ValueError):
-        lift_transposition(1, 5, sig)
-
-
-# ---------------------------------------------------------------------------
-# transpose and grade involution
-# ---------------------------------------------------------------------------
-
-def test_transpose_reversal_sign_oracle():
-    sig = CliffordSignature(6, 1)
-    for k in range(1, 7):
-        m = CliffordElem.scalar(sig, 1)
-        for i in range(1, k + 1):
-            m = m * CliffordElem.generator(sig, i)
-        expected_sign = reversal_sign(k)
-        assert transpose(m) == (m if expected_sign == 1 else -m)
-
-
-def test_transpose_basics():
-    sig = CliffordSignature(3, 1)
-    c = CliffordElem.scalar(sig, Dyadic(3, 1, 2))
-    assert transpose(c) == c
-    e1 = CliffordElem.generator(sig, 1)
-    assert transpose(e1) == e1
-    x = e1 + c
-    assert transpose(transpose(x)) == x
-
-
-def test_transpose_antiautomorphism_and_involution_automorphism():
-    rng = random.Random(9)
-    sig = CliffordSignature(5, -1)
-    for _ in range(40):
-        masks = rng.sample(range(32), 3)
-        x = CliffordElem(sig, {m: (rng.randint(-3, 3), rng.randint(-2, 2))
-                               for m in masks}, rng.randint(0, 2))
-        masks = rng.sample(range(32), 3)
-        y = CliffordElem(sig, {m: (rng.randint(-3, 3), rng.randint(-2, 2))
-                               for m in masks}, rng.randint(0, 2))
-        assert transpose(x * y) == transpose(y) * transpose(x)
-        assert grade_involution(x * y) == grade_involution(x) * grade_involution(y)
-        assert grade_involution(grade_involution(x)) == x
-
-
-def test_grade_involution_degree_one():
-    sig = CliffordSignature(3, 1)
-    e1 = CliffordElem.generator(sig, 1)
-    e2 = CliffordElem.generator(sig, 2)
-    one = CliffordElem.scalar(sig, 1)
-    assert grade_involution(e1) == -e1
-    assert grade_involution(e1 * e2) == e1 * e2
-    assert grade_involution(one + e1) == one - e1
-
-
-# ---------------------------------------------------------------------------
-# spinor norms
-# ---------------------------------------------------------------------------
-
-def test_spinor_norm_of_lifts():
-    sig = CliffordSignature(4, 1)
-    v = lift_transposition(1, 2, sig)
-    assert spinor_norm(v, "plus").scalar_value() == Dyadic(1)
-    sigm = CliffordSignature(4, -1)
-    vm = lift_transposition(1, 2, sigm)
-    assert spinor_norm(vm, "minus").scalar_value() == Dyadic(1)
-    one = CliffordElem.scalar(sig, 1)
-    assert spinor_norm(one, "plus") == one
-    assert spinor_norm(one, "minus") == one
-
-
-def test_spinor_norm_multiplicative_on_lift_products():
-    rng = random.Random(11)
-    for variant, sign in (("plus", 1), ("minus", -1)):
-        sig = CliffordSignature(6, sign)
-        for _ in range(50):
-            def word():
-                w = CliffordElem.scalar(sig, 1)
-                for _ in range(rng.randint(1, 5)):
-                    i = rng.randint(1, 5)
-                    j = rng.randint(i + 1, 6)
-                    w = w * lift_transposition(i, j, sig)
-                return w
-            x, y = word(), word()
-            nx = spinor_norm(x, variant)
-            ny = spinor_norm(y, variant)
-            nxy = spinor_norm(x * y, variant)
-            assert nx.is_scalar() and nx.scalar_value() in (Dyadic(1), Dyadic(-1))
-            assert nxy == nx * ny
+            assert _blade_mul(to_blades(terms_x), to_blades(terms_y), sign) == \
+                to_blades(slow_multivector_mul(terms_x, terms_y, sign))
 
 
 # ---------------------------------------------------------------------------

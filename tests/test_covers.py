@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from schur_ed.clifford import CliffordElem, lift_transposition
 from schur_ed.covers import (
-    CocycleInconsistency,
     Cover,
     CoverElem,
     CoverSpec,
@@ -41,7 +39,14 @@ from schur_ed.perms import (
     sylow2_sym_generators,
 )
 
-from oracles import clifford_elementary_cocycle, compose_naive, nu2_factorial
+from oracles import (
+    CocycleInconsistency,
+    clifford_elementary_cocycle,
+    compose_naive,
+    integer_lift,
+    nu2_factorial,
+    slow_multivector_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +215,18 @@ def test_fault_injection_reports_failure():
 def test_cocycle_abort_on_corrupt_lift():
     cov = get_cover(CoverSpec(4, "plus"))
     sigma = from_cycles(4, [(1, 2)])
-    lifts = {}
-    assert clifford_elementary_cocycle(cov, sigma, 2, lifts) == \
-        cov.elementary_cocycle(sigma, 2)
-    # poison a cached lift so the product is neither +target nor -target
-    key = right_multiply_adjacent(sigma, 2)
-    lifts[key] = lifts[key] + lifts[key]
-    with pytest.raises(CocycleInconsistency):
-        clifford_elementary_cocycle(cov, sigma, 2, lifts)
+    # i = 2 lengthens sigma = s_1, so the product must be +-target; i = 1
+    # shortens it, so the product must be +-2 * target
+    for i in (2, 1):
+        lifts = {}
+        assert clifford_elementary_cocycle(cov, sigma, i, lifts) == \
+            cov.elementary_cocycle(sigma, i)
+        # poison the cached target with a factor 2: the product stays
+        # proportional to it, but at the wrong scale
+        key = right_multiply_adjacent(sigma, i)
+        lifts[key] = {m: 2 * a for m, a in lifts[key].items()}
+        with pytest.raises(CocycleInconsistency):
+            clifford_elementary_cocycle(cov, sigma, i, lifts)
 
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -245,12 +254,21 @@ def test_elementary_cocycle_matches_clifford_sampled(variant):
 
 
 def test_lift_is_the_ordered_vector_product():
-    cov = get_cover(CoverSpec(5, "minus"))
-    perm = from_cycles(5, [(1, 4, 2), (3, 5)])
-    expected = CliffordElem.scalar(cov.sig, 1)
-    for i in canonical_word(perm):
-        expected = expected * lift_transposition(i, i + 1, cov.sig)
-    assert cov.lift(perm) == expected
+    # the oracle's integer lift against term-by-term products of the
+    # vectors e_i - e_{i+1}, with and without its prefix cache
+    for sign in (1, -1):
+        lifts = {}
+        for cycles in ([], [(1, 2)], [(1, 4, 2), (3, 5)], [(1, 5), (2, 4)],
+                       [(1, 2, 3, 4, 5)]):
+            perm = from_cycles(5, cycles)
+            expected = {(): 1}
+            for i in canonical_word(perm):
+                expected = slow_multivector_mul(
+                    expected, {(i,): 1, (i + 1,): -1}, sign)
+            for cache in (None, lifts):
+                got = integer_lift(perm, sign, cache)
+                assert {tuple(j + 1 for j in range(5) if m >> j & 1): a
+                        for m, a in got.items()} == expected, (sign, perm)
 
 
 # ---------------------------------------------------------------------------
