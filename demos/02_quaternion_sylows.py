@@ -36,7 +36,7 @@ print("class sizes:", sorted(len(c) for c in conjugacy_classes(witness)))
 # The same group arrives as the preimage of a Sylow 2-subgroup of A_4:
 H4 = preimage_subgroup(sylow2_alt_generators(4), CoverSpec(4, "plus"))
 print("preimage of Sylow_2(A_4) iso Q8:", iso_small(H4, q8))
-print("its center:", center(H4).order, "elements")
+print("its center:", len(center(H4)), "elements")
 
 # And at n = 6 the Q16 witnesses:
 cov6 = get_cover(CoverSpec(6, "plus"))

@@ -22,20 +22,15 @@ from .covers import (
     FiniteGroupTable,
     SizeBoundExceeded,
     VerificationError,
-    alt_cover_subgroup,
     center,
     clear_cover_cache,
-    cocycle,
     conjugacy_classes,
     cyclic_table,
     generalized_quaternion_table,
     get_cover,
-    group_from_spec_json,
-    in_alt_cover,
-    inv,
     iso_small,
-    mul,
     preimage_subgroup,
+    subgroup_table,
     verify_presentation,
 )
 from .edcalc import (

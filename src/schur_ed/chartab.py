@@ -262,8 +262,11 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.nd
     return out
 
 
-def dixon_character_table(table: FiniteGroupTable, seed: int = 0,
-                          max_retries: int = 64) -> CharTable:
+# fresh random mixtures tried before a splitting failure is reported
+_MAX_RETRIES = 64
+
+
+def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
     data = _ClassData(table)
     n, order = data.n, table.order
     exponent = data.exponent()
@@ -272,7 +275,7 @@ def dixon_character_table(table: FiniteGroupTable, seed: int = 0,
     rng = random.Random((seed, order, n).__hash__())
 
     last_err: Optional[Exception] = None
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         try:
             spaces = [np.eye(n, dtype=np.int64)]
             if n > 1:
@@ -292,7 +295,7 @@ def dixon_character_table(table: FiniteGroupTable, seed: int = 0,
             return _assemble(table, data, p, spaces)
         except VerificationError as err:  # retry with a fresh mixture
             last_err = err
-    raise VerificationError(f"Dixon splitting failed after {max_retries} tries: {last_err}")
+    raise VerificationError(f"Dixon splitting failed after {_MAX_RETRIES} tries: {last_err}")
 
 
 def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
@@ -375,9 +378,7 @@ def _z_class_index(table: FiniteGroupTable, ct: CharTable, z) -> int:
 
 
 def _check_center_is_z(table: FiniteGroupTable, z) -> None:
-    cen = center(table)
-    members = {table.idx(e) for e in cen.elements}
-    if members != {table.idx(table.identity), table.idx(z)}:
+    if set(center(table)) != {table.identity, z}:
         raise VerificationError(
             "center is not {1, z}: minimal faithful dimension theory "
             "requires a cyclic center of order 2")

@@ -26,7 +26,7 @@ from .covers import (
     SizeBoundExceeded,
     VerificationError,
     get_cover,
-    group_from_spec_json,
+    subgroup_table,
     verify_presentation,
 )
 from .polyq import format_poly, parse_poly
@@ -106,16 +106,14 @@ def cmd_cover_verify(args, config: RunConfig) -> int:
 
 
 def cmd_chartab(args, config: RunConfig) -> int:
-    _parse(lambda: get_cover(CoverSpec(args.n, args.variant)))
-    table, z = group_from_spec_json(
-        {"n": args.n, "variant": args.variant, "subgroup": args.subgroup},
-        size_bound=config.size_bound)
+    cov = _parse(lambda: get_cover(CoverSpec(args.n, args.variant)))
+    table = subgroup_table(cov.spec, args.subgroup, config.size_bound)
     ct = dixon_character_table(table, seed=config.seed)
     payload = ct.to_json()
     payload["group"] = {"n": args.n, "variant": args.variant,
                         "subgroup": args.subgroup}
-    payload["min_faithful_dim"] = min_faithful_irrep_dim(table, z, ct)
-    payload["min_faithful_count"] = count_min_faithful(table, z, ct)
+    payload["min_faithful_dim"] = min_faithful_irrep_dim(table, cov.z, ct)
+    payload["min_faithful_count"] = count_min_faithful(table, cov.z, ct)
     if config.format == "tsv":
         lines = ["degrees\t" + ",".join(str(d) for d in payload["degrees"]),
                  f"order\t{payload['order']}",
@@ -128,10 +126,13 @@ def cmd_chartab(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMPUTED_CAP = f"computed values are capped at n = {edcalc.COMPUTED_MAX_N}"
+
+
 def cmd_ed2(args, config: RunConfig) -> int:
     _require(args.n >= 4, "formulas assume n >= 4")
     if args.computed:
-        _require(args.n <= 14, "computed values are capped at n = 14")
+        _require(args.n <= edcalc.COMPUTED_MAX_N, _COMPUTED_CAP)
     formula = edcalc.ed2_formula(args.n, args.which)
     try:
         report = edcalc.ed_report(args.n, args.which, args.variant,
@@ -148,8 +149,9 @@ def cmd_ed2(args, config: RunConfig) -> int:
 
 
 def cmd_table1(args, config: RunConfig) -> int:
-    _require(4 <= args.n_max <= 16, "table1 supports 4 <= n_max <= 16")
-    _require(args.verify_max <= 14, "computed values are capped at n = 14")
+    _require(4 <= args.n_max <= edcalc.TABLE_MAX_N,
+             f"table1 supports 4 <= n_max <= {edcalc.TABLE_MAX_N}")
+    _require(args.verify_max <= edcalc.COMPUTED_MAX_N, _COMPUTED_CAP)
     try:
         tab = edcalc.table1(args.n_max, verify_max=args.verify_max,
                             variant=args.variant,
@@ -177,12 +179,11 @@ def cmd_trace_form(args, config: RunConfig) -> int:
     E = _parse(qforms.EtaleAlgebraQ.from_polynomial, f)
     q = qforms.trace_form(E)
     s = (len(f) - 1).bit_count()
-    hasse = qforms.hasse_invariant(q)
-    payload = q.to_json(hasse)
+    payload = q.to_json()
     payload["polynomial"] = format_poly(f)
     payload["etale_disc"] = qforms.etale_discriminant(E).representative
     payload["contains_s_ones"] = {"s": s, "holds": qforms.contains_ones(q, s)}
-    payload["hasse_index"] = qforms.brauer_index(hasse)
+    payload["hasse_index"] = qforms.brauer_index(q.hasse)
     _emit(config, payload)
     return EXIT_OK
 
@@ -258,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ed2.set_defaults(func=cmd_ed2)
 
     t1 = sub.add_parser("table1", help="the three-row summary table")
-    t1.add_argument("--n-max", type=int, default=16)
+    t1.add_argument("--n-max", type=int, default=edcalc.TABLE_MAX_N)
     t1.add_argument("--verify-max", type=int, default=0,
                     help="re-derive row 2 computationally for n up to this")
     t1.add_argument("--variant", choices=("plus", "minus"), default="plus")

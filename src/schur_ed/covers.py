@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .numth import SizeBoundExceeded
 from .perms import (
@@ -31,7 +32,6 @@ from .perms import (
     compose,
     identity_perm,
     inverse,
-    parity,
     right_multiply_adjacent,
     sylow2_sym_generators,
 )
@@ -65,12 +65,11 @@ class CoverSpec:
         return 1 if self.variant == "plus" else -1
 
 
-@dataclass(frozen=True, order=True)
-class CoverElem:
+class CoverElem(NamedTuple):
     """z^eps * lift(perm); eps in {0, 1}.
 
-    The ordering (eps, one-line notation) is the canonical element order
-    used for reproducible tables.
+    The tuple order (eps, one-line notation) is the canonical element order
+    of every cover table.
     """
 
     eps: int
@@ -198,18 +197,6 @@ def clear_cover_cache() -> None:
     _covers.clear()
 
 
-def cocycle(sigma: Perm, tau: Perm, spec: CoverSpec) -> int:
-    return get_cover(spec).cocycle(sigma, tau)
-
-
-def mul(g: CoverElem, h: CoverElem, spec: CoverSpec) -> CoverElem:
-    return get_cover(spec).mul(g, h)
-
-
-def inv(g: CoverElem, spec: CoverSpec) -> CoverElem:
-    return get_cover(spec).inv(g)
-
-
 # ---------------------------------------------------------------------------
 # presentation verification
 # ---------------------------------------------------------------------------
@@ -240,16 +227,19 @@ class PresentationReport:
         return out
 
 
+# above this rank the closure of 2 * n! elements is too slow to run
+_CLOSURE_MAX_N = 8
+
+
 def verify_presentation(spec: CoverSpec,
                         size_bound: int = DEFAULT_SIZE_BOUND,
-                        closure_max_n: int = 8,
                         mul_fn: Optional[Callable[[CoverElem, CoverElem], CoverElem]] = None
                         ) -> PresentationReport:
     """Check every defining relation of the matching presentation and confirm
     the group order equals 2*n!.
 
-    For n <= closure_max_n the order is established by closing the generator
-    set; for larger n it follows from the transversal argument: every
+    For n <= 8 the order is established by closing the generator set; for
+    larger n it follows from the transversal argument: every
     permutation is a product of the generator images (its canonical word is
     checked to reassemble it), and z = (g_1 g_3)^2 lies in the group, so the
     element count is exactly 2 * n!.
@@ -299,7 +289,7 @@ def verify_presentation(spec: CoverSpec,
                 f"({letter}{i} {letter}{i+1})^3 = z", val == z))
 
     expected = 2 * math.factorial(n)
-    if n <= closure_max_n:
+    if n <= _CLOSURE_MAX_N:
         count = _closure_count(gens + [z], mul_, e, size_bound)
         method = "closure"
     else:
@@ -357,16 +347,13 @@ class FiniteGroupTable:
     how expensive the underlying multiplication was to evaluate once.
     """
 
-    def __init__(self, elements: List, mul_fn: Callable, identity,
-                 generators: List, gen_cols: List[List[int]],
-                 words: List[List[int]], name: str = ""):
+    def __init__(self, elements: List, identity, generators: List,
+                 gen_cols: List[List[int]], words: List[List[int]]):
         self.elements = elements
-        self.mul_fn = mul_fn
         self.identity = identity
         self.generators = generators
         self._gen_cols = gen_cols
         self._words = words
-        self.name = name
         self.index = {x: i for i, x in enumerate(elements)}
         self.order = len(elements)
         self._inv: Dict[int, int] = {}
@@ -376,12 +363,11 @@ class FiniteGroupTable:
 
     @classmethod
     def generate(cls, generators: List, mul_fn: Callable, identity,
-                 size_bound: int = DEFAULT_SIZE_BOUND,
-                 sort_key: Optional[Callable] = None,
-                 name: str = "") -> "FiniteGroupTable":
-        """Breadth-first closure of the generators; elements are re-sorted by
-        sort_key (default: natural ordering of the element values) so the
-        table is independent of discovery order."""
+                 size_bound: int = DEFAULT_SIZE_BOUND) -> "FiniteGroupTable":
+        """Breadth-first closure of the generators under mul_fn.  The table
+        lists the elements in their natural order (for cover elements the
+        tuple order (eps, perm)), so it is independent of discovery order.
+        Raises SizeBoundExceeded past size_bound elements."""
         gens = []
         for g in generators:
             if g != identity and g not in gens:
@@ -402,34 +388,12 @@ class FiniteGroupTable:
                             raise SizeBoundExceeded(
                                 f"closure exceeded {size_bound} elements")
             frontier = new
-        elements = sorted(seen, key=sort_key)
+        elements = sorted(seen)
         index = {x: i for i, x in enumerate(elements)}
-        gen_cols = []
-        for gi in range(len(gens)):
-            col = [0] * len(elements)
-            for x, i in index.items():
-                y = products.get((x, gi))
-                if y is None:
-                    y = mul_fn(x, gens[gi])
-                col[i] = index[y]
-            gen_cols.append(col)
+        gen_cols = [[index[products[(x, gi)]] for x in elements]
+                    for gi in range(len(gens))]
         words = [seen[x] for x in elements]
-        return cls(elements, mul_fn, identity, gens, gen_cols, words, name)
-
-    @classmethod
-    def from_elements(cls, elements: List, mul_fn: Callable, identity,
-                      sort_key: Optional[Callable] = None,
-                      name: str = "") -> "FiniteGroupTable":
-        """Table over an already-closed element set; every element acts as
-        its own generator."""
-        elements = sorted(elements, key=sort_key)
-        index = {x: i for i, x in enumerate(elements)}
-        gen_cols = [[index[mul_fn(x, g)] for x in elements] for g in elements]
-        words = [[i] for i in range(len(elements))]
-        ident_idx = index[identity]
-        words[ident_idx] = []
-        return cls(elements, mul_fn, identity, list(elements), gen_cols,
-                   words, name)
+        return cls(elements, identity, gens, gen_cols, words)
 
     # -- index arithmetic -----------------------------------------------------
 
@@ -463,12 +427,6 @@ class FiniteGroupTable:
             got = self._elem_order[i] = k
         return got
 
-    def exponent(self) -> int:
-        exp = 1
-        for i in range(self.order):
-            exp = math.lcm(exp, self.order_of_idx(i))
-        return exp
-
     def element_order_multiset(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
         for i in range(self.order):
@@ -483,52 +441,42 @@ class FiniteGroupTable:
                 for i in range(self.order)]
 
 
-def _cover_sort_key(g: CoverElem):
-    return (g.eps, g.perm)
-
-
 def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,
-                      size_bound: int = DEFAULT_SIZE_BOUND,
-                      name: str = "") -> FiniteGroupTable:
+                      size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
     """Closure of {(0, g)} together with z: the full preimage of <gens>
     under the projection, of order 2*|<gens>|."""
     cov = get_cover(spec)
     generators = [cov.elem(g) for g in gens] + [cov.z]
     return FiniteGroupTable.generate(generators, cov.mul, cov.identity,
-                                     size_bound, sort_key=_cover_sort_key,
-                                     name=name)
+                                     size_bound)
 
 
-def alt_cover_subgroup(spec: CoverSpec,
-                       size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
-    """The index-2 subgroup of even-permutation elements (the double cover
-    of A_n), generated by consecutive 3-cycle lifts and z."""
-    cov = get_cover(spec)
+def subgroup_table(spec: CoverSpec, which: str,
+                   size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
+    """The preimage in the cover of a subgroup of S_n: a Sylow 2-subgroup
+    ('sylow2'), A_n ('alt', generated by the 3-cycles s_i s_{i+1}) or S_n
+    itself ('full', by the adjacent transpositions s_i)."""
     n = spec.n
-    gens = []
-    for i in range(1, n - 1):
-        g = compose(adjacent_transposition(n, i), adjacent_transposition(n, i + 1))
-        gens.append(cov.elem(g))
-    gens.append(cov.z)
-    table = FiniteGroupTable.generate(gens, cov.mul, cov.identity, size_bound,
-                                      sort_key=_cover_sort_key,
-                                      name=f"alt-cover-{n}-{spec.variant}")
-    return table
+    if which == "sylow2":
+        gens = sylow2_sym_generators(n)
+    elif which == "alt":
+        gens = [compose(adjacent_transposition(n, i),
+                        adjacent_transposition(n, i + 1))
+                for i in range(1, n - 1)]
+    elif which == "full":
+        gens = [adjacent_transposition(n, i) for i in range(1, n)]
+    else:
+        raise ValueError(f"unknown subgroup kind {which!r}")
+    return preimage_subgroup(gens, spec, size_bound)
 
 
-def in_alt_cover(g: CoverElem) -> bool:
-    return parity(g.perm) == 0
-
-
-def center(table: FiniteGroupTable) -> FiniteGroupTable:
+def center(table: FiniteGroupTable) -> List:
+    """The center: the elements that commute with every generator, in
+    table order."""
     gen_idx = [table.idx(g) for g in table.generators]
-    central = []
-    for i in range(table.order):
-        if all(table.mul_idx(i, j) == table.mul_idx(j, i) for j in gen_idx):
-            central.append(table.elements[i])
-    return FiniteGroupTable.from_elements(central, table.mul_fn,
-                                          table.identity,
-                                          name=f"Z({table.name})")
+    return [x for i, x in enumerate(table.elements)
+            if all(table.mul_idx(i, j) == table.mul_idx(j, i)
+                   for j in gen_idx)]
 
 
 def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
@@ -563,32 +511,21 @@ def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
 # small-group isomorphism testing and reference groups
 # ---------------------------------------------------------------------------
 
-def _greedy_generators(table: FiniteGroupTable, cayley: List[List[int]]) -> List[int]:
-    e = table.idx(table.identity)
-    chosen: List[int] = []
-    span = {e}
-    for i in range(table.order):
-        if i in span:
-            continue
-        chosen.append(i)
-        span = _span(cayley, chosen, e)
-        if len(span) == table.order:
-            break
-    return chosen
-
-def _span(cayley: List[List[int]], gens: List[int], e: int) -> set:
-    seen = {e}
+def _words(cayley: List[List[int]], gens: List[int],
+           e: int) -> Dict[int, Tuple[int, ...]]:
+    """A shortest word in gens for every element of <gens>, by BFS."""
+    words: Dict[int, Tuple[int, ...]] = {e: ()}
     frontier = [e]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 y = cayley[x][g]
-                if y not in seen:
-                    seen.add(y)
+                if y not in words:
+                    words[y] = words[x] + (g,)
                     new.append(y)
         frontier = new
-    return seen
+    return words
 
 
 def iso_small(A: FiniteGroupTable, B: FiniteGroupTable, bound: int = 128) -> bool:
@@ -602,19 +539,15 @@ def iso_small(A: FiniteGroupTable, B: FiniteGroupTable, bound: int = 128) -> boo
         return False
     ca, cb = A.cayley_table(), B.cayley_table()
     ea, eb = A.idx(A.identity), B.idx(B.identity)
-    gens = _greedy_generators(A, ca)
-    # words for every element of A in the chosen generators
-    words: Dict[int, Tuple[int, ...]] = {ea: ()}
-    frontier = [ea]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = ca[x][g]
-                if y not in words:
-                    words[y] = words[x] + (g,)
-                    new.append(y)
-        frontier = new
+    # greedy generators of A: add the first element not yet reached
+    gens: List[int] = []
+    words = _words(ca, gens, ea)
+    for i in range(A.order):
+        if len(words) == A.order:
+            break
+        if i not in words:
+            gens.append(i)
+            words = _words(ca, gens, ea)
     a_orders = [A.order_of_idx(g) for g in gens]
     b_by_order: Dict[int, List[int]] = {}
     for i in range(B.order):
@@ -661,36 +594,10 @@ def generalized_quaternion_table(order: int) -> FiniteGroupTable:
             i, j = i + h // 2, j - 2
         return (i % h, j)
 
-    elements = [(i, j) for j in range(2) for i in range(h)]
     return FiniteGroupTable.generate([(1, 0), (0, 1)], qmul, (0, 0),
-                                     size_bound=order + 1,
-                                     name=f"Q{order}")
+                                     size_bound=order + 1)
 
 
 def cyclic_table(order: int) -> FiniteGroupTable:
     return FiniteGroupTable.generate([1], lambda a, b: (a + b) % order, 0,
-                                     size_bound=order + 1, name=f"C{order}")
-
-
-def group_from_spec_json(data: dict,
-                         size_bound: int = DEFAULT_SIZE_BOUND) -> Tuple[FiniteGroupTable, CoverElem]:
-    """Build the group named by the JSON wire format
-    {"n": ..., "variant": "plus"|"minus", "subgroup": "sylow2"|"alt"|"full"}.
-    Returns (table, z)."""
-    spec = CoverSpec(int(data["n"]), data.get("variant", "plus"))
-    which = data.get("subgroup", "sylow2")
-    cov = get_cover(spec)
-    if which == "sylow2":
-        table = preimage_subgroup(sylow2_sym_generators(spec.n), spec,
-                                  size_bound, name=f"sylow2-{spec.n}")
-    elif which == "alt":
-        table = alt_cover_subgroup(spec, size_bound)
-    elif which == "full":
-        gens = [cov.gen(i) for i in range(1, spec.n)] + [cov.z]
-        table = FiniteGroupTable.generate(gens, cov.mul, cov.identity,
-                                          size_bound,
-                                          sort_key=_cover_sort_key,
-                                          name=f"full-{spec.n}")
-    else:
-        raise ValueError(f"unknown subgroup kind {which!r}")
-    return table, cov.z
+                                     size_bound=order + 1)

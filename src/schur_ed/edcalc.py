@@ -22,6 +22,11 @@ from .covers import (
 )
 from .perms import sylow2_alt_generators, sylow2_sym_generators
 
+# the largest n whose 2-local value is recomputed through the character
+# pipeline, and the largest n of the summary table
+COMPUTED_MAX_N = 14
+TABLE_MAX_N = 16
+
 
 class FormulaMismatch(VerificationError):
     """A value recomputed through the character pipeline disagrees with
@@ -54,8 +59,8 @@ def ed2_computed(n: int, which: str, variant: str = "plus",
                  size_bound: int = DEFAULT_SIZE_BOUND) -> int:
     """Minimal faithful irreducible dimension of the Sylow-2 preimage,
     computed with the Dixon pipeline.  Equals ed(cover; 2)."""
-    if n > 14:
-        raise ValueError("computed values are desk-scale: n <= 14")
+    if n > COMPUTED_MAX_N:
+        raise ValueError(f"computed values are desk-scale: n <= {COMPUTED_MAX_N}")
     spec = CoverSpec(n, variant)
     if which == "sym":
         gens = sylow2_sym_generators(n)
@@ -63,8 +68,7 @@ def ed2_computed(n: int, which: str, variant: str = "plus",
         gens = sylow2_alt_generators(n)
     else:
         raise ValueError("which must be 'sym' or 'alt'")
-    table = preimage_subgroup(gens, spec, size_bound,
-                              name=f"sylow2-{which}-{n}-{variant}")
+    table = preimage_subgroup(gens, spec, size_bound)
     z = get_cover(spec).z
     return min_faithful_irrep_dim(table, z)
 
@@ -200,15 +204,18 @@ class Table1:
         }
 
 
-def table1(n_max: int = 16, verify_max: int = 0, variant: str = "plus",
+def table1(n_max: int = TABLE_MAX_N, verify_max: int = 0,
+           variant: str = "plus",
            size_bound: int = DEFAULT_SIZE_BOUND) -> Table1:
     """The three-row table for n = 4..n_max.  Rows 1 and 3 are interval
     assemblies; row 2 is the closed form, re-derived from the character
-    pipeline for n <= verify_max <= 14 (a mismatch raises FormulaMismatch)."""
-    if not 4 <= n_max <= 16:
-        raise ValueError("n_max must be between 4 and 16")
-    if verify_max > 14:
-        raise ValueError("computed values are desk-scale: verify_max <= 14")
+    pipeline for n <= verify_max <= COMPUTED_MAX_N (a mismatch raises
+    FormulaMismatch)."""
+    if not 4 <= n_max <= TABLE_MAX_N:
+        raise ValueError(f"n_max must be between 4 and {TABLE_MAX_N}")
+    if verify_max > COMPUTED_MAX_N:
+        raise ValueError("computed values are desk-scale: "
+                         f"verify_max <= {COMPUTED_MAX_N}")
     ns = list(range(4, n_max + 1))
     verified: Dict[int, int] = {}
     for n in ns:

@@ -37,14 +37,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     return tuple(img)
 
 
-def transposition(n: int, i: int, j: int) -> Perm:
-    if not (1 <= i < j <= n):
-        raise ValueError(f"need 1 <= i < j <= {n}")
-    img = list(range(1, n + 1))
-    img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
-    return tuple(img)
-
-
 def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
     img = list(range(1, n + 1))
     for cyc in cycles:

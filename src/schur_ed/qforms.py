@@ -251,13 +251,14 @@ def quaternion_class(a, b) -> BrauerClass2:
 class QuadFormQ:
     """Non-degenerate diagonal form <a_1, ..., a_n> over Q."""
 
-    __slots__ = ("diag",)
+    __slots__ = ("diag", "_hasse")
 
     def __init__(self, diag: Sequence):
         entries = [Fraction(d) for d in diag]
         if any(d == 0 for d in entries):
             raise ValueError("diagonal entries must be nonzero")
         self.diag = tuple(entries)
+        self._hasse: Optional[BrauerClass2] = None
 
     @classmethod
     def parse(cls, text: str) -> "QuadFormQ":
@@ -267,23 +268,27 @@ class QuadFormQ:
     def dim(self) -> int:
         return len(self.diag)
 
+    @property
+    def hasse(self) -> BrauerClass2:
+        """The Hasse class, computed on first use."""
+        if self._hasse is None:
+            self._hasse = hasse_invariant(self)
+        return self._hasse
+
     def __repr__(self):
         return "<" + ", ".join(str(d) for d in self.diag) + ">"
 
     def orthogonal_sum(self, other: "QuadFormQ") -> "QuadFormQ":
         return QuadFormQ(self.diag + other.diag)
 
-    def to_json(self, hasse: Optional[BrauerClass2] = None) -> dict:
-        """The invariants as JSON; `hasse` is the form's Hasse class, if the
-        caller has already computed it."""
-        if hasse is None:
-            hasse = hasse_invariant(self)
+    def to_json(self) -> dict:
+        """The invariants as JSON."""
         return {
             "dim": self.dim,
             "diag": [str(d) for d in self.diag],
             "disc": discriminant(self).representative,
             "signature": list(signature(self)),
-            "hasse_ramified": hasse.to_json(),
+            "hasse_ramified": self.hasse.to_json(),
             "witt_index": witt_index(self),
         }
 
@@ -351,8 +356,7 @@ def _invariants(q: QuadFormQ) -> _Invariants:
                     parity[p] = parity.get(p, 0) ^ 1
     parity = {p: 1 for p, b in parity.items() if b}
     pos, neg = signature(q)
-    return _Invariants(q.dim, disc_sign, parity, hasse_invariant(q).ramified,
-                       pos, neg)
+    return _Invariants(q.dim, disc_sign, parity, q.hasse.ramified, pos, neg)
 
 
 def _disc_is_local_square(inv: _Invariants, v: Place) -> bool:

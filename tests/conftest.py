@@ -19,8 +19,7 @@ class GroupZoo:
             spec = CoverSpec(n, variant)
             gens = (sylow2_sym_generators(n) if which == "sym"
                     else sylow2_alt_generators(n))
-            table = preimage_subgroup(gens, spec,
-                                      name=f"sylow2-{which}-{n}-{variant}")
+            table = preimage_subgroup(gens, spec)
             self._tables[key] = (table, get_cover(spec).z)
         return self._tables[key]
 

@@ -112,8 +112,7 @@ def test_criterion_3_centers(zoo):
         for variant in ("plus", "minus"):
             for which in ("sym", "alt"):
                 table, z = zoo.sylow_cover(n, variant, which)
-                cen = center(table)
-                members = sorted(cen.elements)
+                members = sorted(center(table))
                 cov = get_cover(CoverSpec(n, variant))
                 ok = ok and members == sorted([cov.identity, cov.z])
     _report("criterion 3: Z(sylow cover) = {1, z} for n=4..12, both "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -172,6 +173,46 @@ def test_chartab_subcommand(capsys):
     assert data["min_faithful_dim"] == 2
 
 
+# stdout recorded while the alt and full groups still had builders of
+# their own, apart from the Sylow one
+CHARTAB_SUBGROUP_SHA256 = {
+    ("alt", 5, "plus"):
+        "ddc5e60060bd2d7f955d3da238cedd5e5e8d4af26eefb15b212da4a3d7ed3ec1",
+    ("alt", 6, "plus"):
+        "6ef58fd33c6e6365a5666ea76ec2cedf2ed48d7752f208efe5234f2b642b35c9",
+    ("alt", 7, "plus"):
+        "bdc737d66632de2ea2d2bd243447b98f23e97de74031ae3e09e3f39722e14934",
+    ("full", 5, "plus"):
+        "8230313dc22297ad1e9363611c899843ff45436036f6cdd4ff88d53f8bffcbc4",
+    ("full", 6, "plus"):
+        "180e2eeb9f506dd86b2688e250a23b9e454f33b6159b23ec4fd171190a694070",
+    ("full", 7, "plus"):
+        "ed5e1a0e6e81bb8dd3a95ab7f2b8e0f4e6aca24a4e12d6cc3b391d2d5fa996b7",
+    ("alt", 5, "minus"):
+        "8228beecf97a135da2aa0e1ca5c458140f51d90fd6c69b6a304c0b178b8ca77d",
+    ("alt", 6, "minus"):
+        "cbc1a92e9816aa8d2b1b7be507d13bb07528c6c42a6b248eb2fcfe9f3a5fb9d0",
+    ("alt", 7, "minus"):
+        "9f177563c81d2779307579f6703bb40dc1ade3496a60cb298b7d36c51c0937e9",
+    ("full", 5, "minus"):
+        "e53355ace280f21addf080b4b99983b4a44cc8e48d59c385be68a5d3e77d67aa",
+    ("full", 6, "minus"):
+        "2f040c7ddb2f2a23a1d0a4ea36dd7180fd5f1fb9ef6f18b79df00524c9503805",
+    ("full", 7, "minus"):
+        "b214c34277cd0a5e9d4bbf6cfbc297676284978fe47c90f21a818f5d80c51e36",
+}
+
+
+@pytest.mark.parametrize("subgroup, n, variant",
+                         sorted(CHARTAB_SUBGROUP_SHA256))
+def test_chartab_subgroup_json_is_unchanged(capsys, subgroup, n, variant):
+    code, out, _ = run(capsys, "chartab", "-n", str(n), "--variant",
+                       variant, "--subgroup", subgroup)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == CHARTAB_SUBGROUP_SHA256[subgroup, n, variant])
+
+
 def test_qform_subcommand(capsys):
     code, out, _ = run(capsys, "qform", "1,-1,2/3")
     data = json.loads(out)
@@ -190,23 +231,33 @@ def test_trace_form_invariants(capsys):
 
 
 def test_trace_form_computes_the_hasse_invariant_once(capsys, monkeypatch):
-    # a totally real quintic: the trace form is positive definite of
-    # dimension 5, so witt_index and contains_ones are decided by the
-    # signature and only the printed Hasse set and index need the class
+    # the dimensions of the forms whose Hasse class is computed: once per
+    # form, however many invariants read it
     real = qforms.hasse_invariant
-    calls = []
+    dims = []
 
     def counting(q):
-        calls.append(q)
+        dims.append(q.dim)
         return real(q)
 
     monkeypatch.setattr(qforms, "hasse_invariant", counting)
+    # a totally real quintic: the trace form is positive definite of
+    # dimension 5, so witt_index and contains_ones are decided by the
+    # signature and only the printed Hasse set and index need the class
     code, out, _ = run(capsys, "trace-form", "x^5 - 5*x^3 + 5*x - 1")
     assert code == 0
     data = json.loads(out)
     assert data["hasse_ramified"] == [2, 3]
     assert data["hasse_index"] == 2
-    assert len(calls) == 1
+    assert dims == [5]
+    # printed, then read by witt_index; contains_ones reads the class of
+    # its 5-dimensional probe form
+    dims.clear()
+    assert run(capsys, "trace-form", "x^3 - 2")[0] == 0
+    assert dims == [3, 5]
+    dims.clear()
+    assert run(capsys, "qform", "1,-1,2/3")[0] == 0
+    assert dims == [3]
 
 
 def test_trace_form_not_squarefree(capsys):
@@ -297,6 +348,15 @@ def test_demo_smoke(demo):
     assert "FAILED" not in done.stdout and "False" not in done.stdout
     if demo == "06_trace_forms.py":
         assert "25/25" in done.stdout
+
+
+def test_bench_tracer_targets_resolve(monkeypatch):
+    # bench/run.py wraps these program names from outside; a rename that
+    # would crash the benchmark fails here instead
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracer
+    assert tracer.TARGETS
+    tracer.assert_clean()
 
 
 def test_size_bound_exit_code(capsys, monkeypatch):

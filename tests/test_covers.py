@@ -10,19 +10,14 @@ from schur_ed.covers import (
     CoverSpec,
     FiniteGroupTable,
     SizeBoundExceeded,
-    alt_cover_subgroup,
     center,
-    cocycle,
     conjugacy_classes,
     cyclic_table,
     generalized_quaternion_table,
     get_cover,
-    group_from_spec_json,
-    in_alt_cover,
-    inv,
     iso_small,
-    mul,
     preimage_subgroup,
+    subgroup_table,
     verify_presentation,
 )
 from schur_ed.perms import (
@@ -93,14 +88,14 @@ def test_compose_matches_naive_oracle():
 # ---------------------------------------------------------------------------
 
 def test_cocycle_normalized():
-    spec = CoverSpec(5, "plus")
+    cov = get_cover(CoverSpec(5, "plus"))
     rng = random.Random(2)
     e = identity_perm(5)
     for _ in range(30):
         img = list(range(1, 6))
         rng.shuffle(img)
-        assert cocycle(e, tuple(img), spec) == 0
-        assert cocycle(tuple(img), e, spec) == 0
+        assert cov.cocycle(e, tuple(img)) == 0
+        assert cov.cocycle(tuple(img), e) == 0
 
 
 def test_generator_squares():
@@ -121,8 +116,7 @@ def test_far_commutation_and_braid():
 
 
 def test_mul_inverse_and_associativity():
-    spec = CoverSpec(6, "minus")
-    cov = get_cover(spec)
+    cov = get_cover(CoverSpec(6, "minus"))
     rng = random.Random(3)
 
     def random_elem():
@@ -132,14 +126,14 @@ def test_mul_inverse_and_associativity():
 
     for _ in range(120):
         g, h, k = random_elem(), random_elem(), random_elem()
-        assert mul(g, inv(g, spec), spec) == cov.identity
-        assert mul(mul(g, h, spec), k, spec) == mul(g, mul(h, k, spec), spec)
+        assert cov.mul(g, cov.inv(g)) == cov.identity
+        assert cov.mul(cov.mul(g, h), k) == cov.mul(g, cov.mul(h, k))
 
 
 def test_cocycle_identity_property():
     # c(s,t) + c(st,r) = c(t,r) + c(s,tr) mod 2 on random triples
     for variant in ("plus", "minus"):
-        spec = CoverSpec(6, variant)
+        cov = get_cover(CoverSpec(6, variant))
         rng = random.Random(4)
         for _ in range(1000):
             perms = []
@@ -148,23 +142,22 @@ def test_cocycle_identity_property():
                 rng.shuffle(img)
                 perms.append(tuple(img))
             s, t, r = perms
-            lhs = cocycle(s, t, spec) ^ cocycle(compose(s, t), r, spec)
-            rhs = cocycle(t, r, spec) ^ cocycle(s, compose(t, r), spec)
+            lhs = cov.cocycle(s, t) ^ cov.cocycle(compose(s, t), r)
+            rhs = cov.cocycle(t, r) ^ cov.cocycle(s, compose(t, r))
             assert lhs == rhs
 
 
 def test_projection_is_homomorphism_with_kernel_z():
-    spec = CoverSpec(5, "plus")
-    cov = get_cover(spec)
+    cov = get_cover(CoverSpec(5, "plus"))
     rng = random.Random(5)
     for _ in range(50):
         img = list(range(1, 6))
         rng.shuffle(img)
         g = CoverElem(rng.randint(0, 1), tuple(img))
         h = CoverElem(rng.randint(0, 1), tuple(img[::-1]))
-        assert mul(g, h, spec).perm == compose(g.perm, h.perm)
+        assert cov.mul(g, h).perm == compose(g.perm, h.perm)
     assert cov.z.perm == identity_perm(5)
-    assert mul(cov.z, cov.z, spec) == cov.identity
+    assert cov.mul(cov.z, cov.z) == cov.identity
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +314,20 @@ def test_preimage_size_bound():
 
 def test_alt_cover_subgroup():
     spec = CoverSpec(4, "plus")
-    t = alt_cover_subgroup(spec)
+    t = subgroup_table(spec, "alt")
     assert t.order == 24
     assert all(parity(e.perm) == 0 for e in t.elements)
     cov = get_cover(spec)
-    assert in_alt_cover(cov.z)
-    assert not in_alt_cover(cov.gen(1))
+    assert cov.z in t.index
+    assert cov.gen(1) not in t.index
 
 
-def test_group_from_spec_json():
-    table, z = group_from_spec_json({"n": 6, "variant": "minus",
-                                     "subgroup": "sylow2"})
-    assert table.order == 2 ** (nu2_factorial(6) + 1)
-    table, z = group_from_spec_json({"n": 4, "variant": "plus",
-                                     "subgroup": "full"})
-    assert table.order == 48
+def test_subgroup_table():
+    t = subgroup_table(CoverSpec(6, "minus"), "sylow2")
+    assert t.order == 2 ** (nu2_factorial(6) + 1)
+    assert subgroup_table(CoverSpec(4, "plus"), "full").order == 48
+    with pytest.raises(ValueError, match="unknown subgroup kind"):
+        subgroup_table(CoverSpec(4, "plus"), "klein")
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +337,13 @@ def test_group_from_spec_json():
 def test_center_of_sylow_cover_is_z():
     spec = CoverSpec(8, "minus")
     t = preimage_subgroup(sylow2_sym_generators(8), spec)
-    c = center(t)
     cov = get_cover(spec)
-    assert sorted(c.elements) == sorted([cov.identity, cov.z])
+    assert center(t) == [cov.identity, cov.z]
 
 
 def test_center_of_abelian_group_is_everything():
     t = cyclic_table(8)
-    assert center(t).order == 8
+    assert center(t) == t.elements == list(range(8))
 
 
 def test_conjugacy_classes_small():
@@ -385,11 +376,11 @@ def test_iso_small():
 def test_alt_cover_same_for_both_variants_small():
     # the two covers restrict to isomorphic double covers of A_4; for n = 5
     # compare order multisets (the group is past the backtracking bound)
-    a_plus = alt_cover_subgroup(CoverSpec(4, "plus"))
-    a_minus = alt_cover_subgroup(CoverSpec(4, "minus"))
+    a_plus = subgroup_table(CoverSpec(4, "plus"), "alt")
+    a_minus = subgroup_table(CoverSpec(4, "minus"), "alt")
     assert iso_small(a_plus, a_minus)
-    b_plus = alt_cover_subgroup(CoverSpec(5, "plus"))
-    b_minus = alt_cover_subgroup(CoverSpec(5, "minus"))
+    b_plus = subgroup_table(CoverSpec(5, "plus"), "alt")
+    b_minus = subgroup_table(CoverSpec(5, "minus"), "alt")
     assert (b_plus.element_order_multiset()
             == b_minus.element_order_multiset())
 
