@@ -140,16 +140,19 @@ class _ClassData:
         self.table = table
         self.classes = conjugacy_classes(table)
         self.n = len(self.classes)
-        self.class_of = [0] * table.order
+        class_of = np.empty(table.order, dtype=np.int64)
         for t, cls in enumerate(self.classes):
-            for i in cls:
-                self.class_of[i] = t
+            class_of[cls] = t
         self.reps = [cls[0] for cls in self.classes]
         self.sizes = [len(cls) for cls in self.classes]
         self.inv_class = [
-            self.class_of[table.inv_idx(rep)] for rep in self.reps
+            int(class_of[table.inv_idx(rep)]) for rep in self.reps
         ]
-        self._mats: Dict[int, np.ndarray] = {}
+        # _right[u, y] = n*u + (class of y * g_u), so that one bincount
+        # over a set of elements y counts the pairs (u, t)
+        self._right = np.empty((self.n, table.order), dtype=np.int32)
+        for u, rep in enumerate(self.reps):
+            self._right[u] = class_of[table.right_column(rep)] + self.n * u
 
     def exponent(self) -> int:
         exp = 1
@@ -160,18 +163,21 @@ class _ClassData:
     def class_matrix(self, r: int) -> np.ndarray:
         """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}; the common
         eigenvectors of all B_r are the rows of the character table up to
-        normalization."""
-        got = self._mats.get(r)
-        if got is not None:
-            return got
-        table, class_of = self.table, self.class_of
-        B = np.zeros((self.n, self.n), dtype=np.int64)
-        for x in self.classes[r]:
-            xi = table.inv_idx(x)
-            for u, gu in enumerate(self.reps):
-                B[class_of[table.mul_idx(xi, gu)], u] += 1
-        self._mats[r] = B
-        return B
+        normalization.  As x runs over C_r, x^-1 runs over the inverse
+        class C_r*, so B_r[t, u] counts the y in C_r* with y g_u in C_t."""
+        n = self.n
+        ys = self.classes[self.inv_class[r]]
+        counts = np.bincount(self._right[:, ys].ravel(), minlength=n * n)
+        return counts.reshape(n, n).T
+
+    def mixture(self, rng: random.Random, p: int,
+                classes: range) -> np.ndarray:
+        """A seeded random combination mod p of the class matrices B_r,
+        r in classes."""
+        M = np.zeros((self.n, self.n), dtype=np.int64)
+        for r in classes:
+            M += rng.randrange(1, p) * self.class_matrix(r)
+        return M % p
 
 
 def _hessenberg(A: np.ndarray, p: int) -> np.ndarray:
@@ -264,6 +270,8 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.nd
 
 # fresh random mixtures tried before a splitting failure is reported
 _MAX_RETRIES = 64
+# mixtures of all class matrices tried on the spaces left over by the first
+_MAX_ROUNDS = 16
 
 
 def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
@@ -279,17 +287,19 @@ def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
         try:
             spaces = [np.eye(n, dtype=np.int64)]
             if n > 1:
-                # seeded random mixture of a few class matrices splits most of
-                # the space at once; individual matrices finish the job
-                mix_count = min(n - 1, 8)
-                M = np.zeros((n, n), dtype=np.int64)
-                for r in range(1, 1 + mix_count):
-                    M += rng.randrange(1, p) * data.class_matrix(r)
-                spaces = _split_spaces(spaces, M % p, p)
-                for r in range(1, n):
+                # a seeded random mixture of a few class matrices splits
+                # most of the space at once; mixtures of all of them split
+                # what is left, and separate two characters unless the
+                # mixture takes the same value on both, which happens with
+                # probability about 1/p.  The common eigenlines are unique,
+                # so the table does not depend on the mixtures drawn.
+                M = data.mixture(rng, p, range(1, 1 + min(n - 1, 8)))
+                spaces = _split_spaces(spaces, M, p)
+                for _ in range(_MAX_ROUNDS):
                     if all(S.shape[0] == 1 for S in spaces):
                         break
-                    spaces = _split_spaces(spaces, data.class_matrix(r), p)
+                    M = data.mixture(rng, p, range(1, n))
+                    spaces = _split_spaces(spaces, M, p)
             if not all(S.shape[0] == 1 for S in spaces):
                 raise VerificationError("common eigenspaces not 1-dimensional")
             return _assemble(table, data, p, spaces)

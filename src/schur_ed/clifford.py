@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .covers import VerificationError
-from .radicals import SMatrix, SqrtNum, smat_add, smat_scale
+from .radicals import SMatrix, SqrtNum
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,8 @@ def spin_representation(n: int, variant: str) -> List[SMatrix]:
         raise ValueError("variant must be 'plus' or 'minus'")
     sign = 1 if variant == "plus" else -1
     gammas = basic_spin_matrices(n, sign)
+    dim = len(gammas[0])
+    zero = SqrtNum()
     gens = []
     for k in range(1, n):
         if k == 1:
@@ -98,8 +100,14 @@ def spin_representation(n: int, variant: str) -> List[SMatrix]:
         # a_k = -sqrt((k-1)/2k) = -sqrt(2k(k-1))/(2k), b_k = sqrt((k+1)/2k)
         a_k = SqrtNum.root(2 * k * (k - 1), Fraction(-1, 2 * k))
         b_k = SqrtNum.root(2 * k * (k + 1), Fraction(1, 2 * k))
-        gens.append(smat_add(smat_scale(a_k, gammas[k - 2]),
-                             smat_scale(b_k, gammas[k - 1])))
+        # the gammas are monomial: scale only their nonzero entries
+        t = [[zero] * dim for _ in range(dim)]
+        for c, g in ((a_k, gammas[k - 2]), (b_k, gammas[k - 1])):
+            for row, g_row in zip(t, g):
+                for col, v in enumerate(g_row):
+                    if v.parts:
+                        row[col] = row[col] + c * v
+        gens.append(t)
     return gens
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
+import numpy as np
+
 from .numth import SizeBoundExceeded
 from .perms import (
     Perm,
@@ -77,8 +79,8 @@ class CoverElem(NamedTuple):
 
 
 class Cover:
-    """Arithmetic context for one CoverSpec: memoized cocycle bits and
-    canonical words."""
+    """Arithmetic context for one CoverSpec: the cocycle, elementwise and
+    over arrays of permutations, and memoized canonical words."""
 
     def __init__(self, spec: CoverSpec):
         if spec.n > 16:
@@ -86,7 +88,6 @@ class Cover:
         self.spec = spec
         self._minus = int(spec.sign < 0)
         self._ident_perm = identity_perm(spec.n)
-        self._elem_bits: Dict[Tuple[Perm, int], int] = {}
         self._words: Dict[Perm, Tuple[int, ...]] = {}
 
     # -- distinguished elements ---------------------------------------------
@@ -118,10 +119,6 @@ class Cover:
         canonical word), XOR 1 for a descent at i in the minus variant,
         where the step ends in v_i^2 = -1.
         """
-        key = (perm, i)
-        bit = self._elem_bits.get(key)
-        if bit is not None:
-            return bit
         x, y = perm[i - 1], perm[i]
         bit = 0
         if x > y:
@@ -134,8 +131,34 @@ class Cover:
             if b > y:
                 bit ^= (b - 1 - (seen & ((1 << b) - 1)).bit_count()) & 1
             seen |= 1 << b
-        self._elem_bits[key] = bit
         return bit
+
+    def cocycles(self, sigmas: np.ndarray, tau: Perm) -> np.ndarray:
+        """c(sigma, tau) for every row sigma (one-line notation) of a
+        2-d array at once: the closed form of elementary_cocycle, folded
+        over the canonical word of tau.
+
+        inv[k, b] holds the parity of the inversions of row k with larger
+        value b.  Right multiplication by s_i swaps positions i and i+1,
+        which changes that count only for the larger of the two values."""
+        rows, n = sigmas.shape
+        cur = sigmas.copy()
+        at = np.arange(rows)
+        inv = np.zeros((rows, n + 1), dtype=np.int64)
+        for q in range(n):
+            smaller = (cur[:, q + 1:] < cur[:, q:q + 1]).sum(axis=1)
+            inv[at, cur[:, q]] = smaller & 1
+        values = np.arange(n + 1)
+        bits = np.zeros(rows, dtype=np.int64)
+        for i in self._word(tau):
+            x, y = cur[:, i - 1].copy(), cur[:, i].copy()
+            top = np.maximum(x, y)
+            bits ^= (inv * (values > top[:, None])).sum(axis=1) & 1
+            if self._minus:
+                bits ^= x > y
+            inv[at, top] ^= 1
+            cur[:, i - 1], cur[:, i] = y, x
+        return bits
 
     def _word(self, perm: Perm) -> Tuple[int, ...]:
         w = self._words.get(perm)
@@ -149,12 +172,15 @@ class Cover:
         """c(sigma, tau) with lift(sigma)lift(tau) = z^c lift(sigma tau)."""
         if len(sigma) != self.spec.n or len(tau) != self.spec.n:
             raise ValueError("permutation size does not match the cover spec")
+        word = self._word(tau)
+        if not word:
+            return 0
         eps = 0
         cur = sigma
-        for i in self._word(tau):
+        for i in word[:-1]:
             eps ^= self.elementary_cocycle(cur, i)
             cur = right_multiply_adjacent(cur, i)
-        return eps
+        return eps ^ self.elementary_cocycle(cur, word[-1])
 
     # -- group arithmetic ------------------------------------------------------
 
@@ -193,7 +219,7 @@ def get_cover(spec: CoverSpec) -> Cover:
 
 
 def clear_cover_cache() -> None:
-    """Drop all memoized cover contexts (cocycle bits and words)."""
+    """Drop all memoized cover contexts (canonical words)."""
     _covers.clear()
 
 
@@ -342,18 +368,26 @@ class FiniteGroupTable:
     """A finite group materialized as a canonical element list plus fast
     index-level multiplication.
 
-    Products fold the right factor's generator word through per-generator
-    index columns, so a product costs O(word length) array lookups no matter
-    how expensive the underlying multiplication was to evaluate once.
+    A Schreier tree spans the group: element j is parent[j] times the
+    generator pgen[j], down to the identity (parent -1).  Products fold the
+    right factor's word, read off the tree, through per-generator
+    right-multiplication columns, so a product costs O(tree depth) array
+    lookups no matter how expensive the underlying multiplication was to
+    evaluate once.  `levels` lists the tree's elements with every parent in
+    an earlier level, which lets whole columns be computed level by level.
     """
 
     def __init__(self, elements: List, identity, generators: List,
-                 gen_cols: List[List[int]], words: List[List[int]]):
+                 gen_cols: List[List[int]], parent: List[int],
+                 pgen: List[int], levels: List[np.ndarray]):
         self.elements = elements
         self.identity = identity
         self.generators = generators
         self._gen_cols = gen_cols
-        self._words = words
+        self._parent = parent
+        self._pgen = pgen
+        self._levels = levels
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
         self.index = {x: i for i, x in enumerate(elements)}
         self.order = len(elements)
         self._inv: Dict[int, int] = {}
@@ -368,43 +402,101 @@ class FiniteGroupTable:
         lists the elements in their natural order (for cover elements the
         tuple order (eps, perm)), so it is independent of discovery order.
         Raises SizeBoundExceeded past size_bound elements."""
+        if size_bound < 1:
+            raise SizeBoundExceeded(f"closure exceeded {size_bound} elements")
         gens = []
         for g in generators:
             if g != identity and g not in gens:
                 gens.append(g)
-        seen = {identity: []}
-        frontier = [identity]
-        products: Dict[Tuple[object, int], object] = {}
-        while frontier:
+        # elements by discovery position, and per generator the position of
+        # each element times it
+        found = [identity]
+        pos = {identity: 0}
+        parent, pgen = [-1], [-1]
+        cols: List[List[int]] = [[] for _ in gens]
+        levels = [[0]]
+        while levels[-1]:
             new = []
-            for x in frontier:
+            for xi in levels[-1]:
+                x = found[xi]
                 for gi, g in enumerate(gens):
                     y = mul_fn(x, g)
-                    products[(x, gi)] = y
-                    if y not in seen:
-                        seen[y] = seen[x] + [gi]
-                        new.append(y)
-                        if len(seen) > size_bound:
+                    yi = pos.get(y)
+                    if yi is None:
+                        yi = pos[y] = len(found)
+                        found.append(y)
+                        parent.append(xi)
+                        pgen.append(gi)
+                        new.append(yi)
+                        if len(found) > size_bound:
                             raise SizeBoundExceeded(
                                 f"closure exceeded {size_bound} elements")
-            frontier = new
-        elements = sorted(seen)
-        index = {x: i for i, x in enumerate(elements)}
-        gen_cols = [[index[products[(x, gi)]] for x in elements]
-                    for gi in range(len(gens))]
-        words = [seen[x] for x in elements]
-        return cls(elements, identity, gens, gen_cols, words)
+                    cols[gi].append(yi)
+            levels.append(new)
+        # the BFS visits elements in discovery order, so cols[gi][xi] is
+        # the product of element xi; renumber everything in sorted order
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = [0] * len(found)
+        for r, xi in enumerate(order):
+            rank[xi] = r
+        return cls([found[xi] for xi in order], identity, gens,
+                   [[rank[col[xi]] for xi in order] for col in cols],
+                   [rank[parent[xi]] if parent[xi] >= 0 else -1
+                    for xi in order],
+                   [pgen[xi] for xi in order],
+                   [np.array([rank[xi] for xi in level], dtype=np.int64)
+                    for level in levels[:-1]])
 
     # -- index arithmetic -----------------------------------------------------
 
     def idx(self, elem) -> int:
         return self.index[elem]
 
+    def _word(self, j: int) -> List[int]:
+        """The generator indices along the tree path from the identity
+        to element j."""
+        word = []
+        parent, pgen = self._parent, self._pgen
+        while parent[j] >= 0:
+            word.append(pgen[j])
+            j = parent[j]
+        word.reverse()
+        return word
+
     def mul_idx(self, i: int, j: int) -> int:
         cur = i
-        for gi in self._words[j]:
+        for gi in self._word(j):
             cur = self._gen_cols[gi][cur]
         return cur
+
+    def _tree_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The generator columns (one row per generator), parent and pgen
+        as index arrays."""
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._gen_cols, dtype=np.int64).reshape(
+                    len(self._gen_cols), self.order),
+                np.array(self._parent, dtype=np.int64),
+                np.array(self._pgen, dtype=np.int64))
+        return self._arrays
+
+    def right_column(self, j: int) -> np.ndarray:
+        """x * element j for every index x, as one index array."""
+        cols = self._tree_arrays()[0]
+        col = np.arange(self.order)
+        for gi in self._word(j):
+            col = cols[gi][col]
+        return col
+
+    def left_column(self, j: int) -> np.ndarray:
+        """element j * x for every index x: along the tree, j * x is
+        (j * parent(x)) * generator, one level at a time."""
+        cols, parent, pgen = self._tree_arrays()
+        col = np.empty(self.order, dtype=np.int64)
+        col[self._levels[0]] = j
+        for level in self._levels[1:]:
+            col[level] = cols[pgen[level], col[parent[level]]]
+        return col
 
     def inv_idx(self, i: int) -> int:
         got = self._inv.get(i)
@@ -443,12 +535,49 @@ class FiniteGroupTable:
 
 def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,
                       size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
-    """Closure of {(0, g)} together with z: the full preimage of <gens>
-    under the projection, of order 2*|<gens>|."""
+    """The full preimage of P = <gens> under the projection, of order
+    2*|P|, generated by the lifts (0, g) and z.
+
+    As a set the preimage is {0, 1} x P, so only P is closed, as
+    permutations.  (eps, pi) gets index eps*|P| + rank(pi), which is the
+    CoverElem tuple order.  The column of a lift (0, g) is P's column of g
+    with the cocycle bits c(pi, g) of all pi at once (Cover.cocycles), z is
+    the index shift by |P|, and the Schreier tree of P lifts to one of the
+    preimage with z on the path to (1, identity).  size_bound counts the
+    2*|P| elements of the preimage."""
     cov = get_cover(spec)
-    generators = [cov.elem(g) for g in gens] + [cov.z]
-    return FiniteGroupTable.generate(generators, cov.mul, cov.identity,
-                                     size_bound)
+    try:
+        base = FiniteGroupTable.generate(list(gens), compose,
+                                         cov.identity.perm, size_bound // 2)
+    except SizeBoundExceeded:
+        raise SizeBoundExceeded(
+            f"closure exceeded {size_bound} elements") from None
+    m = base.order
+    perms = np.array(base.elements, dtype=np.int64).reshape(m, spec.n)
+    bits = np.array([cov.cocycles(perms, g) for g in base.generators],
+                    dtype=np.int64).reshape(len(base.generators), m)
+    cols, parent, pgen = base._tree_arrays()
+    cols = cols + m * bits  # (0, pi) * (0, g), then z times it
+    shift = np.concatenate([np.arange(m) + m, np.arange(m)])
+    gen_cols = [np.concatenate([c, shift[c]]) for c in cols] + [shift]
+    # (eps, pi) = (eps ^ c(parent(pi), g), parent(pi)) * (0, g) for the
+    # tree edge g into pi, and (1, identity) = (0, identity) * z
+    edge = np.flatnonzero(parent >= 0)
+    flip = bits[pgen[edge], parent[edge]]
+    up = np.full(2 * m, -1, dtype=np.int64)
+    up[edge] = m * flip + parent[edge]
+    up[edge + m] = m * (1 - flip) + parent[edge]
+    up[m] = 0
+    up_gen = np.concatenate([pgen, pgen])
+    up_gen[m] = len(base.generators)
+    levels = [base._levels[0], base._levels[0] + m] + [
+        np.concatenate([level, level + m]) for level in base._levels[1:]]
+    return FiniteGroupTable(
+        [CoverElem(0, pi) for pi in base.elements]
+        + [CoverElem(1, pi) for pi in base.elements],
+        cov.identity,
+        [CoverElem(0, g) for g in base.generators] + [cov.z],
+        [c.tolist() for c in gen_cols], up.tolist(), up_gen.tolist(), levels)
 
 
 def subgroup_table(spec: CoverSpec, which: str,
@@ -473,34 +602,35 @@ def subgroup_table(spec: CoverSpec, which: str,
 def center(table: FiniteGroupTable) -> List:
     """The center: the elements that commute with every generator, in
     table order."""
-    gen_idx = [table.idx(g) for g in table.generators]
-    return [x for i, x in enumerate(table.elements)
-            if all(table.mul_idx(i, j) == table.mul_idx(j, i)
-                   for j in gen_idx)]
+    central = np.ones(table.order, dtype=bool)
+    for g in table.generators:
+        gi = table.idx(g)
+        central &= table.right_column(gi) == table.left_column(gi)
+    return [table.elements[i] for i in np.flatnonzero(central)]
 
 
 def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
     """Partition of element indices into conjugacy classes.  Classes are
     ordered with the identity class first, then by (size, smallest index)."""
-    gen_idx = [table.idx(g) for g in table.generators]
-    gen_inv = [table.inv_idx(i) for i in gen_idx]
-    seen = [False] * table.order
-    classes: List[List[int]] = []
-    for start in range(table.order):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g, gi in zip(gen_idx, gen_inv):
-                y = table.mul_idx(table.mul_idx(g, x), gi)
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    stack.append(y)
-        classes.append(sorted(orbit))
+    conj = []
+    for g in table.generators:
+        gi = table.idx(g)
+        g_inv = table.right_column(table.inv_idx(gi))
+        conj.append(g_inv[table.left_column(gi)])
+    # every element takes the smallest index in reach by conjugation by the
+    # generators, which is the smallest index of its class
+    low = np.arange(table.order)
+    while True:
+        nxt = low
+        for c in conj:
+            nxt = np.minimum(nxt, nxt[c])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, low):
+            break
+        low = nxt
+    members = np.argsort(low, kind="stable")
+    starts = np.flatnonzero(np.diff(low[members], prepend=-1))
+    classes = [c.tolist() for c in np.split(members, starts[1:])]
     e = table.idx(table.identity)
     classes.sort(key=lambda c: (0 if c[0] == e and len(c) == 1 else 1,
                                 len(c), c[0]))

@@ -9,8 +9,11 @@ over Q, Gram diagonals from Schur complements in Fractions, irreducibility mod p
 from Rabin's test, permutation facts from naive mapping composition, degree
 multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
-from Kronecker products of explicit 2x2 Pauli matrices, and the spin relations
-from dense products of the generator matrices.
+from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
+from dense sums of scaled gammas, the spin relations from dense products of
+the generator matrices, cover tables from a breadth-first closure under cover
+multiplication with every product stored, and class matrices from one
+product per element and class representative.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 from schur_ed.clifford import spin_representation
 from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
-from schur_ed.radicals import SqrtNum, smat_eq, smat_identity, smat_mul, smat_neg, smat_pow
+from schur_ed.radicals import (SqrtNum, smat_add, smat_eq, smat_identity, smat_mul,
+                               smat_neg, smat_pow, smat_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +178,20 @@ def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[SqrtNum]]]:
             g = [[i * v for v in row] for row in g]
         out.append(g)
     return out
+
+
+def dense_spin_generators(n: int, variant: str) -> List[List[List[SqrtNum]]]:
+    """T_1 = Gamma_1 and T_k = a_k*Gamma_{k-1} + b_k*Gamma_k, scaled and
+    added over every entry of the Kronecker-product gammas, with
+    a_k = -sqrt((k-1)/2k) and b_k = sqrt((k+1)/2k)."""
+    gammas = kronecker_gamma_matrices(n, 1 if variant == "plus" else -1)
+    gens = [gammas[0]]
+    for k in range(2, n):
+        a_k = SqrtNum.root(2 * k * (k - 1), Fraction(-1, 2 * k))
+        b_k = SqrtNum.root(2 * k * (k + 1), Fraction(1, 2 * k))
+        gens.append(smat_add(smat_scale(a_k, gammas[k - 2]),
+                             smat_scale(b_k, gammas[k - 1])))
+    return gens
 
 
 def dense_spin_relations(n: int, variant: str) -> List[Tuple[str, bool]]:
@@ -409,6 +427,64 @@ def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
         if not diff or len(_mod_p_gcd(fp, diff, p)) != 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# group tables: the cover BFS and class matrices element by element
+# ---------------------------------------------------------------------------
+
+class BfsCoverTable:
+    """The preimage of <gens> in the cover, closed breadth-first under
+    Cover.mul with z as one more generator: every product of an element
+    with a generator is evaluated and stored, and every element keeps the
+    word it was reached by.  Elements are listed in sorted (eps, perm)
+    order."""
+
+    def __init__(self, gens, spec):
+        from schur_ed.covers import get_cover
+
+        cov = get_cover(spec)
+        self.generators = []
+        for g in [cov.elem(g) for g in gens] + [cov.z]:
+            if g != cov.identity and g not in self.generators:
+                self.generators.append(g)
+        words = {cov.identity: []}
+        products = {}
+        frontier = [cov.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for gi, g in enumerate(self.generators):
+                    y = products[x, gi] = cov.mul(x, g)
+                    if y not in words:
+                        words[y] = words[x] + [gi]
+                        new.append(y)
+            frontier = new
+        self.elements = sorted(words)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.gen_cols = [[self.index[products[x, gi]] for x in self.elements]
+                         for gi in range(len(self.generators))]
+        self.words = [words[x] for x in self.elements]
+
+    def mul_idx(self, i: int, j: int) -> int:
+        for gi in self.words[j]:
+            i = self.gen_cols[gi][i]
+        return i
+
+
+def class_matrices_by_elements(table, classes) -> List[np.ndarray]:
+    """Every B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}, g_u the first
+    element of C_u, by one inverse and one product per (x, u) pair."""
+    class_of = {i: t for t, cls in enumerate(classes) for i in cls}
+    out = []
+    for cls_r in classes:
+        B = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        for x in cls_r:
+            x_inv = table.inv_idx(x)
+            for u, cls in enumerate(classes):
+                B[class_of[table.mul_idx(x_inv, cls[0])], u] += 1
+        out.append(B)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import types
 
 import numpy as np
 import pytest
 
-from schur_ed import cli
+from schur_ed import chartab, cli
 from schur_ed.chartab import (
     DixonPrime,
     _charpoly,
@@ -22,6 +23,7 @@ from schur_ed.covers import (
     generalized_quaternion_table,
 )
 from oracles import (
+    class_matrices_by_elements,
     det_mod_p,
     regular_representation_degrees,
     rref_mod_p,
@@ -60,6 +62,55 @@ def test_sum_of_squares_and_powers_of_two(zoo):
         ct = zoo.chartab(n, variant, "sym")
         assert sum(d * d for d in ct.degrees) == table.order
         assert all(d & (d - 1) == 0 for d in ct.degrees)  # powers of 2
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_class_matrices_match_the_per_element_oracle(zoo, which):
+    for n in range(4, 13):
+        table, _ = zoo.sylow_cover(n, "plus", which)
+        data = _ClassData(table)
+        want = class_matrices_by_elements(table, data.classes)
+        for r in range(data.n):
+            assert np.array_equal(data.class_matrix(r), want[r]), (n, r)
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_dixon_table_does_not_depend_on_the_seed(zoo, which):
+    # the mixtures differ from seed to seed, the common eigenlines do not
+    for n in range(8, 13):
+        table, _ = zoo.sylow_cover(n, "plus", which)
+        want = zoo.chartab(n, "plus", which)
+        for seed in range(1, 5):
+            assert dixon_character_table(table, seed=seed) == want, (n, seed)
+
+
+def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
+        zoo, monkeypatch):
+    table, _ = zoo.sylow_cover(8, "plus", "sym")
+    want = zoo.chartab(8, "plus", "sym")
+    n = want.n_classes
+    assert n > 9
+    # with equal coefficients the mixture of all B_r, r >= 1, is -1 on
+    # every nontrivial character, so the first attempt draws its first
+    # mixture and every round's and then fails
+    first_attempt = min(n - 1, 8) + chartab._MAX_ROUNDS * (n - 1)
+
+    class Rigged:
+        calls = 0
+
+        def __init__(self, seed):
+            self.rng = random.Random(seed)
+
+        def randrange(self, start, stop):
+            Rigged.calls += 1
+            if Rigged.calls <= first_attempt:
+                return 1
+            return self.rng.randrange(start, stop)
+
+    monkeypatch.setattr(chartab, "random",
+                        types.SimpleNamespace(Random=Rigged))
+    assert dixon_character_table(table) == want
+    assert Rigged.calls > first_attempt
 
 
 def test_min_faithful_q8():
@@ -230,3 +281,15 @@ def test_chartab_n12_json_is_unchanged(capsys, seed):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_N12_SHA256
+
+
+CHARTAB_N14_SHA256 = (  # stdout before the Sylow closure ran on permutations
+    "2d62e2432d83c728d3586e87c3029b2842c0528039f0cb065f6dca297fa2f5a8")
+
+
+@pytest.mark.slow
+def test_chartab_n14_json_is_unchanged(capsys):
+    code = cli.main(["chartab", "-n", "14", "--subgroup", "sylow2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_N14_SHA256

@@ -364,6 +364,9 @@ def test_size_bound_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "chartab", "-n", "8")
     assert code == 3
     assert "bound" in err
+    monkeypatch.setenv(cli.SIZE_BOUND_ENV, "1000")
+    assert run(capsys, "chartab", "-n", "12", "--subgroup", "sylow2") == (
+        3, "", "resource bound exceeded: closure exceeded 1000 elements\n")
 
 
 def test_size_bound_flag_overrides_env(capsys, monkeypatch):

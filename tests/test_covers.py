@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from schur_ed.covers import (
@@ -35,6 +36,7 @@ from schur_ed.perms import (
 )
 
 from oracles import (
+    BfsCoverTable,
     CocycleInconsistency,
     clifford_elementary_cocycle,
     compose_naive,
@@ -246,6 +248,23 @@ def test_elementary_cocycle_matches_clifford_sampled(variant):
                 clifford_elementary_cocycle(cov, perm, i), (perm, i)
 
 
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_cocycles_of_an_array_match_cocycle(variant):
+    rng = random.Random(300)
+    for n in (4, 8, 12):
+        cov = Cover(CoverSpec(n, variant))
+
+        def random_perm():
+            img = list(range(1, n + 1))
+            rng.shuffle(img)
+            return tuple(img)
+
+        sigmas = [random_perm() for _ in range(100)]
+        for tau in (random_perm(), random_perm(), identity_perm(n)):
+            got = cov.cocycles(np.array(sigmas), tau)
+            assert got.tolist() == [cov.cocycle(s, tau) for s in sigmas]
+
+
 def test_lift_is_the_ordered_vector_product():
     # the oracle's integer lift against term-by-term products of the
     # vectors e_i - e_{i+1}, with and without its prefix cache
@@ -310,6 +329,54 @@ def test_preimage_size_bound():
     spec = CoverSpec(8, "plus")
     with pytest.raises(SizeBoundExceeded):
         preimage_subgroup(sylow2_sym_generators(8), spec, size_bound=10)
+    # the bound counts all 2 * 1024 elements of the preimage for S_12
+    gens, spec = sylow2_sym_generators(12), CoverSpec(12, "plus")
+    with pytest.raises(SizeBoundExceeded,
+                       match="^closure exceeded 2047 elements$"):
+        preimage_subgroup(gens, spec, size_bound=2047)
+    assert preimage_subgroup(gens, spec, size_bound=2048).order == 2048
+    # {1, z} alone is past a bound of 1
+    with pytest.raises(SizeBoundExceeded):
+        preimage_subgroup([], spec, size_bound=1)
+    assert preimage_subgroup([], spec, size_bound=2).order == 2
+
+
+def _assert_matches_bfs(table, oracle, rng):
+    assert table.elements == oracle.elements
+    assert table.generators == oracle.generators
+    z = table.generators[-1]
+    assert z == CoverElem(1, identity_perm(len(z.perm)))
+    # the action of every generator, z last, on every index
+    for g, col in zip(oracle.generators, oracle.gen_cols):
+        gi = table.idx(g)
+        assert [table.mul_idx(i, gi) for i in range(table.order)] == col
+    for _ in range(300):
+        i, j = rng.randrange(table.order), rng.randrange(table.order)
+        assert table.mul_idx(i, j) == oracle.mul_idx(i, j)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_sylow_preimages_match_the_cover_bfs(which, variant):
+    rng = random.Random(12)
+    for n in range(4, 13):
+        spec = CoverSpec(n, variant)
+        gens = (sylow2_sym_generators(n) if which == "sym"
+                else sylow2_alt_generators(n))
+        _assert_matches_bfs(preimage_subgroup(gens, spec),
+                            BfsCoverTable(gens, spec), rng)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_alt_and_full_tables_match_the_cover_bfs(variant):
+    rng = random.Random(7)
+    for n in range(4, 8):
+        spec = CoverSpec(n, variant)
+        s = [adjacent_transposition(n, i) for i in range(1, n)]
+        for which, gens in (("alt", [compose(a, b) for a, b in zip(s, s[1:])]),
+                            ("full", s)):
+            _assert_matches_bfs(subgroup_table(spec, which),
+                                BfsCoverTable(gens, spec), rng)
 
 
 def test_alt_cover_subgroup():
