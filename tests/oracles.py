@@ -11,9 +11,9 @@ multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
-the generator matrices, cover tables from a breadth-first closure under cover
-multiplication with every product stored, and class matrices from one
-product per element and class representative.
+the generator matrices, cover groups and tables from a breadth-first closure
+under cover multiplication (for tables with every product stored), and class
+matrices from one product per element and class representative.
 """
 
 from __future__ import annotations
@@ -432,6 +432,23 @@ def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
 # ---------------------------------------------------------------------------
 # group tables: the cover BFS and class matrices element by element
 # ---------------------------------------------------------------------------
+
+def bfs_closure(gens, mul, identity) -> set:
+    """Every element of <gens>, closed breadth-first one product of an
+    element and a generator at a time, with a set of the elements found."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
 
 class BfsCoverTable:
     """The preimage of <gens> in the cover, closed breadth-first under

@@ -60,6 +60,47 @@ def test_cover_verify_fault_injection(capsys, monkeypatch):
     assert failing
 
 
+# stdout recorded while the order still came from a closure under cover
+# multiplication, one product per element and generator, with z a generator
+COVER_VERIFY_SHA256 = {
+    (4, "plus"):
+        "50b5268b943ca478103bcf1cf9706f4354d2aa141891107dad28f14628eee332",
+    (5, "plus"):
+        "a9e6c4514e571858da4c02094e2f1aef4da75157e3d451b373681430fa9057dd",
+    (6, "plus"):
+        "89a6fae675499b839f44e06d360e28d1e769f7ff6b085ac9943bb1660f7f98f0",
+    (7, "plus"):
+        "1858d70505fd788be2b7f5aa56758f54e6786fb41abd615b000868c1dd1bc86d",
+    (8, "plus"):
+        "6dba6cc029821c8e0462dae27270fc88c8f21c0ce0deb06960661fbfa4336806",
+    (4, "minus"):
+        "14c4df0be78f7c5b82fc0f379f40dbb9933c3313f3a9b367fe3ddc118a2e834f",
+    (5, "minus"):
+        "0844f88ed4c249b835ab8728b661ffe1df58c1941a11ed39335a9145a8194ef9",
+    (6, "minus"):
+        "de34f07133cd33af599180dbc6ced25195f0917545bf261cef9bb24bc7064477",
+    (7, "minus"):
+        "6506d35bca32158299daa533794fa06ef5f66a0346f3d006172a0ce9b6fa67bf",
+    (8, "minus"):
+        "35294929d391490891a63c2e1fa4928f29b28eb1367372780f425cd38228be1c",
+}
+
+
+@pytest.mark.parametrize("n, variant", sorted(COVER_VERIFY_SHA256))
+def test_cover_verify_json_is_unchanged(capsys, n, variant):
+    code, out, _ = run(capsys, "cover", "verify", "-n", str(n),
+                       "--variant", variant)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == COVER_VERIFY_SHA256[n, variant])
+
+
+def test_cover_verify_size_bound_exit_code(capsys):
+    assert run(capsys, "cover", "verify", "-n", "6",
+               "--size-bound", "1000") == (
+        3, "", "resource bound exceeded: closure exceeded 1000 elements\n")
+
+
 def test_table1_tsv_byte_exact(capsys):
     code, out, _ = run(capsys, "table1", "--n-max", "16", "--format", "tsv")
     assert code == 0

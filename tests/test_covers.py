@@ -17,6 +17,7 @@ from schur_ed.covers import (
     generalized_quaternion_table,
     get_cover,
     iso_small,
+    lift_closure,
     preimage_subgroup,
     subgroup_table,
     verify_presentation,
@@ -38,6 +39,7 @@ from schur_ed.perms import (
 from oracles import (
     BfsCoverTable,
     CocycleInconsistency,
+    bfs_closure,
     clifford_elementary_cocycle,
     compose_naive,
     integer_lift,
@@ -181,6 +183,44 @@ def test_verify_presentation_transversal():
         assert report.all_ok
         assert report.order == 2 * math.factorial(n)
         assert report.order_method == "transversal"
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_lift_closure_matches_the_cover_bfs(variant):
+    for n in range(4, 7):
+        cov = get_cover(CoverSpec(n, variant))
+        eps, perms = lift_closure(cov)
+        got = {CoverElem(e, tuple(p))
+               for e, p in zip(eps.tolist(), perms.tolist())}
+        assert len(got) == len(eps)
+        want = bfs_closure([cov.gen(i) for i in range(1, n)], cov.mul,
+                           cov.identity)
+        assert got == want
+        assert len(want) == 2 * math.factorial(n)
+
+
+def test_lift_closure_size_bound():
+    cov = get_cover(CoverSpec(6, "minus"))
+    with pytest.raises(SizeBoundExceeded,
+                       match="^closure exceeded 1439 elements$"):
+        lift_closure(cov, size_bound=1439)
+    assert len(lift_closure(cov, size_bound=1440)[0]) == 1440
+    # the seen array would have 2 * 9! entries
+    with pytest.raises(ValueError):
+        lift_closure(get_cover(CoverSpec(9, "plus")))
+
+
+def test_closure_order_depends_on_the_cocycle(monkeypatch):
+    # with every closure bit 0 the lifts close to a copy of S_n; z is not
+    # a generator, so nothing adds the other half back
+    monkeypatch.setattr(Cover, "cocycles", lambda self, sigmas, tau:
+                        np.zeros(len(sigmas), dtype=np.int64))
+    for variant in ("plus", "minus"):
+        report = verify_presentation(CoverSpec(5, variant))
+        assert all(r.ok for r in report.relations)
+        assert report.order == 120 and report.order_method == "closure"
+        assert not report.all_ok
+        assert report.failures() == ["order 120 != 240"]
 
 
 def test_preimage_order_formula(zoo):
