@@ -7,9 +7,9 @@ generating witnesses are explicit words in the cover generators.
 
 from schur_ed import (
     CoverSpec,
-    FiniteGroupTable,
     center,
     conjugacy_classes,
+    cover_subgroup,
     generalized_quaternion_table,
     get_cover,
     iso_small,
@@ -27,7 +27,7 @@ print("sigma^2 == tau^2 == z:",
 print("sigma tau == z tau sigma:",
       cov.mul(sigma, tau) == cov.mul(cov.z, cov.mul(tau, sigma)))
 
-witness = FiniteGroupTable.generate([sigma, tau], cov.mul, cov.identity, 64)
+witness = cover_subgroup([sigma, tau], cov.spec, 64)
 q8 = generalized_quaternion_table(8)
 print("witness group order:", witness.order)
 print("isomorphic to Q8:", iso_small(witness, q8))

@@ -25,6 +25,7 @@ from .covers import (
     center,
     clear_cover_cache,
     conjugacy_classes,
+    cover_subgroup,
     cyclic_table,
     generalized_quaternion_table,
     get_cover,

@@ -190,6 +190,7 @@ def cmd_trace_form(args, config: RunConfig) -> int:
 
 def cmd_trace_check(args, config: RunConfig) -> int:
     _require(4 <= args.n <= 24, "trace-check supports 4 <= n <= 24")
+    _require(args.trials >= 0, "--trials must be nonnegative")
     rng = random.Random(config.seed)
     s = args.n.bit_count()
     passed = disc_ok = 0
@@ -295,6 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if size_bound is None:
             env = os.environ.get(SIZE_BOUND_ENV)
             size_bound = _parse(int, env) if env else DEFAULT_SIZE_BOUND
+        _require(size_bound > 0, "the size bound must be positive")
         config = RunConfig(seed=args.seed, size_bound=size_bound,
                            format=args.format)
         return args.func(args, config)

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -133,32 +133,35 @@ class Cover:
             seen |= 1 << b
         return bit
 
-    def cocycles(self, sigmas: np.ndarray, tau: Perm) -> np.ndarray:
-        """c(sigma, tau) for every row sigma (one-line notation) of a
-        2-d array at once: the closed form of elementary_cocycle, folded
-        over the canonical word of tau.
+    def cocycles(self, sigmas: np.ndarray, taus: Sequence[Perm]) -> np.ndarray:
+        """c(sigma, tau) for every row sigma (one-line notation) of a 2-d
+        array and every tau, one row of bits per tau: the closed form of
+        elementary_cocycle, folded over the canonical word of tau.
 
-        inv[k, b] holds the parity of the inversions of row k with larger
-        value b.  Right multiplication by s_i swaps positions i and i+1,
-        which changes that count only for the larger of the two values."""
+        Bit b of inv[k] is the parity of the inversions of row k with
+        larger value b, built once for all taus.  Right multiplication by
+        s_i swaps positions i and i+1, which changes that count only for
+        the larger of the two values."""
         rows, n = sigmas.shape
-        cur = sigmas.copy()
-        at = np.arange(rows)
-        inv = np.zeros((rows, n + 1), dtype=np.int64)
+        inv0 = np.zeros(rows, dtype=np.int64)
         for q in range(n):
-            smaller = (cur[:, q + 1:] < cur[:, q:q + 1]).sum(axis=1)
-            inv[at, cur[:, q]] = smaller & 1
-        values = np.arange(n + 1)
-        bits = np.zeros(rows, dtype=np.int64)
-        for i in self._word(tau):
-            x, y = cur[:, i - 1].copy(), cur[:, i].copy()
-            top = np.maximum(x, y)
-            bits ^= (inv * (values > top[:, None])).sum(axis=1) & 1
-            if self._minus:
-                bits ^= x > y
-            inv[at, top] ^= 1
-            cur[:, i - 1], cur[:, i] = y, x
-        return bits
+            smaller = (sigmas[:, q + 1:] < sigmas[:, q:q + 1]).sum(axis=1)
+            inv0 |= (smaller & 1) << sigmas[:, q]
+        out = np.zeros((len(taus), rows), dtype=np.int64)
+        for bits, tau in zip(out, taus):
+            cur, inv = sigmas.copy(), inv0.copy()
+            for i in self._word(tau):
+                x, y = cur[:, i - 1].copy(), cur[:, i].copy()
+                top = np.maximum(x, y)
+                above = inv >> (top + 1)
+                for shift in (8, 4, 2, 1):  # fold the parity of <= 16 bits
+                    above ^= above >> shift
+                bits ^= above & 1
+                if self._minus:
+                    bits ^= x > y
+                inv ^= 1 << top
+                cur[:, i - 1], cur[:, i] = y, x
+        return out
 
     def _word(self, perm: Perm) -> Tuple[int, ...]:
         w = self._words.get(perm)
@@ -265,13 +268,15 @@ def verify_presentation(spec: CoverSpec,
     """Check every defining relation of the matching presentation and confirm
     the group order equals 2*n!.
 
-    For n <= 8 the order is the size of the closure of the generator lifts
-    t_1..t_{n-1} alone (lift_closure).  z is not among them: it is reached
-    as (t_1 t_3)^2, so a cocycle that does not put z in the group closes
-    to n! and fails the check.  For larger n the order follows from the
-    transversal argument: every permutation is a product of the generator
-    images (its canonical word is checked to reassemble it), and
-    z = (g_1 g_3)^2 lies in the group, so the element count is exactly 2 * n!.
+    For n <= 8 the order is the number of elements that the lifted columns
+    of t_1..t_{n-1} alone reach from the identity: the columns
+    cover_subgroup builds over S_n, closed as permutations.  z is not among
+    the generators: it is reached as (t_1 t_3)^2, so a cocycle that does
+    not put z in the group reaches n! elements and fails the check.  For
+    larger n the order follows from the transversal argument: every
+    permutation is a product of the generator images (its canonical word is
+    checked to reassemble it), and z = (g_1 g_3)^2 lies in the group, so
+    the element count is exactly 2 * n!.
 
     mul_fn exists for fault injection in tests; it defaults to cover
     multiplication and evaluates every relation word.  The closure does not
@@ -320,7 +325,8 @@ def verify_presentation(spec: CoverSpec,
 
     expected = 2 * math.factorial(n)
     if n <= _CLOSURE_MAX_N:
-        count = len(lift_closure(cov, size_bound)[0])
+        _, cols = _lifted_columns(gens, cov, size_bound)
+        count = sum(len(level) for level in _schreier_tree(cols, 0)[2])
         method = "closure"
     else:
         # z is reachable from the generators and every permutation is hit by
@@ -344,135 +350,121 @@ def verify_presentation(spec: CoverSpec,
     return PresentationReport(spec, rels, count, expected, method)
 
 
-def lift_closure(cov: Cover, size_bound: int = DEFAULT_SIZE_BOUND
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The subgroup generated by the lifts (0, s_i), i = 1..n-1, without z:
-    its elements as an eps vector and a (rows, n) array of permutations in
-    one-line notation, level by level of the breadth-first closure.
-
-    A whole level moves at once.  (eps, sigma) * (0, s_i) is
-    (eps ^ c(sigma, s_i), sigma * s_i): the bits come from Cover.cocycles
-    and sigma * s_i is a gather of sigma's columns.  An element's key is
-    eps * n! + the Lehmer rank of its permutation, and a boolean array over
-    all 2 * n! keys marks those already found, so n is at most
-    _CLOSURE_MAX_N.  Raises SizeBoundExceeded past size_bound elements."""
-    n = cov.spec.n
-    if n > _CLOSURE_MAX_N:
-        raise ValueError(f"lift_closure needs n <= {_CLOSURE_MAX_N}")
-    nfact = math.factorial(n)
-    seen = np.zeros(2 * nfact, dtype=bool)
-    seen[0] = True  # the identity: eps 0, Lehmer rank 0
-    eps = np.zeros(1, dtype=np.int64)
-    perms = np.array([cov.identity.perm], dtype=np.int64)
-    found_eps, found_perms = [eps], [perms]
-    count = 1
-    gens = [adjacent_transposition(n, i) for i in range(1, n)]
-    while len(eps):
-        eps = np.concatenate([eps ^ cov.cocycles(perms, g) for g in gens])
-        perms = np.concatenate([perms[:, np.array(g) - 1] for g in gens])
-        keys = eps * nfact
-        for q in range(n - 1):
-            smaller = (perms[:, q + 1:] < perms[:, q:q + 1]).sum(axis=1)
-            keys += smaller * math.factorial(n - 1 - q)
-        keys, first = np.unique(keys, return_index=True)
-        new = ~seen[keys]
-        seen[keys[new]] = True
-        first = first[new]
-        count += len(first)
-        if count > size_bound:
-            raise SizeBoundExceeded(f"closure exceeded {size_bound} elements")
-        eps, perms = eps[first], perms[first]
-        found_eps.append(eps)
-        found_perms.append(perms)
-    return np.concatenate(found_eps), np.concatenate(found_perms)
-
-
 # ---------------------------------------------------------------------------
 # finite group tables
 # ---------------------------------------------------------------------------
+
+def _schreier_tree(cols: np.ndarray, root: int
+                   ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Breadth-first search from index root along generator columns (row g
+    maps x to x * generator g), a whole level at a time: per index its
+    parent and the generator of the edge into it (-1 where there is none),
+    and the levels, each in increasing order.  An index never reached has
+    parent -1 and is in no level."""
+    size = cols.shape[1]
+    parent = np.full(size, -1, dtype=np.int64)
+    pgen = np.full(size, -1, dtype=np.int64)
+    seen = np.zeros(size, dtype=bool)
+    seen[root] = True
+    level = np.array([root], dtype=np.int64)
+    levels = []
+    while len(level):
+        levels.append(level)
+        step = cols[:, level].ravel()  # generator-major
+        fresh = np.flatnonzero(~seen[step])
+        level, first = np.unique(step[fresh], return_index=True)
+        edge = fresh[first]
+        seen[level] = True
+        parent[level] = levels[-1][edge % len(levels[-1])]
+        pgen[level] = edge // len(levels[-1])
+    return parent, pgen, levels
+
 
 class FiniteGroupTable:
     """A finite group materialized as a canonical element list plus fast
     index-level multiplication.
 
-    A Schreier tree spans the group: element j is parent[j] times the
+    gen_cols[g][x] is the index of element x times generator g.  The
+    constructor spans the group with a Schreier tree, a breadth-first search
+    from the identity over these columns: element j is parent[j] times the
     generator pgen[j], down to the identity (parent -1).  Products fold the
-    right factor's word, read off the tree, through per-generator
-    right-multiplication columns, so a product costs O(tree depth) array
-    lookups no matter how expensive the underlying multiplication was to
-    evaluate once.  `levels` lists the tree's elements with every parent in
-    an earlier level, which lets whole columns be computed level by level.
+    right factor's word, read off the tree, through the columns, so a
+    product costs O(tree depth) array lookups no matter how expensive the
+    underlying multiplication was to evaluate once.  `levels` lists the
+    tree's elements with every parent in an earlier level, which lets whole
+    columns be computed level by level.
     """
 
-    def __init__(self, elements: List, identity, generators: List,
-                 gen_cols: List[List[int]], parent: List[int],
-                 pgen: List[int], levels: List[np.ndarray]):
+    def __init__(self, elements: List, identity, generators: List, gen_cols):
         self.elements = elements
         self.identity = identity
         self.generators = generators
-        self._gen_cols = gen_cols
-        self._parent = parent
-        self._pgen = pgen
-        self._levels = levels
-        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
         self.index = {x: i for i, x in enumerate(elements)}
         self.order = len(elements)
+        self._gen_cols = np.asarray(gen_cols, dtype=np.int64).reshape(
+            len(generators), self.order)
+        self._parent, self._pgen, self._levels = _schreier_tree(
+            self._gen_cols, self.index[identity])
+        if sum(len(level) for level in self._levels) != self.order:
+            raise ValueError("the generators do not reach every element")
         self._inv: Dict[int, int] = {}
         self._elem_order: Dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def generate(cls, generators: List, mul_fn: Callable, identity,
+    def generate(cls, generators: List[Perm],
                  size_bound: int = DEFAULT_SIZE_BOUND) -> "FiniteGroupTable":
-        """Breadth-first closure of the generators under mul_fn.  The table
-        lists the elements in their natural order (for cover elements the
-        tuple order (eps, perm)), so it is independent of discovery order.
-        Raises SizeBoundExceeded past size_bound elements."""
+        """The permutation group generated by `generators` (one-line
+        notation), closed breadth-first a whole level at a time: one gather
+        applies every generator to every element of the frontier.
+
+        A permutation's key packs its first n - 1 entries as base-n digits
+        (n^(n-1) <= 2^60 for n <= 16), so keys sort like the one-line
+        tuples, and the table lists the elements in that order.  New
+        elements are found against the sorted keys so far, and the
+        generator columns by searchsorted.  The identity and repeated
+        generators are dropped.  Raises SizeBoundExceeded past size_bound
+        elements."""
         if size_bound < 1:
             raise SizeBoundExceeded(f"closure exceeded {size_bound} elements")
-        gens = []
-        for g in generators:
-            if g != identity and g not in gens:
-                gens.append(g)
-        # elements by discovery position, and per generator the position of
-        # each element times it
-        found = [identity]
-        pos = {identity: 0}
-        parent, pgen = [-1], [-1]
-        cols: List[List[int]] = [[] for _ in gens]
-        levels = [[0]]
-        while levels[-1]:
-            new = []
-            for xi in levels[-1]:
-                x = found[xi]
-                for gi, g in enumerate(gens):
-                    y = mul_fn(x, g)
-                    yi = pos.get(y)
-                    if yi is None:
-                        yi = pos[y] = len(found)
-                        found.append(y)
-                        parent.append(xi)
-                        pgen.append(gi)
-                        new.append(yi)
-                        if len(found) > size_bound:
-                            raise SizeBoundExceeded(
-                                f"closure exceeded {size_bound} elements")
-                    cols[gi].append(yi)
-            levels.append(new)
-        # the BFS visits elements in discovery order, so cols[gi][xi] is
-        # the product of element xi; renumber everything in sorted order
-        order = sorted(range(len(found)), key=found.__getitem__)
-        rank = [0] * len(found)
-        for r, xi in enumerate(order):
-            rank[xi] = r
-        return cls([found[xi] for xi in order], identity, gens,
-                   [[rank[col[xi]] for xi in order] for col in cols],
-                   [rank[parent[xi]] if parent[xi] >= 0 else -1
-                    for xi in order],
-                   [pgen[xi] for xi in order],
-                   [np.array([rank[xi] for xi in level], dtype=np.int64)
-                    for level in levels[:-1]])
+        n = len(generators[0]) if generators else 0
+        if n > 16:
+            raise ValueError("permutation keys hold at most 16 points")
+        ident = identity_perm(n)
+        gens = list(dict.fromkeys(
+            g for g in map(tuple, generators) if g != ident))
+        moves = np.array(gens, dtype=np.int64).reshape(len(gens), n) - 1
+        digits = np.int64(n) ** np.arange(n - 1)[::-1]
+
+        def keys(rows: np.ndarray) -> np.ndarray:
+            return (rows[:, :n - 1] - 1) @ digits
+
+        frontier = np.array([ident], dtype=np.int64).reshape(1, n)
+        found = keys(frontier)  # sorted keys of every element so far
+        levels, level_keys, products = [], [found], []
+        while len(frontier):
+            levels.append(frontier)
+            # element-major: row x * len(gens) + g is element x times g
+            step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
+            products.append(keys(step))
+            fresh, first = np.unique(products[-1], return_index=True)
+            at = np.searchsorted(found, fresh)
+            new = found[np.minimum(at, len(found) - 1)] != fresh
+            found = np.insert(found, at[new], fresh[new])
+            if len(found) > size_bound:
+                raise SizeBoundExceeded(
+                    f"closure exceeded {size_bound} elements")
+            frontier = step[first[new]]
+            level_keys.append(fresh[new])
+        order = np.argsort(np.concatenate(level_keys))
+        rows = np.concatenate(levels)[order]
+        cols = np.searchsorted(found, np.concatenate(products).reshape(
+            len(rows), len(gens))[order].T)
+        # the tuples are zipped from whole columns, with no list per row,
+        # which keeps the peak memory of large closures down
+        elements = list(zip(*rows.T.tolist())) if n else [()]
+        return cls(elements, ident, gens, cols)
 
     # -- index arithmetic -----------------------------------------------------
 
@@ -496,29 +488,17 @@ class FiniteGroupTable:
             cur = self._gen_cols[gi][cur]
         return cur
 
-    def _tree_arrays(self) -> Tuple[np.ndarray, ...]:
-        """The generator columns (one row per generator), parent and pgen
-        as index arrays."""
-        if self._arrays is None:
-            self._arrays = (
-                np.array(self._gen_cols, dtype=np.int64).reshape(
-                    len(self._gen_cols), self.order),
-                np.array(self._parent, dtype=np.int64),
-                np.array(self._pgen, dtype=np.int64))
-        return self._arrays
-
     def right_column(self, j: int) -> np.ndarray:
         """x * element j for every index x, as one index array."""
-        cols = self._tree_arrays()[0]
         col = np.arange(self.order)
         for gi in self._word(j):
-            col = cols[gi][col]
+            col = self._gen_cols[gi][col]
         return col
 
     def left_column(self, j: int) -> np.ndarray:
         """element j * x for every index x: along the tree, j * x is
         (j * parent(x)) * generator, one level at a time."""
-        cols, parent, pgen = self._tree_arrays()
+        cols, parent, pgen = self._gen_cols, self._parent, self._pgen
         col = np.empty(self.order, dtype=np.int64)
         col[self._levels[0]] = j
         for level in self._levels[1:]:
@@ -560,51 +540,64 @@ class FiniteGroupTable:
                 for i in range(self.order)]
 
 
-def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,
-                      size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
-    """The full preimage of P = <gens> under the projection, of order
-    2*|P|, generated by the lifts (0, g) and z.
-
-    As a set the preimage is {0, 1} x P, so only P is closed, as
-    permutations.  (eps, pi) gets index eps*|P| + rank(pi), which is the
-    CoverElem tuple order.  The column of a lift (0, g) is P's column of g
-    with the cocycle bits c(pi, g) of all pi at once (Cover.cocycles), z is
-    the index shift by |P|, and the Schreier tree of P lifts to one of the
-    preimage with z on the path to (1, identity).  size_bound counts the
-    2*|P| elements of the preimage."""
-    cov = get_cover(spec)
+def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
+                    ) -> Tuple[FiniteGroupTable, np.ndarray]:
+    """P = <g.perm> closed as permutations, and the column of every g on
+    {0, 1} x P, where (eps, pi) has index eps*|P| + rank(pi): P's column of
+    g.perm plus |P| times c(pi, g.perm) XOR g.eps XOR eps.  size_bound
+    counts the 2*|P| indices."""
     try:
-        base = FiniteGroupTable.generate(list(gens), compose,
-                                         cov.identity.perm, size_bound // 2)
+        # the identity fixes the degree when gens is empty
+        base = FiniteGroupTable.generate(
+            [cov.identity.perm] + [g.perm for g in gens], size_bound // 2)
     except SizeBoundExceeded:
         raise SizeBoundExceeded(
             f"closure exceeded {size_bound} elements") from None
     m = base.order
-    perms = np.array(base.elements, dtype=np.int64).reshape(m, spec.n)
-    bits = np.array([cov.cocycles(perms, g) for g in base.generators],
-                    dtype=np.int64).reshape(len(base.generators), m)
-    cols, parent, pgen = base._tree_arrays()
-    cols = cols + m * bits  # (0, pi) * (0, g), then z times it
-    shift = np.concatenate([np.arange(m) + m, np.arange(m)])
-    gen_cols = [np.concatenate([c, shift[c]]) for c in cols] + [shift]
-    # (eps, pi) = (eps ^ c(parent(pi), g), parent(pi)) * (0, g) for the
-    # tree edge g into pi, and (1, identity) = (0, identity) * z
-    edge = np.flatnonzero(parent >= 0)
-    flip = bits[pgen[edge], parent[edge]]
-    up = np.full(2 * m, -1, dtype=np.int64)
-    up[edge] = m * flip + parent[edge]
-    up[edge + m] = m * (1 - flip) + parent[edge]
-    up[m] = 0
-    up_gen = np.concatenate([pgen, pgen])
-    up_gen[m] = len(base.generators)
-    levels = [base._levels[0], base._levels[0] + m] + [
-        np.concatenate([level, level + m]) for level in base._levels[1:]]
+    flip = cov.cocycles(
+        np.array(base.elements, dtype=np.int64).reshape(m, cov.spec.n),
+        [g.perm for g in gens])
+    flip ^= np.array([g.eps for g in gens], dtype=np.int64).reshape(-1, 1)
+    flip *= m
+    cols = np.empty((len(gens), 2 * m), dtype=np.int64)
+    for col, g in zip(cols, gens):
+        col[:m] = col[m:] = base.right_column(base.idx(g.perm))
+    cols[:, :m] += flip
+    cols[:, m:] += m - flip
+    return base, cols
+
+
+def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
+                   size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
+    """The subgroup of the cover generated by gens.
+
+    Only its image P = <g.perm> is closed, as permutations.  (eps, pi) * g
+    is (eps ^ g.eps ^ c(pi, g.perm), pi * g.perm), so the column of g is
+    P's column of g.perm lifted by the cocycle bits of all pi at once
+    (Cover.cocycles), and z is the index shift by |P|.  The subgroup is
+    what these columns reach from the identity: all of {0, 1} x P once z
+    is reached, a copy of P otherwise, renumbered in CoverElem tuple order.
+    The identity and repeated generators are dropped.  size_bound counts
+    the 2*|P| elements of {0, 1} x P."""
+    cov = get_cover(spec)
+    gens = list(dict.fromkeys(g for g in gens if g != cov.identity))
+    base, cols = _lifted_columns(gens, cov, size_bound)
+    m = base.order
+    keep = np.sort(np.concatenate(_schreier_tree(cols, 0)[2]))
+    renumber = np.full(2 * m, -1, dtype=np.int64)
+    renumber[keep] = np.arange(len(keep))
     return FiniteGroupTable(
-        [CoverElem(0, pi) for pi in base.elements]
-        + [CoverElem(1, pi) for pi in base.elements],
-        cov.identity,
-        [CoverElem(0, g) for g in base.generators] + [cov.z],
-        [c.tolist() for c in gen_cols], up.tolist(), up_gen.tolist(), levels)
+        [CoverElem(i // m, base.elements[i % m]) for i in keep.tolist()],
+        cov.identity, gens, renumber[cols[:, keep]])
+
+
+def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,
+                      size_bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupTable:
+    """The full preimage of P = <gens> under the projection, of order
+    2*|P|: the subgroup generated by the lifts (0, g) and z."""
+    cov = get_cover(spec)
+    return cover_subgroup([cov.elem(g) for g in gens] + [cov.z], spec,
+                          size_bound)
 
 
 def subgroup_table(spec: CoverSpec, which: str,
@@ -670,18 +663,14 @@ def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
 
 def _words(cayley: List[List[int]], gens: List[int],
            e: int) -> Dict[int, Tuple[int, ...]]:
-    """A shortest word in gens for every element of <gens>, by BFS."""
+    """A shortest word in gens for every element of <gens>, read off the
+    Schreier tree over the Cayley table's columns."""
+    cols = np.array(cayley, dtype=np.int64)[:, gens].T
+    parent, pgen, levels = _schreier_tree(cols, e)
     words: Dict[int, Tuple[int, ...]] = {e: ()}
-    frontier = [e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = cayley[x][g]
-                if y not in words:
-                    words[y] = words[x] + (g,)
-                    new.append(y)
-        frontier = new
+    for level in levels[1:]:
+        for x in level.tolist():
+            words[x] = words[int(parent[x])] + (gens[pgen[x]],)
     return words
 
 
@@ -735,26 +724,21 @@ def iso_small(A: FiniteGroupTable, B: FiniteGroupTable, bound: int = 128) -> boo
 
 def generalized_quaternion_table(order: int) -> FiniteGroupTable:
     """Q_{2^k} presented by x^(2^(k-1)) = 1, y^2 = x^(2^(k-2)),
-    y x y^-1 = x^-1; elements are pairs (i, j) meaning x^i y^j."""
+    y x y^-1 = x^-1; elements are pairs (i, j) meaning x^i y^j, with
+    index 2i + j, and the generators are x and y."""
     if order < 8 or order & (order - 1):
         raise ValueError("generalized quaternion groups have 2-power order >= 8")
     h = order // 2
-
-    def qmul(a, b):
-        i1, j1 = a
-        i2, j2 = b
-        if j1 == 0:
-            i, j = i1 + i2, j2
-        else:
-            i, j = i1 - i2, 1 + j2
-        if j >= 2:
-            i, j = i + h // 2, j - 2
-        return (i % h, j)
-
-    return FiniteGroupTable.generate([(1, 0), (0, 1)], qmul, (0, 0),
-                                     size_bound=order + 1)
+    i = np.arange(h)
+    # x^i * x = x^(i+1) and x^i y * x = x^(i-1) y; x^i * y = x^i y and
+    # x^i y * y = x^(i + h/2)
+    x_col = np.stack([2 * ((i + 1) % h), 2 * ((i - 1) % h) + 1], axis=1)
+    y_col = np.stack([2 * i + 1, 2 * ((i + h // 2) % h)], axis=1)
+    return FiniteGroupTable([(a, b) for a in range(h) for b in (0, 1)],
+                            (0, 0), [(1, 0), (0, 1)],
+                            [x_col.ravel(), y_col.ravel()])
 
 
 def cyclic_table(order: int) -> FiniteGroupTable:
-    return FiniteGroupTable.generate([1], lambda a, b: (a + b) % order, 0,
-                                     size_bound=order + 1)
+    return FiniteGroupTable(list(range(order)), 0, [1],
+                            [(np.arange(order) + 1) % order])

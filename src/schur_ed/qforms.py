@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import polyq
-from .numth import factorize, is_perfect_square, is_prime, legendre, valuation
+from .numth import (factorize, is_perfect_square, is_prime, legendre,
+                    squarefree_part, valuation)
 from .polyq import Poly
 
 
@@ -128,13 +129,8 @@ class SquareClass:
     @property
     def representative(self) -> int:
         if self._rep is None:
-            n = self.value.numerator * self.value.denominator
-            sign = -1 if n < 0 else 1
-            rep = 1
-            for p, e in factorize(n).items():
-                if e % 2:
-                    rep *= p
-            self._rep = sign * rep
+            self._rep = squarefree_part(
+                self.value.numerator * self.value.denominator)
         return self._rep
 
     def __eq__(self, other):
@@ -336,6 +332,11 @@ class _Invariants:
     pos: int
     neg: int
 
+    @property
+    def disc(self) -> int:
+        """The squarefree representative of the discriminant."""
+        return self.disc_sign * prod(self.disc_parity)
+
     def places(self) -> FrozenSet[Place]:
         out = {INF, TWO} | set(self.hasse)
         for p in self.disc_parity:
@@ -381,25 +382,6 @@ def _disc_is_local_square(inv: _Invariants, v: Place) -> bool:
     return legendre(u % p, p) == 1
 
 
-def _neg_disc_symbol(inv: _Invariants, v: Place) -> int:
-    """(-1, -d)_v from the factored discriminant."""
-    if v.is_infinite:
-        # both arguments negative iff -d < 0 iff d > 0
-        return -1 if inv.disc_sign > 0 else 1
-    p = v.p
-    if p == 2:
-        # (-1, 2^e * u)_2 = (-1)^((u-1)/2); u = odd signed unit part of -d
-        odd_unit = -inv.disc_sign
-        for q in inv.disc_parity:
-            if q != 2:
-                odd_unit *= q
-        return -1 if odd_unit % 4 == 3 else 1
-    # odd p: (-1, b)_p = legendre(-1, p)^(v_p(b))
-    if inv.disc_parity.get(p) and legendre(-1, p) == -1:
-        return -1
-    return 1
-
-
 def _local_isotropic(inv: _Invariants, v: Place) -> bool:
     n = inv.dim
     if v.is_infinite:
@@ -408,7 +390,7 @@ def _local_isotropic(inv: _Invariants, v: Place) -> bool:
         return True
     eps = -1 if v in inv.hasse else 1
     if n == 3:
-        return eps == _neg_disc_symbol(inv, v)
+        return eps == hilbert_symbol(-1, -inv.disc, v)
     if n == 4:
         if not _disc_is_local_square(inv, v):
             return True
@@ -433,7 +415,8 @@ def _split_hyperbolic(inv: _Invariants) -> _Invariants:
     d' = -d; the symbol (-1, -d) can only ramify at oo, 2 and the odd
     primes of d, and is read off the factored discriminant."""
     places = [INF, TWO] + [Place(False, p) for p in inv.disc_parity if p != 2]
-    ramified = frozenset(v for v in places if _neg_disc_symbol(inv, v) == -1)
+    ramified = frozenset(v for v in places
+                         if hilbert_symbol(-1, -inv.disc, v) == -1)
     return _Invariants(inv.dim - 2, -inv.disc_sign, dict(inv.disc_parity),
                        inv.hasse ^ ramified, inv.pos - 1, inv.neg - 1)
 

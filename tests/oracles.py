@@ -450,29 +450,25 @@ def bfs_closure(gens, mul, identity) -> set:
     return seen
 
 
-class BfsCoverTable:
-    """The preimage of <gens> in the cover, closed breadth-first under
-    Cover.mul with z as one more generator: every product of an element
+class BfsTable:
+    """<gens> closed breadth-first under mul: every product of an element
     with a generator is evaluated and stored, and every element keeps the
-    word it was reached by.  Elements are listed in sorted (eps, perm)
-    order."""
+    word it was reached by.  The identity and repeated generators are
+    dropped, and elements are listed in sorted order."""
 
-    def __init__(self, gens, spec):
-        from schur_ed.covers import get_cover
-
-        cov = get_cover(spec)
+    def __init__(self, gens, mul, identity):
         self.generators = []
-        for g in [cov.elem(g) for g in gens] + [cov.z]:
-            if g != cov.identity and g not in self.generators:
+        for g in gens:
+            if g != identity and g not in self.generators:
                 self.generators.append(g)
-        words = {cov.identity: []}
+        words = {identity: []}
         products = {}
-        frontier = [cov.identity]
+        frontier = [identity]
         while frontier:
             new = []
             for x in frontier:
                 for gi, g in enumerate(self.generators):
-                    y = products[x, gi] = cov.mul(x, g)
+                    y = products[x, gi] = mul(x, g)
                     if y not in words:
                         words[y] = words[x] + [gi]
                         new.append(y)
@@ -487,6 +483,18 @@ class BfsCoverTable:
         for gi in self.words[j]:
             i = self.gen_cols[gi][i]
         return i
+
+
+class BfsCoverTable(BfsTable):
+    """The preimage of <gens> in the cover, closed breadth-first under
+    Cover.mul with z as one more generator."""
+
+    def __init__(self, gens, spec):
+        from schur_ed.covers import get_cover
+
+        cov = get_cover(spec)
+        super().__init__([cov.elem(g) for g in gens] + [cov.z], cov.mul,
+                         cov.identity)
 
 
 def class_matrices_by_elements(table, classes) -> List[np.ndarray]:
@@ -659,3 +667,22 @@ def sum_three_squares_soluble_mod_p(p: int) -> bool:
                     if x % p or y % p or z % p:
                         return True
     return False
+
+
+def quaternion_mul(order: int):
+    """Multiplication of Q_order on pairs (i, j) meaning x^i y^j, from the
+    presentation x^(order/2) = 1, y^2 = x^(order/4), y x y^-1 = x^-1."""
+    h = order // 2
+
+    def mul(a, b):
+        i1, j1 = a
+        i2, j2 = b
+        if j1 == 0:
+            i, j = i1 + i2, j2
+        else:
+            i, j = i1 - i2, 1 + j2
+        if j >= 2:
+            i, j = i + h // 2, j - 2
+        return (i % h, j)
+
+    return mul

@@ -18,8 +18,8 @@ from schur_ed.chartab import count_min_faithful, dixon_character_table, min_fait
 from schur_ed.clifford import verify_spin_representation
 from schur_ed.covers import (
     CoverSpec,
-    FiniteGroupTable,
     center,
+    cover_subgroup,
     generalized_quaternion_table,
     get_cover,
     iso_small,
@@ -82,8 +82,7 @@ def test_criterion_2_quaternion_sylows():
         ok = ok and sigma.perm == from_cycles(n, [(1, 3), (2, 4)])
         ok = ok and cov.mul(sigma, sigma) == z == cov.mul(tau, tau)
         ok = ok and cov.mul(sigma, tau) == cov.mul(z, cov.mul(tau, sigma))
-        witness = FiniteGroupTable.generate([sigma, tau], cov.mul,
-                                            cov.identity, 64)
+        witness = cover_subgroup([sigma, tau], cov.spec, 64)
         ok = ok and witness.order == 8 and iso_small(witness, q8)
         sylow = preimage_subgroup(sylow2_alt_generators(n), CoverSpec(n, "plus"))
         ok = ok and iso_small(sylow, q8)
@@ -96,7 +95,7 @@ def test_criterion_2_quaternion_sylows():
         ok = ok and cov.power(y, 4) == cov.identity
         ok = ok and cov.power(y, 2) == cov.power(x, 4)
         ok = ok and cov.mul(cov.mul(y, x), cov.inv(y)) == cov.inv(x)
-        witness = FiniteGroupTable.generate([x, y], cov.mul, cov.identity, 64)
+        witness = cover_subgroup([x, y], cov.spec, 64)
         ok = ok and witness.order == 16 and iso_small(witness, q16)
         sylow = preimage_subgroup(sylow2_alt_generators(n), CoverSpec(n, "plus"))
         ok = ok and iso_small(sylow, q16)

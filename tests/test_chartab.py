@@ -293,3 +293,15 @@ def test_chartab_n14_json_is_unchanged(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_N14_SHA256
+
+
+CHARTAB_N16_SHA256 = (  # stdout while P was closed by a dict BFS
+    "571eda71ee8a11f3694670634b06b877516c8a8f4416cbf20968fd7ffc6f17d7")
+
+
+@pytest.mark.slow
+def test_chartab_n16_json_is_unchanged(capsys):
+    code = cli.main(["chartab", "-n", "16", "--subgroup", "sylow2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_N16_SHA256

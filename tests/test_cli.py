@@ -159,6 +159,23 @@ def test_bad_size_bound_env_is_a_usage_error(capsys, monkeypatch):
     assert code == 2 and err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_size_bound_must_be_positive(capsys, monkeypatch, bound):
+    usage = (2, "", "usage error: the size bound must be positive\n")
+    assert run(capsys, "cover", "verify", "-n", "6",
+               "--size-bound", bound) == usage
+    monkeypatch.setenv(cli.SIZE_BOUND_ENV, bound)
+    assert run(capsys, "chartab", "-n", "4") == usage
+    assert run(capsys, "cover", "verify", "-n", "6") == usage
+
+
+def test_negative_trials_is_a_usage_error(capsys):
+    assert run(capsys, "trace-check", "-n", "5", "--trials", "-3") == (
+        2, "", "usage error: --trials must be nonnegative\n")
+    code, out, _ = run(capsys, "trace-check", "-n", "5", "--trials", "0")
+    assert code == 0 and json.loads(out)["trials"] == 0
+
+
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal inconsistency")
@@ -381,6 +398,23 @@ def test_trace_form_ends_cleanly_on_degrees_13_to_24():
             assert done.stderr.startswith("resource bound exceeded: "), n
 
 
+# stdout recorded while every group was closed by a dict BFS
+DEMO_STDOUT_SHA256 = {
+    "01_double_covers.py":
+        "0bbe31470ef8beb4de6f19133331922a28e60e52f9b7c738b8258cfc556d050c",
+    "02_quaternion_sylows.py":
+        "ef9f34df89291a9e4a1d45755912f61bac32c34f2fe0f0585b71144c05074f39",
+    "03_character_degrees.py":
+        "23630eb21656353b974418fe97548157e4c038bf769faf0c075124ed0c385331",
+    "04_ed_table.py":
+        "ee4e35c4194565a25514acba1e602d420e106ad4f293cd020b6e9aa6d9171cdb",
+    "05_spin_matrices.py":
+        "96abf22c442cb0687693860257679c8d3cc8179c623a0e7147a93becfe76418c",
+    "06_trace_forms.py":
+        "d53b267838c0b9c6f8ed65a97556b635dfffbd099539f6a6928c602d805e851c",
+}
+
+
 @pytest.mark.parametrize(
     "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_smoke(demo):
@@ -389,6 +423,8 @@ def test_demo_smoke(demo):
     assert "FAILED" not in done.stdout and "False" not in done.stdout
     if demo == "06_trace_forms.py":
         assert "25/25" in done.stdout
+    assert (hashlib.sha256(done.stdout.encode()).hexdigest()
+            == DEMO_STDOUT_SHA256[demo])
 
 
 def test_bench_tracer_targets_resolve(monkeypatch):
@@ -398,6 +434,22 @@ def test_bench_tracer_targets_resolve(monkeypatch):
     import tracer
     assert tracer.TARGETS
     tracer.assert_clean()
+
+
+def test_bench_names_resolve_for_every_pass(monkeypatch):
+    # every bench pass, traced or not, checks the wrapped names and resets
+    # the program's module-level state before each job
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import jobs
+    import tracer
+    tracer.assert_clean()
+    recorder = tracer.Recorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    tracer.assert_clean()
+    jobs.ColdStart()()
 
 
 def test_size_bound_exit_code(capsys, monkeypatch):

@@ -13,11 +13,11 @@ from schur_ed.covers import (
     SizeBoundExceeded,
     center,
     conjugacy_classes,
+    cover_subgroup,
     cyclic_table,
     generalized_quaternion_table,
     get_cover,
     iso_small,
-    lift_closure,
     preimage_subgroup,
     subgroup_table,
     verify_presentation,
@@ -38,12 +38,14 @@ from schur_ed.perms import (
 
 from oracles import (
     BfsCoverTable,
+    BfsTable,
     CocycleInconsistency,
     bfs_closure,
     clifford_elementary_cocycle,
     compose_naive,
     integer_lift,
     nu2_factorial,
+    quaternion_mul,
     slow_multivector_mul,
 )
 
@@ -187,34 +189,32 @@ def test_verify_presentation_transversal():
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
 def test_lift_closure_matches_the_cover_bfs(variant):
+    # the subgroup generated by the lifts t_1..t_{n-1} alone
     for n in range(4, 7):
         cov = get_cover(CoverSpec(n, variant))
-        eps, perms = lift_closure(cov)
-        got = {CoverElem(e, tuple(p))
-               for e, p in zip(eps.tolist(), perms.tolist())}
-        assert len(got) == len(eps)
-        want = bfs_closure([cov.gen(i) for i in range(1, n)], cov.mul,
-                           cov.identity)
+        lifts = [cov.gen(i) for i in range(1, n)]
+        table = cover_subgroup(lifts, cov.spec)
+        got = set(table.elements)
+        assert len(got) == table.order
+        want = bfs_closure(lifts, cov.mul, cov.identity)
         assert got == want
         assert len(want) == 2 * math.factorial(n)
 
 
 def test_lift_closure_size_bound():
     cov = get_cover(CoverSpec(6, "minus"))
+    lifts = [cov.gen(i) for i in range(1, 6)]
     with pytest.raises(SizeBoundExceeded,
                        match="^closure exceeded 1439 elements$"):
-        lift_closure(cov, size_bound=1439)
-    assert len(lift_closure(cov, size_bound=1440)[0]) == 1440
-    # the seen array would have 2 * 9! entries
-    with pytest.raises(ValueError):
-        lift_closure(get_cover(CoverSpec(9, "plus")))
+        cover_subgroup(lifts, cov.spec, size_bound=1439)
+    assert cover_subgroup(lifts, cov.spec, size_bound=1440).order == 1440
 
 
 def test_closure_order_depends_on_the_cocycle(monkeypatch):
     # with every closure bit 0 the lifts close to a copy of S_n; z is not
     # a generator, so nothing adds the other half back
-    monkeypatch.setattr(Cover, "cocycles", lambda self, sigmas, tau:
-                        np.zeros(len(sigmas), dtype=np.int64))
+    monkeypatch.setattr(Cover, "cocycles", lambda self, sigmas, taus:
+                        np.zeros((len(taus), len(sigmas)), dtype=np.int64))
     for variant in ("plus", "minus"):
         report = verify_presentation(CoverSpec(5, variant))
         assert all(r.ok for r in report.relations)
@@ -301,8 +301,25 @@ def test_cocycles_of_an_array_match_cocycle(variant):
 
         sigmas = [random_perm() for _ in range(100)]
         for tau in (random_perm(), random_perm(), identity_perm(n)):
-            got = cov.cocycles(np.array(sigmas), tau)
+            got = cov.cocycles(np.array(sigmas), [tau])[0]
             assert got.tolist() == [cov.cocycle(s, tau) for s in sigmas]
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_cocycles_of_several_taus_match_per_tau_calls(variant):
+    rng = np.random.default_rng(301)
+    for n in range(4, 13):
+        cov = Cover(CoverSpec(n, variant))
+        sigmas = np.array([rng.permutation(n) + 1 for _ in range(60)])
+        taus = [tuple((rng.permutation(n) + 1).tolist()) for _ in range(4)]
+        taus += [identity_perm(n), adjacent_transposition(n, n - 1)]
+        got = cov.cocycles(sigmas, taus)
+        assert got.shape == (len(taus), len(sigmas))
+        for tau, bits in zip(taus, got):
+            assert bits.tolist() == cov.cocycles(sigmas, [tau])[0].tolist()
+            assert bits.tolist() == [cov.cocycle(tuple(s), tau)
+                                     for s in sigmas.tolist()]
+        assert cov.cocycles(sigmas, []).shape == (0, len(sigmas))
 
 
 def test_lift_is_the_ordered_vector_product():
@@ -333,13 +350,13 @@ def test_sylow_sym_order(n):
     if n == 1:
         assert gens == []
         return
-    table = FiniteGroupTable.generate(gens, compose, identity_perm(n), 1 << 18)
+    table = FiniteGroupTable.generate(gens, 1 << 18)
     assert table.order == 2 ** nu2_factorial(n)
 
 
 def test_sylow_4_is_dihedral_of_order_8():
     gens = sylow2_sym_generators(4)
-    table = FiniteGroupTable.generate(gens, compose, identity_perm(4), 100)
+    table = FiniteGroupTable.generate(gens, 100)
     assert table.order == 8
     orders = table.element_order_multiset()
     assert orders == {1: 1, 2: 5, 4: 2}  # dihedral, not quaternion
@@ -349,7 +366,7 @@ def test_sylow_4_is_dihedral_of_order_8():
 def test_sylow_alt_order(n):
     gens = sylow2_alt_generators(n)
     assert all(parity(g) == 0 for g in gens)
-    table = FiniteGroupTable.generate(gens, compose, identity_perm(n), 1 << 18)
+    table = FiniteGroupTable.generate(gens, 1 << 18)
     assert table.order == 2 ** (nu2_factorial(n) - 1)
 
 
@@ -381,18 +398,99 @@ def test_preimage_size_bound():
     assert preimage_subgroup([], spec, size_bound=2).order == 2
 
 
-def _assert_matches_bfs(table, oracle, rng):
+def _assert_table_matches(table, oracle, rng):
     assert table.elements == oracle.elements
     assert table.generators == oracle.generators
-    z = table.generators[-1]
-    assert z == CoverElem(1, identity_perm(len(z.perm)))
-    # the action of every generator, z last, on every index
+    # the action of every generator on every index
     for g, col in zip(oracle.generators, oracle.gen_cols):
         gi = table.idx(g)
         assert [table.mul_idx(i, gi) for i in range(table.order)] == col
     for _ in range(300):
         i, j = rng.randrange(table.order), rng.randrange(table.order)
         assert table.mul_idx(i, j) == oracle.mul_idx(i, j)
+
+
+def _assert_matches_bfs(table, oracle, rng):
+    z = table.generators[-1]
+    assert z == CoverElem(1, identity_perm(len(z.perm)))
+    _assert_table_matches(table, oracle, rng)
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_generate_matches_the_bfs_on_sylow_subgroups(which):
+    rng = random.Random(21)
+    for n in range(4, 13):
+        gens = (sylow2_sym_generators(n) if which == "sym"
+                else sylow2_alt_generators(n))
+        _assert_table_matches(
+            FiniteGroupTable.generate(gens),
+            BfsTable(gens, compose, identity_perm(n)), rng)
+
+
+def test_reference_tables_match_the_bfs():
+    rng = random.Random(23)
+    for order in (2, 3, 8, 12):
+        _assert_table_matches(
+            cyclic_table(order),
+            BfsTable([1], lambda a, b: (a + b) % order, 0), rng)
+    for order in (8, 16, 32):
+        _assert_table_matches(
+            generalized_quaternion_table(order),
+            BfsTable([(1, 0), (0, 1)], quaternion_mul(order), (0, 0)), rng)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_cover_subgroup_matches_the_bfs(variant):
+    # random cover elements with a repeat and the identity among them,
+    # the Q8 witnesses, a pair with a central bit, and z alone
+    rng = random.Random(24)
+    for n in range(4, 7):
+        cov = get_cover(CoverSpec(n, variant))
+
+        def random_elem():
+            img = list(range(1, n + 1))
+            rng.shuffle(img)
+            return CoverElem(rng.randint(0, 1), tuple(img))
+
+        for k in (1, 2, 3):
+            gens = [random_elem() for _ in range(k)]
+            gens += [gens[0], cov.identity]
+            _assert_table_matches(cover_subgroup(gens, cov.spec),
+                                  BfsTable(gens, cov.mul, cov.identity), rng)
+        for gens in ([cov.word(1, 2, 3, 1, 2, 3), cov.word(1, 3)],
+                     [cov.word(1, 2, 3), cov.mul(cov.z, cov.gen(2))],
+                     [cov.z]):
+            _assert_table_matches(cover_subgroup(gens, cov.spec),
+                                  BfsTable(gens, cov.mul, cov.identity), rng)
+
+
+def test_table_constructor_needs_every_element_reached():
+    with pytest.raises(ValueError, match="do not reach every element"):
+        FiniteGroupTable(list(range(4)), 0, [2], [[2, 3, 0, 1]])
+    t = FiniteGroupTable(list(range(4)), 0, [1], [[1, 2, 3, 0]])
+    assert [t.mul_idx(i, 3) for i in range(4)] == [3, 0, 1, 2]
+
+
+def test_generate_without_generators_is_trivial():
+    assert FiniteGroupTable.generate([]).elements == [()]
+    t = FiniteGroupTable.generate([identity_perm(5)] * 2)
+    assert (t.order, t.generators) == (1, [])
+    with pytest.raises(SizeBoundExceeded,
+                       match="^closure exceeded 0 elements$"):
+        FiniteGroupTable.generate([identity_perm(5)], 0)
+    with pytest.raises(SizeBoundExceeded,
+                       match="^closure exceeded 23 elements$"):
+        FiniteGroupTable.generate(
+            [adjacent_transposition(4, i) for i in (1, 2, 3)], 23)
+
+
+def test_generate_matches_the_bfs_on_symmetric_groups():
+    rng = random.Random(22)
+    for n in range(4, 8):
+        gens = [adjacent_transposition(n, i) for i in range(1, n)]
+        _assert_table_matches(
+            FiniteGroupTable.generate(gens),
+            BfsTable(gens, compose, identity_perm(n)), rng)
 
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -454,7 +552,7 @@ def test_center_of_abelian_group_is_everything():
 
 
 def test_conjugacy_classes_small():
-    t = FiniteGroupTable.generate([1], lambda a, b: (a + b) % 2, 0, 10)
+    t = cyclic_table(2)
     classes = conjugacy_classes(t)
     assert [len(c) for c in classes] == [1, 1]
     q8 = generalized_quaternion_table(8)
@@ -504,8 +602,7 @@ def test_lemma_witnesses_q8():
             assert cov.mul(sigma, sigma) == z
             assert cov.mul(tau, tau) == z
             assert cov.mul(sigma, tau) == cov.mul(z, cov.mul(tau, sigma))
-            witness = FiniteGroupTable.generate([sigma, tau], cov.mul,
-                                                cov.identity, 64)
+            witness = cover_subgroup([sigma, tau], cov.spec, 64)
             assert witness.order == 8
             assert iso_small(witness, generalized_quaternion_table(8))
 
@@ -520,6 +617,6 @@ def test_lemma_witnesses_q16():
         assert cov.power(y, 4) == cov.identity
         assert cov.power(y, 2) == cov.power(x, 4)
         assert cov.mul(cov.mul(y, x), cov.inv(y)) == cov.inv(x)
-        witness = FiniteGroupTable.generate([x, y], cov.mul, cov.identity, 64)
+        witness = cover_subgroup([x, y], cov.spec, 64)
         assert witness.order == 16
         assert iso_small(witness, generalized_quaternion_table(16))
