@@ -4,14 +4,19 @@ which decide squarefreeness and coprimality) and for certifying
 irreducibility of randomly drawn factors via reduction mod p.
 
 A polynomial is a tuple of Fractions, ascending degree, no trailing zeros.
+The kernels run on integer coefficient lists: a polynomial is scaled once by
+the lcm of its denominators, resultants follow the subresultant PRS over Z,
+power sums of an integral polynomial are ints, and the certificates mod p
+reduce the scaled list, not each Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul as _times
+from typing import Dict, List, Sequence, Tuple
 
 Poly = Tuple[Fraction, ...]
 
@@ -42,34 +47,61 @@ def mul(f: Poly, g: Poly) -> Poly:
     return poly(out)
 
 
-def derivative(f: Poly) -> Poly:
-    return poly([i * c for i, c in enumerate(f)][1:])
+def _integral(f: Sequence) -> Tuple[List[int], int]:
+    """(F, den): den is the lcm of the denominators of f and F = den * f is
+    its integer coefficient list."""
+    den = lcm(*[c.denominator for c in f])
+    return [c.numerator * (den // c.denominator) for c in f], den
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants (Sylvester determinant, exact)
+# resultants and discriminants (subresultant PRS on integers, exact)
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(M: List[List[int]]) -> int:
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+def _pseudo_rem(a: List[int], b: List[int]) -> List[int]:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z."""
+    lb = b[-1]
+    r = a[:]
+    for k in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = ([lb * x for x in r[:k]]
+             + [lb * x - top * y for x, y in zip(r[k:], b)])
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _subresultant(a: List[int], b: List[int]) -> int:
+    """res(a, b) of integer polynomials of degree >= 1 by the subresultant
+    PRS (Cohen, GTM 138, Alg. 3.3.7): every division is exact, so the
+    coefficients stay the size of subresultants, and the whole sequence
+    costs about (m+n)^2 integer operations against the (m+n)^3 of a
+    Sylvester determinant."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    ca, cb = gcd(*a), gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    g = h = 1
+    while True:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+        r = _pseudo_rem(a, b)
+        if not r:
+            return 0
+        q = g * h ** delta
+        a, b = b, [x // q for x in r]
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return s * t * (b[0] ** da // h ** (da - 1))
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -77,42 +109,40 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     if m < 0 or n < 0:
         return Fraction(0)
     if m == 0:
-        return f[0] ** n
+        return Fraction(f[0]) ** n
     if n == 0:
-        return g[0] ** m
-    den = lcm(*[c.denominator for c in f + g])
-    fi = [c.numerator * (den // c.denominator) for c in f]
-    gi = [c.numerator * (den // c.denominator) for c in g]
-    size = m + n
-    M = [[0] * size for _ in range(size)]
-    for row in range(n):
-        for i, c in enumerate(reversed(fi)):
-            M[row][row + i] = c
-    for row in range(m):
-        for i, c in enumerate(reversed(gi)):
-            M[n + row][row + i] = c
-    det = _bareiss_det(M)
-    return Fraction(det, den ** size)
+        return Fraction(g[0]) ** m
+    fi, df = _integral(f)
+    gi, dg = _integral(g)
+    return Fraction(_subresultant(fi, gi), df ** n * dg ** m)
 
 
 def discriminant(f: Poly) -> Fraction:
+    """(-1)^(d(d-1)/2) res(f, f') / lc(f).  With F = den * f integral this is
+    (-1)^(d(d-1)/2) res(F, F') / (den^(2d-2) lc(F))."""
     d = degree(f)
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
+    if d == 1:
+        return Fraction(1)
+    F, den = _integral(f)
+    res = _subresultant(F, [i * c for i, c in enumerate(F)][1:])
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, derivative(f)) / f[-1]
+    return Fraction(sign * res, den ** (2 * d - 2) * F[-1])
 
 
-def power_sums(f: Poly, count: int) -> List[Fraction]:
-    """Newton power sums p_0..p_{count-1} of the roots of monic f, as
-    Fractions.  The recurrence runs in int when every coefficient is an
-    integer, since then every power sum is one."""
+def power_sums(f: Poly, count: int) -> List:
+    """Newton power sums p_0..p_{count-1} of the roots of monic f: ints
+    when every coefficient is an integer, since then every power sum is
+    one, and Fractions otherwise."""
     if not is_monic(f):
         raise ValueError("power sums assume a monic polynomial")
     d = degree(f)
     # c[i] is the coefficient of x^i
-    c = [a.numerator for a in f] if all(a.denominator == 1 for a in f) else f
-    p = [d]
+    if all(a.denominator == 1 for a in f):
+        c, p = [a.numerator for a in f], [d]
+    else:
+        c, p = f, [Fraction(d)]
     for k in range(1, count):
         if k <= d:
             acc = -k * c[d - k]
@@ -123,7 +153,7 @@ def power_sums(f: Poly, count: int) -> List[Fraction]:
             for j in range(1, d + 1):
                 acc -= c[d - j] * p[k - j]
         p.append(acc)
-    return [Fraction(x) for x in p]
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +228,14 @@ def format_poly(f: Poly) -> str:
 # irreducibility certificates mod p (Berlekamp's matrix)
 # ---------------------------------------------------------------------------
 
-def _pm(f: Poly, p: int) -> List[int]:
-    if any(c.denominator % p == 0 for c in f):
-        raise ValueError("denominator divisible by p")
-    out = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pm_mulmod(a: List[int], b: List[int], m: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pm_rem([c % p for c in out], m, p)
-
-
 def _pm_rem(a: List[int], m: List[int], p: int) -> List[int]:
     a = a[:]
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm:
-        if a[-1]:
-            c = a[-1] * inv % p
-            k = len(a) - 1 - dm
-            for i, y in enumerate(m):
-                a[k + i] = (a[k + i] - c * y) % p
-        a.pop()
+    inv = pow(m[-1], -1, p)
+    low = m[:-1]
+    for k in range(len(a) - len(m), -1, -1):
+        c = a.pop() * inv % p
+        if c:
+            a[k:] = [(x - c * y) % p for x, y in zip(a[k:], low)]
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -238,79 +247,118 @@ def _pm_gcd(a: List[int], b: List[int], p: int) -> List[int]:
     return a
 
 
-def _gf_rank(rows: List[List[int]], p: int) -> int:
-    """Rank of a matrix over GF(p) by Gaussian elimination; consumes rows."""
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        prow = rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
+def _gf_independent(rows: List[List[int]], p: int) -> bool:
+    """Are the rows linearly independent over GF(p)?  Each row is reduced
+    by the pivots before it; the first row that reduces to zero ends the
+    elimination."""
+    pivots: List[Tuple[int, List[int]]] = []
+    for row in rows:
+        for col, prow in pivots:
+            c = row[col]
             if c:
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], prow)]
-        rank += 1
-    return rank
+                row = [(x - c * y) % p for x, y in zip(row, prow)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        inv = pow(row[col], -1, p)
+        pivots.append((col, [x * inv % p for x in row]))
+    return True
 
 
-def is_irreducible_mod_p(f: Poly, p: int) -> bool:
-    """Berlekamp's criterion: a squarefree f of degree d mod p has as many
-    irreducible factors as Q - I has nullity, where row i of Q is
-    x^(i*p) mod f.  f irreducible mod p certifies irreducibility over Q
-    (for f whose degree does not drop mod p).
+# p -> the rows (r^0, r^1, ...) mod p for r = 0..p-1; filled on first use
+# (under 0.1 ms per prime), wide enough for degree 12 and widened on demand
+_RESIDUE_POWERS: Dict[int, List[Tuple[int, ...]]] = {}
 
-    Before the matrix is built, f is evaluated at every residue by Horner's
-    rule: a root mod p is a linear factor of an f of degree >= 2, so the
-    answer is False either way.  A random f has a root mod p with
-    probability about 1 - 1/e, and is then rejected in p*d steps instead of
-    a d x d rank."""
-    try:
-        fp = _pm(f, p)
-    except ValueError:
-        return False
-    d = len(fp) - 1
-    if d != degree(f) or d < 1:
+
+def _residue_powers(p: int, width: int) -> List[Tuple[int, ...]]:
+    rows = _RESIDUE_POWERS.get(p)
+    if rows is None or len(rows[0]) < width:
+        col = [1] * p
+        cols = [col]
+        for _ in range(max(width, 13) - 1):
+            col = [x * r % p for r, x in enumerate(col)]
+            cols.append(col)
+        rows = _RESIDUE_POWERS[p] = list(zip(*cols))
+    return rows
+
+
+def _irreducible_mod_p(f: List[int], p: int) -> bool:
+    """Berlekamp's criterion for an integer coefficient list f of degree
+    d >= 1: True iff f mod p has degree d and is irreducible.
+
+    f is first evaluated at every residue by a dot product with that
+    residue's powers: a root mod p is a linear factor, and a random f has
+    one with probability about 1 - 1/e, so most candidates stop here in
+    p short dot products.  Otherwise the nullity of Q - I, where row i of Q
+    is x^(i*p) mod f, is the number of distinct irreducible factors of f
+    mod p (Berlekamp's subalgebra has dimension one over each primary
+    factor), and f is irreducible iff that number is 1 and f is squarefree
+    mod p.  Row i+1 of Q is row i times the matrix of multiplication by
+    x^p, whose rows x^(p+j) mod f come from x^p by multiplying by x."""
+    d = len(f) - 1
+    if f[-1] % p == 0:
         return False
     if d == 1:
         return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(fp):
-            acc = (acc * r + c) % p
-        if acc == 0:
+    for row in _residue_powers(p, d + 1):
+        if not sum(map(_times, f, row)) % p:
             return False
+    inv = pow(f[-1], -1, p)
+    fp = [c * inv % p for c in f]
+    # x^d = sum low[k] x^k mod f; v runs through x^k mod f
+    low = [-c % p for c in fp[:-1]]
+    k = min(p, d - 1)
+    v = [0] * d
+    v[k] = 1
+    times_xp = []
+    while len(times_xp) < d:
+        if k >= p:
+            times_xp.append(v)
+        top = v[-1]
+        v = [0] + v[:-1]
+        if top:
+            v = [(a + top * b) % p for a, b in zip(v, low)]
+        k += 1
+    cols = list(zip(*times_xp))
+    rows: List[List[int]] = []
+    power = times_xp[0]
+    for i in range(1, d):
+        if i > 1:
+            power = [sum(map(_times, power, col)) % p for col in cols]
+        row = power[:]
+        row[i] = (row[i] - 1) % p
+        rows.append(row)
+    # row 0 of Q - I is zero.  Rows 1..d-1 are independent iff f mod p is
+    # a power of one irreducible g; then f = g exactly when f is squarefree
+    if not _gf_independent(rows, p):
+        return False
     der = [(i * c) % p for i, c in enumerate(fp)][1:]
     while der and der[-1] == 0:
         der.pop()
-    if not der or len(_pm_gcd(fp, der, p)) != 1:
+    return bool(der) and len(_pm_gcd(fp, der, p)) == 1
+
+
+def is_irreducible_mod_p(f: Poly, p: int) -> bool:
+    """Is f irreducible mod p, with no drop in degree?  False when p
+    divides a denominator of f.  Irreducible mod p certifies irreducible
+    over Q.  Runs the kernel `certify_irreducible` runs, on den * f."""
+    d = degree(f)
+    if d < 1:
         return False
-    xp = _pm_rem([0] * p + [1], fp, p)
-    rows: List[List[int]] = []
-    power = [1]
-    for i in range(d):
-        if i:
-            power = _pm_mulmod(power, xp, fp, p)
-        row = power + [0] * (d - len(power))
-        row[i] = (row[i] - 1) % p
-        rows.append(row)
-    return _gf_rank(rows, p) == d - 1
+    F, den = _integral(f)
+    return den % p != 0 and _irreducible_mod_p(F, p)
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def certify_irreducible(f: Poly) -> bool:
+def certify_irreducible(f: Sequence) -> bool:
     """True if some small prime certifies irreducibility over Q.  A False
-    return means 'not certified', not 'reducible'."""
-    if degree(f) == 1:
-        return True
-    for p in _CERT_PRIMES:
-        try:
-            if is_irreducible_mod_p(f, p):
-                return True
-        except ValueError:
-            continue
-    return False
+    return means 'not certified', not 'reducible'.  f is a Poly or a list
+    of int coefficients (ascending, no trailing zero); it is scaled to
+    integers once for all the primes."""
+    d = degree(f)
+    if d < 2:
+        return d == 1
+    F, den = _integral(f)
+    return any(den % p and _irreducible_mod_p(F, p) for p in _CERT_PRIMES)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import polyq
@@ -250,7 +250,7 @@ class QuadFormQ:
     __slots__ = ("diag", "_hasse")
 
     def __init__(self, diag: Sequence):
-        entries = [Fraction(d) for d in diag]
+        entries = [d if type(d) is Fraction else Fraction(d) for d in diag]
         if any(d == 0 for d in entries):
             raise ValueError("diagonal entries must be nonzero")
         self.diag = tuple(entries)
@@ -290,10 +290,8 @@ class QuadFormQ:
 
 
 def discriminant(q: QuadFormQ) -> SquareClass:
-    prod = Fraction(1)
-    for d in q.diag:
-        prod *= d
-    return SquareClass(prod)
+    return SquareClass(Fraction(prod(d.numerator for d in q.diag),
+                                prod(d.denominator for d in q.diag)))
 
 
 def signature(q: QuadFormQ) -> Tuple[int, int]:
@@ -488,7 +486,8 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
     (m[i][j]*d - m[i][0]*m[j][0]) // prev, an exact division, and an entry
     m stands for the rational m / (den*prev), prev being the last pivot (1
     at the start).  The pivot is the diagonal entry whose rational has the
-    smallest numerator*denominator bit size, to limit coefficient growth.
+    smallest numerator*denominator bit size, to limit coefficient growth;
+    the size is read off a gcd, so no Fraction is built for a candidate.
     An all-zero diagonal is mended by adding row and column j to row and
     column i for the first nonzero m[i][j]: a unimodular congruence, so the
     divisions stay exact.  The diagonal returned is that of the
@@ -500,11 +499,14 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
     prev = 1
     for step in range(n):
         size = n - step
+        scale = abs(den * prev)
         best = None
         for i in range(size):
-            if m[i][i] != 0:
-                v = Fraction(m[i][i], den * prev)
-                cost = abs(v.numerator).bit_length() + v.denominator.bit_length()
+            x = m[i][i]
+            if x != 0:
+                # bit sizes of the reduced x / (den*prev)
+                g = gcd(x, scale)
+                cost = (abs(x) // g).bit_length() + (scale // g).bit_length()
                 if best is None or cost < best[0]:
                     best = (cost, i)
         if best is None:
@@ -546,10 +548,11 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
 class EtaleAlgebraQ:
     """Product of Q[x]/(f_i) for monic squarefree pairwise-coprime f_i.
 
-    Validity is proved with the integer Bareiss resultant: f_i is squarefree
+    Validity is proved with the subresultant resultant: f_i is squarefree
     iff disc(f_i) != 0, and f_i, f_j are coprime iff res(f_i, f_j) != 0.
     The product disc(f_i) * res(f_i, f_j)^2 over all factors and pairs is
-    the discriminant of the defining polynomial; it is kept as `disc` for
+    the discriminant of the defining polynomial; its numerator and
+    denominator are multiplied up as integers and kept as `disc` for
     `etale_discriminant`."""
 
     factors: Tuple[Poly, ...]
@@ -558,21 +561,23 @@ class EtaleAlgebraQ:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
-        disc = Fraction(1)
+        num = den = 1
         for f in self.factors:
             if polyq.degree(f) < 1 or not polyq.is_monic(f):
                 raise ValueError("factors must be monic of positive degree")
             d = polyq.discriminant(f)
             if d == 0:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
-            disc *= d
+            num *= d.numerator
+            den *= d.denominator
         for i in range(len(self.factors)):
             for j in range(i + 1, len(self.factors)):
                 r = polyq.resultant(self.factors[i], self.factors[j])
                 if r == 0:
                     raise ValueError("factors must be pairwise coprime")
-                disc *= r * r
-        object.__setattr__(self, "disc", disc)
+                num *= r.numerator ** 2
+                den *= r.denominator ** 2
+        object.__setattr__(self, "disc", Fraction(num, den))
 
     @classmethod
     def from_polynomial(cls, f: Poly) -> "EtaleAlgebraQ":
@@ -594,14 +599,15 @@ class EtaleAlgebraQ:
 
 def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
     """The form x -> Tr(x^2): Gram matrix Tr(x^(i+j)) in the power basis of
-    each factor (Newton power sums), diagonalized exactly."""
+    each factor (Newton power sums, ints for an integral factor: a Hankel
+    matrix of integers), diagonalized exactly."""
     if E.dim > 24:
         raise ValueError("trace forms capped at dimension 24")
     diag: List[Fraction] = []
     for f in E.factors:
         d = polyq.degree(f)
         sums = polyq.power_sums(f, 2 * d - 1)
-        gram = [[sums[i + j] for j in range(d)] for i in range(d)]
+        gram = [sums[i:i + d] for i in range(d)]
         diag.extend(diagonalize_gram(gram))
     return QuadFormQ(diag)
 
@@ -647,11 +653,11 @@ def random_etale_algebra(n: int, rng: random.Random) -> EtaleAlgebraQ:
 def _random_irreducible(d: int, rng: random.Random) -> Optional[Poly]:
     bound = 20 if d <= 5 else (5 if d <= 8 else 2)
     for _ in range(64):
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(d)]
-        f = polyq.poly(coeffs + [Fraction(1)])
-        # certified irreducible implies squarefree: no separate check
-        if polyq.certify_irreducible(f):
-            return f
+        coeffs = [rng.randint(-bound, bound) for _ in range(d)] + [1]
+        # certified irreducible implies squarefree: no separate check; only
+        # the candidate that is kept becomes a Poly of Fractions
+        if polyq.certify_irreducible(coeffs):
+            return polyq.poly(coeffs)
     return None
 
 

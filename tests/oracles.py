@@ -5,8 +5,9 @@ products are reduced by explicit generator-list bubbling, elementary cocycle
 values come from the Clifford definition of the canonical lifts (integer
 products of the vectors e_i - e_{i+1}, compared exactly), power sums come
 from companion matrices, the validity of an etale algebra from polynomial gcds
-over Q, Gram diagonals from Schur complements in Fractions, irreducibility mod p
-from Rabin's test, permutation facts from naive mapping composition, degree
+over Q, resultants and discriminants from Sylvester determinants by Bareiss
+elimination, Gram diagonals from Schur complements in Fractions,
+irreducibility mod p from Rabin's test, permutation facts from naive mapping composition, degree
 multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
@@ -19,6 +20,7 @@ matrices from one product per element and class representative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -341,6 +343,65 @@ def schur_diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
         m = [[m[i][j] - m[i][0] * m[j][0] / d for j in range(1, size)]
              for i in range(1, size)]
     return diag
+
+
+def _bareiss_det(M: List[List[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss
+    elimination; 1 for the empty matrix."""
+    n = len(M)
+    if n == 0:
+        return 1
+    M = [row[:] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
+    """res(f, g) as the determinant of the (m+n) x (m+n) Sylvester matrix:
+    n shifted rows of f's coefficients over m shifted rows of g's, highest
+    degree first.  Both are scaled to integers by the lcm `den` of all
+    their denominators, so res = det / den^(m+n).  0 if f or g is the zero
+    polynomial; a constant c against a polynomial of degree k gives c^k."""
+    if not f or not g:
+        return Fraction(0)
+    m, n = len(f) - 1, len(g) - 1
+    f = [Fraction(c) for c in f]
+    g = [Fraction(c) for c in g]
+    den = lcm(*[c.denominator for c in f + g])
+    fi = [c.numerator * (den // c.denominator) for c in f]
+    gi = [c.numerator * (den // c.denominator) for c in g]
+    size = m + n
+    M = [[0] * size for _ in range(size)]
+    for row in range(n):
+        for i, c in enumerate(reversed(fi)):
+            M[row][row + i] = c
+    for row in range(m):
+        for i, c in enumerate(reversed(gi)):
+            M[n + row][row + i] = c
+    return Fraction(_bareiss_det(M), den ** size)
+
+
+def sylvester_discriminant(f: Sequence[Fraction]) -> Fraction:
+    """(-1)^(d(d-1)/2) res(f, f') / lc(f) by the Sylvester determinant."""
+    d = len(f) - 1
+    der = [i * Fraction(c) for i, c in enumerate(f)][1:]
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * sylvester_resultant(f, der) / Fraction(f[-1])
 
 
 # ---------------------------------------------------------------------------

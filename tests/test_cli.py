@@ -341,6 +341,23 @@ def test_trace_check_deterministic_output(capsys):
     assert out1 == out2
 
 
+# stdout of `trace-check -n 12 --trials 100`, recorded while the
+# certificates, resultants and Gram elimination ran on Fractions
+TRACE_CHECK_SHA256 = {
+    0: "42652904ecaafe6c5bf870d127b55c1e72d42a11010d98794c8e86fa6ef5ef72",
+    4242: "42652904ecaafe6c5bf870d127b55c1e72d42a11010d98794c8e86fa6ef5ef72",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRACE_CHECK_SHA256))
+def test_trace_check_stdout_is_pinned(capsys, seed):
+    code, out, _ = run(capsys, "--seed", str(seed), "trace-check", "-n", "12",
+                       "--trials", "100")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == TRACE_CHECK_SHA256[seed])
+
+
 def _python(args, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

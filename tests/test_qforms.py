@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -40,6 +41,8 @@ from oracles import (
     schur_diagonalize_gram,
     sum_three_squares_insoluble_mod8,
     sum_three_squares_soluble_mod_p,
+    sylvester_discriminant,
+    sylvester_resultant,
 )
 
 
@@ -462,7 +465,66 @@ def test_power_sums_against_companion_oracle():
         d = len(f) - 1
         got = power_sums(f, 2 * d)
         assert got == companion_power_traces(f, 2 * d), text
-        assert all(type(x) is Fraction for x in got)
+        # ints for an integral f (the trace form's integer Hankel matrix)
+        want = int if all(c.denominator == 1 for c in f) else Fraction
+        assert all(type(x) is want for x in got), text
+
+
+def _resultant_pairs():
+    """Seeded (f, g) pairs for the resultant: integral and rational,
+    monic and not, every degree from 0 to 9, the zero polynomial, and pairs
+    with a shared factor."""
+    rng = random.Random(1997)
+
+    def draw(d, rational):
+        while True:
+            cs = [Fraction(rng.randint(-6, 6),
+                           rng.choice([1, 2, 3, 5]) if rational else 1)
+                  for _ in range(d + 1)]
+            if cs[-1]:
+                return polyq.poly(cs)
+
+    P = parse_poly
+    pairs = [((), P("x^2 + 1")), (P("x^3 - 2"), ()), ((), ()),
+             (P("3"), P("x^2 - 5")), (P("x - 1/2"), P("-4")),
+             (P("7/3"), P("2/5")), (P("x^2 - 1"), P("x - 1")),
+             (P("2x^2 + 3x"), P("x^3"))]
+    for _ in range(160):
+        rational = rng.random() < 0.5
+        f = draw(rng.randint(0, 9), rational)
+        g = draw(rng.randint(0, 9), rational)
+        if rng.random() < 0.2:
+            h = draw(rng.randint(1, 3), rational)
+            f, g = polyq.mul(f, h), polyq.mul(g, h)
+        pairs.append((f, g))
+    return pairs
+
+
+def test_resultant_matches_sylvester_oracle():
+    zeros = 0
+    for f, g in _resultant_pairs():
+        want = sylvester_resultant(f, g)
+        assert polyq.resultant(f, g) == want, (f, g)
+        # res(g, f) = (-1)^(mn) res(f, g)
+        m, n = len(f) - 1, len(g) - 1
+        assert polyq.resultant(g, f) == (-1) ** (m * n % 2) * want, (f, g)
+        assert type(polyq.resultant(f, g)) is Fraction
+        zeros += want == 0
+    assert zeros >= 30
+
+
+def test_discriminant_matches_sylvester_oracle():
+    seen_zero = False
+    for f, g in _resultant_pairs():
+        for h in (f, g, polyq.mul(f, g)):
+            if len(h) < 2:
+                with pytest.raises(ValueError):
+                    polyq.discriminant(h)
+                continue
+            want = sylvester_discriminant(h)
+            assert polyq.discriminant(h) == want, h
+            seen_zero = seen_zero or want == 0
+    assert seen_zero
 
 
 def test_trace_form_examples():
@@ -579,6 +641,32 @@ def test_random_etale_disc_and_subform():
             assert contains_ones(q, s)
 
 
+# sha256 of the draws of random_etale_algebra(n, Random(seed)), five per n
+# for n = 4..12 and seeds 0, 1, 2, 4242 (one line of factors per draw), and
+# of their trace-form diagonals and kept discriminants; recorded while the
+# certificates, resultants and Gram elimination ran on Fractions
+DRAWS_SHA256 = \
+    "7d2674bddb25a425c4251d027cd02bae20a130ce94c9f5ebd04ea034d16d039f"
+FORMS_SHA256 = \
+    "3c45e4e12d061b565181b9c1c909b7765d6602144f7ce143cc4981165978fa73"
+
+
+def test_random_etale_draw_stream_is_pinned():
+    draws, forms = hashlib.sha256(), hashlib.sha256()
+    for seed in (0, 1, 2, 4242):
+        rng = random.Random(seed)
+        for n in range(4, 13):
+            for _ in range(5):
+                E = random_etale_algebra(n, rng)
+                draws.update((";".join(",".join(str(c) for c in f)
+                                       for f in E.factors) + "\n").encode())
+                q = trace_form(E)
+                forms.update((",".join(str(x) for x in q.diag)
+                              + f"|{E.disc}\n").encode())
+    assert draws.hexdigest() == DRAWS_SHA256
+    assert forms.hexdigest() == FORMS_SHA256
+
+
 def test_random_etale_draws_match_rabin_certificates(monkeypatch):
     def draws():
         out = []
@@ -589,8 +677,16 @@ def test_random_etale_draws_match_rabin_certificates(monkeypatch):
         return out
 
     fast = draws()
-    monkeypatch.setattr(polyq, "is_irreducible_mod_p", rabin_irreducible_mod_p)
+    calls = []
+
+    def rabin(f, p):
+        calls.append(p)
+        return rabin_irreducible_mod_p(f, p)
+
+    # the kernel certify_irreducible runs for each prime, on den * f
+    monkeypatch.setattr(polyq, "_irreducible_mod_p", rabin)
     assert draws() == fast
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +711,10 @@ def test_berlekamp_matches_rabin_random():
             coeffs[rng.randrange(d)] = Fraction(rng.randint(-9, 9),
                                                 rng.choice([2, 3, 5, 7]))
         f = polyq.poly(coeffs + [1])
-        for p in polyq._CERT_PRIMES:
-            assert polyq.is_irreducible_mod_p(f, p) == \
-                rabin_irreducible_mod_p(f, p), (f, p)
+        rabin = [rabin_irreducible_mod_p(f, p) for p in polyq._CERT_PRIMES]
+        for p, want in zip(polyq._CERT_PRIMES, rabin):
+            assert polyq.is_irreducible_mod_p(f, p) == want, (f, p)
+        assert polyq.certify_irreducible(f) == any(rabin), f
 
 
 def test_berlekamp_known_factorizations():
