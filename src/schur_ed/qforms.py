@@ -177,9 +177,8 @@ def _two_adic_sym(a: Fraction, b: Fraction) -> int:
 
 
 def _val_unit(a: Fraction, p: int) -> Tuple[int, int]:
-    """a = p^v * (x/y) with x, y prime to p; returns (v, unit mod lifting)
-    where the unit is returned as an integer x*y' ... here simply x*y with
-    the sign, which is a p-adic unit in the same square class."""
+    """(v, x*y) for a = p^v * x/y with x, y integers prime to p: x*y keeps
+    the sign of a and is a p-adic unit in the square class of x/y."""
     vn, un = valuation(a.numerator, p)
     vd, ud = valuation(a.denominator, p)
     return vn - vd, un * ud
@@ -221,23 +220,9 @@ def _cached_factorize(n: int) -> Dict[int, int]:
     return got
 
 
-def _odd_primes_of(x: Fraction) -> FrozenSet[int]:
-    out = set()
-    for n in (x.numerator, x.denominator):
-        for p, e in _cached_factorize(n).items():
-            if p != 2 and e % 2:
-                out.add(p)
-    return frozenset(out)
-
-
 def quaternion_class(a, b) -> BrauerClass2:
-    """The Brauer class of the quaternion algebra (a, b)."""
-    a, b = Fraction(a), Fraction(b)
-    candidates = {INF, TWO}
-    for p in _odd_primes_of(a) | _odd_primes_of(b):
-        candidates.add(Place(False, p))
-    return BrauerClass2(
-        v for v in candidates if hilbert_symbol(a, b, v) == -1)
+    """The Brauer class of the quaternion algebra (a, b), that of <a, b>."""
+    return QuadFormQ([a, b]).hasse
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +230,27 @@ def quaternion_class(a, b) -> BrauerClass2:
 # ---------------------------------------------------------------------------
 
 class QuadFormQ:
-    """Non-degenerate diagonal form <a_1, ..., a_n> over Q."""
+    """Non-degenerate diagonal form <a_1, ..., a_n> over Q.
 
-    __slots__ = ("diag", "_hasse")
+    `witnesses` are nonzero integers such that at each odd prime dividing
+    none of them the form is isometric to a diagonal form of p-adic units,
+    whose local invariants are trivial.  They default to the numerators and
+    denominators of the entries."""
 
-    def __init__(self, diag: Sequence):
+    __slots__ = ("diag", "witnesses", "_hasse", "_places")
+
+    def __init__(self, diag: Sequence,
+                 witnesses: Optional[Iterable[int]] = None):
         entries = [d if type(d) is Fraction else Fraction(d) for d in diag]
         if any(d == 0 for d in entries):
             raise ValueError("diagonal entries must be nonzero")
         self.diag = tuple(entries)
+        if witnesses is None:
+            witnesses = (n for d in entries
+                         for n in (d.numerator, d.denominator))
+        self.witnesses = tuple(witnesses)
         self._hasse: Optional[BrauerClass2] = None
+        self._places: Optional[FrozenSet[Place]] = None
 
     @classmethod
     def parse(cls, text: str) -> "QuadFormQ":
@@ -263,6 +259,18 @@ class QuadFormQ:
     @property
     def dim(self) -> int:
         return len(self.diag)
+
+    @property
+    def places(self) -> FrozenSet[Place]:
+        """oo, 2 and the odd primes of the witnesses, factored on first use:
+        the only places where a local invariant of the form can be
+        nontrivial."""
+        if self._places is None:
+            odd = {p for n in self.witnesses for p in _cached_factorize(n)
+                   if p != 2}
+            self._places = frozenset(
+                [INF, TWO] + [Place(False, p) for p in odd])
+        return self._places
 
     @property
     def hasse(self) -> BrauerClass2:
@@ -275,14 +283,15 @@ class QuadFormQ:
         return "<" + ", ".join(str(d) for d in self.diag) + ">"
 
     def orthogonal_sum(self, other: "QuadFormQ") -> "QuadFormQ":
-        return QuadFormQ(self.diag + other.diag)
+        return QuadFormQ(self.diag + other.diag,
+                         self.witnesses + other.witnesses)
 
     def to_json(self) -> dict:
         """The invariants as JSON."""
         return {
             "dim": self.dim,
             "diag": [str(d) for d in self.diag],
-            "disc": discriminant(self).representative,
+            "disc": _squarefree_disc(self),
             "signature": list(signature(self)),
             "hasse_ramified": self.hasse.to_json(),
             "witt_index": witt_index(self),
@@ -299,14 +308,21 @@ def signature(q: QuadFormQ) -> Tuple[int, int]:
     return pos, q.dim - pos
 
 
+def _squarefree_disc(q: QuadFormQ) -> int:
+    """The squarefree integer in the class of the discriminant, read off
+    the valuations of the entries at q.places."""
+    d = -1 if signature(q)[1] % 2 else 1
+    for v in q.places:
+        if not v.is_infinite and sum(_val_unit(x, v.p)[0] for x in q.diag) % 2:
+            d *= v.p
+    return d
+
+
 def hasse_invariant(q: QuadFormQ) -> BrauerClass2:
-    """w_2(q) = sum over i < j of the classes (a_i, a_j)."""
-    candidates = {INF, TWO}
-    for d in q.diag:
-        for p in _odd_primes_of(d):
-            candidates.add(Place(False, p))
+    """w_2(q) = sum over i < j of the classes (a_i, a_j), evaluated at
+    q.places."""
     ramified = []
-    for v in candidates:
+    for v in q.places:
         sym = 1
         for i in range(q.dim):
             for j in range(i + 1, q.dim):
@@ -320,64 +336,30 @@ def hasse_invariant(q: QuadFormQ) -> BrauerClass2:
 
 @dataclass
 class _Invariants:
-    """(dim, disc, Hasse set, signature) with disc kept in factored form:
-    sign and the parity of each odd prime exponent plus the 2-exponent."""
+    """(dim, disc, Hasse set, signature), disc the signed squarefree
+    integer of the discriminant's class, and the places off which all of
+    them are trivial."""
 
     dim: int
-    disc_sign: int
-    disc_parity: Dict[int, int]  # prime -> exponent mod 2 (odd entries only)
+    disc: int
     hasse: FrozenSet[Place]
     pos: int
     neg: int
-
-    @property
-    def disc(self) -> int:
-        """The squarefree representative of the discriminant."""
-        return self.disc_sign * prod(self.disc_parity)
-
-    def places(self) -> FrozenSet[Place]:
-        out = {INF, TWO} | set(self.hasse)
-        for p in self.disc_parity:
-            if p != 2:
-                out.add(Place(False, p))
-        return frozenset(out)
+    places: FrozenSet[Place]
 
 
 def _invariants(q: QuadFormQ) -> _Invariants:
-    disc_sign = 1
-    parity: Dict[int, int] = {}
-    for d in q.diag:
-        if d < 0:
-            disc_sign = -disc_sign
-        for n in (d.numerator, d.denominator):
-            for p, e in _cached_factorize(n).items():
-                if e % 2:
-                    parity[p] = parity.get(p, 0) ^ 1
-    parity = {p: 1 for p, b in parity.items() if b}
     pos, neg = signature(q)
-    return _Invariants(q.dim, disc_sign, parity, q.hasse.ramified, pos, neg)
+    return _Invariants(q.dim, _squarefree_disc(q), q.hasse.ramified, pos, neg,
+                       q.places)
 
 
-def _disc_is_local_square(inv: _Invariants, v: Place) -> bool:
+def _disc_is_local_square(d: int, v: Place) -> bool:
     if v.is_infinite:
-        return inv.disc_sign > 0
-    p = v.p
-    if inv.disc_parity.get(p):
+        return d > 0
+    if d % v.p == 0:
         return False
-    if p == 2:
-        # odd unit part mod 8
-        u = inv.disc_sign
-        for q, _ in inv.disc_parity.items():
-            if q != 2:
-                u = u * q % 8
-        return u % 8 == 1
-    u = inv.disc_sign
-    for q, _ in inv.disc_parity.items():
-        if q != 2:
-            u = u * (q % p) % p
-        else:
-            u = u * 2 % p
-    return legendre(u % p, p) == 1
+    return d % 8 == 1 if v.p == 2 else legendre(d % v.p, v.p) == 1
 
 
 def _local_isotropic(inv: _Invariants, v: Place) -> bool:
@@ -390,7 +372,7 @@ def _local_isotropic(inv: _Invariants, v: Place) -> bool:
     if n == 3:
         return eps == hilbert_symbol(-1, -inv.disc, v)
     if n == 4:
-        if not _disc_is_local_square(inv, v):
+        if not _disc_is_local_square(inv.disc, v):
             return True
         return eps == hilbert_symbol(-1, -1, v)
     return False
@@ -402,21 +384,19 @@ def _is_isotropic_inv(inv: _Invariants) -> bool:
     if inv.dim >= 5:
         return inv.pos > 0 and inv.neg > 0
     if inv.dim == 2:
-        # isotropic iff -d is a global square: negative sign and no odd
-        # prime parities
-        return inv.disc_sign == -1 and not inv.disc_parity
-    return all(_local_isotropic(inv, v) for v in inv.places())
+        # isotropic iff -d is a global square
+        return inv.disc == -1
+    return all(_local_isotropic(inv, v) for v in inv.places)
 
 
 def _split_hyperbolic(inv: _Invariants) -> _Invariants:
     """Invariants of q' where q = H + q'.  w2(q) = w2(q') + (-1, d') with
-    d' = -d; the symbol (-1, -d) can only ramify at oo, 2 and the odd
-    primes of d, and is read off the factored discriminant."""
-    places = [INF, TWO] + [Place(False, p) for p in inv.disc_parity if p != 2]
-    ramified = frozenset(v for v in places
+    d' = -d; the symbol (-1, -d) is trivial off the places of q, which
+    are those of q'."""
+    ramified = frozenset(v for v in inv.places
                          if hilbert_symbol(-1, -inv.disc, v) == -1)
-    return _Invariants(inv.dim - 2, -inv.disc_sign, dict(inv.disc_parity),
-                       inv.hasse ^ ramified, inv.pos - 1, inv.neg - 1)
+    return _Invariants(inv.dim - 2, -inv.disc, inv.hasse ^ ramified,
+                       inv.pos - 1, inv.neg - 1, inv.places)
 
 
 def is_isotropic(q: QuadFormQ) -> bool:
@@ -429,7 +409,7 @@ def _witt_index(q: QuadFormQ, target: int) -> int:
     the dimension is >= 5 a form over Q is isotropic iff it is indefinite
     (Hasse-Minkowski with Meyer's theorem), so those splits need the
     signature only; the local invariants are built (which factors the
-    entries) only for a residual of dimension <= 4."""
+    witnesses) only for a residual of dimension <= 4."""
     pos, neg = signature(q)
     dim, w = q.dim, 0
     while dim >= 5 and w < target:
@@ -460,7 +440,7 @@ def contains_ones(q: QuadFormQ, s: int) -> bool:
         raise ValueError("need 0 <= s <= dim q")
     if s == 0:
         return True
-    probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s)
+    probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s, q.witnesses)
     return _witt_index(probe, s) >= s
 
 
@@ -469,7 +449,7 @@ def is_isometric(q1: QuadFormQ, q2: QuadFormQ) -> bool:
     and signature."""
     return (q1.dim == q2.dim
             and discriminant(q1) == discriminant(q2)
-            and hasse_invariant(q1) == hasse_invariant(q2)
+            and q1.hasse == q2.hasse
             and signature(q1) == signature(q2))
 
 
@@ -553,21 +533,26 @@ class EtaleAlgebraQ:
     The product disc(f_i) * res(f_i, f_j)^2 over all factors and pairs is
     the discriminant of the defining polynomial; its numerator and
     denominator are multiplied up as integers and kept as `disc` for
-    `etale_discriminant`."""
+    `etale_discriminant`.  The disc(f_i) are kept as `factor_discs` for
+    `trace_form`."""
 
     factors: Tuple[Poly, ...]
     disc: Fraction = field(init=False, compare=False, repr=False)
+    factor_discs: Tuple[Fraction, ...] = field(init=False, compare=False,
+                                               repr=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
         num = den = 1
+        discs = []
         for f in self.factors:
             if polyq.degree(f) < 1 or not polyq.is_monic(f):
                 raise ValueError("factors must be monic of positive degree")
             d = polyq.discriminant(f)
             if d == 0:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
+            discs.append(d)
             num *= d.numerator
             den *= d.denominator
         for i in range(len(self.factors)):
@@ -578,6 +563,7 @@ class EtaleAlgebraQ:
                 num *= r.numerator ** 2
                 den *= r.denominator ** 2
         object.__setattr__(self, "disc", Fraction(num, den))
+        object.__setattr__(self, "factor_discs", tuple(discs))
 
     @classmethod
     def from_polynomial(cls, f: Poly) -> "EtaleAlgebraQ":
@@ -600,16 +586,23 @@ class EtaleAlgebraQ:
 def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
     """The form x -> Tr(x^2): Gram matrix Tr(x^(i+j)) in the power basis of
     each factor (Newton power sums, ints for an integral factor: a Hankel
-    matrix of integers), diagonalized exactly."""
+    matrix of integers), diagonalized exactly.  Each factor f adds as
+    witnesses the numerator and denominator of disc(f) and the lcm `den`
+    of its denominators: in the basis (den*x)^i its Gram matrix is integral
+    with determinant den^(d(d-1)) disc(f), so unimodular at every other odd
+    prime (Cassels, Rational Quadratic Forms, 1978)."""
     if E.dim > 24:
         raise ValueError("trace forms capped at dimension 24")
     diag: List[Fraction] = []
-    for f in E.factors:
+    witnesses: List[int] = []
+    for f, disc in zip(E.factors, E.factor_discs):
         d = polyq.degree(f)
         sums = polyq.power_sums(f, 2 * d - 1)
         gram = [sums[i:i + d] for i in range(d)]
         diag.extend(diagonalize_gram(gram))
-    return QuadFormQ(diag)
+        witnesses += [disc.numerator, disc.denominator,
+                      lcm(*[c.denominator for c in f])]
+    return QuadFormQ(diag, witnesses)
 
 
 def etale_discriminant(E: EtaleAlgebraQ) -> SquareClass:
@@ -760,5 +753,5 @@ def lemma_disc_one_identity(q: QuadFormQ) -> bool:
     rest = QuadFormQ(q.diag[1:]) if q.dim > 1 else None
     rhs = quaternion_class(q.diag[0], -1)
     if rest is not None:
-        rhs = rhs + hasse_invariant(rest)
-    return hasse_invariant(q) == rhs
+        rhs = rhs + rest.hasse
+    return q.hasse == rhs

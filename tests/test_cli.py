@@ -386,33 +386,76 @@ def test_trace_check_finishes_on_the_advertised_degrees():
     assert all(code == "0" for *_, code in codes), codes
 
 
+# stdout of `trace-form` on the defining polynomials of seeded draws
+# random_etale_algebra(n, Random(1000 * n + s)) and on rational monic
+# polynomials, recorded while every local invariant factored the diagonal
+TRACE_FORM_SHA256 = {
+    (4, 0): "c1f2922995abcaa8fbbb062f2e742fbc7d0377f670dc6e3a348bf0e888785c32",
+    (7, 3): "bc6312359202369b82df206e889009c5e927b1795b437dc2ffb2f8605382149e",
+    (8, 2): "786de4990d77f0aeed053ed33db16976acf5b057d2ba6732bbcebdfaabd0e473",
+    (9, 5): "609feaed196d9e9d9aa185803601b0a0c0d87371054f76dca9d1f815bd09827c",
+    (11, 5): "0daa26728eabd49729836cdeb6a5b396aa7b465a809c6912832fd4f810db37f6",
+    (12, 5): "60be2f10d06cae9b7a0619e0ff4802d75cf0cf1bdcf92759047758218ed7a054",
+    "x^9 + 4/3*x^8 + x^7 - x^6 + 2/3*x^5 - 4*x^4 - 1/6*x^3 + 2/5*x^2"
+    " + 5/12*x + 8/9":
+        "77fc7b1bf94e88377c6342959956f1b2a4484ffe2745e558796cdcb94e57c6e9",
+    "x^9 - 4/3*x^8 + 6/5*x^7 + 9/5*x^5 + 8/5*x^4 - 3/2*x^3 + 2/5*x^2"
+    " - 2/3*x + 5/2":
+        "9d24985d3aef8bd2f77b46799f50389d3421b9bae510db24e66c46661be3855c",
+    "x^9 - 5/6*x^8 - 5/3*x^7 + 1/3*x^6 + 6*x^5 - 4*x^4 - 7/9*x^3"
+    " + 8*x^2 - 1/3*x - 7/2":
+        "6cd3b8e76b1b1ed14f16a624c37dd45cd59f3483b8bc910da3e1c0b2095f2365",
+}
+
+
+def _seeded_poly(n, seed):
+    E = qforms.random_etale_algebra(n, random.Random(seed))
+    return polyq.format_poly(E.defining_polynomial())
+
+
+@pytest.mark.parametrize("case", list(TRACE_FORM_SHA256), ids=str)
+def test_trace_form_stdout_is_pinned(capsys, case):
+    poly = case if isinstance(case, str) else _seeded_poly(
+        case[0], 1000 * case[0] + case[1])
+    code, out, _ = run(capsys, "trace-form", poly)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_FORM_SHA256[case]
+
+
 def test_trace_form_gives_up_on_a_hard_factorization():
-    # a degree-24 factor drawn by random_etale_algebra(24, Random(2)): one
-    # entry of its trace form leaves a 122-bit composite cofactor that Brent
-    # rho does not split, so the effort cap ends the run with exit 3
+    # the draw random_etale_algebra(22, Random(22)): its discriminant leaves
+    # a 187-bit composite cofactor that Brent rho does not split, so the
+    # effort cap ends the run with exit 3
+    done = _python(["-m", "schur_ed", "trace-form", _seeded_poly(22, 22)],
+                   timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("resource bound exceeded: factoring a ")
+    # random_etale_algebra(24, Random(2)): an entry of its trace form leaves
+    # a 122-bit cofactor, but its discriminant factors, and only that is
+    # factored
     poly = ("x^24 - x^23 + 2*x^22 - x^21 - 2*x^20 - x^18 + x^16 + 2*x^15"
             " - 2*x^14 + x^13 - 2*x^12 - 2*x^11 + 2*x^10 - 2*x^9 + 2*x^7"
             " + x^6 + x^5 + 2*x^4 - x^3 + 2*x^2 + 1")
     done = _python(["-m", "schur_ed", "trace-form", poly], timeout=60)
-    assert done.returncode == 3, done.stderr
-    assert done.stdout == ""
-    assert done.stderr.startswith("resource bound exceeded: factoring a ")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["dim"] == 24
 
 
 @pytest.mark.slow
 def test_trace_form_ends_cleanly_on_degrees_13_to_24():
-    # seeded squarefree inputs of every degree above criterion 10's range:
-    # most entries of these trace forms leave a cofactor that reaches the
-    # factorize cap (a few seconds), so each run gets its own 30 s budget
+    # seeded squarefree inputs of every degree above criterion 10's range.
+    # Only the discriminant is factored; at degrees 22 and 23 it leaves a
+    # cofactor that reaches the factorize cap (a few seconds), so each run
+    # gets its own 30 s budget
     for n in range(13, 25):
-        f = qforms.random_etale_algebra(n, random.Random(n))
-        poly = polyq.format_poly(f.defining_polynomial())
-        done = _python(["-m", "schur_ed", "trace-form", poly], timeout=30)
-        assert done.returncode in (0, 1, 3), (n, done.stderr)
-        if done.returncode == 0:
-            assert json.loads(done.stdout)["dim"] == n
-        elif done.returncode == 3:
+        done = _python(["-m", "schur_ed", "trace-form", _seeded_poly(n, n)],
+                       timeout=30)
+        if n in (22, 23) and done.returncode == 3:
             assert done.stderr.startswith("resource bound exceeded: "), n
+            continue
+        assert done.returncode == 0, (n, done.stderr)
+        assert json.loads(done.stdout)["dim"] == n
 
 
 # stdout recorded while every group was closed by a dict BFS

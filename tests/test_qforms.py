@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schur_ed import covers, numth, polyq, qforms
+from schur_ed import cli, covers, numth, polyq, qforms
 from schur_ed.numth import factorize, is_prime, next_prime, squarefree_part
 from schur_ed.polyq import parse_poly
 from schur_ed.qforms import (
@@ -313,10 +313,8 @@ def test_split_hyperbolic_gives_the_residual_invariants():
         split = qforms._split_hyperbolic(
             qforms._invariants(QuadFormQ([1, -1]).orthogonal_sum(rest)))
         want = qforms._invariants(rest)
-        assert (split.dim, split.disc_sign, split.disc_parity, split.hasse,
-                split.pos, split.neg) == (
-            want.dim, want.disc_sign, want.disc_parity, want.hasse,
-            want.pos, want.neg), rest
+        assert (split.dim, split.disc, split.hasse, split.pos, split.neg) == (
+            want.dim, want.disc, want.hasse, want.pos, want.neg), rest
 
 
 def test_isometry_classification():
@@ -627,6 +625,79 @@ def test_etale_validity_matches_gcd_oracle():
     for n in (4, 9, 12):
         for _ in range(5):
             assert _validity(random_etale_algebra(n, rng).factors) == "ok"
+
+
+def _rational_etale(rng: random.Random) -> EtaleAlgebraQ:
+    """A seeded etale algebra of one to three monic factors of degree 1..6
+    with rational coefficients."""
+    while True:
+        factors = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            d = rng.randint(1, 6)
+            factors.append(polyq.poly(
+                [Fraction(rng.randint(-9, 9),
+                          rng.choice([1, 2, 3, 4, 6, 9, 12]))
+                 for _ in range(d)] + [1]))
+        try:
+            return EtaleAlgebraQ(tuple(factors))
+        except ValueError:
+            continue
+
+
+def _certified_and_oracle_forms():
+    """(trace_form(E), the same diagonal with the default witnesses) for
+    seeded integral algebras of degree 4..12 and rational ones."""
+    for n in range(4, 13):
+        for s in range(6):
+            E = random_etale_algebra(n, random.Random(1000 * n + s))
+            q = trace_form(E)
+            yield q, QuadFormQ(q.diag)
+    rng = random.Random(60)
+    for _ in range(60):
+        q = trace_form(_rational_etale(rng))
+        yield q, QuadFormQ(q.diag)
+
+
+def test_trace_form_places_agree_with_the_entry_factored_oracle():
+    # the witnesses of a trace form are the factors' discriminants and
+    # denominators; the oracle factors every diagonal entry instead, and on
+    # 88 of these 114 forms it evaluates more places
+    narrower = 0
+    for q, oracle in _certified_and_oracle_forms():
+        assert q.witnesses != oracle.witnesses
+        try:
+            want = (oracle.hasse, witt_index(oracle), is_isotropic(oracle),
+                    oracle.to_json())
+        except covers.SizeBoundExceeded:
+            continue
+        got = (q.hasse, witt_index(q), is_isotropic(q), q.to_json())
+        assert got == want, q
+        narrower += q.places < oracle.places
+    assert narrower >= 80
+
+
+def test_trace_check_batch_factors_nothing(monkeypatch):
+    seen = _count_factorize(monkeypatch)
+    rng = random.Random(4242)
+    for n in range(4, 25):
+        for _ in range(3):
+            E = random_etale_algebra(n, rng)
+            q = trace_form(E)
+            assert contains_ones(q, n.bit_count())
+            assert discriminant(q) == etale_discriminant(E)
+    assert seen == []
+
+
+def test_trace_form_invariants_factor_only_the_witnesses(monkeypatch):
+    seen = _count_factorize(monkeypatch)
+    rng = random.Random(5)
+    for n in (4, 6, 8, 10, 12):
+        E = random_etale_algebra(n, rng)
+        f = E.defining_polynomial()
+        witnesses = set(trace_form(EtaleAlgebraQ.from_polynomial(f)).witnesses)
+        del seen[:]
+        assert cli.main(["trace-form", polyq.format_poly(f)]) == 0
+        assert seen and set(seen) <= witnesses, (n, seen)
 
 
 def test_random_etale_disc_and_subform():
