@@ -98,42 +98,42 @@ def _gf_rref(M: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     for c in range(cols):
         if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if M[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nz = np.flatnonzero(M[r:, c])
+        if not nz.size:
             continue
+        pivot = r + int(nz[0])
         if pivot != r:
             M[[r, pivot]] = M[[pivot, r]]
         M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        mask = M[:, c].copy()
-        mask[r] = 0
-        M -= np.outer(mask, M[r])
-        M %= p
+        others = np.flatnonzero(M[:, c])
+        others = others[others != r]
+        if others.size:
+            M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
         pivots.append(c)
         r += 1
     return M[:r], pivots
 
 
-def _gf_nullspace(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows span {v : M v = 0}."""
-    R, pivots = _gf_rref(M, p)
-    n = M.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, fc])) % p
-    return basis
+def _inverses(p: int) -> np.ndarray:
+    """x^(p-2) mod p for every x in GF(p): the inverses, and 0 at 0."""
+    inv = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    return inv
 
 
 # ---------------------------------------------------------------------------
 # Dixon's method
 # ---------------------------------------------------------------------------
+
+# elements gathered per bincount of a class-matrix combination
+_GATHER = 1 << 14
+
 
 class _ClassData:
     def __init__(self, table: FiniteGroupTable):
@@ -149,7 +149,8 @@ class _ClassData:
             int(class_of[table.inv_idx(rep)]) for rep in self.reps
         ]
         # _right[u, y] = n*u + (class of y * g_u), so that one bincount
-        # over a set of elements y counts the pairs (u, t)
+        # over a set of elements y and a run of rows u, shifted to start
+        # at 0, counts the pairs (u, t)
         self._right = np.empty((self.n, table.order), dtype=np.int32)
         for u, rep in enumerate(self.reps):
             self._right[u] = class_of[table.right_column(rep)] + self.n * u
@@ -165,27 +166,48 @@ class _ClassData:
         eigenvectors of all B_r are the rows of the character table up to
         normalization.  As x runs over C_r, x^-1 runs over the inverse
         class C_r*, so B_r[t, u] counts the y in C_r* with y g_u in C_t."""
-        n = self.n
         ys = self.classes[self.inv_class[r]]
-        counts = np.bincount(self._right[:, ys].ravel(), minlength=n * n)
-        return counts.reshape(n, n).T
+        return self._count(ys, [1] * len(ys))
 
     def mixture(self, rng: random.Random, p: int,
                 classes: range) -> np.ndarray:
         """A seeded random combination mod p of the class matrices B_r,
-        r in classes."""
-        M = np.zeros((self.n, self.n), dtype=np.int64)
+        r in classes: sum_r c_r B_r[t, u] sums c_r over the y in C_r* with
+        y g_u in C_t."""
+        ys: List[int] = []
+        weights: List[int] = []
         for r in classes:
-            M += rng.randrange(1, p) * self.class_matrix(r)
-        return M % p
+            c = rng.randrange(1, p)
+            ys.extend(self.classes[self.inv_class[r]])
+            weights.extend([c] * self.sizes[self.inv_class[r]])
+        return self._count(ys, weights) % p
+
+    def _count(self, ys: List[int], weights: List[int]) -> np.ndarray:
+        """M[t, u] = the sum of weights[i] over the i with ys[i] g_u in C_t,
+        one weighted bincount for a few rows u at a time.  The weights are
+        integers and every sum stays below |G| max(weights) < 2^53, so the
+        float sums are exact."""
+        n = self.n
+        ys = np.array(ys)
+        weights = np.array(weights, dtype=np.float64)
+        counts = np.zeros(n * n)
+        step = max(1, _GATHER // len(ys))
+        for u in range(0, n, step):
+            rows = self._right[u:u + step, ys]
+            rows -= n * u
+            part = np.bincount(rows.ravel(), np.tile(weights, len(rows)))
+            counts[n * u:n * u + len(part)] += part
+        return counts.astype(np.int64).reshape(n, n).T
 
 
-def _hessenberg(A: np.ndarray, p: int) -> np.ndarray:
-    """An upper Hessenberg matrix similar to A mod p, by Gaussian
-    similarity transforms: for each column j, clear the entries below the
-    subdiagonal with row operations and undo them on the columns."""
+def _hessenberg(A: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(H, X) with H upper Hessenberg and A X = X H mod p, X invertible, by
+    Gaussian similarity transforms: for each column j, clear the entries
+    below the subdiagonal with row operations and undo them on the columns
+    of H; X takes the same column operations, starting from I."""
     H = A % p
     k = H.shape[0]
+    X = np.eye(k, dtype=np.int64)
     for j in range(k - 2):
         nz = np.flatnonzero(H[j + 1:, j])
         if not nz.size:
@@ -194,6 +216,7 @@ def _hessenberg(A: np.ndarray, p: int) -> np.ndarray:
         if i != j + 1:
             H[[i, j + 1]] = H[[j + 1, i]]
             H[:, [i, j + 1]] = H[:, [j + 1, i]]
+            X[:, [i, j + 1]] = X[:, [j + 1, i]]
         u = H[j + 2:, j] * pow(int(H[j + 1, j]), p - 2, p) % p
         if not u.any():
             continue
@@ -201,17 +224,19 @@ def _hessenberg(A: np.ndarray, p: int) -> np.ndarray:
         H[j + 2:] %= p
         H[:, j + 1] += H[:, j + 2:] @ u
         H[:, j + 1] %= p
-    return H
+        X[:, j + 1] += X[:, j + 2:] @ u
+        X[:, j + 1] %= p
+    return H, X
 
 
-def _charpoly(A: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of det(xI - A) mod p, constant term first.
+def _charpoly(H: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - H) mod p for an upper Hessenberg H,
+    constant term first.
 
-    With H the Hessenberg form and c_m the characteristic polynomial of
-    its leading m x m block, expanding along the last column gives
+    With c_m the characteristic polynomial of the leading m x m block of H,
+    expanding along the last column gives
     c_m = (x - h_{m-1,m-1}) c_{m-1}
           - sum_{j < m-1} h_{j,m-1} h_{j+1,j} ... h_{m-1,m-2} c_j."""
-    H = _hessenberg(A, p)
     k = H.shape[0]
     C = np.zeros((k + 1, k + 1), dtype=np.int64)  # row m holds c_m
     C[0, 0] = 1
@@ -241,10 +266,68 @@ def _roots(coeffs: np.ndarray, p: int) -> List[int]:
     return np.flatnonzero(values == 0).tolist()
 
 
+def _block_solve(K: np.ndarray, lam: np.ndarray, C: np.ndarray,
+                 last: np.ndarray, inv: np.ndarray, p: int):
+    """Rows 1..m-1 of (K - lam_c) x_c = C_c for each column c, with the last
+    coordinate x_c[m-1] = last[c], on an unreduced Hessenberg block K (no
+    zero subdiagonal entry): row i gives x[i-1], bottom up.  Returns x and
+    the residual of row 0, which is left over."""
+    m = K.shape[0]
+    x = np.zeros((m, lam.size), dtype=np.int64)
+    x[-1] = last
+    for i in range(m - 1, 0, -1):
+        rest = (C[i] - K[i, i:] @ x[i:] + lam * x[i]) % p
+        x[i - 1] = rest * inv[K[i, i - 1]] % p
+    return x, (K[0] @ x - lam * x[0] - C[0]) % p
+
+
+def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
+    """(V, owner): columns of V are eigenvectors of the upper Hessenberg H,
+    column c for the eigenvalue roots[owner[c]], and they span every
+    eigenspace of H for these roots.
+
+    H is cut at its zero subdiagonal entries into unreduced diagonal blocks;
+    each is nonderogatory, so a root of block t has a one-line eigenspace
+    there.  The blocks are swept bottom up, all roots at once: a root of
+    block t starts a column, the solution of (H_tt - lam) x = 0 with last
+    coordinate 1, zero below t; every column started lower extends into
+    block t by solving (H_tt - lam) x = -H_t,> v as a particular solution
+    plus tau times that homogeneous one, with tau fixed by the top row.
+    When lam is also a root of H_tt the top row must already hold; if it
+    does not, H is not diagonalizable and VerificationError is raised."""
+    k = H.shape[0]
+    inv = _inverses(p)
+    lams = np.array(roots, dtype=np.int64)
+    r = lams.size
+    cuts = [0] + [i for i in range(1, k) if not H[i, i - 1]] + [k]
+    V = np.zeros((k, 0), dtype=np.int64)
+    owner = np.zeros(0, dtype=np.int64)
+    for a, b in reversed(list(zip(cuts, cuts[1:]))):
+        m = b - a
+        C = np.zeros((m, r + owner.size), dtype=np.int64)
+        C[:, r:] = -H[a:b, b:] @ V[b:] % p
+        last = np.zeros(r + owner.size, dtype=np.int64)
+        last[:r] = 1
+        x, top = _block_solve(H[a:b, a:b], np.concatenate([lams, lams[owner]]),
+                              C, last, inv, p)
+        hom, hom_top = x[:, :r], top[:r]
+        if np.any(top[r:] * (hom_top[owner] == 0)):
+            raise VerificationError("class matrix is not diagonalizable mod p")
+        tau = -top[r:] * inv[hom_top[owner]] % p
+        V[a:b] = (x[:, r:] + tau * hom[:, owner]) % p
+        own = np.flatnonzero(hom_top == 0)
+        start = np.zeros((k, own.size), dtype=np.int64)
+        start[a:b] = hom[:, own]
+        V = np.hstack([V, start])
+        owner = np.concatenate([owner, own])
+    return V, owner
+
+
 def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.ndarray]:
-    """Split each B-invariant space into the eigenspaces of B on it, one
-    nullspace per root of the characteristic polynomial of the restriction
-    (Schneider's refinement of Dixon's eigenvalue search)."""
+    """Split each B-invariant space into the eigenspaces of B on it
+    (Schneider's refinement of Dixon's eigenvalue search): the roots of the
+    characteristic polynomial of the restriction R, and all its
+    eigenvectors at once from the Hessenberg form H = X^-1 R X."""
     out: List[np.ndarray] = []
     for S in spaces:
         k = S.shape[0]
@@ -257,14 +340,17 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.nd
         # invariance check: B S^T == S^T R
         if not np.array_equal(S.T @ R % p, BST):
             raise VerificationError("class matrix did not preserve a subspace")
-        found = 0
-        for lam in _roots(_charpoly(R, p), p):
-            N = _gf_nullspace((R - lam * np.eye(k, dtype=np.int64)) % p, p)
-            if N.shape[0]:
-                out.append(N @ S % p)
-                found += N.shape[0]
-        if found != k:
+        H, X = _hessenberg(R, p)
+        roots = _roots(_charpoly(H, p), p)
+        V, owner = _eigenvectors(H, roots, p)
+        if owner.size != k:
             raise VerificationError("eigenspaces failed to exhaust a space")
+        W = X @ V % p
+        lam = np.array(roots, dtype=np.int64)[owner]
+        if not np.array_equal(R @ W % p, W * lam % p):
+            raise VerificationError("eigenvectors failed R W = W diag(lambda)")
+        for i in range(len(roots)):
+            out.append(W[:, owner == i].T @ S % p)
     return out
 
 

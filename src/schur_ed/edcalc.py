@@ -24,7 +24,7 @@ from .perms import sylow2_alt_generators, sylow2_sym_generators
 
 # the largest n whose 2-local value is recomputed through the character
 # pipeline, and the largest n of the summary table
-COMPUTED_MAX_N = 14
+COMPUTED_MAX_N = 16
 TABLE_MAX_N = 16
 
 

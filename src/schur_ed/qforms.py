@@ -17,8 +17,7 @@ from math import gcd, lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import polyq
-from .numth import (factorize, is_perfect_square, is_prime, legendre,
-                    squarefree_part, valuation)
+from .numth import factorize, is_perfect_square, is_prime, legendre, valuation
 from .polyq import Poly
 
 
@@ -128,9 +127,15 @@ class SquareClass:
 
     @property
     def representative(self) -> int:
+        """The squarefree integer in the class.  Numerator and denominator
+        are coprime and factored apart, through the memo that a trace
+        form's places have already filled with its factor discriminants."""
         if self._rep is None:
-            self._rep = squarefree_part(
-                self.value.numerator * self.value.denominator)
+            rep = -1 if self.value < 0 else 1
+            for n in (self.value.numerator, self.value.denominator):
+                rep *= prod(p for p, e in _cached_factorize(n).items()
+                            if e % 2)
+            self._rep = rep
         return self._rep
 
     def __eq__(self, other):

@@ -10,6 +10,7 @@ from schur_ed.chartab import (
     DixonPrime,
     _charpoly,
     _ClassData,
+    _hessenberg,
     _roots,
     _split_spaces,
     count_min_faithful,
@@ -25,6 +26,7 @@ from schur_ed.covers import (
 from oracles import (
     class_matrices_by_elements,
     det_mod_p,
+    nullspace_mod_p,
     regular_representation_degrees,
     rref_mod_p,
     scan_split_spaces,
@@ -72,6 +74,22 @@ def test_class_matrices_match_the_per_element_oracle(zoo, which):
         want = class_matrices_by_elements(table, data.classes)
         for r in range(data.n):
             assert np.array_equal(data.class_matrix(r), want[r]), (n, r)
+
+
+@pytest.mark.parametrize("gather", [1, chartab._GATHER])
+def test_mixture_is_the_seeded_combination_of_class_matrices(
+        zoo, monkeypatch, gather):
+    monkeypatch.setattr(chartab, "_GATHER", gather)
+    for n, which in ((6, "sym"), (10, "alt"), (12, "sym")):
+        table, _ = zoo.sylow_cover(n, "plus", which)
+        data = _ClassData(table)
+        p = dixon_prime(table.order, data.exponent()).p
+        for classes in (range(1, min(data.n - 1, 8) + 1), range(1, data.n)):
+            got = data.mixture(random.Random(n), p, classes)
+            rng = random.Random(n)
+            want = sum(rng.randrange(1, p) * data.class_matrix(r)
+                       for r in classes) % p
+            assert np.array_equal(got, want), (n, which, classes)
 
 
 @pytest.mark.parametrize("which", ["sym", "alt"])
@@ -223,13 +241,73 @@ def test_charpoly_equals_det_xI_minus_R(p):
     rng = random.Random(p)
     for R in _charpoly_cases(rng, p):
         k = len(R)
-        coeffs = _charpoly(R.copy(), p)
+        coeffs = _charpoly(_hessenberg(R, p)[0], p)
         assert len(coeffs) == k + 1 and coeffs[k] == 1
         for lam in range(p):
             value = 0
             for c in reversed(coeffs.tolist()):
                 value = (value * lam + c) % p
             assert value == det_mod_p(lam * np.eye(k, dtype=np.int64) - R, p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 97])
+def test_hessenberg_keeps_an_invertible_similarity(p):
+    rng = random.Random(p)
+    for R in _charpoly_cases(rng, p):
+        H, X = _hessenberg(R, p)
+        assert not np.tril(H, -2).any()
+        assert det_mod_p(X, p)
+        assert np.array_equal(R @ X % p, X @ H % p)
+
+
+def _rref_rows(S, p):
+    return rref_mod_p(S, p)[0].tolist()
+
+
+@pytest.mark.parametrize("p", [7, 13, 97])
+def test_eigenspaces_equal_the_nullspaces_or_are_refused(p):
+    # R is diagonalizable over GF(p) exactly when the nullspaces of
+    # R - lambda I, lambda in GF(p), add up to the whole space; then the
+    # split returns them in increasing lambda, else it raises
+    rng = random.Random(p)
+    split = refused = 0
+    sizes = set()
+    for R in _charpoly_cases(rng, p):
+        k = len(R)
+        sizes.add(k)
+        want = [N for N in (
+            nullspace_mod_p((R - lam * np.eye(k, dtype=np.int64)) % p, p)
+            for lam in range(p)) if N.shape[0]]
+        whole = [np.eye(k, dtype=np.int64)]
+        if sum(N.shape[0] for N in want) == k:
+            got = _split_spaces(whole, R, p)
+            assert ([_rref_rows(S, p) for S in got]
+                    == [_rref_rows(N, p) for N in want])
+            split += 1
+        else:
+            with pytest.raises(VerificationError):
+                _split_spaces(whole, R, p)
+            refused += 1
+    # the zero, scalar and conjugated repeated diagonal cases of every size
+    # are diagonalizable; random dense ones mostly are not over GF(7)
+    assert split >= 3 * len(sizes) and refused
+
+
+@pytest.mark.parametrize("p", [7, 13, 97])
+def test_a_jordan_block_is_refused(p):
+    rng = random.Random(p)
+    for k in range(2, 9):
+        lam = rng.randrange(p)
+        J = np.diag([lam, lam] + [rng.randrange(p) for _ in range(k - 2)])
+        J[0, 1] = 1
+        # J itself is triangular, so its Hessenberg blocks are 1 x 1 and
+        # the second eigenvector of lam fails to extend; conjugated, the
+        # blocks are mostly larger and lam has too few eigenvectors
+        with pytest.raises(VerificationError, match="not diagonalizable"):
+            _split_spaces([np.eye(k, dtype=np.int64)], J, p)
+        B = _conjugate(J, _random_invertible(rng, k, p), p)
+        with pytest.raises(VerificationError):
+            _split_spaces([np.eye(k, dtype=np.int64)], B, p)
 
 
 def test_roots_of_a_product_of_linear_factors():

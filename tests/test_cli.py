@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from schur_ed import cli, edcalc, polyq, qforms
+from schur_ed import cli, edcalc, numth, polyq, qforms
 from schur_ed.covers import CoverElem, VerificationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +114,15 @@ def test_table1_tsv_byte_exact(capsys):
     assert out == expected
 
 
+def test_table1_verifies_up_to_16(capsys):
+    code, out, _ = run(capsys, "table1", "--verify-max", "16",
+                       "--variant", "minus")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verified"] == {str(n): int(v) for n, v in zip(
+        range(4, 17), data["ed(cover A_n; 2)"])}
+
+
 def test_table1_row3_values(capsys):
     code, out, _ = run(capsys, "table1", "--n-max", "10")
     data = json.loads(out)
@@ -145,7 +154,7 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
     (["qform", "1/0"], "Fraction(1, 0)"),
     (["trace-form", "x^^2"], "cannot parse polynomial near '^^2'"),
     (["trace-form", "2x^2+1"], "factors must be monic of positive degree"),
-    (["table1", "--verify-max", "15"], "computed values are capped at n = 14"),
+    (["table1", "--verify-max", "17"], "computed values are capped at n = 16"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -420,6 +429,33 @@ def test_trace_form_stdout_is_pinned(capsys, case):
     code, out, _ = run(capsys, "trace-form", poly)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_FORM_SHA256[case]
+
+
+# stdout recorded while the printed etale discriminant factored disc(f)
+# a second time, outside the memo
+TRACE_FORM_16_SHA256 = (
+    "fab015419605a6ff36fc96577039c906ebc1d2a16ee06aeff8c8febca384e107")
+
+
+def test_trace_form_factors_each_integer_once(capsys, monkeypatch):
+    # the draw random_etale_algebra(16, Random(16)) of the range test: its
+    # 471-bit discriminant is factored for the places and read again for
+    # the printed etale_disc
+    real = numth.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numth, "factorize", counting)
+    monkeypatch.setattr(qforms, "factorize", counting)
+    monkeypatch.setattr(qforms, "_factor_cache", {})
+    code, out, _ = run(capsys, "trace-form", _seeded_poly(16, 16))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_FORM_16_SHA256
+    assert max(n.bit_length() for n in calls) == 471
+    assert len(calls) == len(set(calls))
 
 
 def test_trace_form_gives_up_on_a_hard_factorization():

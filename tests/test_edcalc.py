@@ -87,8 +87,8 @@ def test_table1_bounds_validation():
     with pytest.raises(ValueError):
         table1(3)
     # a verify_max above the recompute cap is refused, never silently lowered
-    with pytest.raises(ValueError, match="verify_max <= 14"):
-        table1(16, verify_max=15)
+    with pytest.raises(ValueError, match="verify_max <= 16"):
+        table1(16, verify_max=17)
 
 
 def test_table1_verified_marks(zoo):
@@ -102,9 +102,29 @@ def test_ed2_computed_matches_formula_spot(zoo):
     assert ed2_computed(10, "sym", "minus") == 16
 
 
+# above the acceptance criteria's n <= 12, up to the cap: the Sylow-2
+# preimages of S_16 (order 65 536) take a few seconds per variant
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_ed2_computed_matches_the_formula_past_12(n):
+    for which in ("sym", "alt"):
+        for variant in ("plus", "minus"):
+            assert ed2_computed(n, which, variant) == ed2_formula(n, which)
+
+
+def test_ed2_computed_matches_the_formula_at_16_alt():
+    for variant in ("plus", "minus"):
+        assert ed2_computed(16, "alt", variant) == 128
+
+
+@pytest.mark.slow
+def test_ed2_computed_matches_the_formula_at_16_sym():
+    for variant in ("plus", "minus"):
+        assert ed2_computed(16, "sym", variant) == 128
+
+
 def test_ed2_computed_size_cap():
     with pytest.raises(ValueError):
-        ed2_computed(16, "alt")
+        ed2_computed(17, "alt")
 
 
 def test_ed_report(zoo):
