@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,7 +136,15 @@ _GATHER = 1 << 14
 
 
 class _ClassData:
-    def __init__(self, table: FiniteGroupTable):
+    """Classes of a group table and the right columns that count class
+    matrix entries.
+
+    With a central involution z, class t pairs with pair[t], the class of
+    z g_t, and only the classes t < pair[t] keep a right column: these rows
+    R, identity class first, index the z-odd class functions, which vanish
+    on every class with zC = C.  Without z, every class is a row."""
+
+    def __init__(self, table: FiniteGroupTable, z=None):
         self.table = table
         self.classes = conjugacy_classes(table)
         self.n = len(self.classes)
@@ -148,12 +156,19 @@ class _ClassData:
         self.inv_class = [
             int(class_of[table.inv_idx(rep)]) for rep in self.reps
         ]
-        # _right[u, y] = n*u + (class of y * g_u), so that one bincount
-        # over a set of elements y and a run of rows u, shifted to start
-        # at 0, counts the pairs (u, t)
-        self._right = np.empty((self.n, table.order), dtype=np.int32)
-        for u, rep in enumerate(self.reps):
-            self._right[u] = class_of[table.right_column(rep)] + self.n * u
+        if z is None:
+            self.rows = np.arange(self.n)
+        else:
+            # z is central, so z g is g z: one gather of z's right column
+            self.pair = class_of[table.right_column(table.idx(z))[self.reps]]
+            self.rows = np.flatnonzero(self.pair > np.arange(self.n))
+        # _right[i, y] = n*i + (class of y * g_u) for u = rows[i], so that
+        # one bincount over a set of elements y and a run of rows, shifted
+        # to start at 0, counts the pairs (i, t)
+        self._right = np.empty((len(self.rows), table.order), dtype=np.int32)
+        for i, u in enumerate(self.rows.tolist()):
+            self._right[i] = (class_of[table.right_column(self.reps[u])]
+                              + self.n * i)
 
     def exponent(self) -> int:
         exp = 1
@@ -162,18 +177,19 @@ class _ClassData:
         return exp
 
     def class_matrix(self, r: int) -> np.ndarray:
-        """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}; the common
-        eigenvectors of all B_r are the rows of the character table up to
-        normalization.  As x runs over C_r, x^-1 runs over the inverse
-        class C_r*, so B_r[t, u] counts the y in C_r* with y g_u in C_t."""
+        """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}, on the
+        columns u in rows; the common eigenvectors of all B_r are the rows
+        of the character table up to normalization.  As x runs over C_r,
+        x^-1 runs over the inverse class C_r*, so B_r[t, u] counts the y in
+        C_r* with y g_u in C_t."""
         ys = self.classes[self.inv_class[r]]
         return self._count(ys, [1] * len(ys))
 
     def mixture(self, rng: random.Random, p: int,
-                classes: range) -> np.ndarray:
+                classes: Sequence[int]) -> np.ndarray:
         """A seeded random combination mod p of the class matrices B_r,
-        r in classes: sum_r c_r B_r[t, u] sums c_r over the y in C_r* with
-        y g_u in C_t."""
+        r in classes, on the columns u in rows: sum_r c_r B_r[t, u] sums c_r
+        over the y in C_r* with y g_u in C_t."""
         ys: List[int] = []
         weights: List[int] = []
         for r in classes:
@@ -183,21 +199,21 @@ class _ClassData:
         return self._count(ys, weights) % p
 
     def _count(self, ys: List[int], weights: List[int]) -> np.ndarray:
-        """M[t, u] = the sum of weights[i] over the i with ys[i] g_u in C_t,
-        one weighted bincount for a few rows u at a time.  The weights are
-        integers and every sum stays below |G| max(weights) < 2^53, so the
-        float sums are exact."""
-        n = self.n
+        """M[t, i] = the sum of weights[j] over the j with ys[j] g_u in C_t,
+        u = rows[i], one weighted bincount for a few rows at a time.  The
+        weights are integers and every sum stays below |G| max(weights)
+        < 2^53, so the float sums are exact."""
+        n, k = self.n, len(self.rows)
         ys = np.array(ys)
         weights = np.array(weights, dtype=np.float64)
-        counts = np.zeros(n * n)
+        counts = np.zeros(k * n)
         step = max(1, _GATHER // len(ys))
-        for u in range(0, n, step):
-            rows = self._right[u:u + step, ys]
-            rows -= n * u
-            part = np.bincount(rows.ravel(), np.tile(weights, len(rows)))
-            counts[n * u:n * u + len(part)] += part
-        return counts.astype(np.int64).reshape(n, n).T
+        for i in range(0, k, step):
+            block = self._right[i:i + step, ys]
+            block -= n * i
+            part = np.bincount(block.ravel(), np.tile(weights, len(block)))
+            counts[n * i:n * i + len(part)] += part
+        return counts.astype(np.int64).reshape(k, n).T
 
 
 def _hessenberg(A: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -360,38 +376,104 @@ _MAX_RETRIES = 64
 _MAX_ROUNDS = 16
 
 
-def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
-    data = _ClassData(table)
-    n, order = data.n, table.order
-    exponent = data.exponent()
-    dp = dixon_prime(order, exponent)
-    p = dp.p
-    rng = random.Random((seed, order, n).__hash__())
+def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
+                classes: Sequence[int], p: int, finish: Callable):
+    """finish(lines) for the common eigenlines of the mixtures, rows of a
+    k x k identity split until every space is a line, retried with fresh
+    mixtures while splitting or finish raises VerificationError.
 
+    mixture(cs) is a seeded random combination of the class matrices of
+    the classes cs, on a space of dimension k.  A mixture of the first few
+    classes splits most of the space at once; mixtures of all of them split
+    what is left, and separate two characters unless the mixture takes the
+    same value on both, which happens with probability about 1/p.  The
+    common eigenlines are unique, so the result does not depend on the
+    mixtures drawn."""
     last_err: Optional[Exception] = None
     for attempt in range(_MAX_RETRIES):
         try:
-            spaces = [np.eye(n, dtype=np.int64)]
-            if n > 1:
-                # a seeded random mixture of a few class matrices splits
-                # most of the space at once; mixtures of all of them split
-                # what is left, and separate two characters unless the
-                # mixture takes the same value on both, which happens with
-                # probability about 1/p.  The common eigenlines are unique,
-                # so the table does not depend on the mixtures drawn.
-                M = data.mixture(rng, p, range(1, 1 + min(n - 1, 8)))
-                spaces = _split_spaces(spaces, M, p)
+            spaces = [np.eye(k, dtype=np.int64)]
+            if k > 1:
+                spaces = _split_spaces(spaces, mixture(classes[:8]), p)
                 for _ in range(_MAX_ROUNDS):
                     if all(S.shape[0] == 1 for S in spaces):
                         break
-                    M = data.mixture(rng, p, range(1, n))
-                    spaces = _split_spaces(spaces, M, p)
+                    spaces = _split_spaces(spaces, mixture(classes), p)
             if not all(S.shape[0] == 1 for S in spaces):
                 raise VerificationError("common eigenspaces not 1-dimensional")
-            return _assemble(table, data, p, spaces)
+            return finish(spaces)
         except VerificationError as err:  # retry with a fresh mixture
             last_err = err
     raise VerificationError(f"Dixon splitting failed after {_MAX_RETRIES} tries: {last_err}")
+
+
+def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
+    data = _ClassData(table)
+    n, order = data.n, table.order
+    p = dixon_prime(order, data.exponent()).p
+    rng = random.Random((seed, order, n).__hash__())
+    return _eigenlines(lambda cs: data.mixture(rng, p, cs), n, range(1, n),
+                       p, lambda spaces: _assemble(table, data, p, spaces))
+
+
+def _spin_degrees(table: FiniteGroupTable, z, seed: int = 0) -> List[int]:
+    """The degrees, in increasing order, of the irreducibles chi with
+    chi(z) = -chi(1), from the z-odd class functions alone.
+
+    Since B_r[t, zu] = B_r[zt, u], a class matrix maps the z-odd central
+    character vectors w (w(zC) = -w(C), and w = 0 where zC = C) to vectors
+    of the same kind, through N[t, u] = B_r[t, u] - B_r[pair[t], u] on the
+    rows t, u in R.  B_r acts as 0 on them when zC_r = C_r, and as -B_s
+    when C_r = zC_s, so only the classes of R are mixed.  Each eigenline is
+    extended to every class, its degree read off the norm as in the whole
+    table, and the squared degrees must add up to |G|/2."""
+    if table.order_of_idx(table.idx(z)) != 2:
+        raise VerificationError("z is not a central involution of the group")
+    data = _ClassData(table, z)
+    order, rows = table.order, data.rows
+    partner = data.pair[rows]
+    p = dixon_prime(order, data.exponent()).p
+    rng = random.Random((seed, order, data.n).__hash__())
+    size_inv = [pow(s, p - 2, p) for s in data.sizes]
+
+    def fold(cs):
+        M = data.mixture(rng, p, cs)
+        return (M[rows] - M[partner]) % p
+
+    def degrees(spaces):
+        w = np.zeros((len(spaces), data.n), dtype=np.int64)
+        w[:, rows] = [S[0] for S in spaces]
+        w[:, partner] = -w[:, rows] % p
+        degs = sorted(_degree(line.tolist(), data, size_inv, order, p)[0]
+                      for line in w)
+        if 2 * sum(d * d for d in degs) != order:
+            raise VerificationError(
+                "sum of squared z-odd degrees does not match |G|/2")
+        return degs
+
+    return _eigenlines(fold, len(rows), rows[1:], p, degrees)
+
+
+def _degree(w: List[int], data: _ClassData, size_inv: List[int], order: int,
+            p: int) -> Tuple[int, List[int]]:
+    """The degree of the irreducible chi whose central character
+    |C_u| chi(g_u) / chi(1) is a multiple of the eigenline w, and w scaled
+    to 1 at the identity class: the scaled w gives |G| / chi(1)^2 as
+    sum_u w[u] w[u*] / |C_u|, and chi(1) <= sqrt(|G|) < p/2 is the smaller
+    square root mod p."""
+    if w[0] == 0:
+        raise VerificationError("eigenvector vanishes on the identity class")
+    scale = pow(w[0], p - 2, p)
+    w = [v * scale % p for v in w]
+    denom = sum(w[u] * w[data.inv_class[u]] * size_inv[u]
+                for u in range(data.n)) % p
+    if denom == 0:
+        raise VerificationError("degenerate norm in degree recovery")
+    try:
+        root = sqrt_mod(order * pow(denom, p - 2, p), p)
+    except ValueError as err:
+        raise VerificationError(f"degree recovery: {err}") from None
+    return min(root, p - root), w
 
 
 def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
@@ -401,17 +483,7 @@ def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
     size_inv = [pow(s, p - 2, p) for s in data.sizes]
     irreps = []
     for S in spaces:
-        w = [int(v) % p for v in S[0]]
-        if w[0] == 0:
-            raise VerificationError("eigenvector vanishes on the identity class")
-        scale = pow(w[0], p - 2, p)
-        w = [v * scale % p for v in w]
-        denom = sum(w[u] * w[data.inv_class[u]] * size_inv[u] for u in range(n)) % p
-        if denom == 0:
-            raise VerificationError("degenerate norm in degree recovery")
-        chi1_sq = order * pow(denom, p - 2, p) % p
-        root = sqrt_mod(chi1_sq, p)
-        degree = min(root, p - root)
+        degree, w = _degree(S[0].tolist(), data, size_inv, order, p)
         values = [degree * w[u] * size_inv[u] % p for u in range(n)]
         irreps.append((degree, values, w))
     irreps.sort(key=lambda iv: (iv[0], iv[1]))
@@ -483,11 +555,14 @@ def _check_center_is_z(table: FiniteGroupTable, z) -> None:
 def faithful_degrees(table: FiniteGroupTable, z,
                      chartable: Optional[CharTable] = None) -> List[int]:
     """Degrees of irreducibles rho with rho(z) = -1, i.e. the faithful ones
-    when the center is exactly {1, z}."""
+    when the center is exactly {1, z}: read off chartable when one is
+    given, else split from the z-odd class functions alone."""
     _check_center_is_z(table, z)
-    ct = chartable or dixon_character_table(table)
-    zc = _z_class_index(table, ct, z)
-    return [d for d, sg in zip(ct.degrees, ct.signs) if sg[zc] == -1]
+    if chartable is None:
+        return _spin_degrees(table, z)
+    zc = _z_class_index(table, chartable, z)
+    return [d for d, sg in zip(chartable.degrees, chartable.signs)
+            if sg[zc] == -1]
 
 
 def min_faithful_irrep_dim(table: FiniteGroupTable, z,

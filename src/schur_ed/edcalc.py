@@ -58,7 +58,9 @@ def ed2_formula(n: int, which: str) -> int:
 def ed2_computed(n: int, which: str, variant: str = "plus",
                  size_bound: int = DEFAULT_SIZE_BOUND) -> int:
     """Minimal faithful irreducible dimension of the Sylow-2 preimage,
-    computed with the Dixon pipeline.  Equals ed(cover; 2)."""
+    computed from its spin block: Dixon's split of the class functions
+    that are odd under z alone, not of the whole character table.  Equals
+    ed(cover; 2)."""
     if n > COMPUTED_MAX_N:
         raise ValueError(f"computed values are desk-scale: n <= {COMPUTED_MAX_N}")
     spec = CoverSpec(n, variant)
@@ -208,9 +210,9 @@ def table1(n_max: int = TABLE_MAX_N, verify_max: int = 0,
            variant: str = "plus",
            size_bound: int = DEFAULT_SIZE_BOUND) -> Table1:
     """The three-row table for n = 4..n_max.  Rows 1 and 3 are interval
-    assemblies; row 2 is the closed form, re-derived from the character
-    pipeline for n <= verify_max <= COMPUTED_MAX_N (a mismatch raises
-    FormulaMismatch)."""
+    assemblies; row 2 is the closed form, re-derived from the spin block
+    of each alternating Sylow-2 preimage (ed2_computed) for
+    n <= verify_max <= COMPUTED_MAX_N (a mismatch raises FormulaMismatch)."""
     if not 4 <= n_max <= TABLE_MAX_N:
         raise ValueError(f"n_max must be between 4 and {TABLE_MAX_N}")
     if verify_max > COMPUTED_MAX_N:

@@ -16,13 +16,18 @@ from schur_ed.chartab import (
     count_min_faithful,
     dixon_character_table,
     dixon_prime,
+    faithful_degrees,
     min_faithful_irrep_dim,
 )
 from schur_ed.covers import (
+    CoverSpec,
     VerificationError,
     cyclic_table,
     generalized_quaternion_table,
+    get_cover,
+    preimage_subgroup,
 )
+from schur_ed.perms import sylow2_sym_generators
 from oracles import (
     class_matrices_by_elements,
     det_mod_p,
@@ -129,6 +134,129 @@ def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
                         types.SimpleNamespace(Random=Rigged))
     assert dixon_character_table(table) == want
     assert Rigged.calls > first_attempt
+
+
+# ---------------------------------------------------------------------------
+# the spin block against the whole table
+# ---------------------------------------------------------------------------
+
+def _odd_degrees_of_the_whole_table(zoo, n, variant, which):
+    table, z = zoo.sylow_cover(n, variant, which)
+    return sorted(faithful_degrees(table, z, zoo.chartab(n, variant, which)))
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_spin_block_degrees_equal_the_whole_tables(zoo, which, variant):
+    for n in range(4, 15):
+        table, z = zoo.sylow_cover(n, variant, which)
+        got = faithful_degrees(table, z)
+        assert got == _odd_degrees_of_the_whole_table(zoo, n, variant,
+                                                      which), n
+        assert 2 * sum(d * d for d in got) == table.order, n
+
+
+def test_spin_block_does_not_depend_on_the_seed(zoo):
+    for n, which in ((8, "sym"), (12, "alt"), (14, "sym")):
+        table, z = zoo.sylow_cover(n, "plus", which)
+        want = chartab._spin_degrees(table, z)
+        for seed in range(1, 4):
+            assert chartab._spin_degrees(table, z, seed) == want, (n, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_spin_block_degrees_equal_the_whole_tables_at_16_sym(variant):
+    # built here rather than in the shared zoo fixture, so the order-131072
+    # table is freed after the test
+    spec = CoverSpec(16, variant)
+    table = preimage_subgroup(sylow2_sym_generators(16), spec)
+    z = get_cover(spec).z
+    whole = faithful_degrees(table, z, dixon_character_table(table))
+    assert faithful_degrees(table, z) == sorted(whole) == [128, 128]
+
+
+def test_spin_block_counts_only_the_paired_classes(zoo):
+    # the right columns of the rows t < pair[t] alone; pairs are symmetric
+    # and the identity class pairs with the class of z
+    table, z = zoo.sylow_cover(12, "plus", "sym")
+    data = _ClassData(table, z)
+    assert np.array_equal(data.pair[data.pair], np.arange(data.n))
+    assert data.rows[0] == 0 and data.pair[0] == data.classes.index(
+        [table.idx(z)])
+    assert data._right.shape == (len(data.rows), table.order)
+    assert 2 * len(data.rows) < data.n
+
+
+def test_spin_block_of_small_groups():
+    assert faithful_degrees(generalized_quaternion_table(16), (4, 0)) == [
+        2, 2]
+    with pytest.raises(VerificationError, match="center"):
+        faithful_degrees(cyclic_table(4), 2)
+
+
+def test_one_paired_class_needs_no_split(monkeypatch):
+    # {1, z}: m = 1, so no mixture is drawn
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, start, stop):
+            raise AssertionError("a mixture was drawn")
+
+    monkeypatch.setattr(chartab, "random",
+                        types.SimpleNamespace(Random=NoDraws))
+    assert faithful_degrees(cyclic_table(2), 1) == [1]
+    assert faithful_degrees(generalized_quaternion_table(8), (2, 0)) == [2]
+
+
+def test_a_bad_spin_mixture_ends_in_the_right_degrees_through_the_retry(
+        zoo, monkeypatch):
+    table, z = zoo.sylow_cover(8, "plus", "sym")
+    want = _odd_degrees_of_the_whole_table(zoo, 8, "plus", "sym")
+    m = len(_ClassData(table, z).rows)
+    assert m > 1
+    # a coefficient p is 0 mod p, so the first attempt's mixtures are 0,
+    # split nothing, and the attempt fails after its first mixture and
+    # every round's
+    first_attempt = min(m - 1, 8) + chartab._MAX_ROUNDS * (m - 1)
+
+    class Rigged:
+        calls = 0
+
+        def __init__(self, seed):
+            self.rng = random.Random(seed)
+
+        def randrange(self, start, stop):
+            Rigged.calls += 1
+            if Rigged.calls <= first_attempt:
+                return stop
+            return self.rng.randrange(start, stop)
+
+    monkeypatch.setattr(chartab, "random",
+                        types.SimpleNamespace(Random=Rigged))
+    assert faithful_degrees(table, z) == want
+    assert Rigged.calls > first_attempt
+
+
+def test_ed2_computed_builds_no_whole_table(monkeypatch):
+    from schur_ed.edcalc import ed2_computed
+
+    made = []
+
+    class Recording(_ClassData):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole table was built")
+
+    monkeypatch.setattr(chartab, "_ClassData", Recording)
+    monkeypatch.setattr(chartab, "dixon_character_table", refuse)
+    assert ed2_computed(12, "sym", "minus") == 32
+    [data] = made
+    assert data._right.shape[0] == len(data.rows) < data.n
 
 
 def test_min_faithful_q8():

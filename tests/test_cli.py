@@ -280,6 +280,156 @@ def test_chartab_subgroup_json_is_unchanged(capsys, subgroup, n, variant):
             == CHARTAB_SUBGROUP_SHA256[subgroup, n, variant])
 
 
+# stdout of `ed2 --computed` recorded while the 2-local value came from
+# Dixon's whole character table
+ED2_COMPUTED_SHA256 = {
+    (4, "sym", "plus"):
+        "a66a510cd874f77cbc92cebf7987729fd81eb8adf76bdd6bec6fb258a4339e16",
+    (5, "sym", "plus"):
+        "b052102385b7c51cb9fe381dea8275adecaaadfcfc410fa7916b082dd5ab6dde",
+    (6, "sym", "plus"):
+        "ebc4eead2b389e84085d2f2486e023346adbee690c3374533f35a402aab5533c",
+    (7, "sym", "plus"):
+        "557d735ee1e5a0b05cd87edf4746f224cbeffd31ebeb31e827710a1910576301",
+    (8, "sym", "plus"):
+        "65b26175cbd740cb050eaf41701d0ddc727803c683a2c4922a48650d5a944761",
+    (9, "sym", "plus"):
+        "7004ddd069cc6d4debba9705c30dbb8a732187e437fe44967d3a66ff1dc353c1",
+    (10, "sym", "plus"):
+        "8cee6c782da5639bd81efc7b2fafff3dbfdd72edef7c5b6d94d3666294009f20",
+    (11, "sym", "plus"):
+        "d472dde982e00d8c1e3a7c4bcf2e02b0c6312dce73e65ef05ba45678fe57512b",
+    (12, "sym", "plus"):
+        "33c37f9c63c0d56fd6024258d021ad643bca0186e1b85bcb5650b96b3057e032",
+    (13, "sym", "plus"):
+        "7300e875e052b2e2e8c6d218506d800d93a7a52d735205eae1218fd509b79ab8",
+    (14, "sym", "plus"):
+        "efafe369b96ccc9cbf77a065b3916a0f9d53bf6bcd8b7f884fbc0fbc0c59c3cf",
+    (15, "sym", "plus"):
+        "bfb68a19c54da0d75068b2c30e5d06a383448ac4dd5da715cf33dae178eb5e5f",
+    (16, "sym", "plus"):
+        "948e318bb8656623d37b31cb8fccd7b51d871ef3f6a0c364e11d244f9336743c",
+    (4, "sym", "minus"):
+        "2a8a2ed57c5b74525d797ddbd5666211389f78ab091ed02aa4e99facf5b9023a",
+    (5, "sym", "minus"):
+        "f4d1132c4dadfb185c700d18dabbf1b5d898872e3fd82632eb5c99b1a81edec9",
+    (6, "sym", "minus"):
+        "3178f763c81925beb944f40448e99a0d759809f077790ba332b4b167f1d7492f",
+    (7, "sym", "minus"):
+        "36eeb4cd532e4ac7c22cc34160920a70662ffb01383a7eba961191b588fa334b",
+    (8, "sym", "minus"):
+        "6cc5a78145bfd6116077a78559750f39afbfb7a0bd7f9b518e8180727362be56",
+    (9, "sym", "minus"):
+        "a6783f9b815f019e4cb81e0d520f4ec6f51ecc01058d17467576d697b7632453",
+    (10, "sym", "minus"):
+        "5acb52d3d6aeff538771b3bd3998a1a4b0e1fa0609668176b4296acb7e124429",
+    (11, "sym", "minus"):
+        "054daa06b414c38e4a605e247df2b4383034683ab721a0b417daaacec240e698",
+    (12, "sym", "minus"):
+        "a3550398fded4d531c458b436e00bccd6efc40807db2cd70892ebd621e40ba23",
+    (13, "sym", "minus"):
+        "d4e57a0e540bfc90b11f9b36333296f0a66651b4d7ea33a3db5b2671e4bb148b",
+    (14, "sym", "minus"):
+        "7a9fc47fb3b6a4983e6710457ba0a6ca20d19a8de48c1748b5fd25733fb63e97",
+    (15, "sym", "minus"):
+        "c395dcdc08682b525472f545d6622aba94ba5305f7d6a4aee1ef7a6abd8a95c0",
+    (16, "sym", "minus"):
+        "5aa15a12d63b4eeec0cdb4b5760a9190b5b7538423f65d9260243c9da7ad8d23",
+    (4, "alt", "plus"):
+        "1f8075bd3d4e9d21320710dae9621e629eb7fd11526c9ea45a48bacf66a5051f",
+    (5, "alt", "plus"):
+        "de98d1bdbf559ffccde7185691ab1569b3b6c3146f0a6219a16d8044eedd5f5a",
+    (6, "alt", "plus"):
+        "fae060cadc3aef23dbf669a0b6ffb0b96de806136f4c98fc5728b6cb7e6b8284",
+    (7, "alt", "plus"):
+        "53eddb2be92ba13bd864913f856271864590672d202870599ccc9e0fecd76ed9",
+    (8, "alt", "plus"):
+        "bd95903b5d61e2300e40daa6b7a3148e1a2d6a2ca3f1463c2b135709417064cf",
+    (9, "alt", "plus"):
+        "78700231a003d8ffb95d91bbe1dfec5eff2bb22471c7ec83302de5b916cb90a4",
+    (10, "alt", "plus"):
+        "d92144dd096a4f49568ab43cbf44812c848240eb0f6d8e307c6fa4bbeb2afe4a",
+    (11, "alt", "plus"):
+        "07edf1f8d85047fdf20111137b24c812b18aa7df2fd767e8f89da5eebeb02662",
+    (12, "alt", "plus"):
+        "6c28d01042c8394585010aca4a83e415a67042886b97a94cd8e195dc1a8ded98",
+    (13, "alt", "plus"):
+        "eb0a7a0eae15522a0988f6ffafcd1241adf6a5ef3f48f585eb58a18aa52079e3",
+    (14, "alt", "plus"):
+        "50c8425c52fa3fca0fc846df3a6f7dc79782042575919ca6ec2da26093fd8719",
+    (15, "alt", "plus"):
+        "27c050e29c047a0c57dc821cce1eb2e35d1015636eaa76d6f7c7fde140889648",
+    (16, "alt", "plus"):
+        "63f8a13db9914cd91101fc884c5ef3e53855e7c688d8fa1e25e3120c3786e146",
+    (4, "alt", "minus"):
+        "1f8075bd3d4e9d21320710dae9621e629eb7fd11526c9ea45a48bacf66a5051f",
+    (5, "alt", "minus"):
+        "de98d1bdbf559ffccde7185691ab1569b3b6c3146f0a6219a16d8044eedd5f5a",
+    (6, "alt", "minus"):
+        "fae060cadc3aef23dbf669a0b6ffb0b96de806136f4c98fc5728b6cb7e6b8284",
+    (7, "alt", "minus"):
+        "53eddb2be92ba13bd864913f856271864590672d202870599ccc9e0fecd76ed9",
+    (8, "alt", "minus"):
+        "bd95903b5d61e2300e40daa6b7a3148e1a2d6a2ca3f1463c2b135709417064cf",
+    (9, "alt", "minus"):
+        "78700231a003d8ffb95d91bbe1dfec5eff2bb22471c7ec83302de5b916cb90a4",
+    (10, "alt", "minus"):
+        "d92144dd096a4f49568ab43cbf44812c848240eb0f6d8e307c6fa4bbeb2afe4a",
+    (11, "alt", "minus"):
+        "07edf1f8d85047fdf20111137b24c812b18aa7df2fd767e8f89da5eebeb02662",
+    (12, "alt", "minus"):
+        "6c28d01042c8394585010aca4a83e415a67042886b97a94cd8e195dc1a8ded98",
+    (13, "alt", "minus"):
+        "eb0a7a0eae15522a0988f6ffafcd1241adf6a5ef3f48f585eb58a18aa52079e3",
+    (14, "alt", "minus"):
+        "50c8425c52fa3fca0fc846df3a6f7dc79782042575919ca6ec2da26093fd8719",
+    (15, "alt", "minus"):
+        "27c050e29c047a0c57dc821cce1eb2e35d1015636eaa76d6f7c7fde140889648",
+    (16, "alt", "minus"):
+        "63f8a13db9914cd91101fc884c5ef3e53855e7c688d8fa1e25e3120c3786e146",
+}
+
+# stdout of `table1 --verify-max`, recorded the same way
+TABLE1_VERIFY_SHA256 = {
+    (11, "plus", "json"):
+        "c228a96541b9d15638fb34bd4875f0a0f5e558a417190287e0a3866ce4d689af",
+    (16, "plus", "json"):
+        "b19fa10d1fe629b83ce2701c1837e9cca3893b10bada3d794d0809f10caa07bb",
+    (11, "plus", "tsv"):
+        "d9563dd1693e999860b1b644140bec30b67396b91a4af4bd1c207534d6fa6452",
+    (16, "plus", "tsv"):
+        "d9563dd1693e999860b1b644140bec30b67396b91a4af4bd1c207534d6fa6452",
+    (11, "minus", "json"):
+        "c228a96541b9d15638fb34bd4875f0a0f5e558a417190287e0a3866ce4d689af",
+    (16, "minus", "json"):
+        "b19fa10d1fe629b83ce2701c1837e9cca3893b10bada3d794d0809f10caa07bb",
+    (11, "minus", "tsv"):
+        "d9563dd1693e999860b1b644140bec30b67396b91a4af4bd1c207534d6fa6452",
+    (16, "minus", "tsv"):
+        "d9563dd1693e999860b1b644140bec30b67396b91a4af4bd1c207534d6fa6452",
+}
+
+
+@pytest.mark.parametrize("n, which, variant", sorted(ED2_COMPUTED_SHA256))
+def test_ed2_computed_json_is_unchanged(capsys, n, which, variant):
+    code, out, err = run(capsys, "ed2", "-n", str(n), "--which", which,
+                         "--variant", variant, "--computed")
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == ED2_COMPUTED_SHA256[n, which, variant])
+
+
+@pytest.mark.parametrize("verify_max, variant, fmt",
+                         sorted(TABLE1_VERIFY_SHA256))
+def test_table1_verified_output_is_unchanged(capsys, verify_max, variant,
+                                             fmt):
+    code, out, err = run(capsys, "--format", fmt, "table1", "--verify-max",
+                         str(verify_max), "--variant", variant)
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == TABLE1_VERIFY_SHA256[verify_max, variant, fmt])
+
+
 def test_qform_subcommand(capsys):
     code, out, _ = run(capsys, "qform", "1,-1,2/3")
     data = json.loads(out)
