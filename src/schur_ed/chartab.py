@@ -416,7 +416,7 @@ def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
                        p, lambda spaces: _assemble(table, data, p, spaces))
 
 
-def _spin_degrees(table: FiniteGroupTable, z, seed: int = 0) -> List[int]:
+def _spin_degrees(table: FiniteGroupTable, z) -> List[int]:
     """The degrees, in increasing order, of the irreducibles chi with
     chi(z) = -chi(1), from the z-odd class functions alone.
 
@@ -433,7 +433,7 @@ def _spin_degrees(table: FiniteGroupTable, z, seed: int = 0) -> List[int]:
     order, rows = table.order, data.rows
     partner = data.pair[rows]
     p = dixon_prime(order, data.exponent()).p
-    rng = random.Random((seed, order, data.n).__hash__())
+    rng = random.Random((0, order, data.n).__hash__())
     size_inv = [pow(s, p - 2, p) for s in data.sizes]
 
     def fold(cs):

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from . import edcalc, qforms
-# bench/tracer.py wraps min_faithful_irrep_dim and count_min_faithful at
-# these names, so they stay imported here
-from .chartab import (  # noqa: F401
-    count_min_faithful,
-    dixon_character_table,
-    faithful_degrees,
-    min_faithful_irrep_dim,
-)
+from .chartab import count_min_faithful, dixon_character_table, min_faithful_irrep_dim
 from .covers import (
     DEFAULT_SIZE_BOUND,
     CoverSpec,
@@ -119,9 +112,8 @@ def cmd_chartab(args, config: RunConfig) -> int:
     payload = ct.to_json()
     payload["group"] = {"n": args.n, "variant": args.variant,
                         "subgroup": args.subgroup}
-    degrees = faithful_degrees(table, cov.z, ct)
-    payload["min_faithful_dim"] = min(degrees)
-    payload["min_faithful_count"] = degrees.count(min(degrees))
+    payload["min_faithful_dim"] = min_faithful_irrep_dim(table, cov.z, ct)
+    payload["min_faithful_count"] = count_min_faithful(table, cov.z, ct)
     if config.format == "tsv":
         lines = ["degrees\t" + ",".join(str(d) for d in payload["degrees"]),
                  f"order\t{payload['order']}",

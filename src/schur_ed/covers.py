@@ -577,18 +577,13 @@ def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
     (Cover.cocycles), and z is the index shift by |P|.  The subgroup is
     what these columns reach from the identity: all of {0, 1} x P once z
     is reached, a copy of P otherwise, renumbered in CoverElem tuple order.
-    With z among gens no search is made: the reach is {0, 1} x P, and the
-    table's constructor still checks that every element is reached.
     The identity and repeated generators are dropped.  size_bound counts
     the 2*|P| elements of {0, 1} x P."""
     cov = get_cover(spec)
     gens = list(dict.fromkeys(g for g in gens if g != cov.identity))
     base, cols = _lifted_columns(gens, cov, size_bound)
     m = base.order
-    if cov.z in gens:
-        keep = np.arange(2 * m)
-    else:
-        keep = np.sort(np.concatenate(_schreier_tree(cols, 0)[2]))
+    keep = np.sort(np.concatenate(_schreier_tree(cols, 0)[2]))
     renumber = np.full(2 * m, -1, dtype=np.int64)
     renumber[keep] = np.arange(len(keep))
     return FiniteGroupTable(
