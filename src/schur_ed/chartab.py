@@ -27,7 +27,7 @@ class DixonPrime:
     exponent: int
 
     def __post_init__(self):
-        if self.p % 2 == 0 or self.p % self.exponent != 1:
+        if self.p % 2 == 0 or self.p % self.exponent != 1 % self.exponent:
             raise ValueError("need an odd prime p = 1 mod exponent")
 
 

@@ -270,8 +270,8 @@ def verify_presentation(spec: CoverSpec,
 
     For n <= 8 the order is the number of elements that the lifted columns
     of t_1..t_{n-1} alone reach from the identity: the columns
-    cover_subgroup builds over S_n, closed as permutations.  z is not among
-    the generators: it is reached as (t_1 t_3)^2, so a cocycle that does
+    _lifted_columns builds over S_n, with no table.  z is not among the
+    generators: it is reached as (t_1 t_3)^2, so a cocycle that does
     not put z in the group reaches n! elements and fails the check.  For
     larger n the order follows from the transversal argument: every
     permutation is a product of the generator images (its canonical word is
@@ -380,6 +380,50 @@ def _schreier_tree(cols: np.ndarray, root: int
     return parent, pgen, levels
 
 
+def _close(gens: Sequence[Perm], n: int, size_bound: int
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The permutation group generated by gens on n points, closed
+    breadth-first a whole level at a time: one gather applies every
+    generator to every element of the frontier.  Returns the elements as
+    int rows in one-line tuple order and one column per given generator:
+    cols[g][x] is the row of element x times gens[g].
+
+    A permutation's key packs its first n - 1 entries as base-n digits
+    (n^(n-1) <= 2^60 for n <= 16), so keys sort like the one-line tuples.
+    New elements are found against the sorted keys so far, and the columns
+    by searchsorted.  Raises SizeBoundExceeded past size_bound elements."""
+    if n > 16:
+        raise ValueError("permutation keys hold at most 16 points")
+    moves = np.array(gens, dtype=np.int64).reshape(len(gens), n) - 1
+    digits = np.int64(n) ** np.arange(n - 1)[::-1]
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        return (rows[:, :n - 1] - 1) @ digits
+
+    frontier = np.arange(1, n + 1, dtype=np.int64).reshape(1, n)
+    found = keys(frontier)  # sorted keys of every element so far
+    levels, level_keys, products = [], [found], []
+    while len(frontier):
+        levels.append(frontier)
+        # element-major: row x * len(gens) + g is element x times g
+        step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
+        products.append(keys(step))
+        fresh, first = np.unique(products[-1], return_index=True)
+        at = np.searchsorted(found, fresh)
+        new = found[np.minimum(at, len(found) - 1)] != fresh
+        found = np.insert(found, at[new], fresh[new])
+        if len(found) > size_bound:
+            raise SizeBoundExceeded(
+                f"closure exceeded {size_bound} elements")
+        frontier = step[first[new]]
+        level_keys.append(fresh[new])
+    order = np.argsort(np.concatenate(level_keys))
+    rows = np.concatenate(levels)[order]
+    cols = np.searchsorted(found, np.concatenate(products).reshape(
+        len(rows), len(gens))[order].T)
+    return rows, cols
+
+
 class FiniteGroupTable:
     """A finite group materialized as a canonical element list plus fast
     index-level multiplication.
@@ -415,52 +459,14 @@ class FiniteGroupTable:
     @classmethod
     def generate(cls, generators: List[Perm],
                  size_bound: int = DEFAULT_SIZE_BOUND) -> "FiniteGroupTable":
-        """The permutation group generated by `generators` (one-line
-        notation), closed breadth-first a whole level at a time: one gather
-        applies every generator to every element of the frontier.
-
-        A permutation's key packs its first n - 1 entries as base-n digits
-        (n^(n-1) <= 2^60 for n <= 16), so keys sort like the one-line
-        tuples, and the table lists the elements in that order.  New
-        elements are found against the sorted keys so far, and the
-        generator columns by searchsorted.  The identity and repeated
-        generators are dropped.  Raises SizeBoundExceeded past size_bound
-        elements."""
-        if size_bound < 1:
-            raise SizeBoundExceeded(f"closure exceeded {size_bound} elements")
+        """The table of the permutation group generated by `generators`
+        (one-line notation), closed by `_close`, with the identity and
+        repeated generators dropped."""
         n = len(generators[0]) if generators else 0
-        if n > 16:
-            raise ValueError("permutation keys hold at most 16 points")
         ident = identity_perm(n)
         gens = list(dict.fromkeys(
             g for g in map(tuple, generators) if g != ident))
-        moves = np.array(gens, dtype=np.int64).reshape(len(gens), n) - 1
-        digits = np.int64(n) ** np.arange(n - 1)[::-1]
-
-        def keys(rows: np.ndarray) -> np.ndarray:
-            return (rows[:, :n - 1] - 1) @ digits
-
-        frontier = np.array([ident], dtype=np.int64).reshape(1, n)
-        found = keys(frontier)  # sorted keys of every element so far
-        levels, level_keys, products = [], [found], []
-        while len(frontier):
-            levels.append(frontier)
-            # element-major: row x * len(gens) + g is element x times g
-            step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
-            products.append(keys(step))
-            fresh, first = np.unique(products[-1], return_index=True)
-            at = np.searchsorted(found, fresh)
-            new = found[np.minimum(at, len(found) - 1)] != fresh
-            found = np.insert(found, at[new], fresh[new])
-            if len(found) > size_bound:
-                raise SizeBoundExceeded(
-                    f"closure exceeded {size_bound} elements")
-            frontier = step[first[new]]
-            level_keys.append(fresh[new])
-        order = np.argsort(np.concatenate(level_keys))
-        rows = np.concatenate(levels)[order]
-        cols = np.searchsorted(found, np.concatenate(products).reshape(
-            len(rows), len(gens))[order].T)
+        rows, cols = _close(gens, n, size_bound)
         # the tuples are zipped from whole columns, with no list per row,
         # which keeps the peak memory of large closures down
         elements = list(zip(*rows.T.tolist())) if n else [()]
@@ -541,30 +547,22 @@ class FiniteGroupTable:
 
 
 def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
-                    ) -> Tuple[FiniteGroupTable, np.ndarray]:
-    """P = <g.perm> closed as permutations, and the column of every g on
-    {0, 1} x P, where (eps, pi) has index eps*|P| + rank(pi): P's column of
-    g.perm plus |P| times c(pi, g.perm) XOR g.eps XOR eps.  size_bound
-    counts the 2*|P| indices."""
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """P = <g.perm> closed by _close, as int rows, and the column of every
+    g on {0, 1} x P, where (eps, pi) has index eps*|P| + rank(pi): P's
+    column of g.perm plus |P| times c(pi, g.perm) XOR g.eps XOR eps.
+    size_bound counts the 2*|P| indices."""
+    perms = [g.perm for g in gens]
     try:
-        # the identity fixes the degree when gens is empty
-        base = FiniteGroupTable.generate(
-            [cov.identity.perm] + [g.perm for g in gens], size_bound // 2)
+        rows, base = _close(perms, cov.spec.n, size_bound // 2)
     except SizeBoundExceeded:
         raise SizeBoundExceeded(
             f"closure exceeded {size_bound} elements") from None
-    m = base.order
-    flip = cov.cocycles(
-        np.array(base.elements, dtype=np.int64).reshape(m, cov.spec.n),
-        [g.perm for g in gens])
+    m = len(rows)
+    flip = cov.cocycles(rows, perms)
     flip ^= np.array([g.eps for g in gens], dtype=np.int64).reshape(-1, 1)
     flip *= m
-    cols = np.empty((len(gens), 2 * m), dtype=np.int64)
-    for col, g in zip(cols, gens):
-        col[:m] = col[m:] = base.right_column(base.idx(g.perm))
-    cols[:, :m] += flip
-    cols[:, m:] += m - flip
-    return base, cols
+    return rows, np.hstack([base + flip, base + m - flip])
 
 
 def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
@@ -581,13 +579,14 @@ def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
     the 2*|P| elements of {0, 1} x P."""
     cov = get_cover(spec)
     gens = list(dict.fromkeys(g for g in gens if g != cov.identity))
-    base, cols = _lifted_columns(gens, cov, size_bound)
-    m = base.order
+    rows, cols = _lifted_columns(gens, cov, size_bound)
+    m = len(rows)
+    perms = list(zip(*rows.T.tolist()))
     keep = np.sort(np.concatenate(_schreier_tree(cols, 0)[2]))
     renumber = np.full(2 * m, -1, dtype=np.int64)
     renumber[keep] = np.arange(len(keep))
     return FiniteGroupTable(
-        [CoverElem(i // m, base.elements[i % m]) for i in keep.tolist()],
+        [CoverElem(i // m, perms[i % m]) for i in keep.tolist()],
         cov.identity, gens, renumber[cols[:, keep]])
 
 

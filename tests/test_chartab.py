@@ -21,6 +21,7 @@ from schur_ed.chartab import (
 )
 from schur_ed.covers import (
     CoverSpec,
+    FiniteGroupTable,
     VerificationError,
     cyclic_table,
     generalized_quaternion_table,
@@ -45,6 +46,12 @@ def test_dixon_prime_constraints():
         DixonPrime(10, 4)
     with pytest.raises(ValueError):
         DixonPrime(11, 4)  # 11 % 4 != 1
+
+
+def test_trivial_group_has_one_degree_one_character():
+    assert DixonPrime(3, 1).p == 3
+    trivial = FiniteGroupTable.generate([])
+    assert dixon_character_table(trivial).degrees == [1]
 
 
 def test_degrees_c2_and_cyclic():

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from schur_ed import covers
 from schur_ed.covers import (
     Cover,
     CoverElem,
@@ -380,6 +381,28 @@ def test_preimage_subgroup_orders():
     for variant in ("plus", "minus"):
         t3 = preimage_subgroup(klein, CoverSpec(4, variant))
         assert t3.order == 8
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_each_group_is_closed_once_into_at_most_one_table(monkeypatch,
+                                                          variant):
+    closures, tables = [], []
+    close, init = covers._close, FiniteGroupTable.__init__
+
+    def counting_close(*args):
+        closures.append(args)
+        return close(*args)
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(covers, "_close", counting_close)
+    monkeypatch.setattr(FiniteGroupTable, "__init__", counting_init)
+    assert verify_presentation(CoverSpec(7, variant)).all_ok
+    assert (len(closures), tables) == (1, [])
+    t = preimage_subgroup(sylow2_alt_generators(8), CoverSpec(8, variant))
+    assert (len(closures), tables) == (2, [t])
 
 
 def test_preimage_size_bound():
