@@ -105,7 +105,7 @@ def spin_representation(n: int, variant: str) -> List[SMatrix]:
         for c, g in ((a_k, gammas[k - 2]), (b_k, gammas[k - 1])):
             for row, g_row in zip(t, g):
                 for col, v in enumerate(g_row):
-                    if v.parts:
+                    if v:
                         row[col] = row[col] + c * v
         gens.append(t)
     return gens
@@ -134,7 +134,7 @@ def _blade_mul(x: Dict[int, SqrtNum], y: Dict[int, SqrtNum],
                 c = -c
             blade = a ^ b
             out[blade] = out[blade] + c if blade in out else c
-    return {blade: c for blade, c in out.items() if c.parts}
+    return {blade: c for blade, c in out.items() if c}
 
 
 def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
@@ -157,10 +157,10 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
        products and compared with the scalar +-1.
 
     Every relation word has even length, so it lies in the even subalgebra
-    C_0.  For m even C is central simple, and for m odd C_0 is (Lam,
-    Introduction to Quadratic Forms over Fields, V.2); either way the
-    nonzero module K^dim is faithful on C_0, since a kernel would be a
-    proper two-sided ideal.  So a word equals +-1 in C exactly when its
+    C_0.  For m even C is central simple, and for m odd C_0 is central
+    simple (Lam, Introduction to Quadratic Forms over Fields, V.2); either
+    way the nonzero module K^dim is faithful on C_0, since a kernel would
+    be a proper two-sided ideal.  So a word equals +-1 in C exactly when its
     matrix equals +-I: each flag is the flag of the dense product, for any
     coefficients c_kj, not only the intended ones.
 
@@ -183,7 +183,7 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     #    cols_l[cols_j[r]]
     maps: List[Tuple[List[int], List[SqrtNum]]] = []
     for j, g in enumerate(gammas, 1):
-        support = [[c for c, v in enumerate(row) if v.parts] for row in g]
+        support = [[c for c, v in enumerate(row) if v] for row in g]
         if len(g) != dim or any(len(row) != dim or len(cs) != 1
                                 for row, cs in zip(g, support)):
             raise VerificationError(
@@ -218,9 +218,9 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
             trace = zero
             for r in range(dim):
                 entry = t[cols[r]][r]
-                if entry.parts:
+                if entry:
                     trace = trace + vals[r] * entry
-            if trace.parts:
+            if trace:
                 coeffs[j] = scale * trace
         for r in range(dim):
             row: Dict[int, SqrtNum] = {}

@@ -12,15 +12,16 @@ multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
-the generator matrices, cover groups and tables from a breadth-first closure
-under cover multiplication (for tables with every product stored), and class
-matrices from one product per element and class representative.
+the generator matrices in a field of Fraction pairs, cover groups and tables
+from a breadth-first closure under cover multiplication (for tables with
+every product stored), and class matrices from one product per element and
+class representative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +29,7 @@ import numpy as np
 from schur_ed.clifford import spin_representation
 from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
-from schur_ed.radicals import (SqrtNum, smat_add, smat_eq, smat_identity, smat_mul,
-                               smat_neg, smat_pow, smat_scale)
+from schur_ed.radicals import SqrtNum, smat_add, smat_scale
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +196,149 @@ def dense_spin_generators(n: int, variant: str) -> List[List[List[SqrtNum]]]:
     return gens
 
 
+_ZERO = Fraction(0)
+
+
+class FractionSqrtNum:
+    """Sparse element of Q(i)(sqrt 2, sqrt 3, sqrt 5, ...) as a dict
+    {d: (re, im)} of Fraction pairs, with a Fraction operation per
+    coefficient: the oracle of `radicals.SqrtNum`."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Dict[int, Tuple[Fraction, Fraction]] | None = None):
+        clean = {}
+        if parts:
+            for d, (re, im) in parts.items():
+                if re or im:
+                    clean[d] = (re, im)
+        self.parts = clean
+
+    @classmethod
+    def rational(cls, v) -> "FractionSqrtNum":
+        return cls({1: (Fraction(v), Fraction(0))})
+
+    @classmethod
+    def imag_unit(cls) -> "FractionSqrtNum":
+        return cls({1: (Fraction(0), Fraction(1))})
+
+    @classmethod
+    def root(cls, n: int, scale=1) -> "FractionSqrtNum":
+        """scale * sqrt(n) for a positive integer n."""
+        if n <= 0:
+            raise ValueError("root() wants a positive integer")
+        # the largest square s^2 dividing n, by trial of every s
+        s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+        return cls({n // (s * s): (Fraction(scale) * s, Fraction(0))})
+
+    def __add__(self, other: "FractionSqrtNum") -> "FractionSqrtNum":
+        out = dict(self.parts)
+        for d, (re, im) in other.parts.items():
+            if d in out:
+                out[d] = (out[d][0] + re, out[d][1] + im)
+            else:
+                out[d] = (re, im)
+        return FractionSqrtNum(out)
+
+    def __neg__(self) -> "FractionSqrtNum":
+        return FractionSqrtNum({d: (-re, -im) for d, (re, im) in self.parts.items()})
+
+    def __sub__(self, other: "FractionSqrtNum") -> "FractionSqrtNum":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionSqrtNum") -> "FractionSqrtNum":
+        out: Dict[int, Tuple[Fraction, Fraction]] = {}
+        for d1, (r1, i1) in self.parts.items():
+            for d2, (r2, i2) in other.parts.items():
+                g = gcd(d1, d2)
+                d = (d1 // g) * (d2 // g)
+                # products with a zero factor are skipped: the entries
+                # of the spin matrices are mostly real or imaginary
+                re = r1 * r2 if r1 and r2 else _ZERO
+                if i1 and i2:
+                    re -= i1 * i2
+                im = r1 * i2 if r1 and i2 else _ZERO
+                if i1 and r2:
+                    im += i1 * r2
+                if g != 1:
+                    re, im = g * re, g * im
+                if d in out:
+                    out[d] = (out[d][0] + re, out[d][1] + im)
+                else:
+                    out[d] = (re, im)
+        return FractionSqrtNum(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FractionSqrtNum):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.parts.items())))
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def __repr__(self):
+        if not self.parts:
+            return "SqrtNum(0)"
+        bits = []
+        for d in sorted(self.parts):
+            re, im = self.parts[d]
+            bits.append(f"({re}+{im}i)sqrt{d}")
+        return "SqrtNum(" + " + ".join(bits) + ")"
+
+
 def dense_spin_relations(n: int, variant: str) -> List[Tuple[str, bool]]:
     """Check every defining relation of the matching presentation on the
     spin generator matrices, with the central element represented by -I,
-    by dense products of the matrices."""
-    gens = spin_representation(n, variant)
+    by dense products of the matrices.  Each entry is read through `.parts`
+    into a FractionSqrtNum, so no product or sum here is a SqrtNum one."""
+    gens = [[[FractionSqrtNum(v.parts) for v in row] for row in g]
+            for g in spin_representation(n, variant)]
     dim = len(gens[0])
-    ident = smat_identity(dim)
-    neg_ident = smat_neg(ident)
+    zero, one = FractionSqrtNum(), FractionSqrtNum.rational(1)
+    ident = [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+    neg_ident = [[-v for v in row] for row in ident]
+
+    def mul(x, y):
+        out = []
+        for row in x:
+            out_row = []
+            for c in range(dim):
+                acc = zero
+                for k in range(dim):
+                    acc = acc + row[k] * y[k][c]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+    def power(x, e):
+        out = x
+        for _ in range(e - 1):
+            out = mul(out, x)
+        return out
+
     plus = variant == "plus"
     letter = "s" if plus else "t"
     results: List[Tuple[str, bool]] = []
     results.append(("rho(z) = -I with rho(z) = (g1 g3)^2",
-                    smat_eq(smat_pow(smat_mul(gens[0], gens[2]), 2),
-                            neg_ident)))
+                    power(mul(gens[0], gens[2]), 2) == neg_ident))
     for k in range(1, n):
-        sq = smat_mul(gens[k - 1], gens[k - 1])
+        sq = mul(gens[k - 1], gens[k - 1])
         want = ident if plus else neg_ident
         rel = f"{letter}{k}^2 = {'1' if plus else 'z'}"
-        results.append((rel, smat_eq(sq, want)))
+        results.append((rel, sq == want))
     for k in range(1, n):
         for l in range(k + 2, n):
-            val = smat_pow(smat_mul(gens[k - 1], gens[l - 1]), 2)
+            val = power(mul(gens[k - 1], gens[l - 1]), 2)
             results.append((f"({letter}{k} {letter}{l})^2 = z",
-                            smat_eq(val, neg_ident)))
+                            val == neg_ident))
     for k in range(1, n - 1):
-        val = smat_pow(smat_mul(gens[k - 1], gens[k]), 3)
+        val = power(mul(gens[k - 1], gens[k]), 3)
         want = ident if plus else neg_ident
         rel = f"({letter}{k} {letter}{k+1})^3 = {'1' if plus else 'z'}"
-        results.append((rel, smat_eq(val, want)))
+        results.append((rel, val == want))
     return results
 
 

@@ -24,6 +24,7 @@ from schur_ed.radicals import (
 
 import oracles
 from oracles import (
+    FractionSqrtNum,
     dense_spin_generators,
     dense_spin_relations,
     kronecker_gamma_matrices,
@@ -241,6 +242,59 @@ def test_sqrtnum_mul_matches_complex_floats():
     for _ in range(300):
         x, y = draw(), draw()
         assert abs(_as_complex(x * y) - _as_complex(x) * _as_complex(y)) < 1e-9
+
+
+def test_sqrtnum_matches_the_fraction_oracle():
+    # zero, real, imaginary and mixed parts over every squarefree radicand
+    # of {2, 3, 5}, with negative and non-integer rationals
+    rng = random.Random(18)
+    radicands = [1, 2, 3, 5, 6, 10, 15, 30]
+    values = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
+              Fraction(-3, 2), Fraction(5, 7), Fraction(-4, 9), Fraction(6)]
+
+    def draw():
+        parts = {d: (rng.choice(values), rng.choice(values))
+                 for d in rng.sample(radicands, rng.randint(0, 3))}
+        return SqrtNum(parts), FractionSqrtNum(parts)
+
+    for _ in range(200):
+        (x, ox), (y, oy) = draw(), draw()
+        got = [x + y, y + x, x - y, -(y - x), -x, x - x, x * y, y * x,
+               x * (y + x), x * y + x * x, x * SqrtNum.imag_unit()]
+        want = [ox + oy, oy + ox, ox - oy, -(oy - ox), -ox, ox - ox,
+                ox * oy, oy * ox, ox * (oy + ox), ox * oy + ox * ox,
+                ox * FractionSqrtNum.imag_unit()]
+        for g, w in zip(got, want):
+            assert g.parts == w.parts
+            assert repr(g) == repr(w)
+            assert g.is_zero() == w.is_zero()
+        for g1, w1 in zip(got, want):
+            for g2, w2 in zip(got, want):
+                assert (g1 == g2) == (w1 == w2)
+                if g1 == g2:
+                    assert hash(g1) == hash(g2)
+    for n in range(1, 61):
+        scale = rng.choice(values[2:])
+        assert SqrtNum.root(n, scale).parts == FractionSqrtNum.root(n, scale).parts
+
+
+def test_sqrtnum_has_one_normal_form():
+    half_root3 = SqrtNum.root(3, Fraction(1, 2))
+    x = SqrtNum({2: (Fraction(-3, 2), Fraction(5, 7)), 3: (Fraction(1), Fraction(0))})
+    equal_pairs = [
+        (SqrtNum.root(8), SqrtNum.root(2, 2)),
+        (SqrtNum.root(12, Fraction(1, 4)), half_root3),
+        (SqrtNum({3: (Fraction(2, 4), Fraction(0))}), half_root3),
+        (SqrtNum.root(2, Fraction(1, 2)) * SqrtNum.root(2), SqrtNum.rational(1)),
+        (half_root3 + half_root3, SqrtNum.root(3)),
+        (x - x, SqrtNum()),
+        (x * SqrtNum(), SqrtNum()),
+    ]
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    for zero in (x - x, x * SqrtNum()):
+        assert zero.is_zero() and not zero
+        assert repr(zero) == "SqrtNum(0)"
 
 
 def test_smat_eq_compares_shapes():

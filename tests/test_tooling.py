@@ -1,10 +1,14 @@
 """The benchmark tracer wraps program functions by name; every name it
-wraps must still exist where it looks it up."""
+wraps must still exist where it looks it up.  The before/after records
+BENCH_*.json at the repository root must agree with their own pairs."""
 
+import json
 import runpy
+import statistics
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_tracer_target_is_in_its_owners_namespace():
@@ -15,3 +19,33 @@ def test_every_tracer_target_is_in_its_owners_namespace():
         # Recorder.install reads and replaces owner.__dict__[attr]
         assert attr in vars(owner), f"{module}.{path} is gone"
         assert callable(tracer["_function"](vars(owner)[attr]))
+
+
+def test_every_bench_record_summarizes_its_pairs():
+    # a BENCH_*.json is a hand-assembled before/after record: its summary
+    # must follow from its own pairs, and every run in it must be clean
+    declared = {w["name"] for w in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        bench = json.loads(path.read_text())
+        assert bench["workload"] in declared, path.name
+        assert path.name == f"BENCH_{bench['workload']}.json"
+        pairs = bench["pairs"]
+        parent = [p["parent_wall_s"] for p in pairs]
+        change = [p["change_wall_s"] for p in pairs]
+        for p in pairs:
+            assert p["change_wins"] == (p["change_wall_s"] < p["parent_wall_s"])
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        assert bench["wall_s"] == {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "change_wins": sum(p["change_wins"] for p in pairs),
+            "pairs": len(pairs),
+            "parent_iqr": q3 - q1,
+        }, path.name
+        for side in bench["sides"].values():
+            for rec in side["records"]:
+                assert rec["result"]["correct"] is True, path.name
+                assert rec["result"]["failed"] == 0, path.name
