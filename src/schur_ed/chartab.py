@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .covers import FiniteGroupTable, VerificationError, center, conjugacy_classes
+from .covers import (FiniteGroupTable, VerificationError, center,
+                     conjugacy_classes, np)
 from .numth import next_prime, sqrt_mod
 
 

@@ -18,13 +18,13 @@ e_i - e_{i+1} (tests/oracles.py).
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
-
-import numpy as np
 
 from .numth import SizeBoundExceeded
 from .perms import (
@@ -37,6 +37,27 @@ from .perms import (
     right_multiply_adjacent,
     sylow2_sym_generators,
 )
+
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute access instead of
+    now; unchanged if it is already imported.  The quadratic-form commands
+    never touch numpy, so they never pay for executing it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# chartab takes np from here: an `import numpy` statement would read the
+# lazy module's __spec__ and so execute numpy at once
+np = _lazy_import("numpy")
 
 DEFAULT_SIZE_BOUND = 1 << 18
 

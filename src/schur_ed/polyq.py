@@ -289,7 +289,8 @@ def _irreducible_mod_p(f: List[int], p: int) -> bool:
     f is first evaluated at every residue by a dot product with that
     residue's powers: a root mod p is a linear factor, and a random f has
     one with probability about 1 - 1/e, so most candidates stop here in
-    p short dot products.  Otherwise the nullity of Q - I, where row i of Q
+    p short dot products, and a quadratic or cubic with no root is
+    irreducible.  Otherwise the nullity of Q - I, where row i of Q
     is x^(i*p) mod f, is the number of distinct irreducible factors of f
     mod p (Berlekamp's subalgebra has dimension one over each primary
     factor), and f is irreducible iff that number is 1 and f is squarefree
@@ -303,6 +304,8 @@ def _irreducible_mod_p(f: List[int], p: int) -> bool:
     for row in _residue_powers(p, d + 1):
         if not sum(map(_times, f, row)) % p:
             return False
+    if d <= 3:
+        return True
     inv = pow(f[-1], -1, p)
     fp = [c * inv % p for c in f]
     # x^d = sum low[k] x^k mod f; v runs through x^k mod f

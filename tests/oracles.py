@@ -12,7 +12,7 @@ multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
-the generator matrices in a field of Fraction pairs, cover groups and tables
+the generator matrices, all three in a field of Fraction pairs, cover groups and tables
 from a breadth-first closure under cover multiplication (for tables with
 every product stored), and class matrices from one product per element and
 class representative.
@@ -29,7 +29,6 @@ import numpy as np
 from schur_ed.clifford import spin_representation
 from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
-from schur_ed.radicals import SqrtNum, smat_add, smat_scale
 
 
 # ---------------------------------------------------------------------------
@@ -149,52 +148,9 @@ def clifford_elementary_cocycle(cover, perm, i, lifts=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gamma matrices as Kronecker products, spin relations by dense products
+# spin matrices over Fraction pairs: Kronecker-product gammas, dense sums
+# and products
 # ---------------------------------------------------------------------------
-
-def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[SqrtNum]]]:
-    """The n-1 gamma matrices of the tensor construction with p = (n-1)//2
-    slots: Z x ... x Z x X x I x ... x I and the same with Y (j Z's first,
-    j = 0..p-1), then Z x ... x Z when n-1 is odd, each a Kronecker product
-    of explicit 2x2 matrices over SqrtNum, times i when sign is -1."""
-    zero, one, i = SqrtNum(), SqrtNum.rational(1), SqrtNum.imag_unit()
-    eye = [[one, zero], [zero, one]]
-    x = [[zero, one], [one, zero]]
-    y = [[zero, -i], [i, zero]]
-    z = [[one, zero], [zero, -one]]
-
-    def kron(a, b):
-        return [[u * v for u in ra for v in rb] for ra in a for rb in b]
-
-    pairs = (n - 1) // 2
-    words = [[z] * j + [pauli] + [eye] * (pairs - j - 1)
-             for j in range(pairs) for pauli in (x, y)]
-    if (n - 1) % 2:
-        words.append([z] * pairs)
-    out = []
-    for word in words:
-        g = [[one]]
-        for factor in word:
-            g = kron(g, factor)
-        if sign == -1:
-            g = [[i * v for v in row] for row in g]
-        out.append(g)
-    return out
-
-
-def dense_spin_generators(n: int, variant: str) -> List[List[List[SqrtNum]]]:
-    """T_1 = Gamma_1 and T_k = a_k*Gamma_{k-1} + b_k*Gamma_k, scaled and
-    added over every entry of the Kronecker-product gammas, with
-    a_k = -sqrt((k-1)/2k) and b_k = sqrt((k+1)/2k)."""
-    gammas = kronecker_gamma_matrices(n, 1 if variant == "plus" else -1)
-    gens = [gammas[0]]
-    for k in range(2, n):
-        a_k = SqrtNum.root(2 * k * (k - 1), Fraction(-1, 2 * k))
-        b_k = SqrtNum.root(2 * k * (k + 1), Fraction(1, 2 * k))
-        gens.append(smat_add(smat_scale(a_k, gammas[k - 2]),
-                             smat_scale(b_k, gammas[k - 1])))
-    return gens
-
 
 _ZERO = Fraction(0)
 
@@ -340,6 +296,57 @@ def dense_spin_relations(n: int, variant: str) -> List[Tuple[str, bool]]:
         rel = f"({letter}{k} {letter}{k+1})^3 = {'1' if plus else 'z'}"
         results.append((rel, val == want))
     return results
+
+
+def kronecker_gamma_matrices(n: int, sign: int) -> List[List[List[FractionSqrtNum]]]:
+    """The n-1 gamma matrices of the tensor construction with p = (n-1)//2
+    slots: Z x ... x Z x X x I x ... x I and the same with Y (j Z's first,
+    j = 0..p-1), then Z x ... x Z when n-1 is odd, each a Kronecker product
+    of explicit 2x2 matrices over FractionSqrtNum, times i when sign is -1."""
+    zero, one = FractionSqrtNum(), FractionSqrtNum.rational(1)
+    i = FractionSqrtNum.imag_unit()
+    eye = [[one, zero], [zero, one]]
+    x = [[zero, one], [one, zero]]
+    y = [[zero, -i], [i, zero]]
+    z = [[one, zero], [zero, -one]]
+
+    def kron(a, b):
+        return [[u * v for u in ra for v in rb] for ra in a for rb in b]
+
+    pairs = (n - 1) // 2
+    words = [[z] * j + [pauli] + [eye] * (pairs - j - 1)
+             for j in range(pairs) for pauli in (x, y)]
+    if (n - 1) % 2:
+        words.append([z] * pairs)
+    out = []
+    for word in words:
+        g = [[one]]
+        for factor in word:
+            g = kron(g, factor)
+        if sign == -1:
+            g = [[i * v for v in row] for row in g]
+        out.append(g)
+    return out
+
+
+def dense_spin_generators(n: int, variant: str) -> List[List[List[FractionSqrtNum]]]:
+    """T_1 = Gamma_1 and T_k = a_k*Gamma_{k-1} + b_k*Gamma_k, scaled and
+    added over every entry of the Kronecker-product gammas, with
+    a_k = -sqrt((k-1)/2k) and b_k = sqrt((k+1)/2k)."""
+    gammas = kronecker_gamma_matrices(n, 1 if variant == "plus" else -1)
+    gens = [gammas[0]]
+    for k in range(2, n):
+        a_k = FractionSqrtNum.root(2 * k * (k - 1), Fraction(-1, 2 * k))
+        b_k = FractionSqrtNum.root(2 * k * (k + 1), Fraction(1, 2 * k))
+        gens.append([[a_k * u + b_k * v for u, v in zip(ru, rv)]
+                     for ru, rv in zip(gammas[k - 2], gammas[k - 1])])
+    return gens
+
+
+def matrix_parts(m) -> List[List[Dict[int, Tuple[Fraction, Fraction]]]]:
+    """The `.parts` of every entry: SqrtNum and FractionSqrtNum matrices
+    compare through these without sharing any arithmetic."""
+    return [[v.parts for v in row] for row in m]
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,39 @@ def _python(args, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
+# run in a fresh interpreter: every command but the last needs no group,
+# so numpy must not have been executed (no numpy.* submodule loaded) until
+# the last one, which does
+FRESH_CLI_RUN = """
+import contextlib, io, json, sys
+import schur_ed, schur_ed.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = schur_ed.cli.main(argv)
+    return [code, out.getvalue()]
+
+*numpy_free, group = json.loads(sys.argv[1])
+runs = [run(argv) for argv in numpy_free]
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+runs.append(run(group))
+print(json.dumps({"numpy_submodules": loaded, "runs": runs}))
+"""
+
+
+def test_quadratic_form_commands_never_execute_numpy(capsys):
+    argvs = [["qform", "1,-1,2/3"], ["trace-form", "x^3 - 2"],
+             ["trace-check", "-n", "6", "--trials", "5"], ["table1"],
+             ["ed2", "-n", "10"], ["chartab", "-n", "4"]]
+    done = _python(["-c", FRESH_CLI_RUN, json.dumps(argvs)], timeout=120)
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)
+    assert fresh["numpy_submodules"] == []
+    # the same bytes as in this process, where numpy is loaded
+    assert fresh["runs"] == [list(run(capsys, *argv)[:2]) for argv in argvs]
+
+
 def test_trace_check_finishes_on_the_advertised_degrees():
     # degrees 13..24 once hung in Brent rho; every run must now pass, and
     # all of them together within 60 s (the subprocess is killed at 60 s)
