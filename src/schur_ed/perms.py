@@ -7,7 +7,7 @@ Composition is functional: (s * t)(x) = s(t(x)).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 Perm = Tuple[int, ...]
 
@@ -34,14 +34,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
         raise ValueError(f"adjacent index {i} out of range for n={n}")
     img = list(range(1, n + 1))
     img[i - 1], img[i] = img[i], img[i - 1]
-    return tuple(img)
-
-
-def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
-    img = list(range(1, n + 1))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-            img[a - 1] = b
     return tuple(img)
 
 
@@ -94,13 +86,6 @@ def canonical_word(s: Perm) -> List[int]:
     for block in reversed(blocks):
         word.extend(block)
     return word
-
-
-def perm_from_word(n: int, word: Sequence[int]) -> Perm:
-    img = identity_perm(n)
-    for i in word:
-        img = right_multiply_adjacent(img, i)
-    return img
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,22 @@ A polynomial is a tuple of Fractions, ascending degree, no trailing zeros.
 The kernels run on integer coefficient lists: a polynomial is scaled once by
 the lcm of its denominators, resultants follow the subresultant PRS over Z,
 power sums of an integral polynomial are ints, and the certificates mod p
-reduce the scaled list, not each Fraction.
+reduce the scaled list, not each Fraction.  The integer discriminant is
+memoized by the coefficient tuple; the certificates sieve their primes by
+its Legendre symbol (Stickelberger's parity), and `discriminant` reads the
+same value when an etale algebra validates the factor it kept.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul as _times
 from typing import Dict, List, Sequence, Tuple
+
+from .numth import legendre
 
 Poly = Tuple[Fraction, ...]
 
@@ -117,18 +123,27 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     return Fraction(_subresultant(fi, gi), df ** n * dg ** m)
 
 
+@lru_cache(maxsize=4096)
+def _int_discriminant(F: Tuple[int, ...]) -> int:
+    """disc(F) = (-1)^(d(d-1)/2) res(F, F') / lc(F) of an integer
+    coefficient tuple of degree d >= 1, an integer.  Memoized by the tuple:
+    `certify_irreducible` computes it for every candidate, and the one kept
+    reaches `discriminant` again when its etale algebra is validated."""
+    d = len(F) - 1
+    if d == 1:
+        return 1
+    res = _subresultant(list(F), [i * c for i, c in enumerate(F)][1:])
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * res // F[-1]
+
+
 def discriminant(f: Poly) -> Fraction:
-    """(-1)^(d(d-1)/2) res(f, f') / lc(f).  With F = den * f integral this is
-    (-1)^(d(d-1)/2) res(F, F') / (den^(2d-2) lc(F))."""
+    """disc(f) = disc(F) / den^(2d-2) for F = den * f integral."""
     d = degree(f)
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
     F, den = _integral(f)
-    res = _subresultant(F, [i * c for i, c in enumerate(F)][1:])
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return Fraction(sign * res, den ** (2 * d - 2) * F[-1])
+    return Fraction(_int_discriminant(tuple(F)), den ** (2 * d - 2))
 
 
 def power_sums(f: Poly, count: int) -> List:
@@ -225,27 +240,8 @@ def format_poly(f: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility certificates mod p (Berlekamp's matrix)
+# irreducibility certificates mod p (parity, roots, Berlekamp's matrix)
 # ---------------------------------------------------------------------------
-
-def _pm_rem(a: List[int], m: List[int], p: int) -> List[int]:
-    a = a[:]
-    inv = pow(m[-1], -1, p)
-    low = m[:-1]
-    for k in range(len(a) - len(m), -1, -1):
-        c = a.pop() * inv % p
-        if c:
-            a[k:] = [(x - c * y) % p for x, y in zip(a[k:], low)]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pm_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    while b:
-        a, b = b, _pm_rem(a, b, p)
-    return a
-
 
 def _gf_independent(rows: List[List[int]], p: int) -> bool:
     """Are the rows linearly independent over GF(p)?  Each row is reduced
@@ -282,34 +278,48 @@ def _residue_powers(p: int, width: int) -> List[Tuple[int, ...]]:
     return rows
 
 
-def _irreducible_mod_p(f: List[int], p: int) -> bool:
-    """Berlekamp's criterion for an integer coefficient list f of degree
-    d >= 1: True iff f mod p has degree d and is irreducible.
+def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
+    """True iff the integer coefficient list f of degree d >= 1, whose
+    discriminant is disc, has degree d mod the odd prime p and is
+    irreducible mod p.
 
-    f is first evaluated at every residue by a dot product with that
+    Stickelberger's theorem (Swan, Pacific J. Math. 12 (1962)) decides
+    about half the primes at once: if p divides neither lc(f) nor disc and
+    f has r irreducible factors mod p, then (disc | p) is (-1)^(d-r).  So
+    an irreducible f has (disc | p) = (-1)^(d-1), and any other symbol,
+    0 included (a repeated factor), rules p out.  That settles d = 2.
+
+    f is next evaluated at every residue by a dot product with that
     residue's powers: a root mod p is a linear factor, and a random f has
     one with probability about 1 - 1/e, so most candidates stop here in
-    p short dot products, and a quadratic or cubic with no root is
-    irreducible.  Otherwise the nullity of Q - I, where row i of Q
-    is x^(i*p) mod f, is the number of distinct irreducible factors of f
-    mod p (Berlekamp's subalgebra has dimension one over each primary
-    factor), and f is irreducible iff that number is 1 and f is squarefree
-    mod p.  Row i+1 of Q is row i times the matrix of multiplication by
-    x^p, whose rows x^(p+j) mod f come from x^p by multiplying by x."""
+    p short dot products.  With no root, a cubic is irreducible, and so is
+    a quartic or quintic of the right parity: its factors then have degree
+    >= 2, and the one other squarefree split, 2 + 2 or 2 + 3, has r = 2.
+    From d = 6 on (2 + 2 + 2 has the parity of an irreducible sextic)
+    Berlekamp's criterion decides: the nullity of Q - I, where
+    row i of Q is x^(i*p) mod f, is the number of distinct irreducible
+    factors of f mod p (Berlekamp's subalgebra has dimension one over each
+    primary factor), and f, already squarefree mod p, is irreducible iff
+    that number is 1.  Row i+1 of Q is row i times the matrix of
+    multiplication by x^p, whose rows x^(p+j) mod f come from x^p by
+    multiplying by x."""
     d = len(f) - 1
     if f[-1] % p == 0:
         return False
     if d == 1:
         return True
+    if legendre(disc, p) != (-1 if d % 2 == 0 else 1):
+        return False
+    if d == 2:
+        return True
     for row in _residue_powers(p, d + 1):
         if not sum(map(_times, f, row)) % p:
             return False
-    if d <= 3:
+    if d <= 5:
         return True
     inv = pow(f[-1], -1, p)
-    fp = [c * inv % p for c in f]
     # x^d = sum low[k] x^k mod f; v runs through x^k mod f
-    low = [-c % p for c in fp[:-1]]
+    low = [-c * inv % p for c in f[:-1]]
     k = min(p, d - 1)
     v = [0] * d
     v[k] = 1
@@ -331,25 +341,23 @@ def _irreducible_mod_p(f: List[int], p: int) -> bool:
         row = power[:]
         row[i] = (row[i] - 1) % p
         rows.append(row)
-    # row 0 of Q - I is zero.  Rows 1..d-1 are independent iff f mod p is
-    # a power of one irreducible g; then f = g exactly when f is squarefree
-    if not _gf_independent(rows, p):
-        return False
-    der = [(i * c) % p for i, c in enumerate(fp)][1:]
-    while der and der[-1] == 0:
-        der.pop()
-    return bool(der) and len(_pm_gcd(fp, der, p)) == 1
+    # row 0 of Q - I is zero.  Rows 1..d-1 are independent iff f mod p,
+    # squarefree since p does not divide disc, is irreducible
+    return _gf_independent(rows, p)
 
 
 def is_irreducible_mod_p(f: Poly, p: int) -> bool:
-    """Is f irreducible mod p, with no drop in degree?  False when p
-    divides a denominator of f.  Irreducible mod p certifies irreducible
-    over Q.  Runs the kernel `certify_irreducible` runs, on den * f."""
+    """Is f irreducible mod the odd prime p, with no drop in degree?  False
+    when p divides a denominator of f.  Irreducible mod p certifies
+    irreducible over Q.  Runs the kernel `certify_irreducible` runs, on
+    den * f."""
+    if p == 2:
+        raise ValueError("the certificate needs an odd prime")
     d = degree(f)
     if d < 1:
         return False
     F, den = _integral(f)
-    return den % p != 0 and _irreducible_mod_p(F, p)
+    return den % p != 0 and _irreducible_mod_p(F, p, _int_discriminant(tuple(F)))
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -359,9 +367,12 @@ def certify_irreducible(f: Sequence) -> bool:
     """True if some small prime certifies irreducibility over Q.  A False
     return means 'not certified', not 'reducible'.  f is a Poly or a list
     of int coefficients (ascending, no trailing zero); it is scaled to
-    integers once for all the primes."""
+    integers, and its discriminant computed, once for all the primes.
+    Every prime goes through the one kernel `_irreducible_mod_p`: the
+    parity sieve, the root scan, then Berlekamp from degree 6 on."""
     d = degree(f)
     if d < 2:
         return d == 1
     F, den = _integral(f)
-    return any(den % p and _irreducible_mod_p(F, p) for p in _CERT_PRIMES)
+    disc = _int_discriminant(tuple(F))
+    return any(den % p and _irreducible_mod_p(F, p, disc) for p in _CERT_PRIMES)

@@ -7,7 +7,8 @@ products of the vectors e_i - e_{i+1}, compared exactly), power sums come
 from companion matrices, the validity of an etale algebra from polynomial gcds
 over Q, resultants and discriminants from Sylvester determinants by Bareiss
 elimination, Gram diagonals from Schur complements in Fractions,
-irreducibility mod p from Rabin's test, permutation facts from naive mapping composition, degree
+irreducibility mod p from Rabin's test, permutation facts from naive mapping
+composition (words too), degree
 multisets from numeric decomposition of the regular representation, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
@@ -365,6 +366,25 @@ def nu2_factorial(n: int) -> int:
 
 def compose_naive(s: Tuple[int, ...], t: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(s[t[i] - 1] for i in range(len(t)))
+
+
+def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The permutation of {1..n} with the given cycles, as images."""
+    img = list(range(1, n + 1))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+            img[a - 1] = b
+    return tuple(img)
+
+
+def perm_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
+    """The product s_{w1} s_{w2} ... of adjacent transpositions."""
+    img = tuple(range(1, n + 1))
+    for i in word:
+        s_i = list(range(1, n + 1))
+        s_i[i - 1], s_i[i] = i + 1, i
+        img = compose_naive(img, tuple(s_i))
+    return img
 
 
 def companion_power_traces(coeffs: Sequence[Fraction], count: int) -> List[Fraction]:

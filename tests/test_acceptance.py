@@ -27,7 +27,7 @@ from schur_ed.covers import (
     verify_presentation,
 )
 from schur_ed.edcalc import ed2_formula, table1
-from schur_ed.perms import from_cycles, sylow2_alt_generators
+from schur_ed.perms import sylow2_alt_generators
 from schur_ed.qforms import (
     QuadFormQ,
     discriminant,
@@ -42,7 +42,7 @@ from schur_ed.qforms import (
 )
 from schur_ed.qforms import INF, TWO, Place
 
-from oracles import regular_representation_degrees
+from oracles import from_cycles, regular_representation_degrees
 
 
 def _report(name: str, ok: bool, extra: str = "") -> None:

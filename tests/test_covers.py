@@ -27,11 +27,9 @@ from schur_ed.perms import (
     adjacent_transposition,
     canonical_word,
     compose,
-    from_cycles,
     identity_perm,
     inversions,
     parity,
-    perm_from_word,
     right_multiply_adjacent,
     sylow2_alt_generators,
     sylow2_sym_generators,
@@ -44,8 +42,10 @@ from oracles import (
     bfs_closure,
     clifford_elementary_cocycle,
     compose_naive,
+    from_cycles,
     integer_lift,
     nu2_factorial,
+    perm_from_word,
     quaternion_mul,
     slow_multivector_mul,
 )

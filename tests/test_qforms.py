@@ -750,12 +750,14 @@ def test_random_etale_draws_match_rabin_certificates(monkeypatch):
     fast = draws()
     calls = []
 
-    def rabin(f, p):
-        calls.append(p)
-        return rabin_irreducible_mod_p(f, p)
+    def rabin(f):
+        calls.append(f)
+        f = polyq.poly(f)
+        return any(rabin_irreducible_mod_p(f, p) for p in polyq._CERT_PRIMES)
 
-    # the kernel certify_irreducible runs for each prime, on den * f
-    monkeypatch.setattr(polyq, "_irreducible_mod_p", rabin)
+    # the whole certificate, parity sieve and root scan included, replaced
+    # by Rabin's test at the same primes
+    monkeypatch.setattr(polyq, "certify_irreducible", rabin)
     assert draws() == fast
     assert calls
 
@@ -764,13 +766,30 @@ def test_random_etale_draws_match_rabin_certificates(monkeypatch):
 # irreducibility mod p: Berlekamp against Rabin
 # ---------------------------------------------------------------------------
 
+def _check_against_rabin(f):
+    rabin = [rabin_irreducible_mod_p(f, p) for p in polyq._CERT_PRIMES]
+    for p, want in zip(polyq._CERT_PRIMES, rabin):
+        assert polyq.is_irreducible_mod_p(f, p) == want, (f, p)
+    assert polyq.certify_irreducible(f) == any(rabin), f
+
+
 def test_berlekamp_matches_rabin_small_exhaustive():
     for d in (2, 3, 4):
         for coeffs in itertools.product(range(-3, 4), repeat=d):
             f = polyq.poly(list(coeffs) + [1])
-            for p in polyq._CERT_PRIMES:
-                assert polyq.is_irreducible_mod_p(f, p) == \
-                    rabin_irreducible_mod_p(f, p), (f, p)
+            _check_against_rabin(f)
+
+
+def test_parity_sieve_matches_rabin_at_degrees_5_and_6():
+    # degree 5 is the largest that the parity sieve and the root scan
+    # settle alone; at degree 6 a product of three quadratics has the
+    # parity of an irreducible sextic and only Berlekamp tells them apart
+    rng = random.Random(1962)
+    for d in (5, 6):
+        for _ in range(150):
+            lead = rng.choice([1, 1, 1, 2, 3])
+            f = polyq.poly([rng.randint(-9, 9) for _ in range(d)] + [lead])
+            _check_against_rabin(f)
 
 
 def test_berlekamp_matches_rabin_random():
@@ -781,11 +800,7 @@ def test_berlekamp_matches_rabin_random():
         if rng.random() < 0.25:
             coeffs[rng.randrange(d)] = Fraction(rng.randint(-9, 9),
                                                 rng.choice([2, 3, 5, 7]))
-        f = polyq.poly(coeffs + [1])
-        rabin = [rabin_irreducible_mod_p(f, p) for p in polyq._CERT_PRIMES]
-        for p, want in zip(polyq._CERT_PRIMES, rabin):
-            assert polyq.is_irreducible_mod_p(f, p) == want, (f, p)
-        assert polyq.certify_irreducible(f) == any(rabin), f
+        _check_against_rabin(polyq.poly(coeffs + [1]))
 
 
 def test_berlekamp_known_factorizations():
@@ -802,6 +817,9 @@ def test_berlekamp_known_factorizations():
     assert not polyq.is_irreducible_mod_p(
         polyq.poly([Fraction(1, 5), 0, 1]), 5)
     assert not polyq.is_irreducible_mod_p(parse_poly("x^2 - 2x + 1"), 7)
+    # the parity sieve has no Legendre symbol at 2
+    with pytest.raises(ValueError):
+        polyq.is_irreducible_mod_p(f, 2)
 
 
 # ---------------------------------------------------------------------------
