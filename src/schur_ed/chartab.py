@@ -135,45 +135,56 @@ _GATHER = 1 << 14
 
 
 class _ClassData:
-    """Classes of a group table and the right columns that count class
-    matrix entries.
+    """Classes of a group table, the inverse class and element order of
+    every class, and the right columns that count class matrix entries.
 
     With a central involution z, class t pairs with pair[t], the class of
     z g_t, and only the classes t < pair[t] keep a right column: these rows
     R, identity class first, index the z-odd class functions, which vanish
-    on every class with zC = C.  Without z, every class is a row."""
+    on every class with zC = C.  Without z, every class is a row.
+
+    The representatives' right columns come from one walk over their
+    Schreier words (FiniteGroupTable.right_columns).  Along the column of
+    g, the identity runs through the powers of g, so its cycle gives the
+    order of g, and the power before the identity is g^-1."""
 
     def __init__(self, table: FiniteGroupTable, z=None):
-        self.table = table
         self.classes = conjugacy_classes(table)
         self.n = len(self.classes)
-        class_of = np.empty(table.order, dtype=np.int64)
+        class_of = np.empty(table.order, dtype=np.int32)
         for t, cls in enumerate(self.classes):
             class_of[cls] = t
         self.reps = [cls[0] for cls in self.classes]
         self.sizes = [len(cls) for cls in self.classes]
-        self.inv_class = [
-            int(class_of[table.inv_idx(rep)]) for rep in self.reps
-        ]
         if z is None:
             self.rows = np.arange(self.n)
         else:
             # z is central, so z g is g z: one gather of z's right column
             self.pair = class_of[table.right_column(table.idx(z))[self.reps]]
             self.rows = np.flatnonzero(self.pair > np.arange(self.n))
+        e = table.identity_idx
+        self.inv_class = [0] * self.n
+        self.orders = [0] * self.n
         # _right[i, y] = n*i + (class of y * g_u) for u = rows[i], so that
         # one bincount over a set of elements y and a run of rows, shifted
         # to start at 0, counts the pairs (i, t)
         self._right = np.empty((len(self.rows), table.order), dtype=np.int32)
-        for i, u in enumerate(self.rows.tolist()):
-            self._right[i] = (class_of[table.right_column(self.reps[u])]
-                              + self.n * i)
+        for i, col in table.right_columns([self.reps[u] for u in self.rows]):
+            class_of.take(col, out=self._right[i])
+            self._right[i] += self.n * i
+            prev, cur, k = e, col.item(e), 1
+            while cur != e:
+                prev, cur, k = cur, col.item(cur), k + 1
+            u = self.rows[i]
+            self.inv_class[u], self.orders[u] = int(class_of[prev]), k
+        # the classes with no column: fold all their words at once
+        rest = sorted(set(range(self.n)) - set(self.rows.tolist()))
+        invs, orders = table.power_cycles([self.reps[u] for u in rest])
+        for u, inv, k in zip(rest, invs, orders):
+            self.inv_class[u], self.orders[u] = int(class_of[inv]), k
 
     def exponent(self) -> int:
-        exp = 1
-        for rep in self.reps:
-            exp = math.lcm(exp, self.table.order_of_idx(rep))
-        return exp
+        return math.lcm(*self.orders)
 
     def class_matrix(self, r: int) -> np.ndarray:
         """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}, on the
@@ -503,7 +514,7 @@ def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
 
     central = [
         t for t in range(n)
-        if data.sizes[t] == 1 and table.order_of_idx(data.reps[t]) == 2
+        if data.sizes[t] == 1 and data.orders[t] == 2
     ]
     signs = []
     for _, _, w in irreps:
@@ -520,7 +531,7 @@ def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
     return CharTable(
         group_order=order,
         prime=p,
-        class_reps=[table.elements[r] for r in data.reps],
+        class_reps=[table.element(r) for r in data.reps],
         class_sizes=list(data.sizes),
         degrees=degrees,
         values=values,

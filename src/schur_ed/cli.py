@@ -2,10 +2,11 @@
 machine-readable output.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 resource bound
-exceeded.  Only input the user typed is a usage error: each subcommand
-turns the ValueError of a parser or a range check into UsageError, and any
-other exception is a bug and propagates.  Identical configurations produce
-byte-identical output.
+exceeded, 141 stdout closed by its reader (128 + SIGPIPE, the code a shell
+reports for a process that SIGPIPE ended).  Only input the user typed is a
+usage error: each subcommand turns the ValueError of a parser or a range
+check into UsageError, and any other exception is a bug and propagates.
+Identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import edcalc, qforms
 from .chartab import count_min_faithful, dixon_character_table, min_faithful_irrep_dim
 from .covers import (
     DEFAULT_SIZE_BOUND,
+    MAX_SIZE_BOUND,
     CoverSpec,
     SizeBoundExceeded,
     VerificationError,
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 SIZE_BOUND_ENV = "SCHUR_ED_SIZE_BOUND"
 
@@ -223,8 +226,8 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     d = (lambda v: v) if root else (lambda v: argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=d(0))
     p.add_argument("--size-bound", type=int, default=d(None),
-                   help=f"element-count cap (default 2^18; env "
-                        f"{SIZE_BOUND_ENV} overrides)")
+                   help=f"element-count cap, at most 2^31 (default 2^18; "
+                        f"env {SIZE_BOUND_ENV} overrides)")
     p.add_argument("--format", choices=("json", "tsv"), default=d("json"))
 
 
@@ -286,6 +289,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        # a reader that closed stdout early shows here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's own flush at
+        # exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv: Optional[List[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -297,6 +315,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             env = os.environ.get(SIZE_BOUND_ENV)
             size_bound = _parse(int, env) if env else DEFAULT_SIZE_BOUND
         _require(size_bound > 0, "the size bound must be positive")
+        _require(size_bound <= MAX_SIZE_BOUND,
+                 "the size bound must be at most 2^31")
         config = RunConfig(seed=args.seed, size_bound=size_bound,
                            format=args.format)
         return args.func(args, config)

@@ -22,9 +22,11 @@ import importlib.util
 import math
 import random
 import sys
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from functools import cached_property
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .numth import SizeBoundExceeded
 from .perms import (
@@ -401,6 +403,15 @@ def _schreier_tree(cols: np.ndarray, root: int
     return parent, pgen, levels
 
 
+def _perm_keys(rows: np.ndarray) -> np.ndarray:
+    """The base-n key of every int row (one-line notation): its first
+    n - 1 entries as base-n digits, which sort like the one-line tuples
+    (n^(n-1) <= 2^60 for n <= 16)."""
+    n = rows.shape[1]
+    digits = np.int64(n) ** np.arange(n - 1)[::-1]
+    return (rows[:, :n - 1] - 1) @ digits
+
+
 def _close(gens: Sequence[Perm], n: int, size_bound: int
            ) -> Tuple[np.ndarray, np.ndarray]:
     """The permutation group generated by gens on n points, closed
@@ -409,26 +420,20 @@ def _close(gens: Sequence[Perm], n: int, size_bound: int
     int rows in one-line tuple order and one column per given generator:
     cols[g][x] is the row of element x times gens[g].
 
-    A permutation's key packs its first n - 1 entries as base-n digits
-    (n^(n-1) <= 2^60 for n <= 16), so keys sort like the one-line tuples.
-    New elements are found against the sorted keys so far, and the columns
-    by searchsorted.  Raises SizeBoundExceeded past size_bound elements."""
+    New elements are found against the sorted _perm_keys so far, and the
+    columns by searchsorted.  Raises SizeBoundExceeded past size_bound
+    elements."""
     if n > 16:
         raise ValueError("permutation keys hold at most 16 points")
     moves = np.array(gens, dtype=np.int64).reshape(len(gens), n) - 1
-    digits = np.int64(n) ** np.arange(n - 1)[::-1]
-
-    def keys(rows: np.ndarray) -> np.ndarray:
-        return (rows[:, :n - 1] - 1) @ digits
-
     frontier = np.arange(1, n + 1, dtype=np.int64).reshape(1, n)
-    found = keys(frontier)  # sorted keys of every element so far
+    found = _perm_keys(frontier)  # sorted keys of every element so far
     levels, level_keys, products = [], [found], []
     while len(frontier):
         levels.append(frontier)
         # element-major: row x * len(gens) + g is element x times g
         step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
-        products.append(keys(step))
+        products.append(_perm_keys(step))
         fresh, first = np.unique(products[-1], return_index=True)
         at = np.searchsorted(found, fresh)
         new = found[np.minimum(at, len(found) - 1)] != fresh
@@ -445,33 +450,105 @@ def _close(gens: Sequence[Perm], n: int, size_bound: int
     return rows, cols
 
 
-class FiniteGroupTable:
-    """A finite group materialized as a canonical element list plus fast
-    index-level multiplication.
+# indices are int32, so no table may pass 2^31 elements
+MAX_SIZE_BOUND = 1 << 31
 
-    gen_cols[g][x] is the index of element x times generator g.  The
-    constructor spans the group with a Schreier tree, a breadth-first search
-    from the identity over these columns: element j is parent[j] times the
-    generator pgen[j], down to the identity (parent -1).  Products fold the
-    right factor's word, read off the tree, through the columns, so a
-    product costs O(tree depth) array lookups no matter how expensive the
-    underlying multiplication was to evaluate once.  `levels` lists the
-    tree's elements with every parent in an earlier level, which lets whole
-    columns be computed level by level.
+
+def _check_size_bound(size_bound: int) -> None:
+    if size_bound > MAX_SIZE_BOUND:
+        raise ValueError(f"size bound {size_bound} exceeds 2^31: table "
+                         f"indices are int32")
+
+
+class _Perms(SequenceABC):
+    """The elements of a permutation group closed by _close, made on
+    demand from its int rows; index() finds a permutation by its base-n
+    key, which the rows are sorted by."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _perm_keys(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> Perm:
+        return tuple(self._rows[i].tolist())
+
+    def index(self, perm) -> int:
+        n = self._rows.shape[1]
+        if len(perm) == n:
+            key = 0
+            for v in perm[:n - 1]:
+                key = key * n + v - 1
+            i = int(self._keys.searchsorted(key))
+            if i < len(self) and self[i] == tuple(perm):
+                return i
+        raise ValueError(f"{perm!r} is not in the group")
+
+
+class _CoverElems(SequenceABC):
+    """The elements (eps, pi) of a cover subgroup over its image P, made on
+    demand: index i is the element with keep[i] = eps * |P| + the index of
+    pi in P, keep sorted."""
+
+    def __init__(self, perms: _Perms, keep: np.ndarray):
+        self._perms = perms
+        self._keep = keep
+
+    def __len__(self) -> int:
+        return len(self._keep)
+
+    def __getitem__(self, i: int) -> CoverElem:
+        eps, r = divmod(int(self._keep[i]), len(self._perms))
+        return CoverElem(eps, self._perms[r])
+
+    def index(self, elem) -> int:
+        eps, perm = elem
+        j = eps * len(self._perms) + self._perms.index(perm)
+        i = int(self._keep.searchsorted(j))
+        if i < len(self) and self._keep[i] == j:
+            return i
+        raise ValueError(f"{elem!r} is not in the group")
+
+
+class FiniteGroupTable:
+    """A finite group as index-level multiplication, with its elements made
+    on demand.
+
+    `elements` is given as a sequence in index order whose index() finds an
+    element's index: a list for small tables, or the rows of a closure
+    (_Perms, _CoverElems), which make an element only when one is asked
+    for.  gen_cols[g][x] is the index of element x times generator g, so
+    gen_cols[g][identity_idx] is generator_idx[g].  The group is spanned
+    by a Schreier tree, a breadth-first search from the identity over
+    these columns (built here unless `tree` gives it): element j is
+    parent[j] times the generator pgen[j], down to the identity (parent
+    -1).  Products fold the right factor's word, read off the tree,
+    through the columns, so a product costs O(tree depth) array lookups no
+    matter how expensive the underlying multiplication was to evaluate
+    once.  `levels` lists the tree's elements with every parent in an
+    earlier level, which lets whole columns be computed level by level.
     """
 
-    def __init__(self, elements: List, identity, generators: List, gen_cols):
-        self.elements = elements
+    def __init__(self, elements: Sequence, identity, generators: List,
+                 gen_cols, tree=None):
+        self._elements = elements
         self.identity = identity
         self.generators = generators
-        self.index = {x: i for i, x in enumerate(elements)}
         self.order = len(elements)
-        self._gen_cols = np.asarray(gen_cols, dtype=np.int64).reshape(
+        self._gen_cols = np.asarray(gen_cols, dtype=np.int32).reshape(
             len(generators), self.order)
-        self._parent, self._pgen, self._levels = _schreier_tree(
-            self._gen_cols, self.index[identity])
-        if sum(len(level) for level in self._levels) != self.order:
-            raise ValueError("the generators do not reach every element")
+        self.identity_idx = self.idx(identity)
+        self.generator_idx = self._gen_cols[:, self.identity_idx].tolist()
+        if tree is None:
+            tree = _schreier_tree(self._gen_cols, self.identity_idx)
+            if sum(len(level) for level in tree[2]) != self.order:
+                raise ValueError("the generators do not reach every element")
+        self._parent, self._pgen, self._levels = tree
         self._inv: Dict[int, int] = {}
         self._elem_order: Dict[int, int] = {}
 
@@ -483,20 +560,33 @@ class FiniteGroupTable:
         """The table of the permutation group generated by `generators`
         (one-line notation), closed by `_close`, with the identity and
         repeated generators dropped."""
+        _check_size_bound(size_bound)
         n = len(generators[0]) if generators else 0
         ident = identity_perm(n)
         gens = list(dict.fromkeys(
             g for g in map(tuple, generators) if g != ident))
         rows, cols = _close(gens, n, size_bound)
-        # the tuples are zipped from whole columns, with no list per row,
-        # which keeps the peak memory of large closures down
-        elements = list(zip(*rows.T.tolist())) if n else [()]
-        return cls(elements, ident, gens, cols)
+        return cls(_Perms(rows), ident, gens, cols)
 
-    # -- index arithmetic -----------------------------------------------------
+    # -- elements -------------------------------------------------------------
+
+    @cached_property
+    def elements(self) -> List:
+        """Every element, in index order: for tests and small groups."""
+        return list(self._elements)
+
+    @cached_property
+    def index(self) -> Dict:
+        """Element -> index, for every element."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+    def element(self, i: int):
+        return self._elements[i]
 
     def idx(self, elem) -> int:
-        return self.index[elem]
+        return self._elements.index(elem)
+
+    # -- index arithmetic -----------------------------------------------------
 
     def _word(self, j: int) -> List[int]:
         """The generator indices along the tree path from the identity
@@ -504,7 +594,7 @@ class FiniteGroupTable:
         word = []
         parent, pgen = self._parent, self._pgen
         while parent[j] >= 0:
-            word.append(pgen[j])
+            word.append(int(pgen[j]))
             j = parent[j]
         word.reverse()
         return word
@@ -513,29 +603,81 @@ class FiniteGroupTable:
         cur = i
         for gi in self._word(j):
             cur = self._gen_cols[gi][cur]
-        return cur
+        return int(cur)
 
     def right_column(self, j: int) -> np.ndarray:
-        """x * element j for every index x, as one index array."""
-        col = np.arange(self.order)
+        """x * element j for every index x, as one index array: the
+        columns of j's word, folded from the identity's."""
+        col = np.arange(self.order, dtype=np.int32)
         for gi in self._word(j):
-            col = self._gen_cols[gi][col]
+            col = self._gen_cols[gi].take(col)
         return col
 
-    def left_column(self, j: int) -> np.ndarray:
-        """element j * x for every index x: along the tree, j * x is
-        (j * parent(x)) * generator, one level at a time."""
+    def right_columns(self, js: Sequence[int]
+                      ) -> Iterator[Tuple[int, np.ndarray]]:
+        """(k, right_column(js[k])) for every k, in the order of the
+        elements' words.  A depth-first walk over the sorted words keeps
+        the column of every prefix of the last word on a stack, so a prefix
+        that words share is gathered once.  A yielded column stays on the
+        stack: the caller must not write to it.  (take gathers by int32
+        indices at the speed of indexing by int64 ones.)"""
+        stack = [np.arange(self.order, dtype=np.int32)]
+        last: List[int] = []
+        for word, k in sorted((self._word(j), k) for k, j in enumerate(js)):
+            common = 0
+            for a, b in zip(last, word):
+                if a != b:
+                    break
+                common += 1
+            del stack[common + 1:]
+            for gi in word[common:]:
+                stack.append(self._gen_cols[gi].take(stack[-1]))
+            last = word
+            yield k, stack[-1]
+
+    def left_columns(self, js: Sequence[int]) -> np.ndarray:
+        """Row k holds element js[k] * x for every index x: along the
+        tree, j * x is (j * parent(x)) * generator, one level at a time for
+        every j at once."""
         cols, parent, pgen = self._gen_cols, self._parent, self._pgen
-        col = np.empty(self.order, dtype=np.int64)
-        col[self._levels[0]] = j
+        out = np.empty((len(js), self.order), dtype=np.int64)
+        out[:, self._levels[0]] = np.reshape(js, (-1, 1))
         for level in self._levels[1:]:
-            col[level] = cols[pgen[level], col[parent[level]]]
-        return col
+            out[:, level] = cols[pgen[level], out[:, parent[level]]]
+        return out
+
+    def power_cycles(self, js: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """The inverse and the order of every element js[k], all at once:
+        the k-th power runs from the identity, multiplied by js[k] along its
+        word, one letter for every k at a time, until each is back at the
+        identity; the power before that is the inverse."""
+        words = sorted(((self._word(j), k) for k, j in enumerate(js)),
+                       key=lambda wk: -len(wk[0]))
+        # letter i of every word longer than i: with the longest words
+        # first, these are the first powers
+        letters = [np.array([w[i] for w, _ in words if len(w) > i])
+                   for i in range(len(words[0][0]) if words else 0)]
+        e = self.identity_idx
+        cur = np.full(len(js), e, dtype=np.int64)
+        inv = np.empty(len(js), dtype=np.int64)
+        orders = np.zeros(len(js), dtype=np.int64)
+        power = 0
+        while not orders.all():
+            prev = cur.copy()
+            for gs in letters:
+                cur[:len(gs)] = self._gen_cols[gs, cur[:len(gs)]]
+            power += 1
+            back = (cur == e) & (orders == 0)
+            orders[back] = power
+            inv[back] = prev[back]
+        out = np.empty((2, len(js)), dtype=np.int64)
+        out[:, [k for _, k in words]] = inv, orders
+        return out[0].tolist(), out[1].tolist()
 
     def inv_idx(self, i: int) -> int:
         got = self._inv.get(i)
         if got is None:
-            e = self.index[self.identity]
+            e = self.identity_idx
             prev, cur = i, self.mul_idx(i, i)
             while cur != e:
                 prev, cur = cur, self.mul_idx(cur, i)
@@ -545,7 +687,7 @@ class FiniteGroupTable:
     def order_of_idx(self, i: int) -> int:
         got = self._elem_order.get(i)
         if got is None:
-            e = self.index[self.identity]
+            e = self.identity_idx
             cur, k = i, 1
             while cur != e:
                 cur = self.mul_idx(cur, i)
@@ -573,6 +715,7 @@ def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
     g on {0, 1} x P, where (eps, pi) has index eps*|P| + rank(pi): P's
     column of g.perm plus |P| times c(pi, g.perm) XOR g.eps XOR eps.
     size_bound counts the 2*|P| indices."""
+    _check_size_bound(size_bound)
     perms = [g.perm for g in gens]
     try:
         rows, base = _close(perms, cov.spec.n, size_bound // 2)
@@ -596,19 +739,23 @@ def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
     (Cover.cocycles), and z is the index shift by |P|.  The subgroup is
     what these columns reach from the identity: all of {0, 1} x P once z
     is reached, a copy of P otherwise, renumbered in CoverElem tuple order.
-    The identity and repeated generators are dropped.  size_bound counts
-    the 2*|P| elements of {0, 1} x P."""
+    The Schreier tree of that reach is the table's, renumbered the same
+    way; the renumbering keeps order, so it is the tree a search over the
+    renumbered columns would find.  The identity and repeated generators
+    are dropped.  size_bound counts the 2*|P| elements of {0, 1} x P."""
     cov = get_cover(spec)
     gens = list(dict.fromkeys(g for g in gens if g != cov.identity))
     rows, cols = _lifted_columns(gens, cov, size_bound)
     m = len(rows)
-    perms = list(zip(*rows.T.tolist()))
-    keep = np.sort(np.concatenate(_schreier_tree(cols, 0)[2]))
-    renumber = np.full(2 * m, -1, dtype=np.int64)
+    parent, pgen, levels = _schreier_tree(cols, 0)
+    keep = np.sort(np.concatenate(levels))
+    # one slot past the end keeps the root's parent -1 at -1
+    renumber = np.full(2 * m + 1, -1, dtype=np.int64)
     renumber[keep] = np.arange(len(keep))
-    return FiniteGroupTable(
-        [CoverElem(i // m, perms[i % m]) for i in keep.tolist()],
-        cov.identity, gens, renumber[cols[:, keep]])
+    tree = (renumber[parent[keep]], pgen[keep],
+            [renumber[level] for level in levels])
+    return FiniteGroupTable(_CoverElems(_Perms(rows), keep), cov.identity,
+                            gens, renumber[cols[:, keep]], tree)
 
 
 def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,
@@ -643,20 +790,22 @@ def center(table: FiniteGroupTable) -> List:
     """The center: the elements that commute with every generator, in
     table order."""
     central = np.ones(table.order, dtype=bool)
-    for g in table.generators:
-        gi = table.idx(g)
-        central &= table.right_column(gi) == table.left_column(gi)
-    return [table.elements[i] for i in np.flatnonzero(central)]
+    gis = table.generator_idx
+    for gi, left in zip(gis, table.left_columns(gis)):
+        central &= table.right_column(gi) == left
+    return [table.element(i) for i in np.flatnonzero(central)]
 
 
 def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
     """Partition of element indices into conjugacy classes.  Classes are
     ordered with the identity class first, then by (size, smallest index)."""
     conj = []
-    for g in table.generators:
-        gi = table.idx(g)
-        g_inv = table.right_column(table.inv_idx(gi))
-        conj.append(g_inv[table.left_column(gi)])
+    gis = table.generator_idx
+    for gi, left in zip(gis, table.left_columns(gis)):
+        # x * g^-1 for every x: g's right column, inverted as a permutation
+        g_inv = np.empty(table.order, dtype=np.int64)
+        g_inv[table.right_column(gi)] = np.arange(table.order)
+        conj.append(g_inv[left])
     # every element takes the smallest index in reach by conjugation by the
     # generators, which is the smallest index of its class
     low = np.arange(table.order)
@@ -671,7 +820,7 @@ def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
     members = np.argsort(low, kind="stable")
     starts = np.flatnonzero(np.diff(low[members], prepend=-1))
     classes = [c.tolist() for c in np.split(members, starts[1:])]
-    e = table.idx(table.identity)
+    e = table.identity_idx
     classes.sort(key=lambda c: (0 if c[0] == e and len(c) == 1 else 1,
                                 len(c), c[0]))
     return classes

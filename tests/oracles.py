@@ -576,22 +576,48 @@ def _mod_p_gcd(a: List[int], b: List[int], p: int) -> List[int]:
     return a
 
 
+def _mod_p_mulmod(a: List[int], b: List[int], m: List[int], p: int
+                  ) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _mod_p_rem([c % p for c in out], m, p)
+
+
 def _mod_p_x_power(q: int, m: List[int], p: int) -> List[int]:
     """x^q mod (m, p) by square and multiply."""
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return _mod_p_rem([c % p for c in out], m, p)
-
     result, base = [1], _mod_p_rem([0, 1], m, p)
     while q:
         if q & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
+            result = _mod_p_mulmod(result, base, m, p)
+        base = _mod_p_mulmod(base, base, m, p)
         q >>= 1
     return result
+
+
+def _mod_p_frobenius_powers(k: int, m: List[int], p: int
+                            ) -> List[List[int]]:
+    """x^(p^i) mod (m, p) for i = 0..k.  Over GF(p), a^p = a(x^p), so the
+    p-th power is linear: a^p = sum_j a_j (x^p)^j, with the columns
+    (x^p)^j mod m, j < deg m, computed once."""
+    d = len(m) - 1
+    xp = _mod_p_x_power(p, m, p)
+    cols, col = [], [1]
+    for _ in range(d):
+        cols.append(col)
+        col = _mod_p_mulmod(col, xp, m, p)
+    powers = [_mod_p_rem([0, 1], m, p)]
+    for _ in range(k):
+        out = [0] * d
+        for a, col in zip(powers[-1], cols):
+            for i, y in enumerate(col):
+                out[i] += a * y
+        out = [c % p for c in out]
+        while out and out[-1] == 0:
+            out.pop()
+        powers.append(out)
+    return powers
 
 
 def _mod_p_minus_x(a: List[int], p: int) -> List[int]:
@@ -605,8 +631,9 @@ def _mod_p_minus_x(a: List[int], p: int) -> List[int]:
 def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
     """Rabin's test: a squarefree f of degree d >= 2 mod p is irreducible
     iff x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1 for every prime
-    l dividing d.  False when a denominator vanishes mod p or the degree
-    drops.  Its own mod-p arithmetic, nothing from polyq."""
+    l dividing d, with every x^(p^i) from one Frobenius map.  False when a
+    denominator vanishes mod p or the degree drops.  Its own mod-p
+    arithmetic, nothing from polyq."""
     if any(c.denominator % p == 0 for c in f):
         return False
     fp = _mod_p_coeffs(f, p)
@@ -620,12 +647,13 @@ def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
         der.pop()
     if not der or len(_mod_p_gcd(fp, der, p)) != 1:
         return False
-    if _mod_p_minus_x(_mod_p_x_power(p ** d, fp, p), p):
+    powers = _mod_p_frobenius_powers(d, fp, p)
+    if _mod_p_minus_x(powers[d], p):
         return False
     for ell in range(2, d + 1):
         if d % ell or any(ell % k == 0 for k in range(2, ell)):
             continue
-        diff = _mod_p_minus_x(_mod_p_x_power(p ** (d // ell), fp, p), p)
+        diff = _mod_p_minus_x(powers[d // ell], p)
         if not diff or len(_mod_p_gcd(fp, diff, p)) != 1:
             return False
     return True

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import types
 
@@ -27,6 +28,7 @@ from schur_ed.covers import (
     generalized_quaternion_table,
     get_cover,
     preimage_subgroup,
+    subgroup_table,
 )
 from schur_ed.perms import sylow2_sym_generators
 from oracles import (
@@ -86,6 +88,48 @@ def test_class_matrices_match_the_per_element_oracle(zoo, which):
         want = class_matrices_by_elements(table, data.classes)
         for r in range(data.n):
             assert np.array_equal(data.class_matrix(r), want[r]), (n, r)
+
+
+def _assert_class_data_matches_the_folds(table, data):
+    # every representative's right column against the per-word fold, and
+    # its inverse class and order against inv_idx and order_of_idx
+    class_of = np.empty(table.order, dtype=np.int64)
+    for t, cls in enumerate(data.classes):
+        class_of[cls] = t
+    for i, u in enumerate(data.rows.tolist()):
+        want = class_of[table.right_column(data.reps[u])] + data.n * i
+        assert np.array_equal(data._right[i], want), u
+    assert data.inv_class == [int(class_of[table.inv_idx(r)])
+                              for r in data.reps]
+    assert data.orders == [table.order_of_idx(r) for r in data.reps]
+    assert data.exponent() == math.lcm(*data.orders)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_class_data_of_the_sylow_covers_matches_the_folds(zoo, which,
+                                                          variant):
+    # the whole table walks every representative; the spin block walks R
+    # and folds the rest all at once
+    for n in range(4, 13):
+        table, z = zoo.sylow_cover(n, variant, which)
+        _assert_class_data_matches_the_folds(table, _ClassData(table))
+        _assert_class_data_matches_the_folds(table, _ClassData(table, z))
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_class_data_of_the_alt_and_full_tables_matches_the_folds(variant):
+    for n in range(4, 8):
+        spec = CoverSpec(n, variant)
+        z = get_cover(spec).z
+        for which in ("alt", "full"):
+            table = subgroup_table(spec, which)
+            _assert_class_data_matches_the_folds(table, _ClassData(table))
+            _assert_class_data_matches_the_folds(table, _ClassData(table, z))
+            if table.order <= 1500:
+                # the exponent is the lcm of the orders of all elements
+                assert _ClassData(table).exponent() == math.lcm(
+                    *(table.order_of_idx(i) for i in range(table.order)))
 
 
 @pytest.mark.parametrize("gather", [1, chartab._GATHER])

@@ -178,6 +178,48 @@ def test_size_bound_must_be_positive(capsys, monkeypatch, bound):
     assert run(capsys, "cover", "verify", "-n", "6") == usage
 
 
+def test_size_bound_past_2_to_the_31_is_a_usage_error(capsys, monkeypatch):
+    # table indices are int32: the bound is refused before any closure
+    usage = (2, "", "usage error: the size bound must be at most 2^31\n")
+    assert run(capsys, "chartab", "-n", "4",
+               "--size-bound", str(2 ** 31 + 1)) == usage
+    monkeypatch.setenv(cli.SIZE_BOUND_ENV, str(2 ** 40))
+    assert run(capsys, "ed2", "-n", "6", "--computed") == usage
+    code, out, _ = run(capsys, "chartab", "-n", "4",
+                       "--size-bound", str(2 ** 31))
+    assert code == 0 and json.loads(out)["order"] == 16
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises, as writing to a
+    pipe with no reader does."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_ends_with_exit_141(monkeypatch, capsys, tmp_path):
+    # 128 + SIGPIPE, no traceback, and the descriptor is pointed at devnull
+    # so that the flush at interpreter exit writes nowhere
+    with open(tmp_path / "stdout", "w") as f:
+        f.write("kept")
+        f.flush()
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        assert cli.main(["chartab", "-n", "4"]) == cli.EXIT_BROKEN_PIPE == 141
+        f.write("dropped")
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_text() == "kept"
+
+
 def test_negative_trials_is_a_usage_error(capsys):
     assert run(capsys, "trace-check", "-n", "5", "--trials", "-3") == (
         2, "", "usage error: --trials must be nonnegative\n")

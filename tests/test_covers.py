@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from schur_ed import covers
+from schur_ed.chartab import (dixon_character_table, faithful_degrees,
+                              min_faithful_irrep_dim)
 from schur_ed.covers import (
     Cover,
     CoverElem,
@@ -405,6 +407,24 @@ def test_each_group_is_closed_once_into_at_most_one_table(monkeypatch,
     assert (len(closures), tables) == (2, [t])
 
 
+def test_a_size_bound_past_2_to_the_31_is_refused_before_any_closure(
+        monkeypatch):
+    # table indices are int32; the refusal allocates nothing
+    gens = sylow2_sym_generators(8)
+    assert FiniteGroupTable.generate(gens, covers.MAX_SIZE_BOUND).order == 128
+
+    def no_closure(*args):
+        raise AssertionError("a closure started")
+
+    monkeypatch.setattr(covers, "_close", no_closure)
+    bound = covers.MAX_SIZE_BOUND + 1
+    for make in (lambda: FiniteGroupTable.generate(gens, bound),
+                 lambda: preimage_subgroup(gens, CoverSpec(8, "plus"), bound),
+                 lambda: verify_presentation(CoverSpec(6, "minus"), bound)):
+        with pytest.raises(ValueError, match=r"exceeds 2\^31"):
+            make()
+
+
 def test_preimage_size_bound():
     spec = CoverSpec(8, "plus")
     with pytest.raises(SizeBoundExceeded):
@@ -422,8 +442,15 @@ def test_preimage_size_bound():
 
 
 def _assert_table_matches(table, oracle, rng):
+    # the elements are made on demand from the closure's rows; the eager
+    # tuple table is the oracle for every element and every index
     assert table.elements == oracle.elements
+    assert [table.element(i) for i in range(table.order)] == oracle.elements
+    assert [table.idx(x) for x in oracle.elements] == list(range(table.order))
+    assert table.index == oracle.index
     assert table.generators == oracle.generators
+    assert table.generator_idx == [oracle.index[g] for g in oracle.generators]
+    assert table.identity_idx == oracle.index[table.identity]
     # the action of every generator on every index
     for g, col in zip(oracle.generators, oracle.gen_cols):
         gi = table.idx(g)
@@ -548,6 +575,51 @@ def test_alt_cover_subgroup():
     cov = get_cover(spec)
     assert cov.z in t.index
     assert cov.gen(1) not in t.index
+    assert t.element(t.idx(cov.z)) == cov.z
+    for outside in (cov.gen(1), CoverElem(2, cov.z.perm),
+                    CoverElem(0, identity_perm(5))):
+        with pytest.raises(ValueError, match="is not in the group"):
+            t.idx(outside)
+
+
+def test_index_of_a_copy_of_the_image():
+    # without z the subgroup is a copy of its image: half the indices of
+    # {0, 1} x P, and the other lift of each element is outside it
+    cov = get_cover(CoverSpec(4, "plus"))
+    t = cover_subgroup([cov.word(1, 2)], cov.spec)
+    assert t.order == 3 and cov.z not in t.index
+    for x in t.elements:
+        assert t.element(t.idx(x)) == x
+        with pytest.raises(ValueError):
+            t.idx(cov.mul(cov.z, x))
+    p = FiniteGroupTable.generate([cov.word(1, 2).perm])
+    with pytest.raises(ValueError):
+        p.idx((2, 3, 1))
+
+
+def test_a_cover_table_makes_no_element_unless_asked():
+    # the Dixon table and the minimal faithful degree read elements only
+    # for the class representatives, the center and z
+    spec = CoverSpec(7, "minus")
+    table = preimage_subgroup(sylow2_sym_generators(7), spec)
+    z = get_cover(spec).z
+    assert min_faithful_irrep_dim(table, z, dixon_character_table(table)) == 4
+    assert faithful_degrees(table, z) == [4]
+    assert "elements" not in vars(table) and "index" not in vars(table)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_cover_subgroup_hands_its_reach_tree_to_the_table(variant):
+    # renumbering keeps order, so the reach tree over {0, 1} x P is the
+    # tree a search over the table's own columns finds
+    for n in range(4, 11):
+        for gens in (sylow2_sym_generators(n), sylow2_alt_generators(n)):
+            t = preimage_subgroup(gens, CoverSpec(n, variant))
+            parent, pgen, levels = covers._schreier_tree(t._gen_cols, 0)
+            assert np.array_equal(t._parent, parent)
+            assert np.array_equal(t._pgen, pgen)
+            assert len(t._levels) == len(levels)
+            assert all(np.array_equal(a, b) for a, b in zip(t._levels, levels))
 
 
 def test_subgroup_table():
@@ -587,6 +659,41 @@ def test_conjugacy_class_count_matches_chartab(zoo):
     table, _ = zoo.sylow_cover(6, "plus", "sym")
     ct = zoo.chartab(6, "plus", "sym")
     assert len(conjugacy_classes(table)) == len(ct.degrees)
+
+
+def _small_tables():
+    yield FiniteGroupTable.generate([])
+    yield cyclic_table(12)
+    yield generalized_quaternion_table(16)
+    yield subgroup_table(CoverSpec(4, "minus"), "full")
+    for variant in ("plus", "minus"):
+        yield preimage_subgroup(sylow2_sym_generators(6),
+                                CoverSpec(6, variant))
+
+
+def test_power_cycles_match_the_folds():
+    # inverses and orders of every element at once, against one fold of
+    # the element's word per power
+    for t in _small_tables():
+        invs, orders = t.power_cycles(range(t.order))
+        assert invs == [t.inv_idx(i) for i in range(t.order)]
+        assert orders == [t.order_of_idx(i) for i in range(t.order)]
+    assert t.power_cycles([]) == ([], [])
+
+
+def test_left_and_right_columns_match_the_products():
+    # the walk over the sorted words gives every right column, the tree
+    # every left one, in the order asked for
+    for t in _small_tables():
+        js = list(range(t.order))[::-1]
+        right = dict(t.right_columns(js))
+        assert sorted(right) == list(range(t.order))
+        left = t.left_columns(js)
+        for k, j in enumerate(js):
+            want = [t.mul_idx(x, j) for x in range(t.order)]
+            assert right[k].tolist() == want == t.right_column(j).tolist()
+            assert left[k].tolist() == [t.mul_idx(j, x)
+                                        for x in range(t.order)]
 
 
 def test_iso_small():
