@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .covers import (FiniteGroupTable, VerificationError, center,
@@ -44,6 +44,7 @@ class CharTable:
 
     values[i][t] is chi_i(g_t) mod p; degrees are exact integers; signs[i]
     maps each central involution's class index to chi_i(z)/chi_i(1) = +-1.
+    `faithful` memoizes `faithful_degrees` by the element z.
     """
 
     group_order: int
@@ -54,6 +55,8 @@ class CharTable:
     values: List[List[int]]
     central_involution_classes: List[int]
     signs: List[Dict[int, int]]
+    faithful: Dict[object, List[int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -566,13 +569,19 @@ def faithful_degrees(table: FiniteGroupTable, z,
                      chartable: Optional[CharTable] = None) -> List[int]:
     """Degrees of irreducibles rho with rho(z) = -1, i.e. the faithful ones
     when the center is exactly {1, z}: read off chartable when one is
-    given, else split from the z-odd class functions alone."""
-    _check_center_is_z(table, z)
+    given, once per z (so the center is checked once), else split from the
+    z-odd class functions alone."""
     if chartable is None:
+        _check_center_is_z(table, z)
         return _spin_degrees(table, z)
-    zc = _z_class_index(table, chartable, z)
-    return [d for d, sg in zip(chartable.degrees, chartable.signs)
+    degs = chartable.faithful.get(z)
+    if degs is None:
+        _check_center_is_z(table, z)
+        zc = _z_class_index(table, chartable, z)
+        degs = chartable.faithful[z] = [
+            d for d, sg in zip(chartable.degrees, chartable.signs)
             if sg[zc] == -1]
+    return list(degs)
 
 
 def min_faithful_irrep_dim(table: FiniteGroupTable, z,

@@ -36,10 +36,11 @@ def _sieve(limit: int = 10_000) -> List[int]:
 
 
 # Miller-Rabin with these bases is a proven primality test below
-# 3,317,044,064,679,887,385,961,981 (Sorenson-Webster); beyond that the
+# psi_12 = 318,665,857,834,031,151,167,461, the least strong pseudoprime to
+# all twelve (Sorenson-Webster, Math. Comp. 86 (2017)); from there on the
 # strong Lucas check is added (Baillie-PSW), still fully deterministic.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PROVEN_LIMIT = 318_665_857_834_031_151_167_461
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -98,15 +99,15 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
+    """Trial division by the Miller-Rabin bases 2..37 first: that decides
+    every n below 41^2, since a composite there has a prime factor <= 37."""
     if n < 2:
         return False
-    for p in _sieve()[:200]:
-        if n == p:
-            return True
+    for p in _MR_BASES:
         if n % p == 0:
-            return False
-        if p * p > n:
-            return True
+            return n == p
+    if n < 41 * 41:
+        return True
     for base in _MR_BASES:
         if not _miller_rabin(n, base):
             return False

@@ -5,17 +5,21 @@ irreducibility of randomly drawn factors via reduction mod p.
 
 A polynomial is a tuple of Fractions, ascending degree, no trailing zeros.
 The kernels run on integer coefficient lists: a polynomial is scaled once by
-the lcm of its denominators, resultants follow the subresultant PRS over Z,
-power sums of an integral polynomial are ints, and the certificates mod p
-reduce the scaled list, not each Fraction.  The integer discriminant is
-memoized by the coefficient tuple; the certificates sieve their primes by
-its Legendre symbol (Stickelberger's parity), and `discriminant` reads the
-same value when an etale algebra validates the factor it kept.
+the lcm of its denominators, power sums of an integral polynomial are ints,
+and the certificates mod p reduce the scaled list, not each Fraction.  Every
+resultant goes through one integer kernel, `_int_resultant`: a Horner
+evaluation when a side is linear, res(a1 x + a0, g) = a1^n g(-a0/a1), and
+the subresultant PRS over Z otherwise.  The integer discriminant has closed
+forms up to degree 4 and is memoized by the coefficient tuple; the
+certificates sieve their primes by its Legendre symbol (Stickelberger's
+parity), and an etale algebra reads the same value when it validates the
+factor that was kept.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -65,13 +69,23 @@ def _integral(f: Sequence) -> Tuple[List[int], int]:
 # ---------------------------------------------------------------------------
 
 def _pseudo_rem(a: List[int], b: List[int]) -> List[int]:
-    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z."""
+    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z.  When
+    deg a = deg b + 1, the degree gap of every step of a normal PRS, the
+    quotient is lc(b) a_n x + lc(b) a_(n-1) - a_n b_(n-2), read off the top
+    coefficients, and the remainder is one pass over a and b."""
     lb = b[-1]
-    r = a[:]
-    for k in range(len(a) - len(b), -1, -1):
-        top = r.pop()
-        r = ([lb * x for x in r[:k]]
-             + [lb * x - top * y for x, y in zip(r[k:], b)])
+    if len(a) == len(b) + 1:
+        top = a[-1]
+        q1, q0 = lb * top, lb * a[-2] - top * b[-2]
+        sq = lb * lb
+        r = [sq * x - q0 * y - q1 * z
+             for x, y, z in zip(a[:len(b) - 1], b, [0] + b)]
+    else:
+        r = a[:]
+        for k in range(len(a) - len(b), -1, -1):
+            top = r.pop()
+            r = ([lb * x for x in r[:k]]
+                 + [lb * x - top * y for x, y in zip(r[k:], b)])
     while r and r[-1] == 0:
         r.pop()
     return r
@@ -110,6 +124,29 @@ def _subresultant(a: List[int], b: List[int]) -> int:
             return s * t * (b[0] ** da // h ** (da - 1))
 
 
+def _linear_resultant(a: List[int], b: List[int]) -> int:
+    """res(a, b) for a = a0 + a1*x of degree 1: a1^n b(-a0/a1), n = deg b,
+    by a homogeneous Horner pass, so nothing is divided."""
+    a0, a1 = a
+    acc, scale = b[-1], 1
+    for c in reversed(b[:-1]):
+        scale *= a1
+        acc = acc * -a0 + c * scale
+    return acc
+
+
+def _int_resultant(a: List[int], b: List[int]) -> int:
+    """res(a, b) of integer coefficient lists of degree >= 1: a Horner
+    evaluation when either side is linear, the subresultant PRS
+    otherwise.  res(b, a) = (-1)^(mn) res(a, b)."""
+    if len(a) == 2:
+        return _linear_resultant(a, b)
+    if len(b) == 2:
+        r = _linear_resultant(b, a)
+        return -r if len(a) % 2 == 0 else r
+    return _subresultant(a, b)
+
+
 def resultant(f: Poly, g: Poly) -> Fraction:
     m, n = degree(f), degree(g)
     if m < 0 or n < 0:
@@ -120,20 +157,38 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return Fraction(g[0]) ** m
     fi, df = _integral(f)
     gi, dg = _integral(g)
-    return Fraction(_subresultant(fi, gi), df ** n * dg ** m)
+    return Fraction(_int_resultant(fi, gi), df ** n * dg ** m)
 
 
 @lru_cache(maxsize=4096)
 def _int_discriminant(F: Tuple[int, ...]) -> int:
-    """disc(F) = (-1)^(d(d-1)/2) res(F, F') / lc(F) of an integer
-    coefficient tuple of degree d >= 1, an integer.  Memoized by the tuple:
+    """disc(F) = (-1)^(n(n-1)/2) res(F, F') / lc(F) of an integer
+    coefficient tuple of degree n >= 1, an integer.  Memoized by the tuple:
     `certify_irreducible` computes it for every candidate, and the one kept
-    reaches `discriminant` again when its etale algebra is validated."""
-    d = len(F) - 1
-    if d == 1:
+    reaches `discriminant` again when its etale algebra is validated.
+    Degrees 2 to 4 have closed forms, a few integer products each: b^2 - 4ac
+    for ax^2 + bx + c; b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd for
+    ax^3 + bx^2 + cx + d; and (4I^3 - J^2)/27 for ax^4 + bx^3 + cx^2 + dx + e,
+    with the invariants I = 12ae - 3bd + c^2 and
+    J = 72ace + 9bcd - 27ad^2 - 27b^2e - 2c^3."""
+    n = len(F) - 1
+    if n == 1:
         return 1
+    if n == 2:
+        c, b, a = F
+        return b * b - 4 * a * c
+    if n == 3:
+        d, c, b, a = F
+        return (b * b * (c * c - 4 * b * d) - 4 * a * c ** 3
+                + a * d * (18 * b * c - 27 * a * d))
+    if n == 4:
+        e, d, c, b, a = F
+        i = 12 * a * e - 3 * b * d + c * c
+        j = (72 * a * c * e + 9 * b * c * d - 27 * (a * d * d + b * b * e)
+             - 2 * c ** 3)
+        return (4 * i ** 3 - j * j) // 27
     res = _subresultant(list(F), [i * c for i, c in enumerate(F)][1:])
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res // F[-1]
 
 
@@ -153,11 +208,16 @@ def power_sums(f: Poly, count: int) -> List:
     if not is_monic(f):
         raise ValueError("power sums assume a monic polynomial")
     d = degree(f)
-    # c[i] is the coefficient of x^i
     if all(a.denominator == 1 for a in f):
-        c, p = [a.numerator for a in f], [d]
-    else:
-        c, p = f, [Fraction(d)]
+        return _power_sums([a.numerator for a in f], d, count)
+    return _power_sums(f, Fraction(d), count)
+
+
+def _power_sums(c: Sequence, p0, count: int) -> List:
+    """Newton's recurrence on the coefficients c of a monic polynomial
+    (c[i] the coefficient of x^i), from p_0 = p0, its degree."""
+    d = len(c) - 1
+    p = [p0]
     for k in range(1, count):
         if k <= d:
             acc = -k * c[d - k]
@@ -261,21 +321,30 @@ def _gf_independent(rows: List[List[int]], p: int) -> bool:
     return True
 
 
-# p -> the rows (r^0, r^1, ...) mod p for r = 0..p-1; filled on first use
-# (under 0.1 ms per prime), wide enough for degree 12 and widened on demand
-_RESIDUE_POWERS: Dict[int, List[Tuple[int, ...]]] = {}
+# p -> (width, fmt, size, cols): slot r of the packed int cols[k] holds
+# r^k mod p, for k < width, as one native item of format fmt, "H" or "Q"
+# (size bytes for all p slots).  So for coefficients 0 <= c_k < p, slot r
+# of sum c_k cols[k] holds a number congruent to f(r) mod p, at most
+# width * (p-1)^2, which fits its slot.  Filled on first use (under 0.1 ms
+# per prime), wide enough for degree 12 and widened on demand.
+_RESIDUE_POWERS: Dict[int, Tuple[int, str, int, List[int]]] = {}
 
 
-def _residue_powers(p: int, width: int) -> List[Tuple[int, ...]]:
-    rows = _RESIDUE_POWERS.get(p)
-    if rows is None or len(rows[0]) < width:
+def _residue_powers(p: int, width: int) -> Tuple[int, str, int, List[int]]:
+    table = _RESIDUE_POWERS.get(p)
+    if table is None or table[0] < width:
+        width = max(width, 13)
+        top = width * (p - 1) ** 2
+        if top >= 1 << 64:
+            raise ValueError(f"no residue table for p = {p}")
+        fmt, bits = ("H", 16) if top < 1 << 16 else ("Q", 64)
         col = [1] * p
-        cols = [col]
-        for _ in range(max(width, 13) - 1):
+        cols = []
+        for _ in range(width):
+            cols.append(sum(x << bits * r for r, x in enumerate(col)))
             col = [x * r % p for r, x in enumerate(col)]
-            cols.append(col)
-        rows = _RESIDUE_POWERS[p] = list(zip(*cols))
-    return rows
+        table = _RESIDUE_POWERS[p] = (width, fmt, bits // 8 * p, cols)
+    return table
 
 
 def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
@@ -289,10 +358,11 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
     an irreducible f has (disc | p) = (-1)^(d-1), and any other symbol,
     0 included (a repeated factor), rules p out.  That settles d = 2.
 
-    f is next evaluated at every residue by a dot product with that
-    residue's powers: a root mod p is a linear factor, and a random f has
-    one with probability about 1 - 1/e, so most candidates stop here in
-    p short dot products.  With no root, a cubic is irreducible, and so is
+    f is next evaluated at every residue at once: the packed columns of
+    residue powers put f(r) mod p, up to a multiple of p, in slot r of one
+    int, d + 1 big-int products in all.  A root mod p is a linear factor,
+    and a random f has one with probability about 1 - 1/e, so most
+    candidates stop here.  With no root, a cubic is irreducible, and so is
     a quartic or quintic of the right parity: its factors then have degree
     >= 2, and the one other squarefree split, 2 + 2 or 2 + 3, has r = 2.
     From d = 6 on (2 + 2 + 2 has the parity of an irreducible sextic)
@@ -312,9 +382,11 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
         return False
     if d == 2:
         return True
-    for row in _residue_powers(p, d + 1):
-        if not sum(map(_times, f, row)) % p:
-            return False
+    _, fmt, size, cols = _residue_powers(p, d + 1)
+    values = sum(c % p * col for c, col in zip(f, cols))
+    slots = memoryview(values.to_bytes(size, sys.byteorder)).cast(fmt)
+    if 0 in map(p.__rmod__, slots):
+        return False
     if d <= 5:
         return True
     inv = pow(f[-1], -1, p)

@@ -309,7 +309,7 @@ def discriminant(q: QuadFormQ) -> SquareClass:
 
 
 def signature(q: QuadFormQ) -> Tuple[int, int]:
-    pos = sum(1 for d in q.diag if d > 0)
+    pos = sum(d.numerator > 0 for d in q.diag)
     return pos, q.dim - pos
 
 
@@ -478,49 +478,48 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
     divisions stay exact.  The diagonal returned is that of the
     Schur-complement elimination over Q.  Raises on singular input."""
     den = lcm(*[x.denominator for row in gram for x in row])
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    n = len(m)
+    return _bareiss_diagonal(
+        [[x.numerator * (den // x.denominator) for x in row] for row in gram],
+        den)
+
+
+def _bareiss_diagonal(m: List[List[int]], den: int) -> List[Fraction]:
+    """The elimination of `diagonalize_gram` on m = den * gram, a square
+    list of int rows that it consumes.  An integer Gram matrix (den = 1)
+    enters here directly."""
     diag: List[Fraction] = []
     prev = 1
-    for step in range(n):
-        size = n - step
+    while m:
+        size = len(m)
         scale = abs(den * prev)
-        best = None
+        best = piv = -1
         for i in range(size):
             x = m[i][i]
-            if x != 0:
+            if x:
                 # bit sizes of the reduced x / (den*prev)
                 g = gcd(x, scale)
                 cost = (abs(x) // g).bit_length() + (scale // g).bit_length()
-                if best is None or cost < best[0]:
-                    best = (cost, i)
-        if best is None:
-            # all diagonal zero: find off-diagonal entry and fold it in
-            found = None
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if m[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
+                if piv < 0 or cost < best:
+                    best, piv = cost, i
+        if piv < 0:
+            # all diagonal zero: fold in the first nonzero off-diagonal entry
+            piv, j = next(((i, j) for i in range(size)
+                           for j in range(i + 1, size) if m[i][j]),
+                          (-1, -1))
+            if piv < 0:
                 raise ValueError("degenerate Gram matrix")
-            i, j = found
-            for k in range(size):
-                m[i][k] += m[j][k]
-            for k in range(size):
-                m[k][i] += m[k][j]
-            best = (0, i)
-        _, piv = best
-        if piv != 0:
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        if piv:
             m[0], m[piv] = m[piv], m[0]
             for row in m:
                 row[0], row[piv] = row[piv], row[0]
         d = m[0][0]
         diag.append(Fraction(d, den * prev))
-        m = [[(m[i][j] * d - m[i][0] * m[j][0]) // prev for j in range(1, size)]
-             for i in range(1, size)]
+        col = m[0][1:]
+        m = [[(x * d - a * b) // prev for x, b in zip(row[1:], col)]
+             for row, a in zip(m[1:], col)]
         prev = d
     return diag
 
@@ -533,42 +532,54 @@ def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
 class EtaleAlgebraQ:
     """Product of Q[x]/(f_i) for monic squarefree pairwise-coprime f_i.
 
-    Validity is proved with the subresultant resultant: f_i is squarefree
-    iff disc(f_i) != 0, and f_i, f_j are coprime iff res(f_i, f_j) != 0.
-    The product disc(f_i) * res(f_i, f_j)^2 over all factors and pairs is
-    the discriminant of the defining polynomial; its numerator and
-    denominator are multiplied up as integers and kept as `disc` for
-    `etale_discriminant`.  The disc(f_i) are kept as `factor_discs` for
-    `trace_form`."""
+    Validity is proved on integers: each f_i is scaled once to
+    F_i = den_i * f_i, kept as `scaled`.  f_i is squarefree iff
+    disc(F_i) != 0, from the memoized integer discriminant (already there
+    for a factor `certify_irreducible` kept).  f_i, f_j are coprime iff
+    res(F_i, F_j) != 0, from the integer resultant kernel: a Horner
+    evaluation when a side is linear, the subresultant PRS otherwise.
+    The product disc(f_i) * res(f_i, f_j)^2
+    over all factors and pairs is the discriminant of the defining
+    polynomial; its numerator and denominator are multiplied up as integers
+    and kept as `disc` for `etale_discriminant`.  The disc(f_i) are kept as
+    `factor_discs` for `trace_form`."""
 
     factors: Tuple[Poly, ...]
     disc: Fraction = field(init=False, compare=False, repr=False)
     factor_discs: Tuple[Fraction, ...] = field(init=False, compare=False,
                                                repr=False)
+    scaled: Tuple[Tuple[Tuple[int, ...], int], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
         num = den = 1
         discs = []
+        scaled = []
         for f in self.factors:
             if polyq.degree(f) < 1 or not polyq.is_monic(f):
                 raise ValueError("factors must be monic of positive degree")
-            d = polyq.discriminant(f)
+            F, c = polyq._integral(f)
+            F = tuple(F)
+            d = Fraction(polyq._int_discriminant(F), c ** (2 * len(F) - 4))
             if d == 0:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
             discs.append(d)
+            scaled.append((F, c))
             num *= d.numerator
             den *= d.denominator
-        for i in range(len(self.factors)):
-            for j in range(i + 1, len(self.factors)):
-                r = polyq.resultant(self.factors[i], self.factors[j])
+        for i, (F, c) in enumerate(scaled):
+            for G, e in scaled[i + 1:]:
+                # res(f, g) = res(F, G) / (c^deg g * e^deg f)
+                r = polyq._int_resultant(F, G)
                 if r == 0:
                     raise ValueError("factors must be pairwise coprime")
-                num *= r.numerator ** 2
-                den *= r.denominator ** 2
+                num *= r * r
+                den *= (c ** (len(G) - 1) * e ** (len(F) - 1)) ** 2
         object.__setattr__(self, "disc", Fraction(num, den))
         object.__setattr__(self, "factor_discs", tuple(discs))
+        object.__setattr__(self, "scaled", tuple(scaled))
 
     @classmethod
     def from_polynomial(cls, f: Poly) -> "EtaleAlgebraQ":
@@ -591,22 +602,30 @@ class EtaleAlgebraQ:
 def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
     """The form x -> Tr(x^2): Gram matrix Tr(x^(i+j)) in the power basis of
     each factor (Newton power sums, ints for an integral factor: a Hankel
-    matrix of integers), diagonalized exactly.  Each factor f adds as
-    witnesses the numerator and denominator of disc(f) and the lcm `den`
-    of its denominators: in the basis (den*x)^i its Gram matrix is integral
-    with determinant den^(d(d-1)) disc(f), so unimodular at every other odd
-    prime (Cassels, Rational Quadratic Forms, 1978)."""
+    matrix of integers, eliminated with no Fraction scan), diagonalized
+    exactly.  A linear factor's Gram matrix is (1), so it adds <1> with no
+    power sums.  Each factor f adds as witnesses the numerator and
+    denominator of disc(f) and the lcm `den` of its denominators: in the
+    basis (den*x)^i its Gram matrix is integral with determinant
+    den^(d(d-1)) disc(f), so unimodular at every other odd prime (Cassels,
+    Rational Quadratic Forms, 1978)."""
     if E.dim > 24:
         raise ValueError("trace forms capped at dimension 24")
     diag: List[Fraction] = []
     witnesses: List[int] = []
-    for f, disc in zip(E.factors, E.factor_discs):
-        d = polyq.degree(f)
-        sums = polyq.power_sums(f, 2 * d - 1)
-        gram = [sums[i:i + d] for i in range(d)]
-        diag.extend(diagonalize_gram(gram))
-        witnesses += [disc.numerator, disc.denominator,
-                      lcm(*[c.denominator for c in f])]
+    for f, (F, den), disc in zip(E.factors, E.scaled, E.factor_discs):
+        d = len(F) - 1
+        if d == 1:
+            # Gram matrix (1), discriminant 1
+            diag.append(Fraction(1))
+        elif den == 1:
+            sums = polyq._power_sums(F, d, 2 * d - 1)
+            diag.extend(_bareiss_diagonal(
+                [sums[i:i + d] for i in range(d)], 1))
+        else:
+            sums = polyq.power_sums(f, 2 * d - 1)
+            diag.extend(diagonalize_gram([sums[i:i + d] for i in range(d)]))
+        witnesses += [disc.numerator, disc.denominator, den]
     return QuadFormQ(diag, witnesses)
 
 

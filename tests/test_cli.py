@@ -282,6 +282,27 @@ def test_chartab_subcommand(capsys):
     assert data["min_faithful_dim"] == 2
 
 
+@pytest.mark.parametrize("subgroup, n", [("sylow2", 8), ("alt", 5),
+                                         ("full", 4)])
+def test_chartab_checks_the_center_once(capsys, monkeypatch, subgroup, n):
+    # min_faithful_dim and min_faithful_count read one list of faithful
+    # degrees, so the center is built once per invocation
+    from schur_ed import chartab
+    calls = []
+    real = chartab.center
+
+    def counting(table):
+        calls.append(table.order)
+        return real(table)
+
+    monkeypatch.setattr(chartab, "center", counting)
+    code, out, _ = run(capsys, "chartab", "-n", str(n), "--subgroup", subgroup)
+    assert code == 0
+    data = json.loads(out)
+    assert len(calls) == 1 and calls[0] == data["order"]
+    assert data["min_faithful_count"] >= 1
+
+
 # stdout recorded while the alt and full groups still had builders of
 # their own, apart from the Sylow one
 CHARTAB_SUBGROUP_SHA256 = {

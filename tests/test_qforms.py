@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,62 @@ def test_numth_basics():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert squarefree_part(-108) == -3
     assert squarefree_part(4) == 1
+
+
+def _sieve_flags(limit):
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return flags
+
+
+# Carmichael numbers and strong base-2 pseudoprimes (OEIS A002997, A001262)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
+              126217, 162401, 172081, 188461, 252601, 278545, 294409,
+              314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461)
+STRONG_BASE_2 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141,
+                 52633, 65281, 74665, 80581, 85489, 88357, 90751, 104653,
+                 130561, 196093, 220729, 233017, 252601, 253241, 256999,
+                 271951, 280601, 314821, 357761, 390937, 458989, 476971,
+                 486737)
+
+
+def test_is_prime_matches_a_sieve_below_10_to_the_5():
+    flags = _sieve_flags(10 ** 5)
+    assert [n for n in range(10 ** 5) if is_prime(n) != flags[n]] == []
+
+
+def test_is_prime_rejects_pseudoprimes():
+    for n in CARMICHAEL:
+        assert all(pow(a, n - 1, n) == 1 for a in range(2, 60)
+                   if math.gcd(a, n) == 1), n
+        assert not is_prime(n), n
+    for n in STRONG_BASE_2:
+        assert numth._miller_rabin(n, 2), n
+        assert not is_prime(n), n
+    # strong pseudoprimes to every base 2..p, with their factors: the last
+    # two pass all twelve Miller-Rabin bases, so only the strong Lucas
+    # check rejects them
+    for factors, bases in (((151, 751, 28351), 4),
+                           ((149491, 747451, 34233211), 9),
+                           ((399165290221, 798330580441), 12),
+                           ((1287836182261, 2575672364521), 12)):
+        n = math.prod(factors)
+        assert all(numth._miller_rabin(n, b) for b in numth._MR_BASES[:bases])
+        assert not is_prime(n), n
+        assert all(is_prime(q) for q in factors)
+    assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_is_prime_builds_no_sieve(monkeypatch):
+    monkeypatch.setattr(numth, "_SMALL_PRIMES", [])
+    assert [n for n in range(100) if is_prime(n)][-3:] == [83, 89, 97]
+    assert next_prime(10 ** 6) == 1000003
+    assert numth._SMALL_PRIMES == []
 
 
 def test_factorize_effort_cap(monkeypatch):
@@ -525,6 +582,109 @@ def test_discriminant_matches_sylvester_oracle():
     assert seen_zero
 
 
+def _linear_resultant_pairs():
+    """Seeded (f, g) pairs with a linear side: monic x + a with a integral
+    or rational, and non-monic ones, against g of every degree 1..9 (odd
+    and even, for the sign (-1)^(mn)), with a shared linear factor in a
+    quarter of them."""
+    rng = random.Random(2718)
+    pairs = []
+    for _ in range(240):
+        a = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+        lead = rng.choice([1, 1, 1, -1, 2, Fraction(3, 5)])
+        f = polyq.poly([lead * a, lead])
+        n = rng.randint(1, 9)
+        g = polyq.poly([Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 5]))
+                        for _ in range(n)] + [rng.choice([1, -2, 3])])
+        if rng.random() < 0.25:
+            g = polyq.mul(polyq.poly([a, 1]), g[1:] or polyq.poly([1]))
+        pairs.append((f, g))
+    return pairs
+
+
+def test_resultant_with_a_linear_side_matches_sylvester_oracle():
+    seen = set()
+    for f, g in _linear_resultant_pairs():
+        want = sylvester_resultant(f, g)
+        m, n = len(f) - 1, len(g) - 1
+        assert polyq.resultant(f, g) == want, (f, g)
+        assert polyq.resultant(g, f) == (-1) ** (m * n % 2) * want, (f, g)
+        seen.add((f[-1] == 1, all(c.denominator == 1 for c in f), n % 2,
+                  want == 0))
+    # monic and not, integral and rational constants, odd and even degree
+    # on the other side, coprime and not
+    assert {(a, b, c) for a, b, c, _ in seen} >= {
+        (True, True, 0), (True, True, 1), (True, False, 0), (True, False, 1),
+        (False, False, 0), (False, False, 1)}
+    assert {z for *_, z in seen} == {True, False}
+
+
+def test_closed_form_discriminants_match_sylvester_oracle():
+    rng = random.Random(4096)
+    zeros = {2: 0, 3: 0, 4: 0}
+    for _ in range(600):
+        d = rng.choice([2, 3, 4])
+        if rng.random() < 0.3:
+            # a repeated root: disc = 0
+            r = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            rest = polyq.poly([rng.randint(-5, 5) for _ in range(d - 1)]
+                              + [rng.choice([1, -3, 4])])
+            f = polyq.mul(polyq.mul(polyq.poly([-r, 1]), polyq.poly([-r, 1])),
+                          rest)
+        else:
+            f = polyq.poly([Fraction(rng.randint(-12, 12),
+                                     rng.choice([1, 1, 3])) for _ in range(d)]
+                           + [rng.choice([-5, -1, 2, 3, 7])])
+        want = sylvester_discriminant(f)
+        assert polyq.discriminant(f) == want, f
+        F, den = polyq._integral(f)
+        assert polyq._int_discriminant(tuple(F)) == sylvester_discriminant(F)
+        zeros[d] += want == 0
+    assert all(zeros.values())
+
+
+def _gram_path_trace_form(E):
+    """The trace form with every factor's Gram matrix built and
+    diagonalized, linear factors included."""
+    diag, witnesses = [], []
+    for f in E.factors:
+        d = len(f) - 1
+        sums = polyq.power_sums(f, 2 * d - 1)
+        diag += diagonalize_gram([sums[i:i + d] for i in range(d)])
+        disc = polyq.discriminant(f)
+        witnesses += [disc.numerator, disc.denominator,
+                      math.lcm(*[c.denominator for c in f])]
+    return diag, witnesses
+
+
+def test_trace_form_with_linear_factors_matches_the_gram_path():
+    P = parse_poly
+    rng = random.Random(77)
+    algebras = [(P("x + 3"), P("x^2 - 2")), (P("x - 1/2"), P("x")),
+                (P("x^3 - 2"), P("x + 1/3"), P("x - 5"))]
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.choice([1, 1, 2, 3, 5])
+            den = rng.choice([1, 1, 1, 2, 3])
+            factors.append(polyq.poly([Fraction(rng.randint(-9, 9), den)
+                                       for _ in range(d)] + [1]))
+        algebras.append(tuple(factors))
+    kept = 0
+    for factors in algebras:
+        try:
+            E = EtaleAlgebraQ(factors)
+        except ValueError:
+            continue
+        kept += 1
+        q = trace_form(E)
+        diag, witnesses = _gram_path_trace_form(E)
+        assert q.diag == tuple(diag), factors
+        assert all(type(x) is Fraction for x in q.diag)
+        assert q.witnesses == tuple(witnesses), factors
+    assert kept >= 40
+
+
 def test_trace_form_examples():
     q = trace_form(EtaleAlgebraQ.from_polynomial(parse_poly("x^2 - 1")))
     assert q.diag == (Fraction(2), Fraction(2))
@@ -801,6 +961,27 @@ def test_berlekamp_matches_rabin_random():
             coeffs[rng.randrange(d)] = Fraction(rng.randint(-9, 9),
                                                 rng.choice([2, 3, 5, 7]))
         _check_against_rabin(polyq.poly(coeffs + [1]))
+
+
+def test_root_scan_matches_rabin_past_16_bit_slots():
+    # from p = 73 on (at p = 47 from degree 30 on) a residue's slot in the
+    # packed evaluation is 64 bits wide; products with two linear factors
+    # have the parity of an irreducible quartic or quintic, so only the
+    # root scan rules them out
+    rng = random.Random(5381)
+    for p in (73, 101, 257, 1009):
+        assert polyq._residue_powers(p, 13)[1] == "Q"
+        for _ in range(30):
+            d = rng.randint(3, 7)
+            f = polyq.poly([rng.randint(-p, p) for _ in range(d)] + [1])
+            assert polyq.is_irreducible_mod_p(f, p) == \
+                rabin_irreducible_mod_p(f, p), (f, p)
+            r, s = rng.randrange(p), rng.randrange(p)
+            g = polyq.mul(polyq.mul(polyq.poly([-r, 1]), polyq.poly([-s, 1])),
+                          polyq.poly([rng.randint(-9, 9) for _ in range(d - 2)]
+                                     + [1]))
+            assert not polyq.is_irreducible_mod_p(g, p), (g, p)
+    assert polyq._residue_powers(47, 31)[1] == "Q"
 
 
 def test_berlekamp_known_factorizations():
