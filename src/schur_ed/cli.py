@@ -231,29 +231,27 @@ def _add_globals(p: argparse.ArgumentParser, root: bool) -> None:
     p.add_argument("--format", choices=("json", "tsv"), default=d("json"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schur-ed",
-        description="Double covers of symmetric/alternating groups: "
-                    "presentations, character degrees, essential-dimension "
-                    "tables, and rational quadratic-form invariants.")
-    _add_globals(parser, root=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _cover_parser(sub) -> argparse.ArgumentParser:
     cover = sub.add_parser("cover", help="double-cover group checks")
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
     cv = cover_sub.add_parser("verify", help="verify a presentation")
     cv.add_argument("-n", type=int, required=True)
     cv.add_argument("--variant", choices=("plus", "minus"), default="plus")
     cv.set_defaults(func=cmd_cover_verify)
+    return cv
 
+
+def _chartab_parser(sub) -> argparse.ArgumentParser:
     ch = sub.add_parser("chartab", help="character degrees and central signs")
     ch.add_argument("-n", type=int, required=True)
     ch.add_argument("--variant", choices=("plus", "minus"), default="plus")
     ch.add_argument("--subgroup", choices=("sylow2", "alt", "full"),
                     default="sylow2")
     ch.set_defaults(func=cmd_chartab)
+    return ch
 
+
+def _ed2_parser(sub) -> argparse.ArgumentParser:
     ed2 = sub.add_parser("ed2", help="2-local essential dimension")
     ed2.add_argument("-n", type=int, required=True)
     ed2.add_argument("--which", choices=("sym", "alt"), default="alt")
@@ -261,30 +259,89 @@ def _build_parser() -> argparse.ArgumentParser:
     ed2.add_argument("--computed", action="store_true",
                      help="also run the character pipeline and compare")
     ed2.set_defaults(func=cmd_ed2)
+    return ed2
 
+
+def _table1_parser(sub) -> argparse.ArgumentParser:
     t1 = sub.add_parser("table1", help="the three-row summary table")
     t1.add_argument("--n-max", type=int, default=edcalc.TABLE_MAX_N)
     t1.add_argument("--verify-max", type=int, default=0,
                     help="re-derive row 2 computationally for n up to this")
     t1.add_argument("--variant", choices=("plus", "minus"), default="plus")
     t1.set_defaults(func=cmd_table1)
+    return t1
 
+
+def _qform_parser(sub) -> argparse.ArgumentParser:
     qf = sub.add_parser("qform", help="invariants of a diagonal form")
     qf.add_argument("diag", help="comma-separated rationals, e.g. '1,-1,2/3'")
     qf.set_defaults(func=cmd_qform)
+    return qf
 
+
+def _trace_form_parser(sub) -> argparse.ArgumentParser:
     tf = sub.add_parser("trace-form", help="trace form of an etale algebra")
     tf.add_argument("poly", help="monic squarefree polynomial, e.g. 'x^3 - 2'")
     tf.set_defaults(func=cmd_trace_form)
+    return tf
 
+
+def _trace_check_parser(sub) -> argparse.ArgumentParser:
     tc = sub.add_parser("trace-check",
                         help="random trace forms: subform and disc checks")
     tc.add_argument("-n", type=int, required=True)
     tc.add_argument("--trials", type=int, default=100)
     tc.set_defaults(func=cmd_trace_check)
+    return tc
 
-    for leaf in (cv, ch, ed2, t1, qf, tf, tc):
-        _add_globals(leaf, root=False)
+
+# each subcommand's subtree, in help order; a builder returns the leaf parser
+_COMMANDS = {
+    "cover": _cover_parser,
+    "chartab": _chartab_parser,
+    "ed2": _ed2_parser,
+    "table1": _table1_parser,
+    "qform": _qform_parser,
+    "trace-form": _trace_form_parser,
+    "trace-check": _trace_check_parser,
+}
+
+
+def _command(argv: List[str]) -> Optional[str]:
+    """The subcommand argv names, or None when parsing it needs the whole
+    tree: no known command, or a help flag before it.
+
+    The first known name is the command: before it come only the global
+    flags, and no value they accept is a command name.
+    """
+    for arg in argv:
+        if arg in _COMMANDS:
+            return arg
+        if arg.startswith("-h") or (len(arg) > 2 and "--help".startswith(arg)):
+            return None
+    return None
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with only the subtree of `command` if one is
+    given.  Either tree parses an argv naming that command the same; the
+    whole one is needed for help and for errors about the command itself.
+    """
+    parser = argparse.ArgumentParser(
+        prog="schur-ed",
+        description="Double covers of symmetric/alternating groups: "
+                    "presentations, character degrees, essential-dimension "
+                    "tables, and rational quadratic-form invariants.")
+    _add_globals(parser, root=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, build in _COMMANDS.items():
+        if command in (None, name):
+            _add_globals(build(sub), root=False)
+        else:
+            # still a choice, so usage lines and errors read as with the
+            # whole tree; argparse never dispatches to it, since the
+            # command is the first command name in argv
+            sub.choices[name] = None
     return parser
 
 
@@ -304,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(argv: Optional[List[str]]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(_command(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,9 +4,10 @@ the forms ±(x_1^2 + ... + x_m^2).
 Generators e_1, ..., e_m satisfy e_i^2 = sign (a common value +1 or -1) and
 e_i e_j = -e_j e_i for i != j.  The gamma matrices realize them over the
 field of `radicals.SqrtNum`, the generator images of the covers are unit
-vectors in their span, and the defining relations are checked by products
-of Clifford elements {blade bitmask: coefficient}.  Everything here is
-immutable and side-effect free.
+vectors in their span, and the defining relations are decided in the plane
+algebra of each pair of vectors, from one product of Clifford elements
+{blade bitmask: coefficient}.  Everything here is immutable and
+side-effect free.
 """
 
 from __future__ import annotations
@@ -143,45 +144,76 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
 
     The relations are decided in the Clifford algebra C of the form
     sign*(x_1^2 + ... + x_m^2), m = n-1, over the field K of
-    `radicals.SqrtNum`, and no dense matrix is multiplied:
+    `radicals.SqrtNum`, and no dense matrix is multiplied.  Every value is
+    interned, so each step multiplies once per distinct pair of values:
 
     1. The gammas from `basic_spin_matrices` must be signed monomial (one
        nonzero entry per row) and satisfy G_j G_l + G_l G_j =
-       2*sign*delta_jl*I, checked by composing row maps.  Then e_j -> G_j
-       is an algebra map rho: C -> M_dim(K).
+       2*sign*delta_jl*I, checked by composing row maps.  Their entries
+       take a few values (+-1 and +-i times a unit), whose pairwise products
+       are computed once, so each row compares integer indices.  Then
+       e_j -> G_j is an algebra map rho: C -> M_dim(K).
     2. Since tr(G_l G_j) = sign*dim*delta_jl, the generator T_k from
-       `spin_representation` has coordinates c_kj = sign*tr(T_k G_j)/dim,
-       and T_k = sum_j c_kj G_j is then checked entry by entry.  If step 1
-       or 2 fails, VerificationError names the failed premise.
-    3. Each relation word is evaluated on t_k = sum_j c_kj e_j by blade
-       products and compared with the scalar +-1.
+       `spin_representation` has coordinates c_kj = sign*tr(G_j T_k)/dim,
+       summed over the distinct (gamma entry, T_k entry) pairs with their
+       counts.  T_k = sum_j c_kj G_j is then checked row by row: the
+       nonzero entries of each row of T_k must be those of the rebuilt row,
+       whose cells are computed once per distinct combination of terms.  If
+       step 1 or 2 fails, VerificationError names the failed premise.
+    3. Each relation is t_k^2 = +-1 or (t_k t_l)^p = +-1 for the vectors
+       t_k = sum_j c_kj e_j, decided in the plane algebra of u = t_k and
+       v = t_l.  The squares u^2 and v^2 are scalars, and uv = B + w with B
+       scalar and w a bivector, read off one `_blade_mul`.  Since
+       uv + vu = 2B and (uv)(vu) = u^2 v^2, w^2 = D = B^2 - u^2 v^2.  So
+       (uv)^p = alpha_p + beta_p w with alpha_1 = B, beta_1 = 1 and
+       (alpha, beta) -> (alpha B + beta D, alpha + beta B), and it equals
+       the scalar +-1 exactly when alpha_p = +-1 and beta_p w = 0.
 
     Every relation word has even length, so it lies in the even subalgebra
     C_0.  For m even C is central simple, and for m odd C_0 is central
     simple (Lam, Introduction to Quadratic Forms over Fields, V.2); either
     way the nonzero module K^dim is faithful on C_0, since a kernel would
     be a proper two-sided ideal.  So a word equals +-1 in C exactly when its
-    matrix equals +-I: each flag is the flag of the dense product, for any
+    matrix equals +-I.  The plane identities of step 3 hold in C for any
+    vectors, so each flag is the flag of the dense product, for any
     coefficients c_kj, not only the intended ones.
 
     The relation rho(z) = (g1 g3)^2 needs g3, so n >= 4; a smaller n raises
-    ValueError.
+    ValueError.  Both builders must return n-1 matrices, or
+    VerificationError names the count.
     """
     if n < 4:
         raise ValueError(f"verify_spin_representation needs n >= 4, got {n}")
     plus = variant == "plus"
     sign = 1 if plus else -1
+    m = n - 1
     gammas = basic_spin_matrices(n, sign)
+    if len(gammas) != m:
+        raise VerificationError(
+            f"expected {m} gamma matrices at n = {n}, got {len(gammas)}")
     gens = spin_representation(n, variant)
-    dim = len(gammas[0]) if gammas else 0
+    if len(gens) != m:
+        raise VerificationError(
+            f"expected {m} generator matrices at n = {n}, got {len(gens)}")
+    dim = len(gammas[0])
     if dim == 0:
         raise VerificationError("the spin module is zero")
 
-    # 1. each G_j as row maps: row r holds one nonzero entry, vals[r] in
-    #    column cols[r].  Then G_j G_l + G_l G_j = 2*sign*delta_jl*I, where
-    #    row r of G_j G_l is vals_j[r] * vals_l[cols_j[r]] in column
-    #    cols_l[cols_j[r]]
-    maps: List[Tuple[List[int], List[SqrtNum]]] = []
+    # 1. each G_j as row maps: row r holds one nonzero entry, the interned
+    #    values[ids[r]], in column cols[r].  Then G_j G_l + G_l G_j =
+    #    2*sign*delta_jl*I, where row r of G_j G_l holds
+    #    values[ids_j[r]] * values[ids_l[c]] in column cols_l[c], c = cols_j[r]
+    values: List[SqrtNum] = []
+    index: Dict[SqrtNum, int] = {}
+
+    def intern(v: SqrtNum) -> int:
+        i = index.get(v)
+        if i is None:
+            i = index[v] = len(values)
+            values.append(v)
+        return i
+
+    maps: List[Tuple[List[int], List[int]]] = []
     for j, g in enumerate(gammas, 1):
         support = [[c for c, v in enumerate(row) if v] for row in g]
         if len(g) != dim or any(len(row) != dim or len(cs) != 1
@@ -189,72 +221,113 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
             raise VerificationError(
                 f"gamma_{j} is not a {dim} x {dim} signed monomial matrix")
         cols = [cs[0] for cs in support]
-        maps.append((cols, [row[c] for row, c in zip(g, cols)]))
+        maps.append((cols, [intern(row[c]) for row, c in zip(g, cols)]))
+    distinct = range(len(values))
+    prod = [[intern(values[a] * values[b]) for b in distinct]
+            for a in distinct]
+    neg = {p: intern(-values[p]) for row in prod for p in row}
     sign_one = SqrtNum.rational(sign)
-    for j, (cols_j, vals_j) in enumerate(maps):
-        for l in range(j, len(maps)):
-            cols_l, vals_l = maps[l]
-            for r in range(dim):
-                col, val = cols_l[cols_j[r]], vals_j[r] * vals_l[cols_j[r]]
+    sign_id = intern(sign_one)
+    for j, (cols_j, ids_j) in enumerate(maps):
+        for l in range(j, m):
+            cols_l, ids_l = maps[l]
+            for r, (c, i) in enumerate(zip(cols_j, ids_j)):
+                p = prod[i][ids_l[c]]
                 if j == l:
-                    ok = col == r and val == sign_one
+                    ok = cols_l[c] == r and p == sign_id
                 else:
-                    ok = (col == cols_j[cols_l[r]]
-                          and (val + vals_l[r] * vals_j[cols_l[r]]).is_zero())
+                    c2 = cols_l[r]
+                    ok = (cols_l[c] == cols_j[c2]
+                          and p == neg[prod[ids_l[r]][ids_j[c2]]])
                 if not ok:
                     raise VerificationError(
                         f"gamma_{j + 1} and gamma_{l + 1} break the Clifford "
                         f"relation in row {r}")
 
-    # 2. coordinates of each T_k in the gammas, then T_k rebuilt from them
-    scale = SqrtNum.rational(Fraction(sign, dim))
+    # 2. coordinates of each T_k in the gammas, then T_k rebuilt from them.
+    #    tr(G_j T_k) = sum_b G_j[b][a] T_k[a][b] over a = cols_j[b], so each
+    #    nonzero cell (a, b) of T_k meets the gammas j with cols_j[b] == a
+    meets: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for j, (cols, ids) in enumerate(maps):
+        for b, (a, i) in enumerate(zip(cols, ids)):
+            meets.setdefault((a, b), []).append((j, i))
     zero = SqrtNum()
+    scales: Dict[int, SqrtNum] = {}
     elems: List[Dict[int, SqrtNum]] = []
     for k, t in enumerate(gens, 1):
         if len(t) != dim or any(len(row) != dim for row in t):
             raise VerificationError(f"T_{k} is not {dim} x {dim}")
+        support = [[(c, intern(v)) for c, v in enumerate(row) if v]
+                   for row in t]
+        counts: Dict[Tuple[int, int, int], int] = {}
+        for a, row in enumerate(support):
+            for b, e in row:
+                for j, i in meets.get((a, b), ()):
+                    key = (j, i, e)
+                    counts[key] = counts.get(key, 0) + 1
         coeffs: Dict[int, SqrtNum] = {}
-        for j, (cols, vals) in enumerate(maps):
-            trace = zero
-            for r in range(dim):
-                entry = t[cols[r]][r]
-                if entry:
-                    trace = trace + vals[r] * entry
-            if trace:
-                coeffs[j] = scale * trace
-        for r in range(dim):
-            row: Dict[int, SqrtNum] = {}
-            for j, c in coeffs.items():
-                col = maps[j][0][r]
-                v = c * maps[j][1][r]
-                row[col] = row[col] + v if col in row else v
-            if any(t[r][col] != row.get(col, zero) for col in range(dim)):
+        for (j, i, e), count in counts.items():
+            scale = scales.get(count)
+            if scale is None:
+                scale = scales[count] = SqrtNum.rational(
+                    Fraction(sign * count, dim))
+            term = scale * (values[i] * values[e])
+            coeffs[j] = coeffs[j] + term if j in coeffs else term
+        coeffs = {j: c for j, c in coeffs.items() if c}
+        # row r of sum_j c_kj G_j, its cells computed once per distinct
+        # combination of terms, must be the nonzero support of row r of T_k
+        cells: Dict[Tuple[Tuple[int, int], ...], int | None] = {}
+        for r, row in enumerate(support):
+            terms: Dict[int, List[Tuple[int, int]]] = {}
+            for j in coeffs:
+                cols, ids = maps[j]
+                terms.setdefault(cols[r], []).append((j, ids[r]))
+            rebuilt = []
+            for col, cell in sorted(terms.items()):
+                key = tuple(cell)
+                if key not in cells:
+                    v = zero
+                    for j, i in cell:
+                        v = v + coeffs[j] * values[i]
+                    cells[key] = intern(v) if v else None
+                if cells[key] is not None:
+                    rebuilt.append((col, cells[key]))
+            if rebuilt != row:
                 raise VerificationError(
                     f"T_{k} is not in the span of the gamma matrices")
         elems.append({1 << j: c for j, c in coeffs.items()})
 
-    # 3. the relation words in C
-    def word_is(letters: List[int], power: int, want: int) -> bool:
-        base = elems[letters[0] - 1]
-        for k in letters[1:]:
-            base = _blade_mul(base, elems[k - 1], sign)
-        val = base
+    # 3. the relations in the plane algebra of each pair of vectors
+    one, minus_one = SqrtNum.rational(1), SqrtNum.rational(-1)
+    squares = []
+    for u in elems:
+        s = zero
+        for c in u.values():
+            s = s + c * c
+        squares.append(s if plus else -s)
+
+    def word_is(k: int, l: int, power: int, want: SqrtNum) -> bool:
+        """(t_k t_l)^power == want."""
+        w = _blade_mul(elems[k - 1], elems[l - 1], sign)
+        b = w.pop(0, zero)
+        d = b * b - squares[k - 1] * squares[l - 1]
+        alpha, beta = b, one
         for _ in range(power - 1):
-            val = _blade_mul(val, base, sign)
-        return val == {0: SqrtNum.rational(want)}
+            alpha, beta = alpha * b + beta * d, alpha + beta * b
+        return alpha == want and (not beta or not w)
 
     letter = "s" if plus else "t"
     results: List[Tuple[str, bool]] = []
     results.append(("rho(z) = -I with rho(z) = (g1 g3)^2",
-                    word_is([1, 3], 2, -1)))
+                    word_is(1, 3, 2, minus_one)))
     for k in range(1, n):
         rel = f"{letter}{k}^2 = {'1' if plus else 'z'}"
-        results.append((rel, word_is([k], 2, sign)))
+        results.append((rel, squares[k - 1] == sign_one))
     for k in range(1, n):
         for l in range(k + 2, n):
             results.append((f"({letter}{k} {letter}{l})^2 = z",
-                            word_is([k, l], 2, -1)))
+                            word_is(k, l, 2, minus_one)))
     for k in range(1, n - 1):
         rel = f"({letter}{k} {letter}{k+1})^3 = {'1' if plus else 'z'}"
-        results.append((rel, word_is([k, k + 1], 3, sign)))
+        results.append((rel, word_is(k, k + 1, 3, sign_one)))
     return results

@@ -143,9 +143,27 @@ class SqrtNum:
         return self + (-other)
 
     def __mul__(self, other: "SqrtNum") -> "SqrtNum":
+        a, b = self._num, other._num
+        if len(a) == 1 == len(b):
+            # one part each, the usual spin-matrix entry: a product of two
+            # nonzero Gaussian rationals is nonzero, so only the gcd is left
+            (d1, (r1, i1)), = a.items()
+            (d2, (r2, i2)), = b.items()
+            g = gcd(d1, d2)
+            re = g * (r1 * r2 - i1 * i2)
+            im = g * (r1 * i2 + i1 * r2)
+            den = self._den * other._den
+            if den != 1:
+                h = gcd(den, re, im)
+                if h != 1:
+                    re, im, den = re // h, im // h, den // h
+            x = _new(SqrtNum)
+            x._num = {(d1 // g) * (d2 // g): (re, im)}
+            x._den = den
+            return x
         out: Dict[int, Tuple[int, int]] = {}
-        for d1, (r1, i1) in self._num.items():
-            for d2, (r2, i2) in other._num.items():
+        for d1, (r1, i1) in a.items():
+            for d2, (r2, i2) in b.items():
                 # sqrt(d1) sqrt(d2) = g sqrt(d1 d2 / g^2), g = gcd(d1, d2)
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)

@@ -162,6 +162,52 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cover", "verify", "-n", "5"],
+    ["--seed", "3", "cover", "verify", "-n", "5", "--variant", "minus"],
+    ["cover", "verify", "-n", "5", "--seed=3", "--format=tsv"],
+    ["--se", "3", "--fo", "tsv", "chartab", "-n", "6", "--subgroup", "alt"],
+    ["chartab", "-n", "6", "--si", "100", "--se=4"],
+    ["--size-bound=100", "ed2", "-n", "7", "--computed", "--which", "sym"],
+    ["ed2", "-n", "7", "--size-b", "100", "--seed", "2"],
+    ["--format", "tsv", "table1", "--verify-max", "8", "--n-max", "10"],
+    ["table1", "--format", "json", "--seed", "5", "--seed", "6"],
+    ["--seed", "1", "qform", "1,-1,2/3", "--format", "tsv"],
+    ["qform", "--", "-1,2"],
+    ["trace-form", "x^3 - 2", "--form", "tsv"],
+    ["--seed=9", "trace-check", "-n", "8", "--trials", "3", "--seed", "4"],
+    ["trace-check", "-n", "8", "--size-bound", "7"],
+])
+def test_one_subtree_parses_like_the_whole_tree(argv):
+    command = cli._command(argv)
+    assert command == next(a for a in argv if a in cli._COMMANDS)
+    whole = cli._build_parser().parse_args(argv)
+    assert vars(cli._build_parser(command).parse_args(argv)) == vars(whole)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "cover", "verify"],
+                                  ["--he", "qform", "1"], ["--seed", "3"],
+                                  ["bogus"], []])
+def test_help_and_unknown_commands_build_the_whole_tree(argv):
+    assert cli._command(argv) is None
+
+
+def test_help_lists_every_command(capsys):
+    code, out, err = run(capsys, "--seed", "3", "--help", "qform", "1")
+    assert code == 0 and err == ""
+    listed = out.split("positional arguments:")[1]
+    assert all(f"    {name} " in listed for name in cli._COMMANDS)
+    assert len(cli._COMMANDS) == 7
+
+
+def test_unknown_command_gets_the_argparse_error(capsys):
+    code, out, err = run(capsys, "--seed", "3", "bogus", "-n", "4")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument command: invalid choice: 'bogus' "
+                        "(choose from 'cover', 'chartab', 'ed2', 'table1', "
+                        "'qform', 'trace-form', 'trace-check')\n")
+
+
 def test_bad_size_bound_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv(cli.SIZE_BOUND_ENV, "lots")
     code, _, err = run(capsys, "chartab", "-n", "4")

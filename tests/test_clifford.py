@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -196,6 +197,72 @@ def test_perturbed_generator_flags_match_dense_oracle(monkeypatch, variant):
         assert f"({letter}1 {letter}3)^2 = z" not in failing
 
 
+def _same_as_t3(gens, gammas):
+    # T_4 = T_3: w = 0, and (t3 t4)^3 = t3^6 = t3^2 still holds
+    gens[3] = gens[2]
+
+
+def _twice_t2(gens, gammas):
+    # T_4 = 2 T_2: w = 0 with B = 2 t2^2, so v^2 = 4 u^2
+    gens[3] = smat_scale(SqrtNum.rational(2), gens[1])
+
+
+def _three_coordinates(gens, gammas):
+    # T_3 = (2 G_2 + 2 G_3 + G_4) / 3: a unit vector off the reflection chain
+    third = SqrtNum.rational(Fraction(1, 3))
+    gens[2] = smat_scale(third, smat_add(
+        smat_scale(SqrtNum.rational(2), smat_add(gammas[1], gammas[2])),
+        gammas[3]))
+
+
+def _scaled_pair(gens, gammas):
+    # 2 T_1 and T_4 / 2: u^2 != v^2, but (t1 t4)^2 = z still holds
+    gens[0] = smat_scale(SqrtNum.rational(2), gens[0])
+    gens[3] = smat_scale(SqrtNum.rational(Fraction(1, 2)), gens[3])
+
+
+@pytest.mark.parametrize("change, holds, fails", [
+    (_same_as_t3, ["(g3 g4)^3 = c"], ["(g2 g4)^2 = z"]),
+    (_twice_t2, ["(g1 g3)^2 = z"], ["g4^2 = c", "(g2 g4)^2 = z"]),
+    (_three_coordinates, ["g3^2 = c", "(g1 g3)^2 = z"], ["(g3 g5)^2 = z"]),
+    (_scaled_pair, ["(g1 g4)^2 = z"], ["g1^2 = c", "(g4 g5)^3 = c"]),
+])
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_plane_algebra_edge_cases_match_dense_oracle(monkeypatch, change,
+                                                     holds, fails, n, variant):
+    _patch_generators(monkeypatch, change)
+    fast = verify_spin_representation(n, variant)
+    assert fast == dense_spin_relations(n, variant)
+    # the relations are written for both variants: g a generator, c = 1 or z
+    letter, c = ("s", "1") if variant == "plus" else ("t", "z")
+    flags = dict(fast)
+
+    def flag(rel):
+        return flags[rel.replace("g", letter).replace("= c", f"= {c}")]
+
+    assert all(flag(rel) for rel in holds)
+    assert not any(flag(rel) for rel in fails)
+
+
+@pytest.mark.parametrize("patched", ["basic_spin_matrices",
+                                     "spin_representation"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_matrix_lists_of_the_wrong_length_raise(monkeypatch, patched, change):
+    real = getattr(clifford, patched)
+
+    def wrong_length(n, *args):
+        mats = real(n, *args)
+        return mats[:change] if change < 0 else mats + mats[:change]
+
+    monkeypatch.setattr(clifford, patched, wrong_length)
+    what = "gamma" if patched == "basic_spin_matrices" else "generator"
+    count = 5 + change
+    message = f"expected 5 {what} matrices at n = 6, got {count}"
+    with pytest.raises(VerificationError, match=message):
+        verify_spin_representation(6, "plus")
+
+
 def test_generator_outside_the_gamma_span_raises(monkeypatch):
     def add_identity(gens, gammas):
         gens[1] = smat_add(gens[1], smat_identity(len(gens[1])))
@@ -297,6 +364,57 @@ def test_sqrtnum_has_one_normal_form():
     for zero in (x - x, x * SqrtNum()):
         assert zero.is_zero() and not zero
         assert repr(zero) == "SqrtNum(0)"
+
+
+def _assert_normal_form(x):
+    # integer numerators over one positive denominator, no zero part, no
+    # factor common to all, zero as ({}, 1): the form that makes equal
+    # elements equal dicts
+    num, den = x._num, x._den
+    assert den > 0 and (0, 0) not in num.values()
+    assert gcd(den, *(v for part in num.values() for v in part)) == 1
+    rebuilt = SqrtNum(x.parts)
+    assert (rebuilt._num, rebuilt._den) == (num, den)
+    assert hash(rebuilt) == hash(x)
+
+
+def test_sqrtnum_fast_paths_match_the_fraction_oracle():
+    # single-part operands take the fast product; mixed denominators make
+    # its gcd reduce, and the multi-part draws keep the general path honest
+    rng = random.Random(23)
+    radicands = [1, 2, 3, 5, 6, 10, 15, 30]
+    dens = [1, 2, 3, 4, 6, 8, 9, 12]
+
+    def draw(size):
+        parts = {}
+        for d in rng.sample(radicands, size):
+            re = Fraction(rng.randint(-9, 9), rng.choice(dens))
+            im = Fraction(rng.choice([0, 0, rng.randint(-9, 9)]),
+                          rng.choice(dens))
+            parts[d] = (re or Fraction(1, rng.choice(dens)), im)
+        return SqrtNum(parts), FractionSqrtNum(parts)
+
+    for _ in range(400):
+        (x, ox), (y, oy) = draw(rng.choice([1, 1, 1, 2, 3])), draw(
+            rng.choice([1, 1, 1, 2, 3]))
+        got = [x * y, y * x, x * x, x + y, x - y, x + (-x), -x + x,
+               x * SqrtNum(), SqrtNum() * x, (x + y) * (x - y), x * y - y * x]
+        want = [ox * oy, oy * ox, ox * ox, ox + oy, ox - oy, ox + (-ox),
+                -ox + ox, ox * FractionSqrtNum(), FractionSqrtNum() * ox,
+                (ox + oy) * (ox - oy), ox * oy - oy * ox]
+        for g, w in zip(got, want):
+            assert g.parts == w.parts and repr(g) == repr(w)
+            _assert_normal_form(g)
+    # products whose parts cancel: (sqrt2 + sqrt3)(sqrt2 - sqrt3) = -1 and
+    # (1 + i)(1 - i)/2 = 1, then a sum back to zero
+    r2, r3 = SqrtNum.root(2), SqrtNum.root(3)
+    half = SqrtNum.rational(Fraction(1, 2))
+    gauss = SqrtNum({1: (Fraction(1), Fraction(1))})
+    conj = SqrtNum({1: (Fraction(1), Fraction(-1))})
+    for x, value in [((r2 + r3) * (r2 - r3), -1), (gauss * conj * half, 1),
+                     ((r2 + r3) * (r2 - r3) + SqrtNum.rational(1), 0)]:
+        assert x == SqrtNum.rational(value)
+        _assert_normal_form(x)
 
 
 def test_smat_eq_compares_shapes():
