@@ -2,7 +2,9 @@
 
 For n = 4, 5 the Sylow 2-subgroup of the cover of A_n is the quaternion
 group Q8; for n = 6, 7 it is the generalized quaternion group Q16.  The
-generating witnesses are explicit words in the cover generators.
+generating witnesses are explicit words in the cover generators.  A 2-group
+of order at least 8 with a single involution and no element of full order
+is generalized quaternion, which is what `is_generalized_quaternion` checks.
 """
 
 from schur_ed import (
@@ -10,9 +12,8 @@ from schur_ed import (
     center,
     conjugacy_classes,
     cover_subgroup,
-    generalized_quaternion_table,
     get_cover,
-    iso_small,
+    is_generalized_quaternion,
     preimage_subgroup,
     sylow2_alt_generators,
 )
@@ -28,14 +29,15 @@ print("sigma tau == z tau sigma:",
       cov.mul(sigma, tau) == cov.mul(cov.z, cov.mul(tau, sigma)))
 
 witness = cover_subgroup([sigma, tau], cov.spec, 64)
-q8 = generalized_quaternion_table(8)
 print("witness group order:", witness.order)
-print("isomorphic to Q8:", iso_small(witness, q8))
+print("isomorphic to Q8:",
+      witness.order == 8 and is_generalized_quaternion(witness))
 print("class sizes:", sorted(len(c) for c in conjugacy_classes(witness)))
 
 # The same group arrives as the preimage of a Sylow 2-subgroup of A_4:
 H4 = preimage_subgroup(sylow2_alt_generators(4), CoverSpec(4, "plus"))
-print("preimage of Sylow_2(A_4) iso Q8:", iso_small(H4, q8))
+print("preimage of Sylow_2(A_4) iso Q8:",
+      H4.order == 8 and is_generalized_quaternion(H4))
 print("its center:", len(center(H4)), "elements")
 
 # And at n = 6 the Q16 witnesses:
@@ -48,4 +50,4 @@ print("\nn=6: x^8 = 1:", cov6.power(x, 8) == cov6.identity,
       cov6.mul(cov6.mul(y, x), cov6.inv(y)) == cov6.inv(x))
 H6 = preimage_subgroup(sylow2_alt_generators(6), CoverSpec(6, "plus"))
 print("preimage of Sylow_2(A_6) iso Q16:",
-      iso_small(H6, generalized_quaternion_table(16)))
+      H6.order == 16 and is_generalized_quaternion(H6))

@@ -11,18 +11,20 @@ from schur_ed import (
     CoverSpec,
     count_min_faithful,
     dixon_character_table,
-    generalized_quaternion_table,
     get_cover,
     min_faithful_irrep_dim,
     preimage_subgroup,
+    sylow2_alt_generators,
     sylow2_sym_generators,
 )
 
-# Warm-up: the quaternion group.
-q8 = generalized_quaternion_table(8)
+# Warm-up: the quaternion group, as the preimage of a Sylow 2-subgroup of A_4.
+spec4 = CoverSpec(4, "plus")
+q8 = preimage_subgroup(sylow2_alt_generators(4), spec4)
 ct = dixon_character_table(q8)
 print("Q8 degrees:", ct.degrees, "(mod-p prime:", ct.prime, ")")
-print("Q8 minimal faithful dimension:", min_faithful_irrep_dim(q8, (2, 0)))
+print("Q8 minimal faithful dimension:",
+      min_faithful_irrep_dim(q8, get_cover(spec4).z))
 
 # The Sylow-2 preimage in the cover of S_8 has order 2^8 = 256 and its
 # smallest faithful irreducible has dimension 2^floor((8-1)/2) = 8.

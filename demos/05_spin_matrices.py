@@ -9,17 +9,20 @@ schur_ed.radicals.
 """
 
 from schur_ed import basic_spin_matrices, spin_representation, verify_spin_representation
-from schur_ed.radicals import smat_eq, smat_identity, smat_mul, smat_neg
+from schur_ed.radicals import SqrtNum, smat_mul
 
 n = 6
 gammas = basic_spin_matrices(n, sign=1)
 dim = len(gammas[0])
 print(f"n = {n}: {len(gammas)} gamma matrices of size {dim} x {dim}")
 
-ident = smat_identity(dim)
-print("gamma_1^2 == I:", smat_eq(smat_mul(gammas[0], gammas[0]), ident))
-anti = smat_eq(smat_mul(gammas[0], gammas[1]),
-               smat_neg(smat_mul(gammas[1], gammas[0])))
+# SqrtNum values are stored in a normal form, so == on the nested lists
+# compares the matrices entry by entry
+ident = [[SqrtNum.rational(int(i == j)) for j in range(dim)]
+         for i in range(dim)]
+print("gamma_1^2 == I:", smat_mul(gammas[0], gammas[0]) == ident)
+anti = smat_mul(gammas[0], gammas[1]) == [
+    [-v for v in row] for row in smat_mul(gammas[1], gammas[0])]
 print("gamma_1 gamma_2 == -gamma_2 gamma_1:", anti)
 
 # The group generators and the full relation check:

@@ -26,10 +26,8 @@ from .covers import (
     clear_cover_cache,
     conjugacy_classes,
     cover_subgroup,
-    cyclic_table,
-    generalized_quaternion_table,
     get_cover,
-    iso_small,
+    is_generalized_quaternion,
     preimage_subgroup,
     subgroup_table,
     verify_presentation,

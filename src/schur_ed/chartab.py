@@ -62,9 +62,6 @@ class CharTable:
     def n_classes(self) -> int:
         return len(self.class_sizes)
 
-    def central_sign(self, irrep: int, z_class: int) -> int:
-        return self.signs[irrep][z_class]
-
     def to_json(self) -> dict:
         return {
             "order": self.group_order,
@@ -159,13 +156,19 @@ class _ClassData:
             class_of[cls] = t
         self.reps = [cls[0] for cls in self.classes]
         self.sizes = [len(cls) for cls in self.classes]
+        e = table.identity_idx
         if z is None:
             self.rows = np.arange(self.n)
         else:
-            # z is central, so z g is g z: one gather of z's right column
-            self.pair = class_of[table.right_column(table.idx(z))[self.reps]]
+            # z is central, so z g is g z: one gather of z's right column,
+            # which also shows whether z * z is the identity
+            zi = table.idx(z)
+            [(_, z_col)] = table.right_columns([zi])
+            if zi == e or z_col.item(zi) != e:
+                raise VerificationError(
+                    "z is not a central involution of the group")
+            self.pair = class_of[z_col[self.reps]]
             self.rows = np.flatnonzero(self.pair > np.arange(self.n))
-        e = table.identity_idx
         self.inv_class = [0] * self.n
         self.orders = [0] * self.n
         # _right[i, y] = n*i + (class of y * g_u) for u = rows[i], so that
@@ -439,9 +442,8 @@ def _spin_degrees(table: FiniteGroupTable, z) -> List[int]:
     rows t, u in R.  B_r acts as 0 on them when zC_r = C_r, and as -B_s
     when C_r = zC_s, so only the classes of R are mixed.  Each eigenline is
     extended to every class, its degree read off the norm as in the whole
-    table, and the squared degrees must add up to |G|/2."""
-    if table.order_of_idx(table.idx(z)) != 2:
-        raise VerificationError("z is not a central involution of the group")
+    table, and the squared degrees must add up to |G|/2.  _ClassData
+    refuses a z that is not an involution."""
     data = _ClassData(table, z)
     order, rows = table.order, data.rows
     partner = data.pair[rows]

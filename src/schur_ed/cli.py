@@ -383,7 +383,7 @@ def _run(argv: Optional[List[str]]) -> int:
     except SizeBoundExceeded as err:
         print(f"resource bound exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (VerificationError, AssertionError) as err:
+    except VerificationError as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -527,11 +527,12 @@ class FiniteGroupTable:
     by a Schreier tree, a breadth-first search from the identity over
     these columns (built here unless `tree` gives it): element j is
     parent[j] times the generator pgen[j], down to the identity (parent
-    -1).  Products fold the right factor's word, read off the tree,
-    through the columns, so a product costs O(tree depth) array lookups no
-    matter how expensive the underlying multiplication was to evaluate
-    once.  `levels` lists the tree's elements with every parent in an
-    earlier level, which lets whole columns be computed level by level.
+    -1).  Index arithmetic walks the tree: right_columns gathers the
+    columns along the elements' words, left_columns fills them level by
+    level, and power_cycles multiplies powers along the words, so it costs
+    array gathers no matter how expensive the underlying multiplication
+    was to evaluate once.  `levels` lists the tree's elements with every
+    parent in an earlier level.
     """
 
     def __init__(self, elements: Sequence, identity, generators: List,
@@ -549,8 +550,6 @@ class FiniteGroupTable:
             if sum(len(level) for level in tree[2]) != self.order:
                 raise ValueError("the generators do not reach every element")
         self._parent, self._pgen, self._levels = tree
-        self._inv: Dict[int, int] = {}
-        self._elem_order: Dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -599,26 +598,12 @@ class FiniteGroupTable:
         word.reverse()
         return word
 
-    def mul_idx(self, i: int, j: int) -> int:
-        cur = i
-        for gi in self._word(j):
-            cur = self._gen_cols[gi][cur]
-        return int(cur)
-
-    def right_column(self, j: int) -> np.ndarray:
-        """x * element j for every index x, as one index array: the
-        columns of j's word, folded from the identity's."""
-        col = np.arange(self.order, dtype=np.int32)
-        for gi in self._word(j):
-            col = self._gen_cols[gi].take(col)
-        return col
-
     def right_columns(self, js: Sequence[int]
                       ) -> Iterator[Tuple[int, np.ndarray]]:
-        """(k, right_column(js[k])) for every k, in the order of the
-        elements' words.  A depth-first walk over the sorted words keeps
-        the column of every prefix of the last word on a stack, so a prefix
-        that words share is gathered once.  A yielded column stays on the
+        """(k, the column of x * js[k] for every index x) for every k, in
+        the order of the elements' words.  A depth-first walk over the
+        sorted words keeps the column of every prefix of the last word on a
+        stack, so a prefix that words share is gathered once.  A yielded column stays on the
         stack: the caller must not write to it.  (take gathers by int32
         indices at the speed of indexing by int64 ones.)"""
         stack = [np.arange(self.order, dtype=np.int32)]
@@ -673,40 +658,6 @@ class FiniteGroupTable:
         out = np.empty((2, len(js)), dtype=np.int64)
         out[:, [k for _, k in words]] = inv, orders
         return out[0].tolist(), out[1].tolist()
-
-    def inv_idx(self, i: int) -> int:
-        got = self._inv.get(i)
-        if got is None:
-            e = self.identity_idx
-            prev, cur = i, self.mul_idx(i, i)
-            while cur != e:
-                prev, cur = cur, self.mul_idx(cur, i)
-            got = self._inv[i] = prev if i != e else e
-        return got
-
-    def order_of_idx(self, i: int) -> int:
-        got = self._elem_order.get(i)
-        if got is None:
-            e = self.identity_idx
-            cur, k = i, 1
-            while cur != e:
-                cur = self.mul_idx(cur, i)
-                k += 1
-            got = self._elem_order[i] = k
-        return got
-
-    def element_order_multiset(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for i in range(self.order):
-            o = self.order_of_idx(i)
-            out[o] = out.get(o, 0) + 1
-        return out
-
-    def cayley_table(self) -> List[List[int]]:
-        if self.order > 512:
-            raise SizeBoundExceeded("full Cayley table capped at 512 elements")
-        return [[self.mul_idx(i, j) for j in range(self.order)]
-                for i in range(self.order)]
 
 
 def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
@@ -790,9 +741,9 @@ def center(table: FiniteGroupTable) -> List:
     """The center: the elements that commute with every generator, in
     table order."""
     central = np.ones(table.order, dtype=bool)
-    gis = table.generator_idx
-    for gi, left in zip(gis, table.left_columns(gis)):
-        central &= table.right_column(gi) == left
+    for right, left in zip(table._gen_cols,
+                           table.left_columns(table.generator_idx)):
+        central &= right == left
     return [table.element(i) for i in np.flatnonzero(central)]
 
 
@@ -800,11 +751,11 @@ def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
     """Partition of element indices into conjugacy classes.  Classes are
     ordered with the identity class first, then by (size, smallest index)."""
     conj = []
-    gis = table.generator_idx
-    for gi, left in zip(gis, table.left_columns(gis)):
+    for right, left in zip(table._gen_cols,
+                           table.left_columns(table.generator_idx)):
         # x * g^-1 for every x: g's right column, inverted as a permutation
         g_inv = np.empty(table.order, dtype=np.int64)
-        g_inv[table.right_column(gi)] = np.arange(table.order)
+        g_inv[right] = np.arange(table.order)
         conj.append(g_inv[left])
     # every element takes the smallest index in reach by conjugation by the
     # generators, which is the smallest index of its class
@@ -826,88 +777,13 @@ def conjugacy_classes(table: FiniteGroupTable) -> List[List[int]]:
     return classes
 
 
-# ---------------------------------------------------------------------------
-# small-group isomorphism testing and reference groups
-# ---------------------------------------------------------------------------
-
-def _words(cayley: List[List[int]], gens: List[int],
-           e: int) -> Dict[int, Tuple[int, ...]]:
-    """A shortest word in gens for every element of <gens>, read off the
-    Schreier tree over the Cayley table's columns."""
-    cols = np.array(cayley, dtype=np.int64)[:, gens].T
-    parent, pgen, levels = _schreier_tree(cols, e)
-    words: Dict[int, Tuple[int, ...]] = {e: ()}
-    for level in levels[1:]:
-        for x in level.tolist():
-            words[x] = words[int(parent[x])] + (gens[pgen[x]],)
-    return words
-
-
-def iso_small(A: FiniteGroupTable, B: FiniteGroupTable, bound: int = 128) -> bool:
-    """Isomorphism test by generator-image backtracking; order-multiset
-    prefilter.  Intended for groups of order <= bound."""
-    if A.order > bound or B.order > bound:
-        raise SizeBoundExceeded(f"iso_small is capped at order {bound}")
-    if A.order != B.order:
+def is_generalized_quaternion(table: FiniteGroupTable) -> bool:
+    """Is the group generalized quaternion, Q_{2^k} with k >= 3?  A 2-group
+    of order >= 8 with exactly one involution is cyclic or generalized
+    quaternion (Burnside; Gorenstein, Finite Groups, Thm 5.4.10(ii)), and
+    cyclic exactly when some element has the group's order.  The element
+    orders come from one power_cycles pass."""
+    if table.order < 8 or table.order & (table.order - 1):
         return False
-    if A.element_order_multiset() != B.element_order_multiset():
-        return False
-    ca, cb = A.cayley_table(), B.cayley_table()
-    ea, eb = A.idx(A.identity), B.idx(B.identity)
-    # greedy generators of A: add the first element not yet reached
-    gens: List[int] = []
-    words = _words(ca, gens, ea)
-    for i in range(A.order):
-        if len(words) == A.order:
-            break
-        if i not in words:
-            gens.append(i)
-            words = _words(ca, gens, ea)
-    a_orders = [A.order_of_idx(g) for g in gens]
-    b_by_order: Dict[int, List[int]] = {}
-    for i in range(B.order):
-        b_by_order.setdefault(B.order_of_idx(i), []).append(i)
-
-    def attempt(images: List[int]) -> bool:
-        phi = [0] * A.order
-        for x, w in words.items():
-            cur = eb
-            for g in w:
-                cur = cb[cur][images[gens.index(g)]]
-            phi[x] = cur
-        if len(set(phi)) != A.order:
-            return False
-        return all(phi[ca[x][y]] == cb[phi[x]][phi[y]]
-                   for x in range(A.order) for y in range(A.order))
-
-    def backtrack(depth: int, images: List[int]) -> bool:
-        if depth == len(gens):
-            return attempt(images)
-        for cand in b_by_order.get(a_orders[depth], []):
-            if backtrack(depth + 1, images + [cand]):
-                return True
-        return False
-
-    return backtrack(0, [])
-
-
-def generalized_quaternion_table(order: int) -> FiniteGroupTable:
-    """Q_{2^k} presented by x^(2^(k-1)) = 1, y^2 = x^(2^(k-2)),
-    y x y^-1 = x^-1; elements are pairs (i, j) meaning x^i y^j, with
-    index 2i + j, and the generators are x and y."""
-    if order < 8 or order & (order - 1):
-        raise ValueError("generalized quaternion groups have 2-power order >= 8")
-    h = order // 2
-    i = np.arange(h)
-    # x^i * x = x^(i+1) and x^i y * x = x^(i-1) y; x^i * y = x^i y and
-    # x^i y * y = x^(i + h/2)
-    x_col = np.stack([2 * ((i + 1) % h), 2 * ((i - 1) % h) + 1], axis=1)
-    y_col = np.stack([2 * i + 1, 2 * ((i + h // 2) % h)], axis=1)
-    return FiniteGroupTable([(a, b) for a in range(h) for b in (0, 1)],
-                            (0, 0), [(1, 0), (0, 1)],
-                            [x_col.ravel(), y_col.ravel()])
-
-
-def cyclic_table(order: int) -> FiniteGroupTable:
-    return FiniteGroupTable(list(range(order)), 0, [1],
-                            [(np.arange(order) + 1) % order])
+    _, orders = table.power_cycles(range(table.order))
+    return orders.count(2) == 1 and table.order not in orders

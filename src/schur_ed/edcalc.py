@@ -121,7 +121,8 @@ def ed_bounds(n: int, which: str) -> Tuple[int, int]:
             candidates.append((n - 3) + lower)
         upper = min(candidates)
     if lower > upper:
-        raise AssertionError(f"bound assembly produced an empty interval at n={n}")
+        raise VerificationError(
+            f"bound assembly produced an empty interval at n={n}")
     return (lower, upper)
 
 

@@ -418,20 +418,6 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
     return _gf_independent(rows, p)
 
 
-def is_irreducible_mod_p(f: Poly, p: int) -> bool:
-    """Is f irreducible mod the odd prime p, with no drop in degree?  False
-    when p divides a denominator of f.  Irreducible mod p certifies
-    irreducible over Q.  Runs the kernel `certify_irreducible` runs, on
-    den * f."""
-    if p == 2:
-        raise ValueError("the certificate needs an odd prime")
-    d = degree(f)
-    if d < 1:
-        return False
-    F, den = _integral(f)
-    return den % p != 0 and _irreducible_mod_p(F, p, _int_discriminant(tuple(F)))
-
-
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 

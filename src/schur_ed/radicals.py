@@ -204,20 +204,6 @@ class SqrtNum:
 SMatrix = List[List[SqrtNum]]
 
 
-def smat_identity(n: int) -> SMatrix:
-    z = SqrtNum()
-    one = SqrtNum.rational(1)
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
-
-
-def smat_neg(x: SMatrix) -> SMatrix:
-    return [[-v for v in row] for row in x]
-
-
-def smat_add(x: SMatrix, y: SMatrix) -> SMatrix:
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
 def smat_mul(x: SMatrix, y: SMatrix) -> SMatrix:
     n = len(x)
     out = []
@@ -232,26 +218,4 @@ def smat_mul(x: SMatrix, y: SMatrix) -> SMatrix:
                     acc = acc + v * y[k][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def smat_eq(x: SMatrix, y: SMatrix) -> bool:
-    return len(x) == len(y) and all(
-        len(rx) == len(ry) and all(a == b for a, b in zip(rx, ry))
-        for rx, ry in zip(x, y))
-
-
-def smat_scale(c: SqrtNum, x: SMatrix) -> SMatrix:
-    return [[c * v for v in row] for row in x]
-
-
-def smat_pow(x: SMatrix, e: int) -> SMatrix:
-    """x^e for e >= 0, in e - 1 products."""
-    if e < 0:
-        raise ValueError("smat_pow wants e >= 0")
-    if e == 0:
-        return smat_identity(len(x))
-    out = x
-    for _ in range(e - 1):
-        out = smat_mul(out, x)
     return out

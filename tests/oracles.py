@@ -15,8 +15,11 @@ from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
 the generator matrices, all three in a field of Fraction pairs, cover groups and tables
 from a breadth-first closure under cover multiplication (for tables with
-every product stored), and class matrices from one product per element and
-class representative.
+every product stored), class matrices from one product per element and
+class representative, table products, inverses and orders by folding the
+right factor's Schreier word one letter at a time, isomorphism of small
+groups by generator-image backtracking, and dense SqrtNum matrix algebra
+entry by entry.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from schur_ed import polyq
 from schur_ed.clifford import spin_representation
+from schur_ed.covers import FiniteGroupTable, SizeBoundExceeded
 from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
+from schur_ed.radicals import SMatrix, SqrtNum, smat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +357,46 @@ def matrix_parts(m) -> List[List[Dict[int, Tuple[Fraction, Fraction]]]]:
 
 
 # ---------------------------------------------------------------------------
+# dense matrices over radicals.SqrtNum
+# ---------------------------------------------------------------------------
+
+def smat_identity(n: int) -> SMatrix:
+    z = SqrtNum()
+    one = SqrtNum.rational(1)
+    return [[one if i == j else z for j in range(n)] for i in range(n)]
+
+
+def smat_neg(x: SMatrix) -> SMatrix:
+    return [[-v for v in row] for row in x]
+
+
+def smat_add(x: SMatrix, y: SMatrix) -> SMatrix:
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def smat_eq(x: SMatrix, y: SMatrix) -> bool:
+    return len(x) == len(y) and all(
+        len(rx) == len(ry) and all(a == b for a, b in zip(rx, ry))
+        for rx, ry in zip(x, y))
+
+
+def smat_scale(c: SqrtNum, x: SMatrix) -> SMatrix:
+    return [[c * v for v in row] for row in x]
+
+
+def smat_pow(x: SMatrix, e: int) -> SMatrix:
+    """x^e for e >= 0, in e - 1 products."""
+    if e < 0:
+        raise ValueError("smat_pow wants e >= 0")
+    if e == 0:
+        return smat_identity(len(x))
+    out = x
+    for _ in range(e - 1):
+        out = smat_mul(out, x)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # arithmetic oracles
 # ---------------------------------------------------------------------------
 
@@ -659,6 +705,171 @@ def rabin_irreducible_mod_p(f: Sequence[Fraction], p: int) -> bool:
     return True
 
 
+def is_irreducible_mod_p(f, p: int) -> bool:
+    """Is f irreducible mod the odd prime p, with no drop in degree?  False
+    when p divides a denominator of f.  The tests' way into the kernel
+    `polyq.certify_irreducible` runs for each prime, on den * f."""
+    if p == 2:
+        raise ValueError("the certificate needs an odd prime")
+    if polyq.degree(f) < 1:
+        return False
+    F, den = polyq._integral(f)
+    return den % p != 0 and polyq._irreducible_mod_p(
+        F, p, polyq._int_discriminant(tuple(F)))
+
+
+# ---------------------------------------------------------------------------
+# per-element folds over a FiniteGroupTable, reference groups, isomorphism
+# ---------------------------------------------------------------------------
+
+def tree_word(table, j: int) -> List[int]:
+    """The generator indices along the table's Schreier tree from the
+    identity to element j, read off its parent and edge arrays."""
+    word = []
+    while table._parent[j] >= 0:
+        word.append(int(table._pgen[j]))
+        j = int(table._parent[j])
+    return word[::-1]
+
+
+def mul_idx(table, i: int, j: int) -> int:
+    """i * j: i carried through the columns of j's word, one lookup a
+    letter."""
+    for g in tree_word(table, j):
+        i = int(table._gen_cols[g][i])
+    return i
+
+
+def right_column(table, j: int) -> np.ndarray:
+    """x * j for every index x: the identity's column folded through the
+    columns of j's word, one gather a letter."""
+    col = np.arange(table.order)
+    for g in tree_word(table, j):
+        col = table._gen_cols[g][col]
+    return col
+
+
+def inv_idx(table, i: int) -> int:
+    """The power of i before the identity, one product a power."""
+    e = table.identity_idx
+    prev, cur = i, mul_idx(table, i, i)
+    while cur != e:
+        prev, cur = cur, mul_idx(table, cur, i)
+    return prev if i != e else e
+
+
+def order_of_idx(table, i: int) -> int:
+    e = table.identity_idx
+    cur, k = i, 1
+    while cur != e:
+        cur = mul_idx(table, cur, i)
+        k += 1
+    return k
+
+
+def element_order_multiset(table) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    for i in range(table.order):
+        o = order_of_idx(table, i)
+        out[o] = out.get(o, 0) + 1
+    return out
+
+
+def cayley_table(table) -> List[List[int]]:
+    if table.order > 512:
+        raise SizeBoundExceeded("full Cayley table capped at 512 elements")
+    return [[mul_idx(table, i, j) for j in range(table.order)]
+            for i in range(table.order)]
+
+
+def _shortest_words(cayley: List[List[int]], gens: List[int],
+                    e: int) -> Dict[int, Tuple[int, ...]]:
+    """A shortest word in gens for every element of <gens>, breadth-first
+    over the Cayley table."""
+    words: Dict[int, Tuple[int, ...]] = {e: ()}
+    frontier = [e]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = cayley[x][g]
+                if y not in words:
+                    words[y] = words[x] + (g,)
+                    new.append(y)
+        frontier = new
+    return words
+
+
+def iso_small(A, B, bound: int = 128) -> bool:
+    """Isomorphism test by generator-image backtracking; order-multiset
+    prefilter.  Intended for groups of order <= bound."""
+    if A.order > bound or B.order > bound:
+        raise SizeBoundExceeded(f"iso_small is capped at order {bound}")
+    if A.order != B.order:
+        return False
+    if element_order_multiset(A) != element_order_multiset(B):
+        return False
+    ca, cb = cayley_table(A), cayley_table(B)
+    ea, eb = A.identity_idx, B.identity_idx
+    # greedy generators of A: add the first element not yet reached
+    gens: List[int] = []
+    words = _shortest_words(ca, gens, ea)
+    for i in range(A.order):
+        if len(words) == A.order:
+            break
+        if i not in words:
+            gens.append(i)
+            words = _shortest_words(ca, gens, ea)
+    a_orders = [order_of_idx(A, g) for g in gens]
+    b_by_order: Dict[int, List[int]] = {}
+    for i in range(B.order):
+        b_by_order.setdefault(order_of_idx(B, i), []).append(i)
+
+    def attempt(images: List[int]) -> bool:
+        phi = [0] * A.order
+        for x, w in words.items():
+            cur = eb
+            for g in w:
+                cur = cb[cur][images[gens.index(g)]]
+            phi[x] = cur
+        if len(set(phi)) != A.order:
+            return False
+        return all(phi[ca[x][y]] == cb[phi[x]][phi[y]]
+                   for x in range(A.order) for y in range(A.order))
+
+    def backtrack(depth: int, images: List[int]) -> bool:
+        if depth == len(gens):
+            return attempt(images)
+        for cand in b_by_order.get(a_orders[depth], []):
+            if backtrack(depth + 1, images + [cand]):
+                return True
+        return False
+
+    return backtrack(0, [])
+
+
+def generalized_quaternion_table(order: int) -> FiniteGroupTable:
+    """Q_{2^k} presented by x^(2^(k-1)) = 1, y^2 = x^(2^(k-2)),
+    y x y^-1 = x^-1; elements are pairs (i, j) meaning x^i y^j, with
+    index 2i + j, and the generators are x and y."""
+    if order < 8 or order & (order - 1):
+        raise ValueError("generalized quaternion groups have 2-power order >= 8")
+    h = order // 2
+    i = np.arange(h)
+    # x^i * x = x^(i+1) and x^i y * x = x^(i-1) y; x^i * y = x^i y and
+    # x^i y * y = x^(i + h/2)
+    x_col = np.stack([2 * ((i + 1) % h), 2 * ((i - 1) % h) + 1], axis=1)
+    y_col = np.stack([2 * i + 1, 2 * ((i + h // 2) % h)], axis=1)
+    return FiniteGroupTable([(a, b) for a in range(h) for b in (0, 1)],
+                            (0, 0), [(1, 0), (0, 1)],
+                            [x_col.ravel(), y_col.ravel()])
+
+
+def cyclic_table(order: int) -> FiniteGroupTable:
+    return FiniteGroupTable(list(range(order)), 0, [1],
+                            [(np.arange(order) + 1) % order])
+
+
 # ---------------------------------------------------------------------------
 # group tables: the cover BFS and class matrices element by element
 # ---------------------------------------------------------------------------
@@ -735,9 +946,9 @@ def class_matrices_by_elements(table, classes) -> List[np.ndarray]:
     for cls_r in classes:
         B = np.zeros((len(classes), len(classes)), dtype=np.int64)
         for x in cls_r:
-            x_inv = table.inv_idx(x)
+            x_inv = inv_idx(table, x)
             for u, cls in enumerate(classes):
-                B[class_of[table.mul_idx(x_inv, cls[0])], u] += 1
+                B[class_of[mul_idx(table, x_inv, cls[0])], u] += 1
         out.append(B)
     return out
 
@@ -763,7 +974,7 @@ def regular_representation_degrees(table) -> List[int]:
         c = rng.standard_normal() + 1j * rng.standard_normal()
         for g in cls:
             for x in range(n):
-                B[table.mul_idx(g, x), x] += c
+                B[mul_idx(table, g, x), x] += c
     eigs = list(np.linalg.eigvals(B))
     clusters: List[List[complex]] = []
     for z in eigs:

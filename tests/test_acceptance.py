@@ -20,9 +20,8 @@ from schur_ed.covers import (
     CoverSpec,
     center,
     cover_subgroup,
-    generalized_quaternion_table,
     get_cover,
-    iso_small,
+    is_generalized_quaternion,
     preimage_subgroup,
     verify_presentation,
 )
@@ -42,7 +41,8 @@ from schur_ed.qforms import (
 )
 from schur_ed.qforms import INF, TWO, Place
 
-from oracles import from_cycles, regular_representation_degrees
+from oracles import (from_cycles, generalized_quaternion_table, iso_small,
+                     regular_representation_degrees)
 
 
 def _report(name: str, ok: bool, extra: str = "") -> None:
@@ -84,8 +84,10 @@ def test_criterion_2_quaternion_sylows():
         ok = ok and cov.mul(sigma, tau) == cov.mul(z, cov.mul(tau, sigma))
         witness = cover_subgroup([sigma, tau], cov.spec, 64)
         ok = ok and witness.order == 8 and iso_small(witness, q8)
+        ok = ok and is_generalized_quaternion(witness)
         sylow = preimage_subgroup(sylow2_alt_generators(n), CoverSpec(n, "plus"))
         ok = ok and iso_small(sylow, q8)
+        ok = ok and sylow.order == 8 and is_generalized_quaternion(sylow)
     for n in (6, 7):
         cov = get_cover(CoverSpec(n, "plus"))
         x = cov.word(1, 2, 3, 5)
@@ -97,8 +99,10 @@ def test_criterion_2_quaternion_sylows():
         ok = ok and cov.mul(cov.mul(y, x), cov.inv(y)) == cov.inv(x)
         witness = cover_subgroup([x, y], cov.spec, 64)
         ok = ok and witness.order == 16 and iso_small(witness, q16)
+        ok = ok and is_generalized_quaternion(witness)
         sylow = preimage_subgroup(sylow2_alt_generators(n), CoverSpec(n, "plus"))
         ok = ok and iso_small(sylow, q16)
+        ok = ok and sylow.order == 16 and is_generalized_quaternion(sylow)
     _report("criterion 2: Sylow-2 subgroups of the A_4..A_7 covers are "
             "Q8/Q16 with the stated witnesses", ok)
 

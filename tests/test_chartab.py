@@ -13,6 +13,7 @@ from schur_ed.chartab import (
     _ClassData,
     _hessenberg,
     _roots,
+    _spin_degrees,
     _split_spaces,
     count_min_faithful,
     dixon_character_table,
@@ -24,8 +25,6 @@ from schur_ed.covers import (
     CoverSpec,
     FiniteGroupTable,
     VerificationError,
-    cyclic_table,
-    generalized_quaternion_table,
     get_cover,
     preimage_subgroup,
     subgroup_table,
@@ -33,9 +32,14 @@ from schur_ed.covers import (
 from schur_ed.perms import sylow2_sym_generators
 from oracles import (
     class_matrices_by_elements,
+    cyclic_table,
     det_mod_p,
+    generalized_quaternion_table,
+    inv_idx,
     nullspace_mod_p,
+    order_of_idx,
     regular_representation_degrees,
+    right_column,
     rref_mod_p,
     scan_split_spaces,
 )
@@ -97,11 +101,11 @@ def _assert_class_data_matches_the_folds(table, data):
     for t, cls in enumerate(data.classes):
         class_of[cls] = t
     for i, u in enumerate(data.rows.tolist()):
-        want = class_of[table.right_column(data.reps[u])] + data.n * i
+        want = class_of[right_column(table, data.reps[u])] + data.n * i
         assert np.array_equal(data._right[i], want), u
-    assert data.inv_class == [int(class_of[table.inv_idx(r)])
+    assert data.inv_class == [int(class_of[inv_idx(table, r)])
                               for r in data.reps]
-    assert data.orders == [table.order_of_idx(r) for r in data.reps]
+    assert data.orders == [order_of_idx(table, r) for r in data.reps]
     assert data.exponent() == math.lcm(*data.orders)
 
 
@@ -129,7 +133,7 @@ def test_class_data_of_the_alt_and_full_tables_matches_the_folds(variant):
             if table.order <= 1500:
                 # the exponent is the lcm of the orders of all elements
                 assert _ClassData(table).exponent() == math.lcm(
-                    *(table.order_of_idx(i) for i in range(table.order)))
+                    *(order_of_idx(table, i) for i in range(table.order)))
 
 
 @pytest.mark.parametrize("gather", [1, chartab._GATHER])
@@ -255,6 +259,21 @@ def test_spin_block_of_small_groups():
         2, 2]
     with pytest.raises(VerificationError, match="center"):
         faithful_degrees(cyclic_table(4), 2)
+
+
+def test_spin_block_refuses_a_z_that_is_not_an_involution():
+    # z's own right column shows z != 1 and z * z = 1; the trivial group
+    # passes the center check with z = 1 and is refused here
+    refused = "^z is not a central involution of the group$"
+    c4 = cyclic_table(4)
+    for z in (0, 1, 3):  # the identity and both elements of order 4
+        with pytest.raises(VerificationError, match=refused):
+            _spin_degrees(c4, z)
+    with pytest.raises(VerificationError, match=refused):
+        _spin_degrees(generalized_quaternion_table(8), (0, 0))
+    with pytest.raises(VerificationError, match=refused):
+        faithful_degrees(FiniteGroupTable.generate([]), ())
+    assert _spin_degrees(c4, 2) == [1, 1]
 
 
 def test_one_paired_class_needs_no_split(monkeypatch):

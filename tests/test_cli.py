@@ -283,6 +283,28 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert "usage error" not in capsys.readouterr().err
 
 
+def test_an_internal_assert_is_not_a_verification_failure(capsys,
+                                                          monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("internal assert")
+
+    monkeypatch.setattr(cli, "dixon_character_table", broken)
+    with pytest.raises(AssertionError, match="internal assert"):
+        cli.main(["chartab", "-n", "4"])
+    assert "verification failure" not in capsys.readouterr().err
+
+
+def test_an_empty_bound_interval_is_a_verification_failure(capsys,
+                                                           monkeypatch):
+    # an upper bound for A_9 below the 2-local lower bound 8
+    monkeypatch.setattr(edcalc, "alt_ed_bounds", lambda n: (0, -1000))
+    with pytest.raises(VerificationError, match="empty interval at n=9$"):
+        edcalc.ed_bounds(9, "alt")
+    assert run(capsys, "ed2", "-n", "9", "--which", "alt") == (
+        1, "", "verification failure: bound assembly produced an empty "
+        "interval at n=9\n")
+
+
 def test_ed2_computed(capsys):
     code, out, _ = run(capsys, "ed2", "-n", "6", "--which", "alt",
                        "--computed")

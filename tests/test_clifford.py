@@ -12,16 +12,7 @@ from schur_ed.clifford import (
     verify_spin_representation,
 )
 from schur_ed.covers import VerificationError
-from schur_ed.radicals import (
-    SqrtNum,
-    smat_add,
-    smat_eq,
-    smat_identity,
-    smat_mul,
-    smat_neg,
-    smat_pow,
-    smat_scale,
-)
+from schur_ed.radicals import SqrtNum, smat_mul
 
 import oracles
 from oracles import (
@@ -31,6 +22,12 @@ from oracles import (
     kronecker_gamma_matrices,
     matrix_parts,
     slow_multivector_mul,
+    smat_add,
+    smat_eq,
+    smat_identity,
+    smat_neg,
+    smat_pow,
+    smat_scale,
 )
 
 

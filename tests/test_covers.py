@@ -17,10 +17,8 @@ from schur_ed.covers import (
     center,
     conjugacy_classes,
     cover_subgroup,
-    cyclic_table,
-    generalized_quaternion_table,
     get_cover,
-    iso_small,
+    is_generalized_quaternion,
     preimage_subgroup,
     subgroup_table,
     verify_presentation,
@@ -44,11 +42,19 @@ from oracles import (
     bfs_closure,
     clifford_elementary_cocycle,
     compose_naive,
+    cyclic_table,
+    element_order_multiset,
     from_cycles,
+    generalized_quaternion_table,
     integer_lift,
+    inv_idx,
+    iso_small,
+    mul_idx,
     nu2_factorial,
+    order_of_idx,
     perm_from_word,
     quaternion_mul,
+    right_column,
     slow_multivector_mul,
 )
 
@@ -361,7 +367,7 @@ def test_sylow_4_is_dihedral_of_order_8():
     gens = sylow2_sym_generators(4)
     table = FiniteGroupTable.generate(gens, 100)
     assert table.order == 8
-    orders = table.element_order_multiset()
+    orders = element_order_multiset(table)
     assert orders == {1: 1, 2: 5, 4: 2}  # dihedral, not quaternion
 
 
@@ -454,10 +460,10 @@ def _assert_table_matches(table, oracle, rng):
     # the action of every generator on every index
     for g, col in zip(oracle.generators, oracle.gen_cols):
         gi = table.idx(g)
-        assert [table.mul_idx(i, gi) for i in range(table.order)] == col
+        assert [mul_idx(table, i, gi) for i in range(table.order)] == col
     for _ in range(300):
         i, j = rng.randrange(table.order), rng.randrange(table.order)
-        assert table.mul_idx(i, j) == oracle.mul_idx(i, j)
+        assert mul_idx(table, i, j) == oracle.mul_idx(i, j)
 
 
 def _assert_matches_bfs(table, oracle, rng):
@@ -518,7 +524,7 @@ def test_table_constructor_needs_every_element_reached():
     with pytest.raises(ValueError, match="do not reach every element"):
         FiniteGroupTable(list(range(4)), 0, [2], [[2, 3, 0, 1]])
     t = FiniteGroupTable(list(range(4)), 0, [1], [[1, 2, 3, 0]])
-    assert [t.mul_idx(i, 3) for i in range(4)] == [3, 0, 1, 2]
+    assert [mul_idx(t, i, 3) for i in range(4)] == [3, 0, 1, 2]
 
 
 def test_generate_without_generators_is_trivial():
@@ -676,8 +682,8 @@ def test_power_cycles_match_the_folds():
     # the element's word per power
     for t in _small_tables():
         invs, orders = t.power_cycles(range(t.order))
-        assert invs == [t.inv_idx(i) for i in range(t.order)]
-        assert orders == [t.order_of_idx(i) for i in range(t.order)]
+        assert invs == [inv_idx(t, i) for i in range(t.order)]
+        assert orders == [order_of_idx(t, i) for i in range(t.order)]
     assert t.power_cycles([]) == ([], [])
 
 
@@ -690,9 +696,9 @@ def test_left_and_right_columns_match_the_products():
         assert sorted(right) == list(range(t.order))
         left = t.left_columns(js)
         for k, j in enumerate(js):
-            want = [t.mul_idx(x, j) for x in range(t.order)]
-            assert right[k].tolist() == want == t.right_column(j).tolist()
-            assert left[k].tolist() == [t.mul_idx(j, x)
+            want = [mul_idx(t, x, j) for x in range(t.order)]
+            assert right[k].tolist() == want == right_column(t, j).tolist()
+            assert left[k].tolist() == [mul_idx(t, j, x)
                                         for x in range(t.order)]
 
 
@@ -716,8 +722,8 @@ def test_alt_cover_same_for_both_variants_small():
     assert iso_small(a_plus, a_minus)
     b_plus = subgroup_table(CoverSpec(5, "plus"), "alt")
     b_minus = subgroup_table(CoverSpec(5, "minus"), "alt")
-    assert (b_plus.element_order_multiset()
-            == b_minus.element_order_multiset())
+    assert (element_order_multiset(b_plus)
+            == element_order_multiset(b_minus))
 
 
 def test_lemma_witnesses_q8():
@@ -750,3 +756,33 @@ def test_lemma_witnesses_q16():
         witness = cover_subgroup([x, y], cov.spec, 64)
         assert witness.order == 16
         assert iso_small(witness, generalized_quaternion_table(16))
+
+
+def test_quaternion_predicate_agrees_with_the_isomorphism_oracle():
+    # one involution and no element of full order in a 2-group of order
+    # >= 8 against generator-image backtracking; the Sylow preimages of S_4
+    # and S_5 are semidihedral in the plus cover, Q16 in the minus one
+    tables = [generalized_quaternion_table(m) for m in (8, 16, 32)]
+    tables += [cyclic_table(8), cyclic_table(16),
+               FiniteGroupTable.generate(sylow2_sym_generators(4))]
+    want = [True] * 3 + [False] * 3
+    for variant in ("plus", "minus"):
+        for n in range(4, 8):
+            tables.append(preimage_subgroup(sylow2_alt_generators(n),
+                                            CoverSpec(n, variant)))
+        for n in (4, 5):
+            tables.append(preimage_subgroup(sylow2_sym_generators(n),
+                                            CoverSpec(n, variant)))
+        want += [True] * 4 + [variant == "minus"] * 2
+    got = [is_generalized_quaternion(t) for t in tables]
+    assert got == want
+    assert got == [iso_small(t, generalized_quaternion_table(t.order))
+                   for t in tables]
+    # not a 2-power order of at least 8; the binary dihedral group of order
+    # 12 (the preimage of S_3 in the minus cover) has one involution too
+    s3 = [adjacent_transposition(4, 1), adjacent_transposition(4, 2)]
+    dic12 = preimage_subgroup(s3, CoverSpec(4, "minus"))
+    assert element_order_multiset(dic12)[2] == 1
+    for t in (FiniteGroupTable.generate([]), cyclic_table(2), cyclic_table(4),
+              cyclic_table(12), dic12):
+        assert not is_generalized_quaternion(t), t.order

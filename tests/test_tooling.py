@@ -1,7 +1,9 @@
 """The benchmark tracer wraps program functions by name; every name it
 wraps must still exist where it looks it up.  The before/after records
-BENCH_*.json at the repository root must agree with their own pairs."""
+BENCH_*.json at the repository root must agree with their own pairs.  The
+demos import nothing from the tests."""
 
+import ast
 import json
 import runpy
 import statistics
@@ -49,3 +51,21 @@ def test_every_bench_record_summarizes_its_pairs():
             for rec in side["records"]:
                 assert rec["result"]["correct"] is True, path.name
                 assert rec["result"]["failed"] == 0, path.name
+
+
+def test_no_demo_imports_test_code():
+    # a demo shows the library: it may not lean on the tests' oracles
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top not in ("tests", "oracles", "conftest"), (
+                    path.name, name)
