@@ -47,4 +47,3 @@ rep = splitting_tower(q)
 print("\nsplitting tower of", q)
 print("adjoined square classes:", rep.adjoined)
 print("tower degree:", rep.degree, "| residual entry:", rep.residual)
-print("derivation checks:", "all ok" if rep.all_ok else "FAILED")

@@ -3,10 +3,12 @@ forms of etale algebras (Newton power sums, resultants and discriminants,
 which decide squarefreeness and coprimality) and for certifying
 irreducibility of randomly drawn factors via reduction mod p.
 
-A polynomial is a tuple of Fractions, ascending degree, no trailing zeros.
-The kernels run on integer coefficient lists: a polynomial is scaled once by
-the lcm of its denominators, power sums of an integral polynomial are ints,
-and the certificates mod p reduce the scaled list, not each Fraction.  Every
+A polynomial is a tuple of ints or Fractions, ascending degree, no trailing
+zeros: `poly` and `parse_poly` give Fractions, and a randomly drawn factor
+keeps the ints it was certified on.  The kernels run on integer coefficient
+lists: a polynomial is scaled once by the lcm of its denominators, power
+sums of a monic integral polynomial are ints, and the certificates mod p
+reduce the scaled list, not each Fraction.  Every
 resultant goes through one integer kernel, `_int_resultant`: a Horner
 evaluation when a side is linear, res(a1 x + a0, g) = a1^n g(-a0/a1), and
 the subresultant PRS over Z otherwise.  The integer discriminant has closed
@@ -24,11 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul as _times
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .numth import legendre
 
-Poly = Tuple[Fraction, ...]
+Poly = Tuple[Union[int, Fraction], ...]
 
 
 def poly(coeffs: Sequence) -> Poly:
@@ -199,18 +201,6 @@ def discriminant(f: Poly) -> Fraction:
         raise ValueError("discriminant needs degree >= 1")
     F, den = _integral(f)
     return Fraction(_int_discriminant(tuple(F)), den ** (2 * d - 2))
-
-
-def power_sums(f: Poly, count: int) -> List:
-    """Newton power sums p_0..p_{count-1} of the roots of monic f: ints
-    when every coefficient is an integer, since then every power sum is
-    one, and Fractions otherwise."""
-    if not is_monic(f):
-        raise ValueError("power sums assume a monic polynomial")
-    d = degree(f)
-    if all(a.denominator == 1 for a in f):
-        return _power_sums([a.numerator for a in f], d, count)
-    return _power_sums(f, Fraction(d), count)
 
 
 def _power_sums(c: Sequence, p0, count: int) -> List:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import polyq
@@ -462,31 +462,22 @@ def is_isometric(q1: QuadFormQ, q2: QuadFormQ) -> bool:
 # Gram matrices and diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
-    """Symmetric congruence diagonalization, exact and fraction-free.
-
-    The Gram matrix is scaled to integers by the lcm `den` of its
-    denominators and eliminated by symmetric Bareiss steps (Bareiss, Math.
-    Comp. 22 (1968)): after pivot d the trailing block becomes
-    (m[i][j]*d - m[i][0]*m[j][0]) // prev, an exact division, and an entry
-    m stands for the rational m / (den*prev), prev being the last pivot (1
-    at the start).  The pivot is the diagonal entry whose rational has the
-    smallest numerator*denominator bit size, to limit coefficient growth;
-    the size is read off a gcd, so no Fraction is built for a candidate.
-    An all-zero diagonal is mended by adding row and column j to row and
-    column i for the first nonzero m[i][j]: a unimodular congruence, so the
-    divisions stay exact.  The diagonal returned is that of the
-    Schur-complement elimination over Q.  Raises on singular input."""
-    den = lcm(*[x.denominator for row in gram for x in row])
-    return _bareiss_diagonal(
-        [[x.numerator * (den // x.denominator) for x in row] for row in gram],
-        den)
-
-
 def _bareiss_diagonal(m: List[List[int]], den: int) -> List[Fraction]:
-    """The elimination of `diagonalize_gram` on m = den * gram, a square
-    list of int rows that it consumes.  An integer Gram matrix (den = 1)
-    enters here directly."""
+    """Symmetric congruence diagonalization of the Gram matrix m / den,
+    exact and fraction-free: m is a square list of int rows, consumed.
+
+    Symmetric Bareiss steps (Bareiss, Math. Comp. 22 (1968)): after pivot d
+    the trailing block becomes (m[i][j]*d - m[i][0]*m[j][0]) // prev, an
+    exact division, and an entry m stands for the rational m / (den*prev),
+    prev being the last pivot (1 at the start).  The pivot is the diagonal
+    entry whose rational has the smallest numerator*denominator bit size,
+    to limit coefficient growth; the size is read off a gcd, so no Fraction
+    is built for a candidate.  An all-zero diagonal is mended by adding row
+    and column j to row and column i for the first nonzero m[i][j]: a
+    unimodular congruence, so the divisions stay exact.  The diagonal
+    returned is that of the Schur-complement elimination over Q; each entry
+    is a ratio of leading minors, so scaling m and den by one constant
+    leaves it unchanged.  Raises on singular input."""
     diag: List[Fraction] = []
     prev = 1
     while m:
@@ -601,30 +592,31 @@ class EtaleAlgebraQ:
 
 def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
     """The form x -> Tr(x^2): Gram matrix Tr(x^(i+j)) in the power basis of
-    each factor (Newton power sums, ints for an integral factor: a Hankel
-    matrix of integers, eliminated with no Fraction scan), diagonalized
-    exactly.  A linear factor's Gram matrix is (1), so it adds <1> with no
-    power sums.  Each factor f adds as witnesses the numerator and
-    denominator of disc(f) and the lcm `den` of its denominators: in the
-    basis (den*x)^i its Gram matrix is integral with determinant
-    den^(d(d-1)) disc(f), so unimodular at every other odd prime (Cassels,
-    Rational Quadratic Forms, 1978)."""
+    each factor, diagonalized exactly, on integers only.  For the scaled
+    factor F = den*f of degree d, g_i = F_i den^(d-1-i) is monic integral
+    with roots den*alpha, so its Newton power sums are ints and
+    p_k(f) = p_k(g) / den^k.  The Hankel matrix
+    M_ij = p_(i+j)(g) den^(2d-2-i-j) is then den^(2d-2) times the Gram
+    matrix (for den = 1, g = F and M holds f's own power sums), and it goes
+    to `_bareiss_diagonal` as it is; a linear factor gives M = (1), so <1>.
+    Each factor f adds as witnesses the numerator and denominator of
+    disc(f) and den: in the basis (den*x)^i its Gram matrix is integral
+    with determinant den^(d(d-1)) disc(f), so unimodular at every other odd
+    prime (Cassels, Rational Quadratic Forms, 1978)."""
     if E.dim > 24:
         raise ValueError("trace forms capped at dimension 24")
     diag: List[Fraction] = []
     witnesses: List[int] = []
-    for f, (F, den), disc in zip(E.factors, E.scaled, E.factor_discs):
+    for (F, den), disc in zip(E.scaled, E.factor_discs):
         d = len(F) - 1
-        if d == 1:
-            # Gram matrix (1), discriminant 1
-            diag.append(Fraction(1))
-        elif den == 1:
+        if den == 1:
             sums = polyq._power_sums(F, d, 2 * d - 1)
-            diag.extend(_bareiss_diagonal(
-                [sums[i:i + d] for i in range(d)], 1))
         else:
-            sums = polyq.power_sums(f, 2 * d - 1)
-            diag.extend(diagonalize_gram([sums[i:i + d] for i in range(d)]))
+            g = [c * den ** (d - 1 - i) for i, c in enumerate(F[:-1])] + [1]
+            sums = [p * den ** (2 * d - 2 - k) for k, p in
+                    enumerate(polyq._power_sums(g, d, 2 * d - 1))]
+        diag.extend(_bareiss_diagonal([sums[i:i + d] for i in range(d)],
+                                      den ** (2 * d - 2)))
         witnesses += [disc.numerator, disc.denominator, den]
     return QuadFormQ(diag, witnesses)
 
@@ -641,6 +633,8 @@ def random_etale_algebra(n: int, rng: random.Random) -> EtaleAlgebraQ:
     into factor degrees, each factor a certified-irreducible monic integer
     polynomial.  Coefficient ranges shrink with the degree to keep
     discriminants at desk scale."""
+    if n < 1:
+        raise ValueError("an etale algebra needs dimension n >= 1")
     while True:
         parts: List[int] = []
         left = n
@@ -671,10 +665,9 @@ def _random_irreducible(d: int, rng: random.Random) -> Optional[Poly]:
     bound = 20 if d <= 5 else (5 if d <= 8 else 2)
     for _ in range(64):
         coeffs = [rng.randint(-bound, bound) for _ in range(d)] + [1]
-        # certified irreducible implies squarefree: no separate check; only
-        # the candidate that is kept becomes a Poly of Fractions
+        # certified irreducible implies squarefree: no separate check
         if polyq.certify_irreducible(coeffs):
-            return polyq.poly(coeffs)
+            return tuple(coeffs)
     return None
 
 
@@ -683,26 +676,10 @@ def _random_irreducible(d: int, rng: random.Random) -> Optional[Poly]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TowerStep:
-    pair: Tuple[Fraction, Fraction]
-    adjoined: Optional[Fraction]  # -a/b, or None when already a square there
-    derivation_ok: bool
-
-
-@dataclass
 class TowerReport:
-    assumes_sqrt_minus_one: bool
-    steps: List[TowerStep]
+    adjoined: List[Fraction]
     residual: Optional[Fraction]
     degree: int
-
-    @property
-    def adjoined(self) -> List[Fraction]:
-        return [s.adjoined for s in self.steps if s.adjoined is not None]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(s.derivation_ok for s in self.steps)
 
 
 class _SquareClassGroup:
@@ -723,19 +700,12 @@ class _SquareClassGroup:
                     vec ^= 1 << (1 + self.primes.index(p))
         return vec
 
-    def contains(self, x: Fraction) -> bool:
-        return self._reduce(self._vector(x)) == 0
-
-    def _reduce(self, vec: int) -> int:
-        for row in self.rows:
-            h = row.bit_length() - 1
-            if vec >> h & 1:
-                vec ^= row
-        return vec
-
     def add(self, x: Fraction) -> bool:
         """Adjoin sqrt(x); returns False if x was already a square there."""
-        vec = self._reduce(self._vector(x))
+        vec = self._vector(x)
+        for row in self.rows:
+            if vec >> (row.bit_length() - 1) & 1:
+                vec ^= row
         if vec == 0:
             return False
         self.rows.append(vec)
@@ -745,26 +715,19 @@ class _SquareClassGroup:
 
 def splitting_tower(q: QuadFormQ) -> TowerReport:
     """Pair up the diagonal and adjoin sqrt(-a_{2i-1}/a_{2i}) for each pair;
-    over the resulting field (with sqrt(-1) assumed present) every pair
-    becomes <1, 1>.  The per-pair derivation is checked in the square-class
-    group; the formal tower degree is 2^(number of honest adjunctions)."""
+    over the resulting field (with sqrt(-1) assumed present) -a/b is a
+    square, so <a, b> ~ a<1, -1> ~ <1, 1>.  A class already in the tower's
+    square-class group is not adjoined again; the formal tower degree is
+    2^(number of honest adjunctions)."""
     group = _SquareClassGroup()
-    steps: List[TowerStep] = []
-    degree = 1
+    adjoined: List[Fraction] = []
     diag = q.diag
     for k in range(q.dim // 2):
-        a, b = diag[2 * k], diag[2 * k + 1]
-        t = -a / b
+        t = -diag[2 * k] / diag[2 * k + 1]
         if group.add(t):
-            adjoined: Optional[Fraction] = t
-            degree *= 2
-        else:
-            adjoined = None
-        # now -a/b is a square in the tower, so <a,b> ~ a<1,-1> ~ <1,1>
-        ok = group.contains(-a / b)
-        steps.append(TowerStep((a, b), adjoined, ok))
+            adjoined.append(t)
     residual = diag[-1] if q.dim % 2 else None
-    return TowerReport(True, steps, residual, degree)
+    return TowerReport(adjoined, residual, 2 ** len(adjoined))
 
 
 def lemma_disc_one_identity(q: QuadFormQ) -> bool:

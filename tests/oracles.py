@@ -20,6 +20,12 @@ class representative, table products, inverses and orders by folding the
 right factor's Schreier word one letter at a time, isomorphism of small
 groups by generator-image backtracking, and dense SqrtNum matrix algebra
 entry by entry.
+
+Two helpers here do share code, on purpose: `power_sums` and
+`diagonalize_gram` run the kernels `polyq._power_sums` and
+`qforms._bareiss_diagonal` on Fractions, a Gram matrix scaled by the lcm of
+its denominators.  That is the road to a trace form that the library no
+longer takes, kept to check the integer road of `qforms.trace_form`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from schur_ed.clifford import spin_representation
 from schur_ed.covers import FiniteGroupTable, SizeBoundExceeded
 from schur_ed.perms import canonical_word, right_multiply_adjacent
 from schur_ed.polyq import format_poly
+from schur_ed.qforms import _bareiss_diagonal
 from schur_ed.radicals import SMatrix, SqrtNum, smat_mul
 
 
@@ -451,6 +458,15 @@ def companion_power_traces(coeffs: Sequence[Fraction], count: int) -> List[Fract
     return out
 
 
+def power_sums(f: Sequence[Fraction], count: int) -> List:
+    """Newton power sums p_0..p_{count-1} of the roots of monic f: ints
+    when every coefficient is an integer, Fractions otherwise."""
+    d = polyq.degree(f)
+    if all(a.denominator == 1 for a in f):
+        return polyq._power_sums([a.numerator for a in f], d, count)
+    return polyq._power_sums(f, Fraction(d), count)
+
+
 def _poly_rem(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
     """Remainder of f by g over Q (ascending coefficients, g nonzero)."""
     r = list(f)
@@ -493,10 +509,19 @@ def gcd_etale_validity(factors) -> None:
                 raise ValueError("factors must be pairwise coprime")
 
 
+def diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
+    """`qforms._bareiss_diagonal` on the Gram matrix scaled to integers by
+    the lcm `den` of its denominators."""
+    den = lcm(*[x.denominator for row in gram for x in row])
+    return _bareiss_diagonal(
+        [[x.numerator * (den // x.denominator) for x in row] for row in gram],
+        den)
+
+
 def schur_diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
     """Symmetric congruence diagonalization by Schur complements in
     Fractions, with the pivot rule and zero-diagonal fold of
-    `qforms.diagonalize_gram`."""
+    `qforms._bareiss_diagonal`."""
     m = [[Fraction(x) for x in row] for row in gram]
     n = len(m)
     diag: List[Fraction] = []

@@ -808,7 +808,8 @@ def test_trace_form_ends_cleanly_on_degrees_13_to_24():
         assert json.loads(done.stdout)["dim"] == n
 
 
-# stdout recorded while every group was closed by a dict BFS
+# stdout recorded while every group was closed by a dict BFS; demo 06's
+# re-recorded when its always-true "derivation checks" line was deleted
 DEMO_STDOUT_SHA256 = {
     "01_double_covers.py":
         "0bbe31470ef8beb4de6f19133331922a28e60e52f9b7c738b8258cfc556d050c",
@@ -821,7 +822,7 @@ DEMO_STDOUT_SHA256 = {
     "05_spin_matrices.py":
         "96abf22c442cb0687693860257679c8d3cc8179c623a0e7147a93becfe76418c",
     "06_trace_forms.py":
-        "d53b267838c0b9c6f8ed65a97556b635dfffbd099539f6a6928c602d805e851c",
+        "c4ccdddf82723319d02718fd7ed56401c9605de39451977d18ac6c4a8c8bc57f",
 }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from schur_ed.qforms import (
     SquareClass,
     brauer_index,
     contains_ones,
-    diagonalize_gram,
     discriminant,
     etale_discriminant,
     hasse_invariant,
@@ -37,8 +37,10 @@ from schur_ed.qforms import (
 
 from oracles import (
     companion_power_traces,
+    diagonalize_gram,
     gcd_etale_validity,
     is_irreducible_mod_p,
+    power_sums,
     rabin_irreducible_mod_p,
     schur_diagonalize_gram,
     sum_three_squares_insoluble_mod8,
@@ -506,24 +508,31 @@ def test_diagonalize_gram_matches_schur_oracle():
 # ---------------------------------------------------------------------------
 
 def test_power_sums_against_companion_oracle():
-    from schur_ed.polyq import power_sums
-
     texts = ["x^2 - 1", "x^2 - 7", "x^3 - 2", "x^4 + x - 3",
              "x^2 - 1/2", "x^3 + x/3 - 7/5", "x^5 - 2/3*x^2 + x - 1/7",
              "x^12 - 3*x^7 + 5*x^2 - x + 2", "x^12 + x^11/2 - 4*x^3 + 1/3"]
     rng = random.Random(12)
     for _ in range(3):
         texts.append(polyq.format_poly(polyq.poly(
-            [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12]))
              for _ in range(12)] + [1])))
     for text in texts:
         f = parse_poly(text)
         d = len(f) - 1
+        want = companion_power_traces(f, 2 * d)
         got = power_sums(f, 2 * d)
-        assert got == companion_power_traces(f, 2 * d), text
+        assert got == want, text
         # ints for an integral f (the trace form's integer Hankel matrix)
-        want = int if all(c.denominator == 1 for c in f) else Fraction
-        assert all(type(x) is want for x in got), text
+        kind = int if all(c.denominator == 1 for c in f) else Fraction
+        assert all(type(x) is kind for x in got), text
+        # the integer road of trace_form: g = den^(d-1) f(x/den) is monic
+        # integral with roots den*alpha, so p_k(g) = den^k p_k(f)
+        F, den = polyq._integral(f)
+        g = [c * den ** (d - 1 - i) for i, c in enumerate(F[:-1])] + [1]
+        sums = polyq._power_sums(g, d, 2 * d)
+        assert all(type(x) is int for x in sums), text
+        assert [Fraction(p, den ** k) for k, p in enumerate(sums)] == want, \
+            text
 
 
 def _resultant_pairs():
@@ -650,7 +659,7 @@ def _gram_path_trace_form(E):
     diag, witnesses = [], []
     for f in E.factors:
         d = len(f) - 1
-        sums = polyq.power_sums(f, 2 * d - 1)
+        sums = power_sums(f, 2 * d - 1)
         diag += diagonalize_gram([sums[i:i + d] for i in range(d)])
         disc = polyq.discriminant(f)
         witnesses += [disc.numerator, disc.denominator,
@@ -667,10 +676,15 @@ def test_trace_form_with_linear_factors_matches_the_gram_path():
         factors = []
         for _ in range(rng.randint(1, 4)):
             d = rng.choice([1, 1, 2, 3, 5])
-            den = rng.choice([1, 1, 1, 2, 3])
+            den = rng.choice([1, 1, 1] + list(range(2, 13)))
             factors.append(polyq.poly([Fraction(rng.randint(-9, 9), den)
                                        for _ in range(d)] + [1]))
         algebras.append(tuple(factors))
+    # drawn factors are int tuples; the Gram path runs on them as they are
+    drawn = [random_etale_algebra(n, rng).factors
+             for n in range(1, 13) for _ in range(2)]
+    assert all(type(c) is int for factors in drawn for f in factors for c in f)
+    algebras += drawn
     kept = 0
     for factors in algebras:
         try:
@@ -683,7 +697,11 @@ def test_trace_form_with_linear_factors_matches_the_gram_path():
         assert q.diag == tuple(diag), factors
         assert all(type(x) is Fraction for x in q.diag)
         assert q.witnesses == tuple(witnesses), factors
-    assert kept >= 40
+        # a drawn factor keeps its ints; its algebra is the Fraction one
+        twin = EtaleAlgebraQ(tuple(polyq.poly(f) for f in factors))
+        assert E == twin and hash(E) == hash(twin) and repr(E) == repr(twin)
+        assert trace_form(twin).diag == q.diag
+    assert kept >= 75
 
 
 def test_trace_form_examples():
@@ -899,6 +917,22 @@ def test_random_etale_draw_stream_is_pinned():
     assert forms.hexdigest() == FORMS_SHA256
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_etale_algebra_refuses_dimension_below_one(n):
+    # the alarm turns a draw loop that never returns into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"random_etale_algebra({n}) did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError):
+            random_etale_algebra(n, random.Random(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_random_etale_draws_match_rabin_certificates(monkeypatch):
     def draws():
         out = []
@@ -1008,31 +1042,61 @@ def test_berlekamp_known_factorizations():
 # splitting towers and the disc-1 identity
 # ---------------------------------------------------------------------------
 
+def _squarefree(n: int) -> int:
+    """The squarefree part of |n| > 0, by trial division."""
+    n, out, p = abs(n), 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+        if n % p == 0:
+            out, n = out * p, n // p
+        p += 1
+    return out * n
+
+
+def _splits_every_pair(q, rep):
+    """Is each pair's -a/b, up to sign and squares, a product of the
+    adjoined classes?  Then, with sqrt(-1) in the base, every pair <a, b>
+    becomes <1, 1> over the tower."""
+    reachable = {1}
+    for t in rep.adjoined:
+        c = _squarefree(t.numerator * t.denominator)
+        reachable |= {_squarefree(r * c) for r in reachable}
+    return all(_squarefree((-a / b).numerator * (-a / b).denominator)
+               in reachable for a, b in zip(q.diag[::2], q.diag[1::2]))
+
+
 def test_splitting_tower_split_form():
-    rep = splitting_tower(QuadFormQ([1, 1]))
-    assert rep.adjoined == [] and rep.degree == 1 and rep.all_ok
+    q = QuadFormQ([1, 1])
+    rep = splitting_tower(q)
+    assert rep.adjoined == [] and rep.degree == 1
+    assert _splits_every_pair(q, rep)
     assert rep.residual is None
-    assert rep.assumes_sqrt_minus_one
 
 
 def test_splitting_tower_generic_pair():
-    rep = splitting_tower(QuadFormQ([3, 5]))
-    assert rep.degree == 2 and rep.all_ok
+    q = QuadFormQ([3, 5])
+    rep = splitting_tower(q)
+    assert rep.degree == 2 and _splits_every_pair(q, rep)
     assert rep.adjoined == [Fraction(-3, 5)]
+    # the check can fail: with nothing adjoined the pair stays unsplit
+    assert not _splits_every_pair(q, qforms.TowerReport([], None, 1))
 
 
 def test_splitting_tower_dim5():
-    rep = splitting_tower(QuadFormQ([2, 3, 5, 7, 11]))
+    q = QuadFormQ([2, 3, 5, 7, 11])
+    rep = splitting_tower(q)
     assert rep.degree == 4
     assert rep.residual == Fraction(11)
-    assert rep.all_ok
+    assert _splits_every_pair(q, rep)
     assert len(rep.adjoined) == 2
 
 
 def test_splitting_tower_redundant_adjunction():
     # second pair needs the same class as the first: degree stays 2
-    rep = splitting_tower(QuadFormQ([3, 5, 15, 1]))
-    assert rep.all_ok
+    q = QuadFormQ([3, 5, 15, 1])
+    rep = splitting_tower(q)
+    assert _splits_every_pair(q, rep)
     assert rep.degree == 2
 
 
@@ -1043,7 +1107,8 @@ def test_tower_degree_bounds_index():
         q = QuadFormQ([Fraction(rng.randint(1, 30) * rng.choice([1, -1]))
                        for _ in range(dim)])
         rep = splitting_tower(q)
-        assert rep.degree <= 2 ** (dim // 2)
+        assert _splits_every_pair(q, rep)
+        assert rep.degree == 2 ** len(rep.adjoined) <= 2 ** (dim // 2)
         assert brauer_index(hasse_invariant(q)) <= max(2, rep.degree) or \
             rep.degree == 1
 

@@ -1,7 +1,8 @@
 """The benchmark tracer wraps program functions by name; every name it
 wraps must still exist where it looks it up.  The before/after records
 BENCH_*.json at the repository root must agree with their own pairs.  The
-demos import nothing from the tests."""
+demos import nothing from the tests, and no library module keeps an unused
+import."""
 
 import ast
 import json
@@ -69,3 +70,29 @@ def test_no_demo_imports_test_code():
                 top = name.split(".")[0]
                 assert top not in ("tests", "oracles", "conftest"), (
                     path.name, name)
+
+
+def test_no_module_has_an_unused_import():
+    # a linter's unused-import rule in the stdlib: a module-level import of
+    # src/schur_ed that no name, attribute root or benchmark tracer target
+    # reads is dead
+    tracer = runpy.run_path(str(TRACER))
+    traced = {(module, path.split(".")[0])
+              for module, path, _ in tracer["TARGETS"]}
+    modules = sorted((ROOT / "src" / "schur_ed").glob("*.py"))
+    assert modules
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        module = "schur_ed." + path.stem
+        unused = sorted(name for name in imported
+                        if name not in used and (module, name) not in traced)
+        assert not unused, (path.name, unused)
