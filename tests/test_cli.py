@@ -398,6 +398,46 @@ CHARTAB_SUBGROUP_SHA256 = {
         "2f040c7ddb2f2a23a1d0a4ea36dd7180fd5f1fb9ef6f18b79df00524c9503805",
     ("full", 7, "minus"):
         "b214c34277cd0a5e9d4bbf6cfbc297676284978fe47c90f21a818f5d80c51e36",
+    # the Sylow-2 preimages, recorded before the whole table and the
+    # spin block shared one Dixon driver
+    ("sylow2", 4, "plus"):
+        "8805515247c79619686afc3954316cf79631aa9bb2b847e09982031356527103",
+    ("sylow2", 4, "minus"):
+        "086933a112165718083013e89ebfb6a140e0099309d88a075a7a5bdf94f0c729",
+    ("sylow2", 5, "plus"):
+        "3bdd10c47f8bff694c23a7ef367ae903df0274843e3b6376e3bd8f04b46cae59",
+    ("sylow2", 5, "minus"):
+        "2575b334e7af1fdb545bddb93765b210c1d1286863752cdd7fc72b568fadacce",
+    ("sylow2", 6, "plus"):
+        "3b9ab6c1c5dc22577425243bc19124b0ef635cfa2fa7c29d0f1dc1deb3faeaef",
+    ("sylow2", 6, "minus"):
+        "9d639c4804aea4f7050d51e47616228bcf984c868c9a8ad470296b11b4d9a491",
+    ("sylow2", 7, "plus"):
+        "f8e6958ab1b1cb24a61a9fb6ec296c75b040057461ba2506e11e61580efc5f99",
+    ("sylow2", 7, "minus"):
+        "47d650c501255de310a1f7c3fabde5253aa78631d89606f858ad518a41504027",
+    ("sylow2", 8, "plus"):
+        "c8a5e94f8c867d6eeb526a3cfb2d1d4a0013db6b7643888deaff7a5dd5f07bb3",
+    ("sylow2", 8, "minus"):
+        "0f3943ecb70ed278df339b3f700e82f79bc077362273ed6e8ad3b1fc0b22c9e0",
+    ("sylow2", 9, "plus"):
+        "63177da39034967fbb06a07537a71ea779ed3de78d2864bcf2a9e098b5316b7d",
+    ("sylow2", 9, "minus"):
+        "4959687e297c25241dac8df16705d68ef3b066db365f587753d699da49af1939",
+    ("sylow2", 10, "plus"):
+        "35591f6f4805c40c4a5b0103a8d3813802429567b32f49342506339ee9aa8df7",
+    ("sylow2", 10, "minus"):
+        "2b819bd873315bf7ce30ad6d3ad66c5d72ad001312c7f833290492d43985af4f",
+    ("sylow2", 11, "plus"):
+        "e6487f4c45376baa92fe3ca5b254fe710d7d1e9f63f907f3e5846d06b8698f41",
+    ("sylow2", 11, "minus"):
+        "8e3d75f7897e81e8dc9a08be067881c6e852bd6fdcdb9f092876987f50e85a61",
+    ("sylow2", 13, "plus"):
+        "ffc2f279f2a113a2ea84eecbfec7f30d941c5361663ce85251fa02cf47108ddd",
+    ("sylow2", 13, "minus"):
+        "36615987fec6d9726c46951dff39034b449e27f0f8bd04b173ba6e15d2c3eab1",
+    ("sylow2", 12, "minus"):
+        "eef15b8b3005970065af631a3620012b2c61db809123acdce4ed2c99e4193f06",
 }
 
 
@@ -409,6 +449,14 @@ def test_chartab_subgroup_json_is_unchanged(capsys, subgroup, n, variant):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == CHARTAB_SUBGROUP_SHA256[subgroup, n, variant])
+
+
+def test_chartab_tsv_is_unchanged(capsys):
+    code, out, _ = run(capsys, "--format", "tsv", "chartab", "-n", "10",
+                       "--variant", "minus")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "dc7b234bd51cf4f96c82aecc0a7e752081a566b32eb2a4af190365df1cc6e398")
 
 
 # stdout of `ed2 --computed` recorded while the 2-local value came from
