@@ -5,7 +5,6 @@ invariants (Hilbert symbols, Hasse classes, trace forms of etale algebras).
 
 from .chartab import (
     CharTable,
-    DixonPrime,
     count_min_faithful,
     dixon_character_table,
     min_faithful_irrep_dim,

@@ -6,13 +6,18 @@ Degrees are recovered exactly: chi(1) <= sqrt(|G|) < p/2, so the residue
 below p/2 is the degree.  Central signs chi(z)/chi(1) for a central
 involution z are +-1 mod p, which determines them exactly since p is odd.
 Full character values over C are never needed here.
+
+One routine, _split_characters, splits either the whole class-function
+space (dixon_character_table) or, for a central involution z, its z-odd
+block alone (_spin_degrees), and recovers the degrees of all eigenlines
+in one array step.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .covers import (FiniteGroupTable, VerificationError, center,
@@ -20,22 +25,12 @@ from .covers import (FiniteGroupTable, VerificationError, center,
 from .numth import next_prime, sqrt_mod
 
 
-@dataclass(frozen=True)
-class DixonPrime:
-    p: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.p % 2 == 0 or self.p % self.exponent != 1 % self.exponent:
-            raise ValueError("need an odd prime p = 1 mod exponent")
-
-
-def dixon_prime(order: int, exponent: int) -> DixonPrime:
+def dixon_prime(order: int, exponent: int) -> int:
     p = 2 * math.isqrt(order) + 1
     while True:
         p = next_prime(p)
         if p % exponent == 1 % exponent:
-            return DixonPrime(p, exponent)
+            return p
 
 
 @dataclass
@@ -44,7 +39,6 @@ class CharTable:
 
     values[i][t] is chi_i(g_t) mod p; degrees are exact integers; signs[i]
     maps each central involution's class index to chi_i(z)/chi_i(1) = +-1.
-    `faithful` memoizes `faithful_degrees` by the element z.
     """
 
     group_order: int
@@ -55,8 +49,6 @@ class CharTable:
     values: List[List[int]]
     central_involution_classes: List[int]
     signs: List[Dict[int, int]]
-    faithful: Dict[object, List[int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -141,12 +133,12 @@ class _ClassData:
     With a central involution z, class t pairs with pair[t], the class of
     z g_t, and only the classes t < pair[t] keep a right column: these rows
     R, identity class first, index the z-odd class functions, which vanish
-    on every class with zC = C.  Without z, every class is a row.
+    on every class with zC = C.  Without z, every class is a row and pair
+    is None.
 
     The representatives' right columns come from one walk over their
-    Schreier words (FiniteGroupTable.right_columns).  Along the column of
-    g, the identity runs through the powers of g, so its cycle gives the
-    order of g, and the power before the identity is g^-1."""
+    Schreier words (FiniteGroupTable.right_columns), and their inverses
+    and orders from one power_cycles pass."""
 
     def __init__(self, table: FiniteGroupTable, z=None):
         self.classes = conjugacy_classes(table)
@@ -156,21 +148,21 @@ class _ClassData:
             class_of[cls] = t
         self.reps = [cls[0] for cls in self.classes]
         self.sizes = [len(cls) for cls in self.classes]
-        e = table.identity_idx
+        self.pair = None
         if z is None:
             self.rows = np.arange(self.n)
         else:
             # z is central, so z g is g z: one gather of z's right column,
             # which also shows whether z * z is the identity
-            zi = table.idx(z)
+            zi, e = table.idx(z), table.identity_idx
             [(_, z_col)] = table.right_columns([zi])
             if zi == e or z_col.item(zi) != e:
                 raise VerificationError(
                     "z is not a central involution of the group")
             self.pair = class_of[z_col[self.reps]]
             self.rows = np.flatnonzero(self.pair > np.arange(self.n))
-        self.inv_class = [0] * self.n
-        self.orders = [0] * self.n
+        invs, self.orders = table.power_cycles(self.reps)
+        self.inv_class = class_of[invs].tolist()
         # _right[i, y] = n*i + (class of y * g_u) for u = rows[i], so that
         # one bincount over a set of elements y and a run of rows, shifted
         # to start at 0, counts the pairs (i, t)
@@ -178,19 +170,13 @@ class _ClassData:
         for i, col in table.right_columns([self.reps[u] for u in self.rows]):
             class_of.take(col, out=self._right[i])
             self._right[i] += self.n * i
-            prev, cur, k = e, col.item(e), 1
-            while cur != e:
-                prev, cur, k = cur, col.item(cur), k + 1
-            u = self.rows[i]
-            self.inv_class[u], self.orders[u] = int(class_of[prev]), k
-        # the classes with no column: fold all their words at once
-        rest = sorted(set(range(self.n)) - set(self.rows.tolist()))
-        invs, orders = table.power_cycles([self.reps[u] for u in rest])
-        for u, inv, k in zip(rest, invs, orders):
-            self.inv_class[u], self.orders[u] = int(class_of[inv]), k
 
     def exponent(self) -> int:
         return math.lcm(*self.orders)
+
+    def size_inverses(self, p: int) -> np.ndarray:
+        return np.array([pow(s, p - 2, p) for s in self.sizes],
+                        dtype=np.int64)
 
     def class_matrix(self, r: int) -> np.ndarray:
         """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}, on the
@@ -205,14 +191,32 @@ class _ClassData:
                 classes: Sequence[int]) -> np.ndarray:
         """A seeded random combination mod p of the class matrices B_r,
         r in classes, on the columns u in rows: sum_r c_r B_r[t, u] sums c_r
-        over the y in C_r* with y g_u in C_t."""
+        over the y in C_r* with y g_u in C_t.
+
+        With z, B_r[t, zu] = B_r[zt, u], so a class matrix maps the z-odd
+        central character vectors to vectors of the same kind, through
+        N[t, u] = B_r[t, u] - B_r[pair[t], u] on the rows t, u in R.  B_r
+        acts as 0 on them when zC_r = C_r, and as -B_s when C_r = zC_s, so
+        mixing the classes of R is enough."""
         ys: List[int] = []
         weights: List[int] = []
         for r in classes:
             c = rng.randrange(1, p)
             ys.extend(self.classes[self.inv_class[r]])
             weights.extend([c] * self.sizes[self.inv_class[r]])
-        return self._count(ys, weights) % p
+        M = self._count(ys, weights)
+        if self.pair is not None:
+            M = M[self.rows] - M[self.pair[self.rows]]
+        return M % p
+
+    def extend(self, lines: np.ndarray, p: int) -> np.ndarray:
+        """Class functions on every class from their values on the rows:
+        w(zC) = -w(C), and 0 where zC = C."""
+        W = np.zeros((len(lines), self.n), dtype=np.int64)
+        W[:, self.rows] = lines
+        if self.pair is not None:
+            W[:, self.pair[self.rows]] = -W[:, self.rows] % p
+        return W
 
     def _count(self, ys: List[int], weights: List[int]) -> np.ndarray:
         """M[t, i] = the sum of weights[j] over the j with ys[j] g_u in C_t,
@@ -423,123 +427,96 @@ def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
     raise VerificationError(f"Dixon splitting failed after {_MAX_RETRIES} tries: {last_err}")
 
 
+def _split_characters(table: FiniteGroupTable, z, seed: int,
+                      finish: Callable):
+    """finish(data, p, degrees, W) for the irreducibles chi of the group,
+    or with a central involution z those with chi(z) = -chi(1), one per row
+    of W: the common eigenlines of the mixtures of class matrices,
+    extended to every class and scaled to 1 on the identity class, with
+    their degrees in the same order.  A scaled line w is the central
+    character |C_u| chi(g_u) / chi(1), which gives |G| / chi(1)^2 as
+    sum_u w[u] w[u*] / |C_u|; chi(1) <= sqrt(|G|) < p/2 is the smaller
+    square root mod p, and the squared degrees must add up to |G|, or
+    |G|/2 with z.  _ClassData refuses a z that is not an involution."""
+    data = _ClassData(table, z)
+    order = table.order
+    p = dixon_prime(order, data.exponent())
+    rng = random.Random((seed, order, data.n).__hash__())
+    size_inv = data.size_inverses(p)
+
+    def degrees(spaces):
+        W = data.extend(np.array([S[0] for S in spaces]), p)
+        if not W[:, 0].all():
+            raise VerificationError(
+                "eigenvector vanishes on the identity class")
+        scale = [pow(w0, p - 2, p) for w0 in W[:, 0].tolist()]
+        W = W * np.array(scale, dtype=np.int64).reshape(-1, 1) % p
+        norms = (W * W[:, data.inv_class] % p) @ size_inv % p
+        if not norms.all():
+            raise VerificationError("degenerate norm in degree recovery")
+        degs = []
+        for norm in norms.tolist():
+            try:
+                root = sqrt_mod(order * pow(norm, p - 2, p), p)
+            except ValueError as err:
+                raise VerificationError(f"degree recovery: {err}") from None
+            degs.append(min(root, p - root))
+        if (1 if z is None else 2) * sum(d * d for d in degs) != order:
+            raise VerificationError(
+                "sum of squared degrees does not match the order")
+        return finish(data, p, degs, W)
+
+    return _eigenlines(lambda cs: data.mixture(rng, p, cs), len(data.rows),
+                       data.rows[1:], p, degrees)
+
+
 def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
-    data = _ClassData(table)
-    n, order = data.n, table.order
-    p = dixon_prime(order, data.exponent()).p
-    rng = random.Random((seed, order, n).__hash__())
-    return _eigenlines(lambda cs: data.mixture(rng, p, cs), n, range(1, n),
-                       p, lambda spaces: _assemble(table, data, p, spaces))
+    return _split_characters(
+        table, None, seed,
+        lambda data, p, degrees, W: _assemble(table, data, p, degrees, W))
 
 
 def _spin_degrees(table: FiniteGroupTable, z) -> List[int]:
     """The degrees, in increasing order, of the irreducibles chi with
-    chi(z) = -chi(1), from the z-odd class functions alone.
-
-    Since B_r[t, zu] = B_r[zt, u], a class matrix maps the z-odd central
-    character vectors w (w(zC) = -w(C), and w = 0 where zC = C) to vectors
-    of the same kind, through N[t, u] = B_r[t, u] - B_r[pair[t], u] on the
-    rows t, u in R.  B_r acts as 0 on them when zC_r = C_r, and as -B_s
-    when C_r = zC_s, so only the classes of R are mixed.  Each eigenline is
-    extended to every class, its degree read off the norm as in the whole
-    table, and the squared degrees must add up to |G|/2.  _ClassData
-    refuses a z that is not an involution."""
-    data = _ClassData(table, z)
-    order, rows = table.order, data.rows
-    partner = data.pair[rows]
-    p = dixon_prime(order, data.exponent()).p
-    rng = random.Random((0, order, data.n).__hash__())
-    size_inv = [pow(s, p - 2, p) for s in data.sizes]
-
-    def fold(cs):
-        M = data.mixture(rng, p, cs)
-        return (M[rows] - M[partner]) % p
-
-    def degrees(spaces):
-        w = np.zeros((len(spaces), data.n), dtype=np.int64)
-        w[:, rows] = [S[0] for S in spaces]
-        w[:, partner] = -w[:, rows] % p
-        degs = sorted(_degree(line.tolist(), data, size_inv, order, p)[0]
-                      for line in w)
-        if 2 * sum(d * d for d in degs) != order:
-            raise VerificationError(
-                "sum of squared z-odd degrees does not match |G|/2")
-        return degs
-
-    return _eigenlines(fold, len(rows), rows[1:], p, degrees)
-
-
-def _degree(w: List[int], data: _ClassData, size_inv: List[int], order: int,
-            p: int) -> Tuple[int, List[int]]:
-    """The degree of the irreducible chi whose central character
-    |C_u| chi(g_u) / chi(1) is a multiple of the eigenline w, and w scaled
-    to 1 at the identity class: the scaled w gives |G| / chi(1)^2 as
-    sum_u w[u] w[u*] / |C_u|, and chi(1) <= sqrt(|G|) < p/2 is the smaller
-    square root mod p."""
-    if w[0] == 0:
-        raise VerificationError("eigenvector vanishes on the identity class")
-    scale = pow(w[0], p - 2, p)
-    w = [v * scale % p for v in w]
-    denom = sum(w[u] * w[data.inv_class[u]] * size_inv[u]
-                for u in range(data.n)) % p
-    if denom == 0:
-        raise VerificationError("degenerate norm in degree recovery")
-    try:
-        root = sqrt_mod(order * pow(denom, p - 2, p), p)
-    except ValueError as err:
-        raise VerificationError(f"degree recovery: {err}") from None
-    return min(root, p - root), w
+    chi(z) = -chi(1), from the z-odd class functions alone."""
+    return _split_characters(table, z, 0,
+                             lambda data, p, degrees, W: sorted(degrees))
 
 
 def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
-              spaces: List[np.ndarray]) -> CharTable:
-    order = table.order
-    n = data.n
-    size_inv = [pow(s, p - 2, p) for s in data.sizes]
-    irreps = []
-    for S in spaces:
-        degree, w = _degree(S[0].tolist(), data, size_inv, order, p)
-        values = [degree * w[u] * size_inv[u] % p for u in range(n)]
-        irreps.append((degree, values, w))
-    irreps.sort(key=lambda iv: (iv[0], iv[1]))
-
-    degrees = [d for d, _, _ in irreps]
-    if sum(d * d for d in degrees) != order:
-        raise VerificationError("sum of squared degrees does not match the order")
-    values = [v for _, v, _ in irreps]
+              degrees: List[int], W: np.ndarray) -> CharTable:
+    """The character table from the scaled central characters W: chi(g_u)
+    is chi(1) W[u] / |C_u|, characters in (degree, values) order."""
+    order, n = table.order, data.n
+    size_inv = data.size_inverses(p)
+    deg = np.array(degrees, dtype=np.int64)
+    X = W * size_inv % p * deg.reshape(-1, 1) % p
+    # lexsort's last key is the first: degree, then the values in order
+    rank = np.lexsort(np.column_stack([deg, X])[:, ::-1].T)
+    X, W = X[rank], W[rank]
 
     # second orthogonality as a whole-table consistency check
-    X = np.array(values, dtype=np.int64)
     gram = X.T @ X[:, data.inv_class] % p
-    expected = np.zeros((n, n), dtype=np.int64)
-    for t in range(n):
-        expected[t, t] = order * size_inv[t] % p
-    if not np.array_equal(gram % p, expected):
+    if not np.array_equal(gram, np.diag(order * size_inv % p)):
         raise VerificationError("column orthogonality failed mod p")
 
     central = [
         t for t in range(n)
         if data.sizes[t] == 1 and data.orders[t] == 2
     ]
-    signs = []
-    for _, _, w in irreps:
-        sg: Dict[int, int] = {}
-        for t in central:
-            if w[t] == 1:
-                sg[t] = 1
-            elif w[t] == p - 1:
-                sg[t] = -1
-            else:
-                raise VerificationError("central involution value is not +-1")
-        signs.append(sg)
+    at_z = W[:, central]
+    if not np.all((at_z == 1) | (at_z == p - 1)):
+        raise VerificationError("central involution value is not +-1")
+    signs = [dict(zip(central, row))
+             for row in np.where(at_z == 1, 1, -1).tolist()]
 
     return CharTable(
         group_order=order,
         prime=p,
         class_reps=[table.element(r) for r in data.reps],
         class_sizes=list(data.sizes),
-        degrees=degrees,
-        values=values,
+        degrees=deg[rank].tolist(),
+        values=X.tolist(),
         central_involution_classes=central,
         signs=signs,
     )
@@ -549,19 +526,8 @@ def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
 # minimal faithful dimension extraction
 # ---------------------------------------------------------------------------
 
-def _z_class_index(table: FiniteGroupTable, ct: CharTable, z) -> int:
-    z_idx = table.idx(z)
-    zc = None
-    for t in ct.central_involution_classes:
-        if table.idx(ct.class_reps[t]) == z_idx:
-            zc = t
-    if zc is None:
-        raise VerificationError("z is not a central involution of the group")
-    return zc
-
-
-def _check_center_is_z(table: FiniteGroupTable, z) -> None:
-    if set(center(table)) != {table.identity, z}:
+def _check_center_is_z(central, table: FiniteGroupTable, z) -> None:
+    if set(central) != {table.identity, z}:
         raise VerificationError(
             "center is not {1, z}: minimal faithful dimension theory "
             "requires a cyclic center of order 2")
@@ -571,19 +537,19 @@ def faithful_degrees(table: FiniteGroupTable, z,
                      chartable: Optional[CharTable] = None) -> List[int]:
     """Degrees of irreducibles rho with rho(z) = -1, i.e. the faithful ones
     when the center is exactly {1, z}: read off chartable when one is
-    given, once per z (so the center is checked once), else split from the
+    given, whose classes of size 1 are the center, else split from the
     z-odd class functions alone."""
     if chartable is None:
-        _check_center_is_z(table, z)
+        _check_center_is_z(center(table), table, z)
         return _spin_degrees(table, z)
-    degs = chartable.faithful.get(z)
-    if degs is None:
-        _check_center_is_z(table, z)
-        zc = _z_class_index(table, chartable, z)
-        degs = chartable.faithful[z] = [
-            d for d, sg in zip(chartable.degrees, chartable.signs)
+    _check_center_is_z([r for r, s in zip(chartable.class_reps,
+                                          chartable.class_sizes) if s == 1],
+                       table, z)
+    if z == table.identity:
+        raise VerificationError("z is not a central involution of the group")
+    zc = chartable.class_reps.index(z)
+    return [d for d, sg in zip(chartable.degrees, chartable.signs)
             if sg[zc] == -1]
-    return list(degs)
 
 
 def min_faithful_irrep_dim(table: FiniteGroupTable, z,

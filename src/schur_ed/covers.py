@@ -348,7 +348,7 @@ def verify_presentation(spec: CoverSpec,
 
     expected = 2 * math.factorial(n)
     if n <= _CLOSURE_MAX_N:
-        _, cols = _lifted_columns(gens, cov, size_bound)
+        _, _, cols = _lifted_columns(gens, cov, size_bound)
         count = sum(len(level) for level in _schreier_tree(cols, 0)[2])
         method = "closure"
     else:
@@ -413,12 +413,13 @@ def _perm_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _close(gens: Sequence[Perm], n: int, size_bound: int
-           ) -> Tuple[np.ndarray, np.ndarray]:
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The permutation group generated by gens on n points, closed
     breadth-first a whole level at a time: one gather applies every
     generator to every element of the frontier.  Returns the elements as
-    int rows in one-line tuple order and one column per given generator:
-    cols[g][x] is the row of element x times gens[g].
+    int rows in one-line tuple order, their sorted _perm_keys, and one
+    column per given generator: cols[g][x] is the row of element x times
+    gens[g].
 
     New elements are found against the sorted _perm_keys so far, and the
     columns by searchsorted.  Raises SizeBoundExceeded past size_bound
@@ -447,7 +448,7 @@ def _close(gens: Sequence[Perm], n: int, size_bound: int
     rows = np.concatenate(levels)[order]
     cols = np.searchsorted(found, np.concatenate(products).reshape(
         len(rows), len(gens))[order].T)
-    return rows, cols
+    return rows, found, cols
 
 
 # indices are int32, so no table may pass 2^31 elements
@@ -465,12 +466,9 @@ class _Perms(SequenceABC):
     demand from its int rows; index() finds a permutation by its base-n
     key, which the rows are sorted by."""
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, keys: np.ndarray):
         self._rows = rows
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        return _perm_keys(self._rows)
+        self._keys = keys
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -479,11 +477,8 @@ class _Perms(SequenceABC):
         return tuple(self._rows[i].tolist())
 
     def index(self, perm) -> int:
-        n = self._rows.shape[1]
-        if len(perm) == n:
-            key = 0
-            for v in perm[:n - 1]:
-                key = key * n + v - 1
+        if len(perm) == self._rows.shape[1]:
+            key = _perm_keys(np.array([perm], dtype=np.int64))[0]
             i = int(self._keys.searchsorted(key))
             if i < len(self) and self[i] == tuple(perm):
                 return i
@@ -564,8 +559,8 @@ class FiniteGroupTable:
         ident = identity_perm(n)
         gens = list(dict.fromkeys(
             g for g in map(tuple, generators) if g != ident))
-        rows, cols = _close(gens, n, size_bound)
-        return cls(_Perms(rows), ident, gens, cols)
+        rows, keys, cols = _close(gens, n, size_bound)
+        return cls(_Perms(rows, keys), ident, gens, cols)
 
     # -- elements -------------------------------------------------------------
 
@@ -661,15 +656,16 @@ class FiniteGroupTable:
 
 
 def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """P = <g.perm> closed by _close, as int rows, and the column of every
-    g on {0, 1} x P, where (eps, pi) has index eps*|P| + rank(pi): P's
-    column of g.perm plus |P| times c(pi, g.perm) XOR g.eps XOR eps.
-    size_bound counts the 2*|P| indices."""
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P = <g.perm> closed by _close, as int rows and their keys, and the
+    column of every g on {0, 1} x P, where (eps, pi) has index
+    eps*|P| + rank(pi): P's column of g.perm plus |P| times
+    c(pi, g.perm) XOR g.eps XOR eps.  size_bound counts the 2*|P|
+    indices."""
     _check_size_bound(size_bound)
     perms = [g.perm for g in gens]
     try:
-        rows, base = _close(perms, cov.spec.n, size_bound // 2)
+        rows, keys, base = _close(perms, cov.spec.n, size_bound // 2)
     except SizeBoundExceeded:
         raise SizeBoundExceeded(
             f"closure exceeded {size_bound} elements") from None
@@ -677,7 +673,7 @@ def _lifted_columns(gens: List[CoverElem], cov: Cover, size_bound: int
     flip = cov.cocycles(rows, perms)
     flip ^= np.array([g.eps for g in gens], dtype=np.int64).reshape(-1, 1)
     flip *= m
-    return rows, np.hstack([base + flip, base + m - flip])
+    return rows, keys, np.hstack([base + flip, base + m - flip])
 
 
 def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
@@ -696,7 +692,7 @@ def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
     are dropped.  size_bound counts the 2*|P| elements of {0, 1} x P."""
     cov = get_cover(spec)
     gens = list(dict.fromkeys(g for g in gens if g != cov.identity))
-    rows, cols = _lifted_columns(gens, cov, size_bound)
+    rows, keys, cols = _lifted_columns(gens, cov, size_bound)
     m = len(rows)
     parent, pgen, levels = _schreier_tree(cols, 0)
     keep = np.sort(np.concatenate(levels))
@@ -705,8 +701,8 @@ def cover_subgroup(gens: Iterable[CoverElem], spec: CoverSpec,
     renumber[keep] = np.arange(len(keep))
     tree = (renumber[parent[keep]], pgen[keep],
             [renumber[level] for level in levels])
-    return FiniteGroupTable(_CoverElems(_Perms(rows), keep), cov.identity,
-                            gens, renumber[cols[:, keep]], tree)
+    return FiniteGroupTable(_CoverElems(_Perms(rows, keys), keep),
+                            cov.identity, gens, renumber[cols[:, keep]], tree)
 
 
 def preimage_subgroup(gens: Iterable[Perm], spec: CoverSpec,

@@ -140,6 +140,8 @@ class SquareClass:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 0:  # 0 is in no square class
+                return False
             other = SquareClass(other)
         if not isinstance(other, SquareClass):
             return NotImplemented

@@ -8,7 +8,6 @@ import pytest
 
 from schur_ed import chartab, cli
 from schur_ed.chartab import (
-    DixonPrime,
     _charpoly,
     _ClassData,
     _hessenberg,
@@ -46,16 +45,11 @@ from oracles import (
 
 
 def test_dixon_prime_constraints():
-    dp = dixon_prime(8, 4)
-    assert dp.p % 4 == 1 and dp.p > 2 * 2  # > 2*sqrt(8)
-    with pytest.raises(ValueError):
-        DixonPrime(10, 4)
-    with pytest.raises(ValueError):
-        DixonPrime(11, 4)  # 11 % 4 != 1
+    p = dixon_prime(8, 4)
+    assert p % 4 == 1 and p > 2 * 2  # > 2*sqrt(8)
 
 
 def test_trivial_group_has_one_degree_one_character():
-    assert DixonPrime(3, 1).p == 3
     trivial = FiniteGroupTable.generate([])
     assert dixon_character_table(trivial).degrees == [1]
 
@@ -113,8 +107,8 @@ def _assert_class_data_matches_the_folds(table, data):
 @pytest.mark.parametrize("which", ["sym", "alt"])
 def test_class_data_of_the_sylow_covers_matches_the_folds(zoo, which,
                                                           variant):
-    # the whole table walks every representative; the spin block walks R
-    # and folds the rest all at once
+    # the whole table walks every representative's column, the spin block
+    # those of R alone; both take every inverse and order from power_cycles
     for n in range(4, 13):
         table, z = zoo.sylow_cover(n, variant, which)
         _assert_class_data_matches_the_folds(table, _ClassData(table))
@@ -143,7 +137,7 @@ def test_mixture_is_the_seeded_combination_of_class_matrices(
     for n, which in ((6, "sym"), (10, "alt"), (12, "sym")):
         table, _ = zoo.sylow_cover(n, "plus", which)
         data = _ClassData(table)
-        p = dixon_prime(table.order, data.exponent()).p
+        p = dixon_prime(table.order, data.exponent())
         for classes in (range(1, min(data.n - 1, 8) + 1), range(1, data.n)):
             got = data.mixture(random.Random(n), p, classes)
             rng = random.Random(n)
@@ -274,6 +268,19 @@ def test_spin_block_refuses_a_z_that_is_not_an_involution():
     with pytest.raises(VerificationError, match=refused):
         faithful_degrees(FiniteGroupTable.generate([]), ())
     assert _spin_degrees(c4, 2) == [1, 1]
+
+
+def test_faithful_degrees_read_the_center_off_the_class_sizes():
+    c4 = cyclic_table(4)
+    with pytest.raises(VerificationError, match="center"):
+        faithful_degrees(c4, 2, dixon_character_table(c4))
+    trivial = FiniteGroupTable.generate([])
+    with pytest.raises(VerificationError,
+                       match="^z is not a central involution of the group$"):
+        faithful_degrees(trivial, trivial.identity,
+                         dixon_character_table(trivial))
+    q8 = generalized_quaternion_table(8)
+    assert faithful_degrees(q8, (2, 0), dixon_character_table(q8)) == [2]
 
 
 def test_one_paired_class_needs_no_split(monkeypatch):
@@ -542,7 +549,7 @@ def test_split_spaces_match_the_eigenvalue_scan(zoo, which):
     for n in range(4, 11):
         table, _ = zoo.sylow_cover(n, "plus", which)
         data = _ClassData(table)
-        p = dixon_prime(table.order, data.exponent()).p
+        p = dixon_prime(table.order, data.exponent())
         rng = random.Random(n)
         M = sum(rng.randrange(1, p) * data.class_matrix(r)
                 for r in range(1, min(data.n - 1, 8) + 1)) % p

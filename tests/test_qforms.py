@@ -219,6 +219,13 @@ def test_discriminant_examples():
     assert discriminant(QuadFormQ([1, -3])).representative == -3
 
 
+def test_square_class_is_never_equal_to_zero():
+    for zero in (0, Fraction(0)):
+        assert not SquareClass(3) == zero
+        assert SquareClass(3) != zero
+    assert SquareClass(3) == 12 and SquareClass(3) != 2
+
+
 def test_square_class_hash_agrees_with_equality():
     assert hash(SquareClass(2)) == hash(SquareClass(8)) == hash(SquareClass(18))
     assert hash(SquareClass(Fraction(3, 4))) == hash(SquareClass(12))

@@ -24,6 +24,36 @@ def test_every_tracer_target_is_in_its_owners_namespace():
         assert callable(tracer["_function"](vars(owner)[attr]))
 
 
+def test_a_traced_pass_reads_every_hook_and_metric(capsys):
+    # the hooks read attributes of results (CharTable.n_classes and
+    # .prime, PresentationReport.order_method and .order, a table's
+    # .order) that the name check above cannot see
+    from schur_ed import cli
+    from schur_ed.clifford import verify_spin_representation
+
+    tracer = runpy.run_path(str(TRACER))
+    recorder = tracer["Recorder"]()
+    recorder.install()
+    try:
+        for argv in (["cover", "verify", "-n", "5"], ["chartab", "-n", "6"],
+                     ["ed2", "-n", "6", "--computed"],
+                     ["table1", "--verify-max", "5"],
+                     ["trace-check", "-n", "5", "--trials", "3"]):
+            assert cli.main(argv) == 0, argv
+        assert all(ok for _, ok in verify_spin_representation(5, "plus"))
+    finally:
+        recorder.uninstall()
+    tracer["assert_clean"]()
+    capsys.readouterr()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = recorder.metrics()
+    assert set(metrics) == {m["name"] for m in declared["per_layer"]
+                            if not m["name"].startswith("trace.")}
+    for name in ("covers.closure_elems", "covers.class_count",
+                 "chartab.prime", "chartab.class_count"):
+        assert metrics[name] > 0, name
+
+
 def test_every_bench_record_summarizes_its_pairs():
     # a BENCH_*.json is a hand-assembled before/after record: its summary
     # must follow from its own pairs, and every run in it must be clean
