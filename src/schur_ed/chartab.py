@@ -178,20 +178,14 @@ class _ClassData:
         return np.array([pow(s, p - 2, p) for s in self.sizes],
                         dtype=np.int64)
 
-    def class_matrix(self, r: int) -> np.ndarray:
-        """B_r with B_r[t, u] = #{x in C_r : x^-1 g_u in C_t}, on the
-        columns u in rows; the common eigenvectors of all B_r are the rows
-        of the character table up to normalization.  As x runs over C_r,
-        x^-1 runs over the inverse class C_r*, so B_r[t, u] counts the y in
-        C_r* with y g_u in C_t."""
-        ys = self.classes[self.inv_class[r]]
-        return self._count(ys, [1] * len(ys))
-
     def mixture(self, rng: random.Random, p: int,
                 classes: Sequence[int]) -> np.ndarray:
         """A seeded random combination mod p of the class matrices B_r,
-        r in classes, on the columns u in rows: sum_r c_r B_r[t, u] sums c_r
-        over the y in C_r* with y g_u in C_t.
+        r in classes, on the columns u in rows.  B_r[t, u] = #{x in C_r :
+        x^-1 g_u in C_t}, and the common eigenvectors of all B_r are the
+        rows of the character table up to normalization.  As x runs over
+        C_r, x^-1 runs over the inverse class C_r*, so sum_r c_r B_r[t, u]
+        sums c_r over the y in C_r* with y g_u in C_t.
 
         With z, B_r[t, zu] = B_r[zt, u], so a class matrix maps the z-odd
         central character vectors to vectors of the same kind, through

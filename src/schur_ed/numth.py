@@ -236,18 +236,6 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree integer d with n = d * (square); sign preserved."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    d = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            d *= p
-    return sign * d
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False

@@ -10,12 +10,13 @@ lists: a polynomial is scaled once by the lcm of its denominators, power
 sums of a monic integral polynomial are ints, and the certificates mod p
 reduce the scaled list, not each Fraction.  Every
 resultant goes through one integer kernel, `_int_resultant`: a Horner
-evaluation when a side is linear, res(a1 x + a0, g) = a1^n g(-a0/a1), and
-the subresultant PRS over Z otherwise.  The integer discriminant has closed
-forms up to degree 4 and is memoized by the coefficient tuple; the
-certificates sieve their primes by its Legendre symbol (Stickelberger's
-parity), and an etale algebra reads the same value when it validates the
-factor that was kept.
+evaluation when a side is linear, res(a1 x + a0, g) = a1^n g(-a0/a1), or a
+monic quadratic, res(x^2 + px + q, g) = v^2 - puv + qu^2 for g = ux + v
+mod the quadratic, and the subresultant PRS over Z otherwise.  The integer
+discriminant has closed forms up to degree 4 and is memoized by the
+coefficient tuple; the certificates sieve their primes by its Legendre
+symbol (Stickelberger's parity), and an etale algebra reads the same value
+when it validates the factor that was kept.
 """
 
 from __future__ import annotations
@@ -137,15 +138,31 @@ def _linear_resultant(a: List[int], b: List[int]) -> int:
     return acc
 
 
+def _monic_quadratic_resultant(a: List[int], b: List[int]) -> int:
+    """res(a, b) for a = x^2 + px + q: b reduced mod a is ux + v, and
+    res(a, b) = (u r + v)(u s + v) over the roots r, s of a, which is
+    v^2 - puv + qu^2.  The reduction is a Horner pass with x^2 = -px - q."""
+    q, p, _ = a
+    u, v = 0, b[-1]
+    for c in reversed(b[:-1]):
+        u, v = v - p * u, c - q * u
+    return v * v - p * u * v + q * u * u
+
+
 def _int_resultant(a: List[int], b: List[int]) -> int:
     """res(a, b) of integer coefficient lists of degree >= 1: a Horner
-    evaluation when either side is linear, the subresultant PRS
-    otherwise.  res(b, a) = (-1)^(mn) res(a, b)."""
+    evaluation when either side is linear or a monic quadratic, the
+    subresultant PRS otherwise.  res(b, a) = (-1)^(mn) res(a, b), so a
+    quadratic side may come first or second."""
     if len(a) == 2:
         return _linear_resultant(a, b)
     if len(b) == 2:
         r = _linear_resultant(b, a)
         return -r if len(a) % 2 == 0 else r
+    if len(a) == 3 and a[-1] == 1:
+        return _monic_quadratic_resultant(a, b)
+    if len(b) == 3 and b[-1] == 1:
+        return _monic_quadratic_resultant(b, a)
     return _subresultant(a, b)
 
 

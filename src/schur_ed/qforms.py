@@ -289,10 +289,6 @@ class QuadFormQ:
     def __repr__(self):
         return "<" + ", ".join(str(d) for d in self.diag) + ">"
 
-    def orthogonal_sum(self, other: "QuadFormQ") -> "QuadFormQ":
-        return QuadFormQ(self.diag + other.diag,
-                         self.witnesses + other.witnesses)
-
     def to_json(self) -> dict:
         """The invariants as JSON."""
         return {
@@ -581,12 +577,6 @@ class EtaleAlgebraQ:
     @property
     def dim(self) -> int:
         return sum(polyq.degree(f) for f in self.factors)
-
-    def defining_polynomial(self) -> Poly:
-        out = polyq.poly([1])
-        for f in self.factors:
-            out = polyq.mul(out, f)
-        return out
 
     def __repr__(self):
         return " * ".join(f"Q[x]/({polyq.format_poly(f)})" for f in self.factors)

@@ -18,14 +18,18 @@ from a breadth-first closure under cover multiplication (for tables with
 every product stored), class matrices from one product per element and
 class representative, table products, inverses and orders by folding the
 right factor's Schreier word one letter at a time, isomorphism of small
-groups by generator-image backtracking, and dense SqrtNum matrix algebra
-entry by entry.
+groups by generator-image backtracking, dense SqrtNum matrix algebra
+entry by entry, and squarefree parts by trial division.
 
-Two helpers here do share code, on purpose: `power_sums` and
+Three helpers here do share code, on purpose.  `power_sums` and
 `diagonalize_gram` run the kernels `polyq._power_sums` and
 `qforms._bareiss_diagonal` on Fractions, a Gram matrix scaled by the lcm of
 its denominators.  That is the road to a trace form that the library no
 longer takes, kept to check the integer road of `qforms.trace_form`.
+`class_matrix` reads one class matrix through the kernel that
+`chartab._ClassData.mixture` runs, to be checked against the per-element
+class matrices.  `orthogonal_sum` and `defining_polynomial` build test
+inputs from library objects.
 """
 
 from __future__ import annotations
@@ -438,6 +442,34 @@ def perm_from_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
         s_i[i - 1], s_i[i] = i + 1, i
         img = compose_naive(img, tuple(s_i))
     return img
+
+
+def squarefree_part(n: int) -> int:
+    """The squarefree integer d with n = d * (square), sign preserved, by
+    trial division."""
+    if n == 0:
+        raise ValueError("0 has no squarefree part")
+    m, d, p = abs(n), 1, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+        if m % p == 0:
+            d, m = d * p, m // p
+        p += 1
+    return (d * m) if n > 0 else -(d * m)
+
+
+def orthogonal_sum(q, r):
+    """The form q + r of two `QuadFormQ`s, with both sets of witnesses."""
+    return type(q)(q.diag + r.diag, q.witnesses + r.witnesses)
+
+
+def defining_polynomial(E) -> Tuple:
+    """The product of the factors of an etale algebra, over Fractions."""
+    out = polyq.poly([1])
+    for f in E.factors:
+        out = polyq.mul(out, f)
+    return out
 
 
 def companion_power_traces(coeffs: Sequence[Fraction], count: int) -> List[Fraction]:
@@ -976,6 +1008,15 @@ def class_matrices_by_elements(table, classes) -> List[np.ndarray]:
                 B[class_of[mul_idx(table, x_inv, cls[0])], u] += 1
         out.append(B)
     return out
+
+
+def class_matrix(data, r: int) -> np.ndarray:
+    """The class matrix B_r of a `chartab._ClassData` on its columns u in
+    rows, through the bincount kernel `_count` that its mixtures run: as x
+    runs over C_r, x^-1 runs over the inverse class C_r*, so B_r[t, u]
+    counts the y in C_r* with y g_u in C_t."""
+    ys = data.classes[data.inv_class[r]]
+    return data._count(ys, [1] * len(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 from schur_ed import cli, edcalc, numth, polyq, qforms
 from schur_ed.covers import CoverElem, VerificationError
 
+from oracles import defining_polynomial
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -781,7 +783,7 @@ TRACE_FORM_SHA256 = {
 
 def _seeded_poly(n, seed):
     E = qforms.random_etale_algebra(n, random.Random(seed))
-    return polyq.format_poly(E.defining_polynomial())
+    return polyq.format_poly(defining_polynomial(E))
 
 
 @pytest.mark.parametrize("case", list(TRACE_FORM_SHA256), ids=str)

@@ -1,5 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
+from schur_ed import edcalc
+from schur_ed.covers import CoverSpec, preimage_subgroup
 from schur_ed.edcalc import (
     alt_ed_bounds,
     ed2_computed,
@@ -7,6 +12,7 @@ from schur_ed.edcalc import (
     ed_bounds,
     table1,
 )
+from schur_ed.perms import sylow2_alt_generators, sylow2_sym_generators
 
 # Frozen from the reference table (n = 4..16):
 ROW1 = ["2", "2", "3", "4", "4-5", "4-6", "5-7", "6-8", "6-9", "6-10",
@@ -94,6 +100,42 @@ def test_table1_bounds_validation():
 def test_table1_verified_marks(zoo):
     tab = table1(8, verify_max=6)
     assert tab.verified == {4: 2, 5: 2, 6: 2}
+
+
+# table1 builds the preimage of A_(2k+1)'s Sylow 2-subgroup once, for
+# n = 2k: the premise is that the odd-n generators are the even ones with
+# the last point fixed, so the two preimages are the same table
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("gens_of", [sylow2_sym_generators,
+                                     sylow2_alt_generators])
+def test_odd_n_has_the_sylow_preimage_of_n_minus_1(variant, gens_of):
+    rng = random.Random(5)
+    for n in range(5, 16, 2):
+        odd, even = gens_of(n), gens_of(n - 1)
+        assert odd == [g + (n,) for g in even], n
+        big = preimage_subgroup(odd, CoverSpec(n, variant))
+        small = preimage_subgroup(even, CoverSpec(n - 1, variant))
+        assert big.order == small.order
+        assert np.array_equal(big._gen_cols, small._gen_cols), n
+        for i in rng.sample(range(big.order), min(big.order, 20)):
+            eps, perm = big.element(i)
+            assert perm[-1] == n
+            assert (eps, perm[:-1]) == tuple(small.element(i)), (n, i)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_table1_builds_each_distinct_sylow_group_once(monkeypatch, variant):
+    calls = []
+    real = edcalc.ed2_computed
+
+    def counting(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(edcalc, "ed2_computed", counting)
+    tab = table1(11, verify_max=11, variant=variant)
+    assert calls == [4, 6, 8, 10]
+    assert tab.verified == {n: real(n, "alt", variant) for n in range(4, 12)}
 
 
 def test_ed2_computed_matches_formula_spot(zoo):

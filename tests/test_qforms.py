@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from schur_ed import cli, covers, numth, polyq, qforms
-from schur_ed.numth import factorize, is_prime, next_prime, squarefree_part
+from schur_ed.numth import factorize, is_prime, next_prime
 from schur_ed.polyq import parse_poly
 from schur_ed.qforms import (
     INF,
@@ -37,12 +37,15 @@ from schur_ed.qforms import (
 
 from oracles import (
     companion_power_traces,
+    defining_polynomial,
     diagonalize_gram,
     gcd_etale_validity,
     is_irreducible_mod_p,
+    orthogonal_sum,
     power_sums,
     rabin_irreducible_mod_p,
     schur_diagonalize_gram,
+    squarefree_part,
     sum_three_squares_insoluble_mod8,
     sum_three_squares_soluble_mod_p,
     sylvester_discriminant,
@@ -378,7 +381,7 @@ def test_split_hyperbolic_gives_the_residual_invariants():
     for _ in range(200):
         rest = _random_form(rng, rng.randint(1, 6))
         split = qforms._split_hyperbolic(
-            qforms._invariants(QuadFormQ([1, -1]).orthogonal_sum(rest)))
+            qforms._invariants(orthogonal_sum(QuadFormQ([1, -1]), rest)))
         want = qforms._invariants(rest)
         assert (split.dim, split.disc, split.hasse, split.pos, split.neg) == (
             want.dim, want.disc, want.hasse, want.pos, want.neg), rest
@@ -636,6 +639,31 @@ def test_resultant_with_a_linear_side_matches_sylvester_oracle():
     assert {z for *_, z in seen} == {True, False}
 
 
+def test_resultant_with_a_monic_quadratic_side_matches_the_prs():
+    # the closed form v^2 - puv + qu^2 against the subresultant PRS, with
+    # the quadratic first and second, on seeded integer pairs: other sides
+    # of degree 2..9, monic and not; a third of them equal to the quadratic
+    # and a third a multiple of it (resultant 0)
+    rng = random.Random(3511)
+    zeros = 0
+    for k in range(300):
+        a = [rng.randint(-9, 9), rng.randint(-9, 9), 1]
+        g = [rng.randint(-6, 6) for _ in range(rng.randint(2, 9))]
+        g.append(rng.choice([1, 1, -1, 2, -3, 5]))
+        if k % 3 == 1:
+            g = list(a)
+        elif k % 3 == 2:
+            h = g[:rng.randint(1, len(g))] + [1]
+            g = [int(c) for c in polyq.mul(a, h)]
+        want = polyq._subresultant(a, g)
+        assert polyq._monic_quadratic_resultant(a, g) == want, (a, g)
+        assert polyq._int_resultant(a, g) == want, (a, g)
+        assert polyq._int_resultant(g, a) == polyq._subresultant(g, a) \
+            == want, (a, g)
+        zeros += want == 0
+    assert zeros >= 200
+
+
 def test_closed_form_discriminants_match_sylvester_oracle():
     rng = random.Random(4096)
     zeros = {2: 0, 3: 0, 4: 0}
@@ -768,7 +796,7 @@ def _validity(factors):
     assert got == want, factors
     if got == "ok":
         # the kept product is the discriminant of the defining polynomial
-        recomputed = polyq.discriminant(E.defining_polynomial())
+        recomputed = polyq.discriminant(defining_polynomial(E))
         assert E.disc == recomputed
         assert etale_discriminant(E) == SquareClass(recomputed)
     return got
@@ -879,7 +907,7 @@ def test_trace_form_invariants_factor_only_the_witnesses(monkeypatch):
     rng = random.Random(5)
     for n in (4, 6, 8, 10, 12):
         E = random_etale_algebra(n, rng)
-        f = E.defining_polynomial()
+        f = defining_polynomial(E)
         witnesses = set(trace_form(EtaleAlgebraQ.from_polynomial(f)).witnesses)
         del seen[:]
         assert cli.main(["trace-form", polyq.format_poly(f)]) == 0
@@ -1050,15 +1078,7 @@ def test_berlekamp_known_factorizations():
 # ---------------------------------------------------------------------------
 
 def _squarefree(n: int) -> int:
-    """The squarefree part of |n| > 0, by trial division."""
-    n, out, p = abs(n), 1, 2
-    while p * p <= n:
-        while n % (p * p) == 0:
-            n //= p * p
-        if n % p == 0:
-            out, n = out * p, n // p
-        p += 1
-    return out * n
+    return abs(squarefree_part(n))
 
 
 def _splits_every_pair(q, rep):
