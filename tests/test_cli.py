@@ -62,8 +62,10 @@ def test_cover_verify_fault_injection(capsys, monkeypatch):
     assert failing
 
 
-# stdout recorded while the order still came from a closure under cover
-# multiplication, one product per element and generator, with z a generator
+# stdout for n <= 8 recorded while the order still came from a closure under
+# cover multiplication, one product per element and generator, with z a
+# generator; for n >= 9 the order comes from the transversal argument, whose
+# sample permutations fold the longest canonical words through the cocycle
 COVER_VERIFY_SHA256 = {
     (4, "plus"):
         "50b5268b943ca478103bcf1cf9706f4354d2aa141891107dad28f14628eee332",
@@ -75,6 +77,14 @@ COVER_VERIFY_SHA256 = {
         "1858d70505fd788be2b7f5aa56758f54e6786fb41abd615b000868c1dd1bc86d",
     (8, "plus"):
         "6dba6cc029821c8e0462dae27270fc88c8f21c0ce0deb06960661fbfa4336806",
+    (9, "plus"):
+        "8fe2f5aab4e7bb7af5f5e064462cff2141f6444606938f6e276a4f33200c1cb0",
+    (10, "plus"):
+        "3c2e110845a6360849ea96db4520478a0e04f0075c367f1163c0ba8b8136744b",
+    (11, "plus"):
+        "93d605156e83649e44f2f5a2adfd5a5e3ba7d1d03c9c0ec3f92cbed9a50339f5",
+    (12, "plus"):
+        "beac2accca7754d37a6d256309ab3fa18aa25692b4f1e296a640867d5e9709df",
     (4, "minus"):
         "14c4df0be78f7c5b82fc0f379f40dbb9933c3313f3a9b367fe3ddc118a2e834f",
     (5, "minus"):
@@ -85,6 +95,14 @@ COVER_VERIFY_SHA256 = {
         "6506d35bca32158299daa533794fa06ef5f66a0346f3d006172a0ce9b6fa67bf",
     (8, "minus"):
         "35294929d391490891a63c2e1fa4928f29b28eb1367372780f425cd38228be1c",
+    (9, "minus"):
+        "abf61bbe833b1a83c7de429a5490b01f83945d65dfe735a029ccc47b32e3b425",
+    (10, "minus"):
+        "533d91fd29b95e6ae060cbeb1debd8b4c3066296b88179e5c86c70891ae4365d",
+    (11, "minus"):
+        "9e2580000a57665da776a936fb4e94e943aa7362f743a95b8e7296df0c7c8634",
+    (12, "minus"):
+        "ce4337ff03fa488f842026f61e5cf06d3d94d2c9184fa1c8d0b1531d6050ca94",
 }
 
 
