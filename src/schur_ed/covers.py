@@ -6,12 +6,13 @@ canonical lift of a permutation is the product of v_i = (e_i - e_{i+1})/sqrt(2)
 over its canonical reduced word, and c(sigma, tau) is the sign relating
 lift(sigma)*lift(tau) to lift(sigma*tau).  Products fold over the canonical
 word of tau, so only the elementary values c(rho, s_i) are needed, and
-Cover.elementary_cocycle gives them in closed form from the inversions of rho.
-The closed form follows from Matsumoto/Tits moves (sign conventions as in
-Stembridge, Adv. Math. 74 (1989)): distant v_i anticommute and braid moves
-carry no sign, so T_w * (-1)^f(w), with f(w) the parity of the pairs of
-disjoint inversion pairs that w introduces in anti-lexicographic order, is
-the same for every reduced word w.  The tests compare the closed form with
+_closed_form gives them from the inversion parities of rho, for one
+permutation or for every row of a closure at once.  The closed form follows
+from Matsumoto/Tits moves (sign conventions as in Stembridge, Adv. Math. 74
+(1989)): distant v_i anticommute and braid moves carry no sign, so
+T_w * (-1)^f(w), with f(w) the parity of the pairs of disjoint inversion
+pairs that w introduces in anti-lexicographic order, is the same for every
+reduced word w.  The tests compare the closed form with
 the Clifford definition, evaluated on integer products of the vectors
 e_i - e_{i+1} (tests/oracles.py).
 """
@@ -25,8 +26,8 @@ import sys
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .numth import SizeBoundExceeded
 from .perms import (
@@ -36,7 +37,6 @@ from .perms import (
     compose,
     identity_perm,
     inverse,
-    right_multiply_adjacent,
     sylow2_sym_generators,
 )
 
@@ -101,6 +101,42 @@ class CoverElem(NamedTuple):
     perm: Perm
 
 
+def _closed_form(cols: Sequence, words: Iterable[Sequence[int]],
+                 minus: int) -> List:
+    """c(sigma, tau) for the canonical word of every tau in `words`, where
+    cols[q] is sigma(q + 1): a Python int for one permutation, or a numpy
+    int array holding that column of many.  Only +, -, *, &, <<, >>, ^ and
+    > act on the columns, so both kinds take the same steps.
+
+    Bit k of `odd` is the parity of the inversions of sigma whose larger
+    value is at least k.  A value b is the larger value of one inversion
+    per smaller value to its right: of the b - 1 values below b, those not
+    to its left, whose parity is bit b - 1 of `left` (bit j: the parity of
+    the values <= j seen so far).  The word of tau is folded one letter s_i
+    at a time into rho, sigma times the letters so far, whose `odd` is
+    `par`: with y the larger of the values in positions i and i + 1,
+    c(rho, s_i) is the parity of the inversions whose larger value exceeds
+    y, bit y + 1 of `par`, XOR 1 for a descent at i in the minus variant,
+    where the step ends in v_i^2 = -1.  Swapping the two positions changes
+    the count of y alone, by one, which flips bits 0..y of `par`."""
+    odd = left = 0
+    for b in cols:
+        odd ^= ((b - 1 ^ left >> (b - 1)) & 1) * ((2 << b) - 1)
+        left ^= -1 << b
+    out = []
+    for word in words:
+        cur, bits, par = list(cols), 0, odd
+        for i in word:
+            x, y = cur[i - 1], cur[i]
+            desc = x > y
+            top = y + (x - y) * desc
+            bits ^= (par >> (top + 1) & 1) ^ desc * minus
+            par = par ^ ((2 << top) - 1)
+            cur[i - 1], cur[i] = y, x
+        out.append(bits)
+    return out
+
+
 class Cover:
     """Arithmetic context for one CoverSpec: the cocycle, elementwise and
     over arrays of permutations, and memoized canonical words."""
@@ -135,55 +171,25 @@ class Cover:
     # -- the cocycle -----------------------------------------------------------
 
     def elementary_cocycle(self, perm: Perm, i: int) -> int:
-        """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i).
+        """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i),
+        the one-letter case of _closed_form."""
+        return _closed_form(perm, [(i,)], self._minus)[0]
 
-        With y = max(perm(i), perm(i+1)), c is the parity of the inversions
-        of perm whose larger value exceeds y (the letters v_i passes in the
-        canonical word), XOR 1 for a descent at i in the minus variant,
-        where the step ends in v_i^2 = -1.
-        """
-        x, y = perm[i - 1], perm[i]
-        bit = 0
-        if x > y:
-            y = x
-            bit = self._minus
-        # a value b has b - 1 - (smaller values left of it) smaller values
-        # to its right, one inversion each
-        seen = 0
-        for b in perm:
-            if b > y:
-                bit ^= (b - 1 - (seen & ((1 << b) - 1)).bit_count()) & 1
-            seen |= 1 << b
-        return bit
+    def cocycle(self, sigma: Perm, tau: Perm) -> int:
+        """c(sigma, tau) with lift(sigma)lift(tau) = z^c lift(sigma tau)."""
+        if len(sigma) != self.spec.n or len(tau) != self.spec.n:
+            raise ValueError("permutation size does not match the cover spec")
+        return _closed_form(sigma, [self._word(tau)], self._minus)[0]
 
     def cocycles(self, sigmas: np.ndarray, taus: Sequence[Perm]) -> np.ndarray:
         """c(sigma, tau) for every row sigma (one-line notation) of a 2-d
-        array and every tau, one row of bits per tau: the closed form of
-        elementary_cocycle, folded over the canonical word of tau.
-
-        Bit b of inv[k] is the parity of the inversions of row k with
-        larger value b, built once for all taus.  Right multiplication by
-        s_i swaps positions i and i+1, which changes that count only for
-        the larger of the two values."""
-        rows, n = sigmas.shape
-        inv0 = np.zeros(rows, dtype=np.int64)
-        for q in range(n):
-            smaller = (sigmas[:, q + 1:] < sigmas[:, q:q + 1]).sum(axis=1)
-            inv0 |= (smaller & 1) << sigmas[:, q]
-        out = np.zeros((len(taus), rows), dtype=np.int64)
-        for bits, tau in zip(out, taus):
-            cur, inv = sigmas.copy(), inv0.copy()
-            for i in self._word(tau):
-                x, y = cur[:, i - 1].copy(), cur[:, i].copy()
-                top = np.maximum(x, y)
-                above = inv >> (top + 1)
-                for shift in (8, 4, 2, 1):  # fold the parity of <= 16 bits
-                    above ^= above >> shift
-                bits ^= above & 1
-                if self._minus:
-                    bits ^= x > y
-                inv ^= 1 << top
-                cur[:, i - 1], cur[:, i] = y, x
+        array and every tau, one row of bits per tau: _closed_form on the
+        columns of the array."""
+        out = np.zeros((len(taus), len(sigmas)), dtype=np.int64)
+        words = [self._word(tau) for tau in taus]
+        for row, bits in zip(out, _closed_form(
+                list(np.ascontiguousarray(sigmas.T)), words, self._minus)):
+            row[:] = bits
         return out
 
     def _word(self, perm: Perm) -> Tuple[int, ...]:
@@ -193,20 +199,6 @@ class Cover:
                 self._words.clear()
             w = self._words[perm] = tuple(canonical_word(perm))
         return w
-
-    def cocycle(self, sigma: Perm, tau: Perm) -> int:
-        """c(sigma, tau) with lift(sigma)lift(tau) = z^c lift(sigma tau)."""
-        if len(sigma) != self.spec.n or len(tau) != self.spec.n:
-            raise ValueError("permutation size does not match the cover spec")
-        word = self._word(tau)
-        if not word:
-            return 0
-        eps = 0
-        cur = sigma
-        for i in word[:-1]:
-            eps ^= self.elementary_cocycle(cur, i)
-            cur = right_multiply_adjacent(cur, i)
-        return eps ^ self.elementary_cocycle(cur, word[-1])
 
     # -- group arithmetic ------------------------------------------------------
 
@@ -285,8 +277,7 @@ _CLOSURE_MAX_N = 8
 
 
 def verify_presentation(spec: CoverSpec,
-                        size_bound: int = DEFAULT_SIZE_BOUND,
-                        mul_fn: Optional[Callable[[CoverElem, CoverElem], CoverElem]] = None
+                        size_bound: int = DEFAULT_SIZE_BOUND
                         ) -> PresentationReport:
     """Check every defining relation of the matching presentation and confirm
     the group order equals 2*n!.
@@ -299,14 +290,10 @@ def verify_presentation(spec: CoverSpec,
     larger n the order follows from the transversal argument: every
     permutation is a product of the generator images (its canonical word is
     checked to reassemble it), and z = (g_1 g_3)^2 lies in the group, so
-    the element count is exactly 2 * n!.
-
-    mul_fn exists for fault injection in tests; it defaults to cover
-    multiplication and evaluates every relation word.  The closure does not
-    go through it.
+    the element count is exactly 2 * n!.  Every relation word is evaluated
+    by cover multiplication; the closure does not go through it.
     """
     cov = get_cover(spec)
-    mul_ = mul_fn or cov.mul
     n = spec.n
     e, z = cov.identity, cov.z
     gens = [cov.gen(i) for i in range(1, n)]
@@ -314,22 +301,22 @@ def verify_presentation(spec: CoverSpec,
     def wordprod(*elems: CoverElem) -> CoverElem:
         out = e
         for g in elems:
-            out = mul_(out, g)
+            out = cov.mul(out, g)
         return out
 
     plus = spec.variant == "plus"
     letter = "s" if plus else "t"
     rels: List[RelationResult] = []
-    rels.append(RelationResult("z^2 = 1", mul_(z, z) == e))
+    rels.append(RelationResult("z^2 = 1", cov.mul(z, z) == e))
     for i in range(1, n):
         g = gens[i - 1]
-        sq = mul_(g, g)
+        sq = cov.mul(g, g)
         if plus:
             rels.append(RelationResult(f"{letter}{i}^2 = 1", sq == e))
         else:
             rels.append(RelationResult(f"{letter}{i}^2 = z", sq == z))
         rels.append(RelationResult(
-            f"[z, {letter}{i}] = 1", mul_(z, g) == mul_(g, z)))
+            f"[z, {letter}{i}] = 1", cov.mul(z, g) == cov.mul(g, z)))
     for i in range(1, n):
         for j in range(i + 2, n):
             gi, gj = gens[i - 1], gens[j - 1]
@@ -364,7 +351,7 @@ def verify_presentation(spec: CoverSpec,
             sigma = tuple(img)
             got = e
             for i in canonical_word(sigma):
-                got = mul_(got, gens[i - 1])
+                got = cov.mul(got, gens[i - 1])
             rels.append(RelationResult(
                 "canonical word reassembles a sample permutation",
                 got.perm == sigma))

@@ -37,13 +37,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     return tuple(img)
 
 
-def right_multiply_adjacent(s: Perm, i: int) -> Perm:
-    """s * s_i: swaps positions i, i+1 of the one-line notation."""
-    img = list(s)
-    img[i - 1], img[i] = img[i], img[i - 1]
-    return tuple(img)
-
-
 def inversions(s: Perm) -> int:
     n = len(s)
     return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])

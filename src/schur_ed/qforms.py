@@ -382,10 +382,8 @@ def _local_isotropic(inv: _Invariants, v: Place) -> bool:
 
 
 def _is_isotropic_inv(inv: _Invariants) -> bool:
-    if inv.dim < 2:
-        return False
-    if inv.dim >= 5:
-        return inv.pos > 0 and inv.neg > 0
+    """Isotropy of a form of dimension >= 2 from its invariants: for
+    dimension >= 3, local isotropy at every place (Hasse-Minkowski)."""
     if inv.dim == 2:
         # isotropic iff -d is a global square
         return inv.disc == -1
@@ -403,8 +401,9 @@ def _split_hyperbolic(inv: _Invariants) -> _Invariants:
 
 
 def is_isotropic(q: QuadFormQ) -> bool:
-    """Does q represent 0 nontrivially over Q (local criteria everywhere)."""
-    return _is_isotropic_inv(_invariants(q))
+    """Does q represent 0 nontrivially over Q, i.e. split off a hyperbolic
+    plane?"""
+    return _witt_index(q, 1) >= 1
 
 
 def _witt_index(q: QuadFormQ, target: int) -> int:

@@ -43,7 +43,7 @@ import numpy as np
 from schur_ed import polyq
 from schur_ed.clifford import spin_representation
 from schur_ed.covers import FiniteGroupTable, SizeBoundExceeded
-from schur_ed.perms import canonical_word, right_multiply_adjacent
+from schur_ed.perms import canonical_word
 from schur_ed.polyq import format_poly
 from schur_ed.qforms import _bareiss_diagonal
 from schur_ed.radicals import SMatrix, SqrtNum, smat_mul
@@ -113,6 +113,13 @@ def times_adjacent_vector(x: Dict[int, int], i: int, sign: int) -> Dict[int, int
                 neg ^= 1
             out[m ^ bit] = out.get(m ^ bit, 0) + (-c * a if neg else c * a)
     return {m: a for m, a in out.items() if a}
+
+
+def right_multiply_adjacent(perm, i: int) -> Tuple[int, ...]:
+    """perm * s_i: positions i and i + 1 of the one-line notation swapped."""
+    img = list(perm)
+    img[i - 1], img[i] = img[i], img[i - 1]
+    return tuple(img)
 
 
 def integer_lift(perm, sign: int, lifts=None) -> Dict[int, int]:

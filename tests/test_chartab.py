@@ -257,18 +257,36 @@ def test_spin_block_of_small_groups():
 
 
 def test_spin_block_refuses_a_z_that_is_not_an_involution():
-    # z's own right column shows z != 1 and z * z = 1; the trivial group
-    # passes the center check with z = 1 and is refused here
+    # z's own right column shows z != 1 and z * z = 1; a group with a
+    # trivial center passes the center check with z = 1 and is refused
+    # here, and every other bad z fails the center check first
     refused = "^z is not a central involution of the group$"
-    c4 = cyclic_table(4)
-    for z in (0, 1, 3):  # the identity and both elements of order 4
+    trivial = FiniteGroupTable.generate([])
+    s3 = FiniteGroupTable.generate([(2, 1, 3), (1, 3, 2)])
+    for table in (trivial, s3):
         with pytest.raises(VerificationError, match=refused):
+            _spin_degrees(table, table.identity)
+        with pytest.raises(VerificationError, match=refused):
+            faithful_degrees(table, table.identity)
+    c4 = cyclic_table(4)
+    for z in (0, 1, 2, 3):  # the center of C4 is all of it
+        with pytest.raises(VerificationError, match="^center is not"):
             _spin_degrees(c4, z)
-    with pytest.raises(VerificationError, match=refused):
+    with pytest.raises(VerificationError, match="^center is not"):
         _spin_degrees(generalized_quaternion_table(8), (0, 0))
-    with pytest.raises(VerificationError, match=refused):
-        faithful_degrees(FiniteGroupTable.generate([]), ())
-    assert _spin_degrees(c4, 2) == [1, 1]
+    assert _spin_degrees(generalized_quaternion_table(8), (2, 0)) == [2]
+
+
+def test_the_spin_block_reads_the_center_off_its_classes(monkeypatch):
+    # ed2 --computed and table1 --verify-max split the spin block without
+    # a character table, and check the center on the classes of size 1
+    calls = []
+    real = chartab.center
+    monkeypatch.setattr(chartab, "center",
+                        lambda table: calls.append(table) or real(table))
+    assert cli.main(["ed2", "-n", "8", "--which", "alt", "--computed"]) == 0
+    assert cli.main(["table1", "--n-max", "8", "--verify-max", "8"]) == 0
+    assert calls == []
 
 
 def test_faithful_degrees_read_the_center_off_the_class_sizes():

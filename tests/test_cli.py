@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from schur_ed import cli, edcalc, numth, polyq, qforms
-from schur_ed.covers import CoverElem, VerificationError
+from schur_ed.covers import Cover, CoverElem, VerificationError
 
 from oracles import defining_polynomial
 
@@ -38,23 +38,15 @@ def test_cover_verify_usage_error(capsys):
 
 
 def test_cover_verify_fault_injection(capsys, monkeypatch):
-    from schur_ed import covers
+    real = Cover.mul
 
-    real = covers.verify_presentation
+    def bad_mul(self, g, h):
+        out = real(self, g, h)
+        if h.perm[0] != 1:
+            out = CoverElem(out.eps ^ 1, out.perm)
+        return out
 
-    def faulty(spec, **kwargs):
-        cov = covers.get_cover(spec)
-
-        def bad_mul(g, h):
-            out = cov.mul(g, h)
-            if h.perm[0] != 1:
-                out = CoverElem(out.eps ^ 1, out.perm)
-            return out
-
-        kwargs["mul_fn"] = bad_mul
-        return real(spec, **kwargs)
-
-    monkeypatch.setattr(cli, "verify_presentation", faulty)
+    monkeypatch.setattr(Cover, "mul", bad_mul)
     code, out, _ = run(capsys, "cover", "verify", "-n", "4")
     assert code == 1
     data = json.loads(out)

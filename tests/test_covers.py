@@ -30,7 +30,6 @@ from schur_ed.perms import (
     identity_perm,
     inversions,
     parity,
-    right_multiply_adjacent,
     sylow2_alt_generators,
     sylow2_sym_generators,
 )
@@ -55,6 +54,7 @@ from oracles import (
     perm_from_word,
     quaternion_mul,
     right_column,
+    right_multiply_adjacent,
     slow_multivector_mul,
 )
 
@@ -240,18 +240,19 @@ def test_preimage_order_formula(zoo):
         assert table.order == 2 ** (n - s + 1)
 
 
-def test_fault_injection_reports_failure():
+def test_fault_injection_reports_failure(monkeypatch):
     spec = CoverSpec(4, "plus")
-    cov = get_cover(spec)
+    real = Cover.mul
 
-    def bad_mul(g, h):
-        out = cov.mul(g, h)
+    def bad_mul(self, g, h):
+        out = real(self, g, h)
         # flip the central bit whenever the right factor moves point 1
         if h.perm[0] != 1:
             out = CoverElem(out.eps ^ 1, out.perm)
         return out
 
-    report = verify_presentation(spec, mul_fn=bad_mul)
+    monkeypatch.setattr(Cover, "mul", bad_mul)
+    report = verify_presentation(spec)
     assert not report.all_ok
     assert report.failures()
 
@@ -312,6 +313,26 @@ def test_cocycles_of_an_array_match_cocycle(variant):
         for tau in (random_perm(), random_perm(), identity_perm(n)):
             got = cov.cocycles(np.array(sigmas), [tau])[0]
             assert got.tolist() == [cov.cocycle(s, tau) for s in sigmas]
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_cocycles_of_a_sylow_closure_match_the_clifford_definition(variant):
+    # the array path on a whole closure, checked on sampled rows against
+    # the Clifford definition folded along each generator's canonical word
+    rng = random.Random(302)
+    for n in range(8, 13):
+        cov = Cover(CoverSpec(n, variant))
+        gens = sylow2_sym_generators(n)
+        rows, _, _ = covers._close(gens, n, covers.DEFAULT_SIZE_BOUND)
+        got = cov.cocycles(rows, gens)
+        lifts = {}
+        for k in rng.sample(range(len(rows)), 16):
+            for g, tau in enumerate(gens):
+                want, cur = 0, tuple(rows[k].tolist())
+                for i in canonical_word(tau):
+                    want ^= clifford_elementary_cocycle(cov, cur, i, lifts)
+                    cur = right_multiply_adjacent(cur, i)
+                assert got[g, k] == want, (n, rows[k].tolist(), tau)
 
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])

@@ -255,6 +255,16 @@ def test_isotropy_examples():
     assert witt_index(QuadFormQ([1, 1, 1, 1])) == 0
 
 
+def test_isotropy_in_dimension_5_reads_the_signature_alone(monkeypatch):
+    # a form of dimension >= 5 is isotropic iff it is indefinite, so the
+    # 200-bit witness p * q, past factorize's effort cap, is never factored
+    p, q = next_prime(2 ** 99), next_prime(2 ** 100)
+    seen = _count_factorize(monkeypatch)
+    assert is_isotropic(QuadFormQ([1, -1, 1, 1, p * q]))
+    assert not is_isotropic(QuadFormQ([1, 2, 3, 5, p * q]))
+    assert seen == []
+
+
 def test_isotropy_small_search_agreement():
     # exhaustive small search as an independent oracle on dim-3 forms
     rng = random.Random(31)
