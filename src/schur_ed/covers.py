@@ -12,9 +12,9 @@ from Matsumoto/Tits moves (sign conventions as in Stembridge, Adv. Math. 74
 (1989)): distant v_i anticommute and braid moves carry no sign, so
 T_w * (-1)^f(w), with f(w) the parity of the pairs of disjoint inversion
 pairs that w introduces in anti-lexicographic order, is the same for every
-reduced word w.  The tests compare the closed form with
-the Clifford definition, evaluated on integer products of the vectors
-e_i - e_{i+1} (tests/oracles.py).
+reduced word w.  The tests compare the closed form with the Clifford
+definition, evaluated on integer products of the vectors e_i - e_{i+1}
+(tests/oracles.py).
 """
 
 from __future__ import annotations
