@@ -102,11 +102,12 @@ class CoverElem(NamedTuple):
 
 
 def _closed_form(cols: Sequence, words: Iterable[Sequence[int]],
-                 minus: int) -> List:
-    """c(sigma, tau) for the canonical word of every tau in `words`, where
+                 minus: int) -> List[Tuple]:
+    """(c, columns of sigma tau) for the word of every tau in `words`, where
     cols[q] is sigma(q + 1): a Python int for one permutation, or a numpy
     int array holding that column of many.  Only +, -, *, &, <<, >>, ^ and
-    > act on the columns, so both kinds take the same steps.
+    > act on the columns, so both kinds take the same steps.  Any word of
+    adjacent letters folds, reduced or not.
 
     Bit k of `odd` is the parity of the inversions of sigma whose larger
     value is at least k.  A value b is the larger value of one inversion
@@ -133,7 +134,7 @@ def _closed_form(cols: Sequence, words: Iterable[Sequence[int]],
             bits ^= (par >> (top + 1) & 1) ^ desc * minus
             par = par ^ ((2 << top) - 1)
             cur[i - 1], cur[i] = y, x
-        out.append(bits)
+        out.append((bits, cur))
     return out
 
 
@@ -173,13 +174,19 @@ class Cover:
     def elementary_cocycle(self, perm: Perm, i: int) -> int:
         """c(perm, s_i): sign in lift(perm)*v_i = (-1)^c * lift(perm*s_i),
         the one-letter case of _closed_form."""
-        return _closed_form(perm, [(i,)], self._minus)[0]
+        return _closed_form(perm, [(i,)], self._minus)[0][0]
 
     def cocycle(self, sigma: Perm, tau: Perm) -> int:
-        """c(sigma, tau) with lift(sigma)lift(tau) = z^c lift(sigma tau)."""
+        """c(sigma, tau) with lift(sigma)lift(tau) = z^c lift(sigma tau);
+        a generator tau is elementary_cocycle's one-letter case."""
         if len(sigma) != self.spec.n or len(tau) != self.spec.n:
             raise ValueError("permutation size does not match the cover spec")
-        return _closed_form(sigma, [self._word(tau)], self._minus)[0]
+        word = self._word(tau)
+        if not word:
+            return 0
+        if len(word) == 1:
+            return self.elementary_cocycle(sigma, word[0])
+        return _closed_form(sigma, [word], self._minus)[0][0]
 
     def cocycles(self, sigmas: np.ndarray, taus: Sequence[Perm]) -> np.ndarray:
         """c(sigma, tau) for every row sigma (one-line notation) of a 2-d
@@ -187,8 +194,8 @@ class Cover:
         columns of the array."""
         out = np.zeros((len(taus), len(sigmas)), dtype=np.int64)
         words = [self._word(tau) for tau in taus]
-        for row, bits in zip(out, _closed_form(
-                list(np.ascontiguousarray(sigmas.T)), words, self._minus)):
+        cols = list(np.ascontiguousarray(sigmas.T, dtype=np.int64))
+        for row, (bits, _) in zip(out, _closed_form(cols, words, self._minus)):
             row[:] = bits
         return out
 
@@ -219,11 +226,14 @@ class Cover:
         return out
 
     def word(self, *indices: int) -> CoverElem:
-        """Product of generator lifts s_{i1} s_{i2} ... ."""
-        out = self.identity
+        """Product of generator lifts s_{i1} s_{i2} ...: one fold of
+        _closed_form from the identity."""
         for i in indices:
-            out = self.mul(out, self.gen(i))
-        return out
+            if not 1 <= i < self.spec.n:
+                raise ValueError(
+                    f"adjacent index {i} out of range for n={self.spec.n}")
+        bits, cur = _closed_form(self._ident_perm, [indices], self._minus)[0]
+        return CoverElem(bits, tuple(cur))
 
 
 _covers: Dict[CoverSpec, Cover] = {}
@@ -290,20 +300,14 @@ def verify_presentation(spec: CoverSpec,
     larger n the order follows from the transversal argument: every
     permutation is a product of the generator images (its canonical word is
     checked to reassemble it), and z = (g_1 g_3)^2 lies in the group, so
-    the element count is exactly 2 * n!.  Every relation word is evaluated
-    by cover multiplication; the closure does not go through it.
+    the element count is exactly 2 * n!.  The relations on z and the
+    squares are evaluated by cover multiplication, and every longer
+    generator word by Cover.word; the closure goes through neither.
     """
     cov = get_cover(spec)
     n = spec.n
     e, z = cov.identity, cov.z
     gens = [cov.gen(i) for i in range(1, n)]
-
-    def wordprod(*elems: CoverElem) -> CoverElem:
-        out = e
-        for g in elems:
-            out = cov.mul(out, g)
-        return out
-
     plus = spec.variant == "plus"
     letter = "s" if plus else "t"
     rels: List[RelationResult] = []
@@ -319,13 +323,11 @@ def verify_presentation(spec: CoverSpec,
             f"[z, {letter}{i}] = 1", cov.mul(z, g) == cov.mul(g, z)))
     for i in range(1, n):
         for j in range(i + 2, n):
-            gi, gj = gens[i - 1], gens[j - 1]
-            val = wordprod(gi, gj, gi, gj)
+            val = cov.word(i, j, i, j)
             rels.append(RelationResult(
                 f"({letter}{i} {letter}{j})^2 = z", val == z))
     for i in range(1, n - 1):
-        gi, gj = gens[i - 1], gens[i]
-        val = wordprod(gi, gj, gi, gj, gi, gj)
+        val = cov.word(i, i + 1, i, i + 1, i, i + 1)
         if plus:
             rels.append(RelationResult(
                 f"({letter}{i} {letter}{i+1})^3 = 1", val == e))
@@ -341,20 +343,16 @@ def verify_presentation(spec: CoverSpec,
     else:
         # z is reachable from the generators and every permutation is hit by
         # its canonical word, so {0,1} x S_n is the underlying set
-        zw = wordprod(gens[0], gens[2], gens[0], gens[2])
-        ok = zw == z
+        ok = cov.word(1, 3, 1, 3) == z
         rels.append(RelationResult("(g1 g3)^2 = z (transversal witness)", ok))
         rng = random.Random(12345)
         for _ in range(8):
             img = list(range(1, n + 1))
             rng.shuffle(img)
             sigma = tuple(img)
-            got = e
-            for i in canonical_word(sigma):
-                got = cov.mul(got, gens[i - 1])
             rels.append(RelationResult(
                 "canonical word reassembles a sample permutation",
-                got.perm == sigma))
+                cov.word(*canonical_word(sigma)).perm == sigma))
         count = expected
         method = "transversal"
     return PresentationReport(spec, rels, count, expected, method)

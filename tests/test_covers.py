@@ -130,6 +130,24 @@ def test_far_commutation_and_braid():
     assert minus.word(1, 2, 1, 2, 1, 2) == minus.z
 
 
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_word_folds_any_generator_word(variant):
+    # reduced or not, against the Clifford definition one letter at a time
+    rng = random.Random(304)
+    for n in (4, 7, 12):
+        cov = Cover(CoverSpec(n, variant))
+        for _ in range(20):
+            word = [rng.randrange(1, n) for _ in range(rng.randrange(25))]
+            eps, perm = 0, identity_perm(n)
+            for i in word:
+                eps ^= clifford_elementary_cocycle(cov, perm, i)
+                perm = right_multiply_adjacent(perm, i)
+            assert cov.word(*word) == (eps, perm)
+        for i in (0, n):
+            with pytest.raises(ValueError, match="out of range"):
+                cov.word(1, i)
+
+
 def test_mul_inverse_and_associativity():
     cov = get_cover(CoverSpec(6, "minus"))
     rng = random.Random(3)
@@ -350,6 +368,9 @@ def test_cocycles_of_several_taus_match_per_tau_calls(variant):
             assert bits.tolist() == [cov.cocycle(tuple(s), tau)
                                      for s in sigmas.tolist()]
         assert cov.cocycles(sigmas, []).shape == (0, len(sigmas))
+        # narrow integer rows compute in int64, like int64 rows
+        for dtype in (np.int8, np.uint8, np.int16):
+            assert (cov.cocycles(sigmas.astype(dtype), taus) == got).all()
 
 
 def test_lift_is_the_ordered_vector_product():
