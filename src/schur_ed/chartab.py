@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # the benchmark tracer times `center` under this module's name
 from .covers import (FiniteGroupTable, VerificationError, center,
@@ -34,8 +33,7 @@ def dixon_prime(order: int, exponent: int) -> int:
             return p
 
 
-@dataclass
-class CharTable:
+class CharTable(NamedTuple):
     """Conjugacy data plus mod-p irreducible character values.
 
     values[i][t] is chi_i(g_t) mod p; degrees are exact integers; signs[i]

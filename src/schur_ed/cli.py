@@ -16,10 +16,13 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
-from . import edcalc, qforms
+from . import _lazy_import
+
+# covers and chartab stay eager: bench/tracer.py wraps verify_presentation,
+# dixon_character_table, min_faithful_irrep_dim and count_min_faithful under
+# this module's names, so they are bound here at import
 from .chartab import count_min_faithful, dixon_character_table, min_faithful_irrep_dim
 from .covers import (
     DEFAULT_SIZE_BOUND,
@@ -31,7 +34,11 @@ from .covers import (
     subgroup_table,
     verify_presentation,
 )
-from .polyq import format_poly, parse_poly
+
+# executed by the first command that needs them
+edcalc = _lazy_import(f"{__package__}.edcalc")
+polyq = _lazy_import(f"{__package__}.polyq")
+qforms = _lazy_import(f"{__package__}.qforms")
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -42,8 +49,7 @@ EXIT_BROKEN_PIPE = 141
 SIZE_BOUND_ENV = "SCHUR_ED_SIZE_BOUND"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = 0
     size_bound: int = DEFAULT_SIZE_BOUND
     format: str = "json"
@@ -67,6 +73,11 @@ def _emit(config: RunConfig, payload) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
+
+
+def _require_computable(n: int) -> None:
+    cap = edcalc.COMPUTED_MAX_N
+    _require(n <= cap, f"computed values are capped at n = {cap}")
 
 
 def _parse(parser, *args):
@@ -129,13 +140,10 @@ def cmd_chartab(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMPUTED_CAP = f"computed values are capped at n = {edcalc.COMPUTED_MAX_N}"
-
-
 def cmd_ed2(args, config: RunConfig) -> int:
     _require(args.n >= 4, "formulas assume n >= 4")
     if args.computed:
-        _require(args.n <= edcalc.COMPUTED_MAX_N, _COMPUTED_CAP)
+        _require_computable(args.n)
     formula = edcalc.ed2_formula(args.n, args.which)
     try:
         report = edcalc.ed_report(args.n, args.which, args.variant,
@@ -154,7 +162,7 @@ def cmd_ed2(args, config: RunConfig) -> int:
 def cmd_table1(args, config: RunConfig) -> int:
     _require(4 <= args.n_max <= edcalc.TABLE_MAX_N,
              f"table1 supports 4 <= n_max <= {edcalc.TABLE_MAX_N}")
-    _require(args.verify_max <= edcalc.COMPUTED_MAX_N, _COMPUTED_CAP)
+    _require_computable(args.verify_max)
     try:
         tab = edcalc.table1(args.n_max, verify_max=args.verify_max,
                             variant=args.variant,
@@ -177,13 +185,13 @@ def cmd_qform(args, config: RunConfig) -> int:
 
 
 def cmd_trace_form(args, config: RunConfig) -> int:
-    f = _parse(parse_poly, args.poly)
+    f = _parse(polyq.parse_poly, args.poly)
     _require(1 <= len(f) - 1 <= 24, "polynomial degree must be in 1..24")
     E = _parse(qforms.EtaleAlgebraQ.from_polynomial, f)
     q = qforms.trace_form(E)
     s = (len(f) - 1).bit_count()
     payload = q.to_json()
-    payload["polynomial"] = format_poly(f)
+    payload["polynomial"] = polyq.format_poly(f)
     payload["etale_disc"] = qforms.etale_discriminant(E).representative
     payload["contains_s_ones"] = {"s": s, "holds": qforms.contains_ones(q, s)}
     payload["hasse_index"] = qforms.brauer_index(q.hasse)

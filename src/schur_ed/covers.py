@@ -19,16 +19,14 @@ definition, evaluated on integer products of the vectors e_i - e_{i+1}
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
-import sys
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
 from functools import cached_property
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
+from . import _lazy_import
 from .numth import SizeBoundExceeded
 from .perms import (
     Perm,
@@ -41,24 +39,9 @@ from .perms import (
 )
 
 
-def _lazy_import(name: str):
-    """The module `name`, executed on its first attribute access instead of
-    now; unchanged if it is already imported.  The quadratic-form commands
-    never touch numpy, so they never pay for executing it."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 # chartab takes np from here: an `import numpy` statement would read the
-# lazy module's __spec__ and so execute numpy at once
+# lazy module's __spec__ and so execute numpy at once; the quadratic-form
+# commands never touch numpy, so they never pay for executing it
 np = _lazy_import("numpy")
 
 DEFAULT_SIZE_BOUND = 1 << 18
@@ -68,22 +51,26 @@ class VerificationError(RuntimeError):
     """A presentation relation or structural check failed."""
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class _CoverSpecFields(NamedTuple):
+    n: int
+    variant: str
+
+
+class CoverSpec(_CoverSpecFields):
     """Which double cover: rank n >= 4 and the generator-square convention.
 
     variant 'plus' models s_i^2 = 1 (generators square to +1 in the Clifford
     algebra), 'minus' models t_i^2 = z (squares -1).
     """
 
-    n: int
-    variant: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 4:
+    def __new__(cls, n: int, variant: str):
+        if n < 4:
             raise ValueError("covers are only considered for n >= 4")
-        if self.variant not in ("plus", "minus"):
+        if variant not in ("plus", "minus"):
             raise ValueError("variant must be 'plus' or 'minus'")
+        return super().__new__(cls, n, variant)
 
     @property
     def sign(self) -> int:
@@ -255,14 +242,12 @@ def clear_cover_cache() -> None:
 # presentation verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RelationResult:
+class RelationResult(NamedTuple):
     relation: str
     ok: bool
 
 
-@dataclass
-class PresentationReport:
+class PresentationReport(NamedTuple):
     spec: CoverSpec
     relations: List[RelationResult]
     order: Optional[int]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -747,6 +748,101 @@ def test_quadratic_form_commands_never_execute_numpy(capsys):
     assert fresh["numpy_submodules"] == []
     # the same bytes as in this process, where numpy is loaded
     assert fresh["runs"] == [list(run(capsys, *argv)[:2]) for argv in argvs]
+
+
+# run in a fresh interpreter: which schur_ed modules each entry point has
+# executed so far; a module bound lazily sits in sys.modules as a
+# LazyLoader module until its first attribute access, and only then
+# becomes a plain module, so the type is read, never an attribute
+FRESH_LAYERS = """
+import contextlib, io, json, sys, types
+
+def executed():
+    return sorted(name for name, mod in sys.modules.items()
+                  if name.split(".")[0] == "schur_ed"
+                  and type(mod) is types.ModuleType)
+
+import schur_ed
+report = {"package": executed()}
+import schur_ed.cli
+report["cli"] = executed()
+report["records"] = sorted({"dataclasses", "inspect"} & set(sys.modules))
+report["runs"] = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = schur_ed.cli.main(argv)
+    report["runs"].append([code, out.getvalue(), executed()])
+print(json.dumps(report))
+"""
+
+
+def test_each_entry_point_executes_only_its_layers(capsys):
+    argvs = [["cover", "verify", "-n", "5"], ["chartab", "-n", "6"],
+             ["trace-check", "-n", "6", "--trials", "5"],
+             ["qform", "1,-1,2/3"]]
+    done = _python(["-c", FRESH_LAYERS, json.dumps(argvs)], timeout=120)
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)
+    assert fresh["package"] == ["schur_ed"]
+    assert fresh["cli"] == ["schur_ed"] + [
+        f"schur_ed.{m}" for m in ("chartab", "cli", "covers", "numth", "perms")]
+    assert fresh["records"] == []
+    # the runs share one interpreter, so each list holds what every run so
+    # far executed: the group commands none of the quadratic-form layers,
+    # and no command the spin matrices or the ed tables
+    group_free = {"qforms", "polyq", "clifford", "radicals", "edcalc"}
+    table_free = {"clifford", "radicals", "edcalc"}
+    for (_, _, executed), absent in zip(
+            fresh["runs"], [group_free, group_free, table_free, table_free]):
+        assert not {f"schur_ed.{m}" for m in absent} & set(executed), executed
+    assert [run[:2] for run in fresh["runs"]] == [
+        list(run(capsys, *argv)[:2]) for argv in argvs]
+
+
+# schur_ed.__all__ as it read while the package imported every submodule
+PACKAGE_ALL = [
+    "numth", "perms", "covers", "chartab", "CharTable", "count_min_faithful",
+    "dixon_character_table", "min_faithful_irrep_dim", "radicals",
+    "clifford", "basic_spin_matrices", "spin_representation",
+    "verify_spin_representation", "Cover", "CoverElem", "CoverSpec",
+    "FiniteGroupTable", "SizeBoundExceeded", "VerificationError", "center",
+    "clear_cover_cache", "conjugacy_classes", "cover_subgroup", "get_cover",
+    "is_generalized_quaternion", "preimage_subgroup", "subgroup_table",
+    "verify_presentation", "edcalc", "EdReport", "FormulaMismatch",
+    "alt_ed_bounds", "ed2_computed", "ed2_formula", "ed_bounds", "ed_report",
+    "table1", "canonical_word", "dyadic_profile", "sylow2_alt_generators",
+    "sylow2_sym_generators", "polyq", "qforms", "BrauerClass2",
+    "EtaleAlgebraQ", "Place", "QuadFormQ", "SquareClass", "brauer_index",
+    "contains_ones", "discriminant", "etale_discriminant", "hasse_invariant",
+    "hilbert_symbol", "is_isometric", "is_isotropic",
+    "lemma_disc_one_identity", "quaternion_class", "random_etale_algebra",
+    "signature", "splitting_tower", "trace_form", "witt_index",
+]
+
+
+def test_the_package_resolves_every_public_name(monkeypatch):
+    import schur_ed
+
+    assert sorted(schur_ed.__all__) == sorted(PACKAGE_ALL)
+    assert set(PACKAGE_ALL) <= set(dir(schur_ed))
+    for name in PACKAGE_ALL:
+        # drop what an earlier access bound, so the lookup resolves again
+        monkeypatch.delitem(vars(schur_ed), name, raising=False)
+        value = getattr(schur_ed, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"schur_ed.{name}"], name
+        else:
+            assert value.__module__.startswith("schur_ed."), name
+            assert value is vars(sys.modules[value.__module__])[name], name
+    star = {}
+    exec("from schur_ed import *", star)
+    assert {name: star[name] for name in PACKAGE_ALL} == {
+        name: getattr(schur_ed, name) for name in PACKAGE_ALL}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schur_ed.no_such_name
+    with pytest.raises(ImportError):
+        exec("from schur_ed import no_such_name", {})
 
 
 def test_trace_check_finishes_on_the_advertised_degrees():

@@ -102,6 +102,19 @@ def test_compose_matches_naive_oracle():
 # cocycle and cover arithmetic
 # ---------------------------------------------------------------------------
 
+def test_cover_spec_checks_its_fields():
+    with pytest.raises(ValueError, match="n >= 4"):
+        CoverSpec(3, "plus")
+    with pytest.raises(ValueError, match="'plus' or 'minus'"):
+        CoverSpec(n=4, variant="other")
+    spec = CoverSpec(n=6, variant="minus")
+    assert (spec.n, spec.variant, spec.sign) == (6, "minus", -1)
+    assert CoverSpec(6, "plus").sign == 1
+    # the cover contexts are memoized by spec
+    assert spec == CoverSpec(6, "minus")
+    assert get_cover(spec) is get_cover(CoverSpec(6, "minus"))
+
+
 def test_cocycle_normalized():
     cov = get_cover(CoverSpec(5, "plus"))
     rng = random.Random(2)
