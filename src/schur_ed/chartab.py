@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 # the benchmark tracer times `center` under this module's name
 from .covers import (FiniteGroupTable, VerificationError, center,
                      conjugacy_classes, np)
-from .numth import next_prime, sqrt_mod
+from .numth import SizeBoundExceeded, next_prime, sqrt_mod
 
 
 def dixon_prime(order: int, exponent: int) -> int:
@@ -81,27 +81,43 @@ def _elem_json(e):
 # ---------------------------------------------------------------------------
 
 def _gf_rref(M: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The reduced row echelon form mod p of M's row space and its pivot
+    columns, one row at a time: the first nonzero entry of a row, after
+    the rows before it are cleared from it, is its pivot, scaled to 1 and
+    cleared from every other row.  Rows left all zero are dropped, and the
+    rest sorted by pivot."""
     M = M % p
-    rows, cols = M.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(M[r:, c])
+    found: List[Tuple[int, int]] = []  # (pivot column, row)
+    for r in range(M.shape[0]):
+        nz = np.flatnonzero(M[r])
         if not nz.size:
             continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
+        c = int(nz[0])
         M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
         others = np.flatnonzero(M[:, c])
         others = others[others != r]
         if others.size:
             M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
-        pivots.append(c)
-        r += 1
-    return M[:r], pivots
+        found.append((c, r))
+    found.sort()
+    return M[[r for _, r in found]], [c for c, _ in found]
+
+
+def _check_products(k: int, p: int) -> None:
+    """Refuse products mod p of length k that _mul cannot make exactly:
+    every integer below 2^53 is exact in float64."""
+    if k * (p - 1) ** 2 >= 1 << 53:
+        raise SizeBoundExceeded(
+            f"matrix products mod p = {p} over k = {k} classes reach "
+            f"k (p - 1)^2 >= 2^53, past exact float64 arithmetic")
+
+
+def _mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for int64 A, B with entries in [0, p), through a BLAS
+    float64 product.  Every partial sum is an integer below
+    k (p - 1)^2 < 2^53 (_check_products), so the product is exact in any
+    order of addition; numpy's int64 matmul does not use BLAS."""
+    return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -338,7 +354,7 @@ def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
     for a, b in reversed(list(zip(cuts, cuts[1:]))):
         m = b - a
         C = np.zeros((m, r + owner.size), dtype=np.int64)
-        C[:, r:] = -H[a:b, b:] @ V[b:] % p
+        C[:, r:] = -_mul(H[a:b, b:], V[b:], p) % p
         last = np.zeros(r + owner.size, dtype=np.int64)
         last[:r] = 1
         x, top = _block_solve(H[a:b, a:b], np.concatenate([lams, lams[owner]]),
@@ -356,34 +372,40 @@ def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
     return V, owner
 
 
+def _eigenspaces(R: np.ndarray, p: int) -> List[np.ndarray]:
+    """The eigenspaces of R on GF(p)^k, one row basis per root in
+    increasing order (Schneider's refinement of Dixon's eigenvalue
+    search): the roots of the characteristic polynomial, and all the
+    eigenvectors at once from the Hessenberg form H = X^-1 R X.  Raises
+    VerificationError unless they span GF(p)^k."""
+    H, X = _hessenberg(R, p)
+    roots = _roots(_charpoly(H, p), p)
+    V, owner = _eigenvectors(H, roots, p)
+    if owner.size != R.shape[0]:
+        raise VerificationError("eigenspaces failed to exhaust a space")
+    W = _mul(X, V, p)
+    lam = np.array(roots, dtype=np.int64)[owner]
+    if not np.array_equal(_mul(R, W, p), W * lam % p):
+        raise VerificationError("eigenvectors failed R W = W diag(lambda)")
+    return [W[:, owner == i].T for i in range(len(roots))]
+
+
 def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.ndarray]:
-    """Split each B-invariant space into the eigenspaces of B on it
-    (Schneider's refinement of Dixon's eigenvalue search): the roots of the
-    characteristic polynomial of the restriction R, and all its
-    eigenvectors at once from the Hessenberg form H = X^-1 R X."""
+    """Split each B-invariant row space S into the eigenspaces of B on it:
+    those of the restriction R, B S^T = S^T R in the reduced basis S,
+    mapped back into S."""
     out: List[np.ndarray] = []
     for S in spaces:
-        k = S.shape[0]
-        if k == 1:
+        if S.shape[0] == 1:
             out.append(S)
             continue
         S, pivots = _gf_rref(S, p)
-        BST = B @ S.T % p
-        R = BST[pivots, :] % p
+        BST = _mul(B, S.T, p)
+        R = BST[pivots]
         # invariance check: B S^T == S^T R
-        if not np.array_equal(S.T @ R % p, BST):
+        if not np.array_equal(_mul(S.T, R, p), BST):
             raise VerificationError("class matrix did not preserve a subspace")
-        H, X = _hessenberg(R, p)
-        roots = _roots(_charpoly(H, p), p)
-        V, owner = _eigenvectors(H, roots, p)
-        if owner.size != k:
-            raise VerificationError("eigenspaces failed to exhaust a space")
-        W = X @ V % p
-        lam = np.array(roots, dtype=np.int64)[owner]
-        if not np.array_equal(R @ W % p, W * lam % p):
-            raise VerificationError("eigenvectors failed R W = W diag(lambda)")
-        for i in range(len(roots)):
-            out.append(W[:, owner == i].T @ S % p)
+        out.extend(_mul(E, S, p) for E in _eigenspaces(R, p))
     return out
 
 
@@ -395,23 +417,24 @@ _MAX_ROUNDS = 16
 
 def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
                 classes: Sequence[int], p: int, finish: Callable):
-    """finish(lines) for the common eigenlines of the mixtures, rows of a
-    k x k identity split until every space is a line, retried with fresh
-    mixtures while splitting or finish raises VerificationError.
+    """finish(lines) for the common eigenlines of the mixtures on GF(p)^k,
+    split until every space is a line, retried with fresh mixtures while
+    splitting or finish raises VerificationError.
 
     mixture(cs) is a seeded random combination of the class matrices of
     the classes cs, on a space of dimension k.  A mixture of the first few
     classes splits most of the space at once; mixtures of all of them split
     what is left, and separate two characters unless the mixture takes the
     same value on both, which happens with probability about 1/p.  The
-    common eigenlines are unique, so the result does not depend on the
-    mixtures drawn."""
+    first split is of the whole space, so it runs on the first mixture
+    itself.  The common eigenlines are unique, so the result does not
+    depend on the mixtures drawn or on the bases of the spaces."""
     last_err: Optional[Exception] = None
     for attempt in range(_MAX_RETRIES):
         try:
-            spaces = [np.eye(k, dtype=np.int64)]
+            spaces = [np.ones((1, 1), dtype=np.int64)]
             if k > 1:
-                spaces = _split_spaces(spaces, mixture(classes[:8]), p)
+                spaces = _eigenspaces(mixture(classes[:8]), p)
                 for _ in range(_MAX_ROUNDS):
                     if all(S.shape[0] == 1 for S in spaces):
                         break
@@ -438,6 +461,9 @@ def _split_characters(table: FiniteGroupTable, z, seed: int,
     data = _ClassData(table, z)
     order = table.order
     p = dixon_prime(order, data.exponent())
+    # every product sums at most n terms: the gram of _assemble sums over
+    # the n characters, the split over at most n rows
+    _check_products(data.n, p)
     rng = random.Random((seed, order, data.n).__hash__())
     size_inv = data.size_inverses(p)
 
@@ -493,7 +519,7 @@ def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
     X, W = X[rank], W[rank]
 
     # second orthogonality as a whole-table consistency check
-    gram = X.T @ X[:, data.inv_class] % p
+    gram = _mul(X.T, X[:, data.inv_class], p)
     if not np.array_equal(gram, np.diag(order * size_inv % p)):
         raise VerificationError("column orthogonality failed mod p")
 

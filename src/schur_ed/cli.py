@@ -354,6 +354,13 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # BLAS on one thread: chartab's products are too small to gain from
+    # more, and idle BLAS threads spin on the other cores.  OpenBLAS and
+    # OpenMP read these once, when numpy is executed, which no import of
+    # this module does (covers binds numpy lazily); a value already set
+    # wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     try:
         code = _run(argv)
         # a reader that closed stdout early shows here, not at exit

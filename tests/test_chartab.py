@@ -9,8 +9,12 @@ import pytest
 from schur_ed import chartab, cli
 from schur_ed.chartab import (
     _charpoly,
+    _check_products,
     _ClassData,
+    _eigenspaces,
+    _gf_rref,
     _hessenberg,
+    _mul,
     _roots,
     _spin_degrees,
     _split_spaces,
@@ -21,8 +25,10 @@ from schur_ed.chartab import (
     min_faithful_irrep_dim,
 )
 from schur_ed.covers import (
+    MAX_SIZE_BOUND,
     CoverSpec,
     FiniteGroupTable,
+    SizeBoundExceeded,
     VerificationError,
     get_cover,
     preimage_subgroup,
@@ -581,6 +587,103 @@ def test_split_spaces_match_the_eigenvalue_scan(zoo, which):
                 scan_split_spaces(spaces, B, p), p), (n, which)
             spaces = got
         assert all(S.shape[0] == 1 for S in spaces)
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_the_first_split_of_the_whole_space_equals_a_split_of_its_basis(
+        zoo, which):
+    for n in range(4, 13):
+        table, _ = zoo.sylow_cover(n, "plus", which)
+        data = _ClassData(table)
+        p = dixon_prime(table.order, data.exponent())
+        B = data.mixture(random.Random(n), p, range(1, min(data.n - 1, 8) + 1))
+        whole = _eigenspaces(B, p)
+        assert [_rref_rows(S, p) for S in whole] == [
+            _rref_rows(S, p)
+            for S in _split_spaces([np.eye(data.n, dtype=np.int64)], B, p)]
+        assert sum(S.shape[0] for S in whole) == data.n
+
+
+# ---------------------------------------------------------------------------
+# the row-wise reduction and the exact BLAS products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 7, 97, 65537])
+def test_row_wise_rref_equals_the_column_scan(p):
+    # the reduced row echelon form of a row space is unique, so the two
+    # eliminations must give the same rows and pivots
+    rng = random.Random(p)
+
+    def rand(rows, cols):
+        return np.array([rng.randrange(p) for _ in range(rows * cols)],
+                        dtype=np.int64).reshape(rows, cols)
+
+    ranks = set()
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 13)
+        rank = rng.randrange(0, min(rows, cols) + 1)
+        M = rand(rows, rank) @ rand(rank, cols) % p   # rank at most `rank`
+        if rows > 1 and rng.random() < 0.3:
+            M[rng.randrange(rows)] = M[rng.randrange(rows)]
+        if rng.random() < 0.3:
+            M[:, rng.randrange(cols)] = 0
+        S, pivots = _gf_rref(M + p * rng.randrange(3), p)
+        want, want_pivots = rref_mod_p(M, p)
+        assert pivots == want_pivots and np.array_equal(S, want), M
+        assert np.array_equal(S[:, pivots], np.eye(len(pivots)))
+        ranks.add((len(pivots), rows))
+    # full rank, lower rank than the row count, and the zero space
+    assert any(r == rows for r, rows in ranks)
+    assert any(0 < r < rows for r, rows in ranks)
+    assert any(r == 0 for r, _ in ranks)
+
+
+def _object_product(A, B, p):
+    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("order, exponent, k", [
+    # the largest order the size bound admits, with exponent 2^16: p = 786433
+    (MAX_SIZE_BOUND, 1 << 16, 4096),
+    # 2.S_12, the largest full cover under the bound: p = 110881
+    (2 * math.factorial(12), 2 * math.lcm(*range(1, 13)), 2048),
+])
+def test_products_on_blas_are_exact_at_the_largest_tables(order, exponent, k):
+    p = dixon_prime(order, exponent)
+    _check_products(k, p)
+    rng = np.random.default_rng(k)
+    for rows, cols in ((1, 1), (5, 7), (16, 3)):
+        A = rng.integers(0, p, (rows, k), dtype=np.int64)
+        B = rng.integers(0, p, (k, cols), dtype=np.int64)
+        assert np.array_equal(_mul(A, B, p), _object_product(A, B, p))
+    # every product p - 1 times p - 1: the largest sums there are
+    A = np.full((3, k), p - 1, dtype=np.int64)
+    assert np.array_equal(_mul(A, A.T, p), _object_product(A, A.T, p))
+
+
+def test_products_past_2_to_the_53_are_refused():
+    for p in (7, 65537, 2147483647):
+        k = -(-(1 << 53) // (p - 1) ** 2)   # the least k with k (p-1)^2 >= 2^53
+        _check_products(k - 1, p)
+        with pytest.raises(SizeBoundExceeded, match=f"p = {p}.*k = {k}"):
+            _check_products(k, p)
+
+
+def test_a_table_past_the_product_bound_exits_3_before_any_product(
+        capsys, monkeypatch):
+    # a prime this large never comes from dixon_prime on a table the CLI
+    # accepts; the refusal must come before the first product
+    def no_product(*args):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(chartab, "dixon_prime", lambda order, exponent: 2**31 - 1)
+    monkeypatch.setattr(chartab, "_mul", no_product)
+    with pytest.raises(SizeBoundExceeded):
+        dixon_character_table(generalized_quaternion_table(8))
+    code = cli.main(["chartab", "-n", "4", "--subgroup", "sylow2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RESOURCE
+    assert "resource bound exceeded" in err and "p = 2147483647" in err
 
 
 CHARTAB_N12_SHA256 = (  # stdout of the eigenvalue-scan implementation

@@ -800,6 +800,41 @@ def test_each_entry_point_executes_only_its_layers(capsys):
         list(run(capsys, *argv)[:2]) for argv in argvs]
 
 
+# run in a fresh interpreter with the BLAS thread variables set as given
+# (unset where null): their values after `chartab -n 6`, which executes
+# numpy and multiplies with BLAS, and the process's thread count
+FRESH_BLAS_THREADS = """
+import contextlib, io, json, os, sys
+preset = json.loads(sys.argv[1])
+for var, value in preset.items():
+    os.environ.pop(var, None)
+    if value is not None:
+        os.environ[var] = value
+from schur_ed import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["chartab", "-n", "6"])
+threads = (len(os.listdir("/proc/self/task"))
+           if os.path.isdir("/proc/self/task") else None)
+print(json.dumps({"code": code, "threads": threads,
+                  "env": {var: os.environ.get(var) for var in preset}}))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset):
+    env = {"OPENBLAS_NUM_THREADS": preset, "OMP_NUM_THREADS": preset}
+    done = _python(["-c", FRESH_BLAS_THREADS, json.dumps(env)], timeout=120)
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)
+    assert fresh["code"] == 0
+    if preset is None:
+        assert fresh["env"] == {var: "1" for var in env}
+        # OpenBLAS started no thread of its own
+        assert fresh["threads"] in (1, None)
+    else:
+        assert fresh["env"] == env
+
+
 # schur_ed.__all__ as it read while the package imported every submodule
 PACKAGE_ALL = [
     "numth", "perms", "covers", "chartab", "CharTable", "count_min_faithful",
