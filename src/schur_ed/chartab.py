@@ -330,7 +330,7 @@ def _block_solve(K: np.ndarray, lam: np.ndarray, C: np.ndarray,
     return x, (K[0] @ x - lam * x[0] - C[0]) % p
 
 
-def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
+def _eigenvectors(H: np.ndarray, roots: List[int], p: int, inv: np.ndarray):
     """(V, owner): columns of V are eigenvectors of the upper Hessenberg H,
     column c for the eigenvalue roots[owner[c]], and they span every
     eigenspace of H for these roots.
@@ -343,9 +343,9 @@ def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
     block t by solving (H_tt - lam) x = -H_t,> v as a particular solution
     plus tau times that homogeneous one, with tau fixed by the top row.
     When lam is also a root of H_tt the top row must already hold; if it
-    does not, H is not diagonalizable and VerificationError is raised."""
+    does not, H is not diagonalizable and VerificationError is raised.
+    inv is `_inverses(p)`."""
     k = H.shape[0]
-    inv = _inverses(p)
     lams = np.array(roots, dtype=np.int64)
     r = lams.size
     cuts = [0] + [i for i in range(1, k) if not H[i, i - 1]] + [k]
@@ -372,15 +372,15 @@ def _eigenvectors(H: np.ndarray, roots: List[int], p: int):
     return V, owner
 
 
-def _eigenspaces(R: np.ndarray, p: int) -> List[np.ndarray]:
+def _eigenspaces(R: np.ndarray, p: int, inv: np.ndarray) -> List[np.ndarray]:
     """The eigenspaces of R on GF(p)^k, one row basis per root in
     increasing order (Schneider's refinement of Dixon's eigenvalue
     search): the roots of the characteristic polynomial, and all the
     eigenvectors at once from the Hessenberg form H = X^-1 R X.  Raises
-    VerificationError unless they span GF(p)^k."""
+    VerificationError unless they span GF(p)^k.  inv is `_inverses(p)`."""
     H, X = _hessenberg(R, p)
     roots = _roots(_charpoly(H, p), p)
-    V, owner = _eigenvectors(H, roots, p)
+    V, owner = _eigenvectors(H, roots, p, inv)
     if owner.size != R.shape[0]:
         raise VerificationError("eigenspaces failed to exhaust a space")
     W = _mul(X, V, p)
@@ -390,7 +390,8 @@ def _eigenspaces(R: np.ndarray, p: int) -> List[np.ndarray]:
     return [W[:, owner == i].T for i in range(len(roots))]
 
 
-def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.ndarray]:
+def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int,
+                  inv: np.ndarray) -> List[np.ndarray]:
     """Split each B-invariant row space S into the eigenspaces of B on it:
     those of the restriction R, B S^T = S^T R in the reduced basis S,
     mapped back into S."""
@@ -405,7 +406,7 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int) -> List[np.nd
         # invariance check: B S^T == S^T R
         if not np.array_equal(_mul(S.T, R, p), BST):
             raise VerificationError("class matrix did not preserve a subspace")
-        out.extend(_mul(E, S, p) for E in _eigenspaces(R, p))
+        out.extend(_mul(E, S, p) for E in _eigenspaces(R, p, inv))
     return out
 
 
@@ -416,7 +417,8 @@ _MAX_ROUNDS = 16
 
 
 def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
-                classes: Sequence[int], p: int, finish: Callable):
+                classes: Sequence[int], p: int, inv: np.ndarray,
+                finish: Callable):
     """finish(lines) for the common eigenlines of the mixtures on GF(p)^k,
     split until every space is a line, retried with fresh mixtures while
     splitting or finish raises VerificationError.
@@ -428,17 +430,18 @@ def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
     same value on both, which happens with probability about 1/p.  The
     first split is of the whole space, so it runs on the first mixture
     itself.  The common eigenlines are unique, so the result does not
-    depend on the mixtures drawn or on the bases of the spaces."""
+    depend on the mixtures drawn or on the bases of the spaces.  inv is
+    `_inverses(p)`, built once for every split and retry."""
     last_err: Optional[Exception] = None
     for attempt in range(_MAX_RETRIES):
         try:
             spaces = [np.ones((1, 1), dtype=np.int64)]
             if k > 1:
-                spaces = _eigenspaces(mixture(classes[:8]), p)
+                spaces = _eigenspaces(mixture(classes[:8]), p, inv)
                 for _ in range(_MAX_ROUNDS):
                     if all(S.shape[0] == 1 for S in spaces):
                         break
-                    spaces = _split_spaces(spaces, mixture(classes), p)
+                    spaces = _split_spaces(spaces, mixture(classes), p, inv)
             if not all(S.shape[0] == 1 for S in spaces):
                 raise VerificationError("common eigenspaces not 1-dimensional")
             return finish(spaces)
@@ -490,7 +493,7 @@ def _split_characters(table: FiniteGroupTable, z, seed: int,
         return finish(data, p, degs, W)
 
     return _eigenlines(lambda cs: data.mixture(rng, p, cs), len(data.rows),
-                       data.rows[1:], p, degrees)
+                       data.rows[1:], p, _inverses(p), degrees)
 
 
 def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:

@@ -142,6 +142,8 @@ def cmd_chartab(args, config: RunConfig) -> int:
 
 def cmd_ed2(args, config: RunConfig) -> int:
     _require(args.n >= 4, "formulas assume n >= 4")
+    cap = edcalc.FORMULA_MAX_N
+    _require(args.n <= cap, f"formulas are capped at n = {cap}")
     if args.computed:
         _require_computable(args.n)
     formula = edcalc.ed2_formula(args.n, args.which)
@@ -186,7 +188,8 @@ def cmd_qform(args, config: RunConfig) -> int:
 
 def cmd_trace_form(args, config: RunConfig) -> int:
     f = _parse(polyq.parse_poly, args.poly)
-    _require(1 <= len(f) - 1 <= 24, "polynomial degree must be in 1..24")
+    cap = polyq.MAX_DEGREE
+    _require(1 <= len(f) - 1 <= cap, f"polynomial degree must be in 1..{cap}")
     E = _parse(qforms.EtaleAlgebraQ.from_polynomial, f)
     q = qforms.trace_form(E)
     s = (len(f) - 1).bit_count()
@@ -261,7 +264,9 @@ def _chartab_parser(sub) -> argparse.ArgumentParser:
 
 def _ed2_parser(sub) -> argparse.ArgumentParser:
     ed2 = sub.add_parser("ed2", help="2-local essential dimension")
-    ed2.add_argument("-n", type=int, required=True)
+    ed2.add_argument("-n", type=int, required=True,
+                     help=f"4 <= n <= {edcalc.FORMULA_MAX_N}; "
+                          f"at most {edcalc.COMPUTED_MAX_N} with --computed")
     ed2.add_argument("--which", choices=("sym", "alt"), default="alt")
     ed2.add_argument("--variant", choices=("plus", "minus"), default="plus")
     ed2.add_argument("--computed", action="store_true",

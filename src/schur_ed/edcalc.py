@@ -23,9 +23,12 @@ from .covers import (
 from .perms import Perm, sylow2_alt_generators, sylow2_sym_generators
 
 # the largest n whose 2-local value is recomputed through the character
-# pipeline, and the largest n of the summary table
+# pipeline, the largest n of the summary table, and the largest n that ed2
+# takes: the alternating bounds recurse about n/4 deep, and 2^(n/2) prints
+# in about 0.15 n digits
 COMPUTED_MAX_N = 16
 TABLE_MAX_N = 16
+FORMULA_MAX_N = 1000
 
 
 class FormulaMismatch(VerificationError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -32,6 +33,9 @@ from typing import Dict, List, Sequence, Tuple, Union
 from .numth import legendre
 
 Poly = Tuple[Union[int, Fraction], ...]
+
+# the largest degree parsed, and the largest trace form built
+MAX_DEGREE = 24
 
 
 def poly(coeffs: Sequence) -> Poly:
@@ -60,11 +64,15 @@ def mul(f: Poly, g: Poly) -> Poly:
     return poly(out)
 
 
-def _integral(f: Sequence) -> Tuple[List[int], int]:
+def _integral(f: Sequence) -> Tuple[Tuple[int, ...], int]:
     """(F, den): den is the lcm of the denominators of f and F = den * f is
-    its integer coefficient list."""
+    its integer coefficient tuple, the key of the discriminant memo.  A
+    polynomial of ints, as every randomly drawn factor is, is its own F,
+    with den 1."""
+    if all(type(c) is int for c in f):
+        return tuple(f), 1
     den = lcm(*[c.denominator for c in f])
-    return [c.numerator * (den // c.denominator) for c in f], den
+    return tuple(c.numerator * (den // c.denominator) for c in f), den
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,7 @@ def discriminant(f: Poly) -> Fraction:
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
     F, den = _integral(f)
-    return Fraction(_int_discriminant(tuple(F)), den ** (2 * d - 2))
+    return Fraction(_int_discriminant(F), den ** (2 * d - 2))
 
 
 def _power_sums(c: Sequence, p0, count: int) -> List:
@@ -273,10 +281,15 @@ def parse_poly(text: str) -> Poly:
             coeff = -coeff
         if div_s:
             coeff /= int(div_s)
+        exp = 0
         if var:
-            exp = int(exp_s) if exp_s else 1
-        else:
-            exp = 0
+            # refused before the dense list is sized by it; a long exponent
+            # is refused by its length, before int() reads it
+            digits = (exp_s or "1").lstrip("0") or "0"
+            if len(digits) > 2 or int(digits) > MAX_DEGREE:
+                raise ValueError(
+                    f"polynomial degree must be in 1..{MAX_DEGREE}")
+            exp = int(digits)
         terms.append((exp, coeff))
         pos = m.end()
     d = max(e for e, _ in terms)
@@ -328,34 +341,55 @@ def _gf_independent(rows: List[List[int]], p: int) -> bool:
     return True
 
 
-# p -> (width, fmt, size, cols): slot r of the packed int cols[k] holds
-# r^k mod p, for k < width, as one native item of format fmt, "H" or "Q"
-# (size bytes for all p slots).  So for coefficients 0 <= c_k < p, slot r
-# of sum c_k cols[k] holds a number congruent to f(r) mod p, at most
-# width * (p-1)^2, which fits its slot.  Filled on first use (under 0.1 ms
+# the slot formats of packed ints: 16 or 64 bits, native byte order
+_SLOT_BYTES = {"H": 2, "Q": 8}
+
+
+def _slot_format(top: int) -> str:
+    """The format of a slot that holds every number up to top < 2^64."""
+    return "H" if top < 1 << 16 else "Q"
+
+
+def _pack(values: Sequence[int], fmt: str) -> int:
+    """One int whose slot r, of format fmt, holds values[r]: the native
+    bytes of an array read as one int, so nothing is shifted in Python."""
+    return int.from_bytes(array(fmt, values).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, fmt: str, count: int) -> memoryview:
+    """The first count slots of a packed int, in `_pack`'s order.  Slots
+    add without carries while every sum fits its slot."""
+    return memoryview(packed.to_bytes(count * _SLOT_BYTES[fmt],
+                                      sys.byteorder)).cast(fmt)
+
+
+# p -> (width, fmt, cols): slot r of the packed int cols[k] holds r^k mod
+# p, for k < width.  So for coefficients 0 <= c_k < p, slot r of
+# sum c_k cols[k] holds a number congruent to f(r) mod p, at most
+# width * (p-1)^2, which fits its slot.  Filled on first use (about 0.04 ms
 # per prime), wide enough for degree 12 and widened on demand.
-_RESIDUE_POWERS: Dict[int, Tuple[int, str, int, List[int]]] = {}
+_RESIDUE_POWERS: Dict[int, Tuple[int, str, List[int]]] = {}
 
 
-def _residue_powers(p: int, width: int) -> Tuple[int, str, int, List[int]]:
+def _residue_powers(p: int, width: int) -> Tuple[int, str, List[int]]:
     table = _RESIDUE_POWERS.get(p)
     if table is None or table[0] < width:
         width = max(width, 13)
         top = width * (p - 1) ** 2
         if top >= 1 << 64:
             raise ValueError(f"no residue table for p = {p}")
-        fmt, bits = ("H", 16) if top < 1 << 16 else ("Q", 64)
+        fmt = _slot_format(top)
         col = [1] * p
         cols = []
         for _ in range(width):
-            cols.append(sum(x << bits * r for r, x in enumerate(col)))
+            cols.append(_pack(col, fmt))
             col = [x * r % p for r, x in enumerate(col)]
-        table = _RESIDUE_POWERS[p] = (width, fmt, bits // 8 * p, cols)
+        table = _RESIDUE_POWERS[p] = (width, fmt, cols)
     return table
 
 
-def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
-    """True iff the integer coefficient list f of degree d >= 1, whose
+def _irreducible_mod_p(f: Sequence[int], p: int, disc: int) -> bool:
+    """True iff f, integer coefficients of degree d >= 1 whose
     discriminant is disc, has degree d mod the odd prime p and is
     irreducible mod p.
 
@@ -379,7 +413,9 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
     primary factor), and f, already squarefree mod p, is irreducible iff
     that number is 1.  Row i+1 of Q is row i times the matrix of
     multiplication by x^p, whose rows x^(p+j) mod f come from x^p by
-    multiplying by x."""
+    multiplying by x.  Each of those rows is packed into one int, so a row
+    times the matrix is one sum of d big-int products, read back slot by
+    slot."""
     d = len(f) - 1
     if f[-1] % p == 0:
         return False
@@ -389,10 +425,9 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
         return False
     if d == 2:
         return True
-    _, fmt, size, cols = _residue_powers(p, d + 1)
+    _, fmt, cols = _residue_powers(p, d + 1)
     values = sum(c % p * col for c, col in zip(f, cols))
-    slots = memoryview(values.to_bytes(size, sys.byteorder)).cast(fmt)
-    if 0 in map(p.__rmod__, slots):
+    if 0 in map(p.__rmod__, _unpack(values, fmt, p)):
         return False
     if d <= 5:
         return True
@@ -411,12 +446,17 @@ def _irreducible_mod_p(f: List[int], p: int, disc: int) -> bool:
         if top:
             v = [(a + top * b) % p for a, b in zip(v, low)]
         k += 1
-    cols = list(zip(*times_xp))
+    # slot c of sum_j power[j] packed[j] is row c of power times the
+    # matrix, at most d (p-1)^2: below 2^64, since the residue table of p
+    # holds (d+1) (p-1)^2
+    fmt = _slot_format(d * (p - 1) ** 2)
+    packed = [_pack(row, fmt) for row in times_xp]
     rows: List[List[int]] = []
     power = times_xp[0]
     for i in range(1, d):
         if i > 1:
-            power = [sum(map(_times, power, col)) % p for col in cols]
+            power = [x % p for x in
+                     _unpack(sum(map(_times, power, packed)), fmt, d)]
         row = power[:]
         row[i] = (row[i] - 1) % p
         rows.append(row)
@@ -439,5 +479,5 @@ def certify_irreducible(f: Sequence) -> bool:
     if d < 2:
         return d == 1
     F, den = _integral(f)
-    disc = _int_discriminant(tuple(F))
+    disc = _int_discriminant(F)
     return any(den % p and _irreducible_mod_p(F, p, disc) for p in _CERT_PRIMES)

@@ -102,11 +102,11 @@ def brauer_index(c: BrauerClass2) -> int:
 # ---------------------------------------------------------------------------
 
 def _square_product(x: Fraction, y: Fraction) -> bool:
-    """Is x*y a nonzero square in Q?  Factorization-free."""
-    v = x * y
-    if v <= 0:
-        return False
-    return is_perfect_square(v.numerator) and is_perfect_square(v.denominator)
+    """Is x*y a nonzero square in Q?  Factorization-free: x*y = ac/(bd) for
+    x = a/b and y = c/d is a square iff ac/(bd) * (bd)^2 = abcd is, and
+    abcd is an integer, so one isqrt decides it and no Fraction is built."""
+    n = x.numerator * x.denominator * y.numerator * y.denominator
+    return n > 0 and is_perfect_square(n)
 
 
 _HASH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -442,6 +442,8 @@ def contains_ones(q: QuadFormQ, s: int) -> bool:
         raise ValueError("need 0 <= s <= dim q")
     if s == 0:
         return True
+    if q.dim >= s + 3:
+        return signature(q)[0] >= s
     probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s, q.witnesses)
     return _witt_index(probe, s) >= s
 
@@ -549,7 +551,6 @@ class EtaleAlgebraQ:
             if polyq.degree(f) < 1 or not polyq.is_monic(f):
                 raise ValueError("factors must be monic of positive degree")
             F, c = polyq._integral(f)
-            F = tuple(F)
             d = Fraction(polyq._int_discriminant(F), c ** (2 * len(F) - 4))
             if d == 0:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
@@ -589,17 +590,24 @@ def trace_form(E: EtaleAlgebraQ) -> QuadFormQ:
     p_k(f) = p_k(g) / den^k.  The Hankel matrix
     M_ij = p_(i+j)(g) den^(2d-2-i-j) is then den^(2d-2) times the Gram
     matrix (for den = 1, g = F and M holds f's own power sums), and it goes
-    to `_bareiss_diagonal` as it is; a linear factor gives M = (1), so <1>.
+    to `_bareiss_diagonal` as it is; a linear factor gives M = (1), so it
+    adds <1> with no power sums.
     Each factor f adds as witnesses the numerator and denominator of
     disc(f) and den: in the basis (den*x)^i its Gram matrix is integral
     with determinant den^(d(d-1)) disc(f), so unimodular at every other odd
     prime (Cassels, Rational Quadratic Forms, 1978)."""
-    if E.dim > 24:
-        raise ValueError("trace forms capped at dimension 24")
+    if E.dim > polyq.MAX_DEGREE:
+        raise ValueError(
+            f"trace forms capped at dimension {polyq.MAX_DEGREE}")
     diag: List[Fraction] = []
     witnesses: List[int] = []
     for (F, den), disc in zip(E.scaled, E.factor_discs):
         d = len(F) - 1
+        if d == 1:
+            # disc(f) = 1, and M = (1)
+            diag.append(Fraction(1))
+            witnesses += [1, 1, den]
+            continue
         if den == 1:
             sums = polyq._power_sums(F, d, 2 * d - 1)
         else:

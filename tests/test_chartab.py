@@ -14,6 +14,7 @@ from schur_ed.chartab import (
     _eigenspaces,
     _gf_rref,
     _hessenberg,
+    _inverses,
     _mul,
     _roots,
     _spin_degrees,
@@ -190,6 +191,27 @@ def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
                         types.SimpleNamespace(Random=Rigged))
     assert dixon_character_table(table) == want
     assert Rigged.calls > first_attempt
+
+
+def test_the_inverse_table_is_built_once_per_dixon_run(capsys, monkeypatch):
+    # p is fixed for the whole run, so one table of inverses serves every
+    # space split, in every round
+    built, solved = [], []
+    inverses, eigenvectors = chartab._inverses, chartab._eigenvectors
+
+    def counting_inverses(p):
+        built.append(p)
+        return inverses(p)
+
+    def counting_eigenvectors(*args):
+        solved.append(args)
+        return eigenvectors(*args)
+
+    monkeypatch.setattr(chartab, "_inverses", counting_inverses)
+    monkeypatch.setattr(chartab, "_eigenvectors", counting_eigenvectors)
+    assert cli.main(["chartab", "-n", "12", "--subgroup", "sylow2"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1 and len(solved) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +543,13 @@ def test_eigenspaces_equal_the_nullspaces_or_are_refused(p):
             for lam in range(p)) if N.shape[0]]
         whole = [np.eye(k, dtype=np.int64)]
         if sum(N.shape[0] for N in want) == k:
-            got = _split_spaces(whole, R, p)
+            got = _split_spaces(whole, R, p, _inverses(p))
             assert ([_rref_rows(S, p) for S in got]
                     == [_rref_rows(N, p) for N in want])
             split += 1
         else:
             with pytest.raises(VerificationError):
-                _split_spaces(whole, R, p)
+                _split_spaces(whole, R, p, _inverses(p))
             refused += 1
     # the zero, scalar and conjugated repeated diagonal cases of every size
     # are diagonalizable; random dense ones mostly are not over GF(7)
@@ -545,10 +567,10 @@ def test_a_jordan_block_is_refused(p):
         # the second eigenvector of lam fails to extend; conjugated, the
         # blocks are mostly larger and lam has too few eigenvectors
         with pytest.raises(VerificationError, match="not diagonalizable"):
-            _split_spaces([np.eye(k, dtype=np.int64)], J, p)
+            _split_spaces([np.eye(k, dtype=np.int64)], J, p, _inverses(p))
         B = _conjugate(J, _random_invertible(rng, k, p), p)
         with pytest.raises(VerificationError):
-            _split_spaces([np.eye(k, dtype=np.int64)], B, p)
+            _split_spaces([np.eye(k, dtype=np.int64)], B, p, _inverses(p))
 
 
 def test_roots_of_a_product_of_linear_factors():
@@ -582,7 +604,7 @@ def test_split_spaces_match_the_eigenvalue_scan(zoo, which):
         for B in [M] + [class_matrix(data, r) for r in range(1, data.n)]:
             if all(S.shape[0] == 1 for S in spaces):
                 break
-            got = _split_spaces(spaces, B, p)
+            got = _split_spaces(spaces, B, p, _inverses(p))
             assert _space_set(got, p) == _space_set(
                 scan_split_spaces(spaces, B, p), p), (n, which)
             spaces = got
@@ -597,10 +619,12 @@ def test_the_first_split_of_the_whole_space_equals_a_split_of_its_basis(
         data = _ClassData(table)
         p = dixon_prime(table.order, data.exponent())
         B = data.mixture(random.Random(n), p, range(1, min(data.n - 1, 8) + 1))
-        whole = _eigenspaces(B, p)
+        inv = _inverses(p)
+        whole = _eigenspaces(B, p, inv)
         assert [_rref_rows(S, p) for S in whole] == [
             _rref_rows(S, p)
-            for S in _split_spaces([np.eye(data.n, dtype=np.int64)], B, p)]
+            for S in _split_spaces([np.eye(data.n, dtype=np.int64)], B, p,
+                                   inv)]
         assert sum(S.shape[0] for S in whole) == data.n
 
 

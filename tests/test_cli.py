@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -168,11 +169,33 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
     (["trace-form", "x^^2"], "cannot parse polynomial near '^^2'"),
     (["trace-form", "2x^2+1"], "factors must be monic of positive degree"),
     (["table1", "--verify-max", "17"], "computed values are capped at n = 16"),
+    # exponents past the degree cap are refused before anything is sized by
+    # them: x^3000000 once took seconds, and the last one overflowed
+    (["trace-form", "x^25"], "polynomial degree must be in 1..24"),
+    (["trace-form", "x^3000000"], "polynomial degree must be in 1..24"),
+    (["trace-form", "x^99999999999999999999"],
+     "polynomial degree must be in 1..24"),
+    # past the cap, the alternating bounds once recursed too deep and the
+    # symmetric value passed the digit limit of int printing
+    (["ed2", "-n", str(edcalc.FORMULA_MAX_N + 1)],
+     f"formulas are capped at n = {edcalc.FORMULA_MAX_N}"),
+    (["ed2", "-n", "1000000", "--which", "sym"],
+     f"formulas are capped at n = {edcalc.FORMULA_MAX_N}"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
+    t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["sym", "alt"])
+def test_ed2_at_its_cap_prints_the_formulas(capsys, which):
+    n = edcalc.FORMULA_MAX_N
+    code, out, _ = run(capsys, "ed2", "-n", str(n), "--which", which)
+    assert code == 0
+    assert json.loads(out)["ed2_formula"] == edcalc.ed2_formula(n, which)
 
 
 @pytest.mark.parametrize("argv", [

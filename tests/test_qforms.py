@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,32 @@ def test_square_class_hash_agrees_with_equality():
     assert len({hash(SquareClass(k)) for k in small}) == len(small)
 
 
+def test_square_product_equals_the_fraction_computation():
+    # the product of the four integer parts against x*y as a Fraction
+    def by_fractions(x, y):
+        v = x * y
+        return v > 0 and numth.is_perfect_square(v.numerator) \
+            and numth.is_perfect_square(v.denominator)
+
+    rng = random.Random(4096)
+    kinds = set()
+    for _ in range(3000):
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+        t = Fraction(rng.randint(1, 30), rng.randint(1, 30)) ** 2
+        # a random y, a square multiple of x, or t / x, whose product with
+        # x is the square t though x = a/b, y = c/d give ac/(bd) unreduced
+        partners = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)), x * t]
+        if x:
+            partners.append(t / x)
+        y = rng.choice(partners) * rng.choice([1, 1, -1])
+        want = by_fractions(x, y)
+        assert qforms._square_product(x, y) == want, (x, y)
+        kinds.add((want, x * y < 0,
+                   math.gcd(x.numerator * y.numerator,
+                            x.denominator * y.denominator) > 1))
+    assert len(kinds) >= 4, kinds
+
+
 def test_signature():
     assert signature(QuadFormQ([1, -1, 2, -7, 5])) == (3, 2)
 
@@ -348,6 +375,25 @@ def test_contains_ones_is_signature_only_when_dim_allows(monkeypatch):
         s = rng.randint(1, q.dim - 3) if q.dim > 3 else 0
         assert contains_ones(q, s) == (signature(q)[0] >= s)
     assert seen == []
+
+
+def test_contains_ones_shortcut_equals_the_probe_form():
+    # for dim q >= s + 3, pos(q) >= s against the Witt index of
+    # q + s<-1>, on definite and indefinite forms
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(4, 24)
+        sign = rng.choice([1, -1, 0])
+        q = QuadFormQ([Fraction(rng.randint(1, 60) * (sign or
+                                                      rng.choice([1, -1])),
+                                rng.randint(1, 8)) for _ in range(dim)])
+        s = rng.randint(1, dim - 3)
+        probe = QuadFormQ(list(q.diag) + [Fraction(-1)] * s, q.witnesses)
+        want = qforms._witt_index(probe, s) >= s
+        assert contains_ones(q, s) == want, (q, s)
+        seen.add((sign, want))
+    assert seen == {(1, True), (-1, False), (0, True), (0, False)}
 
 
 # witt_index of hand-picked forms, frozen from the implementation that
@@ -1041,6 +1087,55 @@ def test_berlekamp_matches_rabin_random():
             coeffs[rng.randrange(d)] = Fraction(rng.randint(-9, 9),
                                                 rng.choice([2, 3, 5, 7]))
         _check_against_rabin(polyq.poly(coeffs + [1]))
+
+
+@pytest.mark.parametrize("p", polyq._CERT_PRIMES + (73,))
+def test_residue_columns_hold_the_powers_slot_by_slot(p, monkeypatch):
+    # read with shifts, not with polyq's unpacking: slot r of column k is
+    # r^k mod p.  From p = 73 on, a slot is 64 bits wide
+    monkeypatch.setattr(polyq, "_RESIDUE_POWERS", {})
+    width, fmt, cols = polyq._residue_powers(p, 13)
+    bits = 64 if p == 73 else 16
+    assert width == 13 == len(cols) and fmt == ("Q" if bits == 64 else "H")
+    for k, col in enumerate(cols):
+        assert col < 1 << bits * p
+        for r in range(p):
+            slot = r if sys.byteorder == "little" else p - 1 - r
+            assert col >> bits * slot & (1 << bits) - 1 == pow(r, k, p), \
+                (p, k, r)
+
+
+def test_packed_berlekamp_rows_match_rabin(monkeypatch):
+    # degrees 6..12 reach the Berlekamp stage when the parity and the root
+    # scan do not decide.  Its packed rows have 16-bit slots at the
+    # certificate primes and 64-bit slots once d (p-1)^2 >= 2^16, as at
+    # p = 101 from degree 7 on and at p = 257
+    reached = []
+    independent = polyq._gf_independent
+
+    def counting(rows, p):
+        reached.append(polyq._slot_format(len(rows[0]) * (p - 1) ** 2))
+        return independent(rows, p)
+
+    monkeypatch.setattr(polyq, "_gf_independent", counting)
+    rng = random.Random(1967)
+    for p in (3, 13, 47, 101, 257):
+        for _ in range(40):
+            d = rng.randint(6, 12)
+            if rng.random() < 0.5:
+                f = polyq.poly([rng.randint(-p, p) for _ in range(d)] + [1])
+            else:
+                # a product of irreducible quadratics and cubics mod p has
+                # no root, so only Berlekamp tells it apart
+                f = polyq.poly([1])
+                while polyq.degree(f) < d - 1:
+                    g = polyq.poly([rng.randrange(p)
+                                    for _ in range(rng.choice([2, 3]))] + [1])
+                    if rabin_irreducible_mod_p(g, p):
+                        f = polyq.mul(f, g)
+            assert is_irreducible_mod_p(f, p) == \
+                rabin_irreducible_mod_p(f, p), (f, p)
+    assert set(reached) == {"H", "Q"}
 
 
 def test_root_scan_matches_rabin_past_16_bit_slots():
