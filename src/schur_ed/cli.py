@@ -48,6 +48,9 @@ EXIT_BROKEN_PIPE = 141
 
 SIZE_BOUND_ENV = "SCHUR_ED_SIZE_BOUND"
 
+# the most trials trace-check runs: up to about 10 ms each at n = 24
+MAX_TRIALS = 10_000
+
 
 class RunConfig(NamedTuple):
     seed: int = 0
@@ -164,6 +167,7 @@ def cmd_ed2(args, config: RunConfig) -> int:
 def cmd_table1(args, config: RunConfig) -> int:
     _require(4 <= args.n_max <= edcalc.TABLE_MAX_N,
              f"table1 supports 4 <= n_max <= {edcalc.TABLE_MAX_N}")
+    _require(args.verify_max >= 0, "--verify-max must be nonnegative")
     _require_computable(args.verify_max)
     try:
         tab = edcalc.table1(args.n_max, verify_max=args.verify_max,
@@ -205,6 +209,7 @@ def cmd_trace_form(args, config: RunConfig) -> int:
 def cmd_trace_check(args, config: RunConfig) -> int:
     _require(4 <= args.n <= 24, "trace-check supports 4 <= n <= 24")
     _require(args.trials >= 0, "--trials must be nonnegative")
+    _require(args.trials <= MAX_TRIALS, f"--trials is capped at {MAX_TRIALS}")
     rng = random.Random(config.seed)
     s = args.n.bit_count()
     passed = disc_ok = 0
@@ -287,7 +292,10 @@ def _table1_parser(sub) -> argparse.ArgumentParser:
 
 def _qform_parser(sub) -> argparse.ArgumentParser:
     qf = sub.add_parser("qform", help="invariants of a diagonal form")
-    qf.add_argument("diag", help="comma-separated rationals, e.g. '1,-1,2/3'")
+    qf.add_argument("diag", help=(
+        "comma-separated rationals, e.g. '1,-1,2/3': at most "
+        f"{qforms.MAX_PARSED_DIM} entries of at most "
+        f"{qforms.MAX_ENTRY_CHARS} characters, no exponents"))
     qf.set_defaults(func=cmd_qform)
     return qf
 
@@ -302,8 +310,9 @@ def _trace_form_parser(sub) -> argparse.ArgumentParser:
 def _trace_check_parser(sub) -> argparse.ArgumentParser:
     tc = sub.add_parser("trace-check",
                         help="random trace forms: subform and disc checks")
-    tc.add_argument("-n", type=int, required=True)
-    tc.add_argument("--trials", type=int, default=100)
+    tc.add_argument("-n", type=int, required=True, help="4 <= n <= 24")
+    tc.add_argument("--trials", type=int, default=100,
+                    help=f"0 <= trials <= {MAX_TRIALS} (default 100)")
     tc.set_defaults(func=cmd_trace_check)
     return tc
 

@@ -49,10 +49,6 @@ def degree(f: Poly) -> int:
     return len(f) - 1
 
 
-def is_monic(f: Poly) -> bool:
-    return bool(f) and f[-1] == 1
-
-
 def mul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -79,17 +75,18 @@ def _integral(f: Sequence) -> Tuple[Tuple[int, ...], int]:
 # resultants and discriminants (subresultant PRS on integers, exact)
 # ---------------------------------------------------------------------------
 
-def _pseudo_rem(a: List[int], b: List[int]) -> List[int]:
-    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z.  When
-    deg a = deg b + 1, the degree gap of every step of a normal PRS, the
-    quotient is lc(b) a_n x + lc(b) a_(n-1) - a_n b_(n-2), read off the top
-    coefficients, and the remainder is one pass over a and b."""
+def _pseudo_rem(a: List[int], b: List[int], q: int) -> List[int]:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a by b over Z, divided
+    by q, which must divide it exactly.  When deg a = deg b + 1, the degree
+    gap of every step of a normal PRS, the quotient is
+    lc(b) a_n x + lc(b) a_(n-1) - a_n b_(n-2), read off the top
+    coefficients, and the divided remainder is one pass over a and b."""
     lb = b[-1]
     if len(a) == len(b) + 1:
         top = a[-1]
         q1, q0 = lb * top, lb * a[-2] - top * b[-2]
         sq = lb * lb
-        r = [sq * x - q0 * y - q1 * z
+        r = [(sq * x - q0 * y - q1 * z) // q
              for x, y, z in zip(a[:len(b) - 1], b, [0] + b)]
     else:
         r = a[:]
@@ -97,6 +94,7 @@ def _pseudo_rem(a: List[int], b: List[int]) -> List[int]:
             top = r.pop()
             r = ([lb * x for x in r[:k]]
                  + [lb * x - top * y for x, y in zip(r[k:], b)])
+        r = [x // q for x in r]
     while r and r[-1] == 0:
         r.pop()
     return r
@@ -122,11 +120,10 @@ def _subresultant(a: List[int], b: List[int]) -> int:
         delta = len(a) - len(b)
         if (len(a) - 1) * (len(b) - 1) % 2:
             s = -s
-        r = _pseudo_rem(a, b)
+        r = _pseudo_rem(a, b, g * h ** delta)
         if not r:
             return 0
-        q = g * h ** delta
-        a, b = b, [x // q for x in r]
+        a, b = b, r
         g = a[-1]
         if delta:
             h = g ** delta // h ** (delta - 1)
@@ -366,24 +363,28 @@ def _unpack(packed: int, fmt: str, count: int) -> memoryview:
 # p -> (width, fmt, cols): slot r of the packed int cols[k] holds r^k mod
 # p, for k < width.  So for coefficients 0 <= c_k < p, slot r of
 # sum c_k cols[k] holds a number congruent to f(r) mod p, at most
-# width * (p-1)^2, which fits its slot.  Filled on first use (about 0.04 ms
-# per prime), wide enough for degree 12 and widened on demand.
+# width * (p-1)^2, which fits its slot.  Filled on first use as wide as
+# asked (a column of p slots at a time), and widened from its last column
+# when a wider use comes.
 _RESIDUE_POWERS: Dict[int, Tuple[int, str, List[int]]] = {}
 
 
 def _residue_powers(p: int, width: int) -> Tuple[int, str, List[int]]:
     table = _RESIDUE_POWERS.get(p)
     if table is None or table[0] < width:
-        width = max(width, 13)
         top = width * (p - 1) ** 2
         if top >= 1 << 64:
             raise ValueError(f"no residue table for p = {p}")
         fmt = _slot_format(top)
-        col = [1] * p
-        cols = []
-        for _ in range(width):
-            cols.append(_pack(col, fmt))
+        if table is not None and table[1] == fmt:
+            cols = table[2]
+            col = _unpack(cols[-1], fmt, p)
+        else:
+            col = [1] * p
+            cols = [_pack(col, fmt)]
+        while len(cols) < width:
             col = [x * r % p for r, x in enumerate(col)]
+            cols.append(_pack(col, fmt))
         table = _RESIDUE_POWERS[p] = (width, fmt, cols)
     return table
 
@@ -468,16 +469,44 @@ def _irreducible_mod_p(f: Sequence[int], p: int, disc: int) -> bool:
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _has_small_root(F: Sequence[int]) -> bool:
+    """Has the integer polynomial F a root in {0, 1, -1, 2, -2}?  With E
+    and O the polynomials of its even and odd coefficients,
+    F(+-1) = E(1) +- O(1) and F(+-2) = E(4) +- 2 O(4)."""
+    if not F[0]:
+        return True
+    even, odd = F[::2], F[1::2]
+    e, o = sum(even), sum(odd)
+    if e == o or e == -o:
+        return True
+    e = o = 0
+    for c in reversed(even):
+        e = 4 * e + c
+    for c in reversed(odd):
+        o = 4 * o + c
+    return e == 2 * o or e == -2 * o
+
+
 def certify_irreducible(f: Sequence) -> bool:
     """True if some small prime certifies irreducibility over Q.  A False
     return means 'not certified', not 'reducible'.  f is a Poly or a list
     of int coefficients (ascending, no trailing zero); it is scaled to
     integers, and its discriminant computed, once for all the primes.
     Every prime goes through the one kernel `_irreducible_mod_p`: the
-    parity sieve, the root scan, then Berlekamp from degree 6 on."""
+    parity sieve, the root scan, then Berlekamp from degree 6 on.
+
+    From degree 3 on, a root in {0, +-1, +-2} is looked for first.  An
+    integer root r makes F = (x - r) G with G integral (Gauss), so F is
+    reducible mod every prime not dividing lc(F), the only primes the
+    kernel accepts, and no prime can certify F: the verdict is False with
+    no discriminant.  Most drawn candidates that fail have such a root.  At
+    degree 2, whose primes need only the Legendre symbol of a closed-form
+    discriminant, the check measured as a loss."""
     d = degree(f)
     if d < 2:
         return d == 1
     F, den = _integral(f)
+    if d >= 3 and _has_small_root(F):
+        return False
     disc = _int_discriminant(F)
     return any(den % p and _irreducible_mod_p(F, p, disc) for p in _CERT_PRIMES)

@@ -11,10 +11,12 @@ difference and the index is 1 or 2 according to whether the set is empty.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from . import polyq
 from .numth import factorize, is_perfect_square, is_prime, legendre, valuation
@@ -119,7 +121,8 @@ class SquareClass:
     __slots__ = ("value", "_rep")
 
     def __init__(self, value):
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         if value == 0:
             raise ValueError("0 is not a square class")
         self.value = value
@@ -236,6 +239,15 @@ def quaternion_class(a, b) -> BrauerClass2:
 # diagonal forms and their invariants
 # ---------------------------------------------------------------------------
 
+# the most entries QuadFormQ.parse reads (the Hasse invariant costs dim^2
+# Hilbert symbols at every place, 0.2-0.7 s at dimension 64), the longest
+# entry (a witness of 100 digits reaches the factoring cap in about 3 s, one
+# of 300 digits in 25 s), and an exponent as Fraction would read it
+MAX_PARSED_DIM = 64
+MAX_ENTRY_CHARS = 100
+_EXPONENT = r"[eE][-+]?\d"
+
+
 class QuadFormQ:
     """Non-degenerate diagonal form <a_1, ..., a_n> over Q.
 
@@ -261,7 +273,21 @@ class QuadFormQ:
 
     @classmethod
     def parse(cls, text: str) -> "QuadFormQ":
-        return cls([Fraction(t.strip()) for t in text.split(",") if t.strip()])
+        """The form of a comma-separated diagonal of at most MAX_PARSED_DIM
+        rationals, each at most MAX_ENTRY_CHARS long and with no exponent,
+        checked before any is read: Fraction reads "1e999999999" as
+        10**999999999, and a long entry is a witness slow to factor."""
+        entries = [t.strip() for t in text.split(",") if t.strip()]
+        if len(entries) > MAX_PARSED_DIM:
+            raise ValueError(f"a diagonal form takes at most {MAX_PARSED_DIM} "
+                             "entries")
+        for t in entries:
+            if len(t) > MAX_ENTRY_CHARS:
+                raise ValueError("a diagonal entry takes at most "
+                                 f"{MAX_ENTRY_CHARS} characters")
+            if re.search(_EXPONENT, t):
+                raise ValueError(f"diagonal entries take no exponent: {t!r}")
+        return cls([Fraction(t) for t in entries])
 
     @property
     def dim(self) -> int:
@@ -465,52 +491,69 @@ def _bareiss_diagonal(m: List[List[int]], den: int) -> List[Fraction]:
     """Symmetric congruence diagonalization of the Gram matrix m / den,
     exact and fraction-free: m is a square list of int rows, consumed.
 
-    Symmetric Bareiss steps (Bareiss, Math. Comp. 22 (1968)): after pivot d
-    the trailing block becomes (m[i][j]*d - m[i][0]*m[j][0]) // prev, an
-    exact division, and an entry m stands for the rational m / (den*prev),
-    prev being the last pivot (1 at the start).  The pivot is the diagonal
-    entry whose rational has the smallest numerator*denominator bit size,
-    to limit coefficient growth; the size is read off a gcd, so no Fraction
-    is built for a candidate.  An all-zero diagonal is mended by adding row
-    and column j to row and column i for the first nonzero m[i][j]: a
+    Symmetric Bareiss steps (Bareiss, Math. Comp. 22 (1968)): after pivot
+    p with value d, each entry of the trailing block becomes
+    (m[i][j]*d - m[i][p]*m[p][j]) // prev, an exact division, and an entry
+    m stands for the rational m / (den*prev), prev being the last pivot (1
+    at the start).  The block is updated in place over `active`, the
+    indices not yet eliminated, in elimination order: the pivot leaves it
+    and the first active index takes the pivot's place, the order a swap of
+    row and column 0 with the pivot's would give.  The pivot is the
+    diagonal entry whose rational has the smallest numerator*denominator
+    bit size, the first in that order on a tie, to limit coefficient
+    growth; the size is read off a gcd, so no Fraction is built for a
+    candidate.  An all-zero diagonal is mended by adding row and column j
+    to row and column i for the first nonzero m[i][j], i before j: a
     unimodular congruence, so the divisions stay exact.  The diagonal
     returned is that of the Schur-complement elimination over Q; each entry
     is a ratio of leading minors, so scaling m and den by one constant
     leaves it unchanged.  Raises on singular input."""
     diag: List[Fraction] = []
     prev = 1
-    while m:
-        size = len(m)
+    active = list(range(len(m)))
+    while len(active) > 1:
         scale = abs(den * prev)
-        best = piv = -1
-        for i in range(size):
+        best = k = -1
+        for pos, i in enumerate(active):
             x = m[i][i]
             if x:
                 # bit sizes of the reduced x / (den*prev)
                 g = gcd(x, scale)
                 cost = (abs(x) // g).bit_length() + (scale // g).bit_length()
-                if piv < 0 or cost < best:
-                    best, piv = cost, i
-        if piv < 0:
+                if k < 0 or cost < best:
+                    best, k = cost, pos
+        if k < 0:
             # all diagonal zero: fold in the first nonzero off-diagonal entry
-            piv, j = next(((i, j) for i in range(size)
-                           for j in range(i + 1, size) if m[i][j]),
-                          (-1, -1))
-            if piv < 0:
+            k, j = next(((a, b) for a in range(len(active))
+                         for b in range(a + 1, len(active))
+                         if m[active[a]][active[b]]), (-1, -1))
+            if k < 0:
                 raise ValueError("degenerate Gram matrix")
-            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
-            for row in m:
-                row[piv] += row[j]
-        if piv:
-            m[0], m[piv] = m[piv], m[0]
-            for row in m:
-                row[0], row[piv] = row[piv], row[0]
-        d = m[0][0]
+            p, q = active[k], active[j]
+            row_p, row_q = m[p], m[q]
+            for c in active:
+                row_p[c] += row_q[c]
+            for r in active:
+                row = m[r]
+                row[p] += row[q]
+        p = active[k]
+        active[k] = active[0]
+        del active[0]
+        pivot_row = m[p]
+        d = pivot_row[p]
         diag.append(Fraction(d, den * prev))
-        col = m[0][1:]
-        m = [[(x * d - a * b) // prev for x, b in zip(row[1:], col)]
-             for row, a in zip(m[1:], col)]
+        for i in active:
+            row = m[i]
+            a = pivot_row[i]
+            for j in active:
+                row[j] = (row[j] * d - a * pivot_row[j]) // prev
         prev = d
+    if active:
+        # the last index is the pivot, with nothing left to update
+        d = m[active[0]][active[0]]
+        if not d:
+            raise ValueError("degenerate Gram matrix")
+        diag.append(Fraction(d, den * prev))
     return diag
 
 
@@ -531,13 +574,15 @@ class EtaleAlgebraQ:
     The product disc(f_i) * res(f_i, f_j)^2
     over all factors and pairs is the discriminant of the defining
     polynomial; its numerator and denominator are multiplied up as integers
-    and kept as `disc` for `etale_discriminant`.  The disc(f_i) are kept as
-    `factor_discs` for `trace_form`."""
+    and kept as `disc` for `etale_discriminant`, the one Fraction built.
+    The disc(f_i) are kept as `factor_discs` for `trace_form`: the int
+    disc(F_i) when den_i = 1, as for every drawn factor, and a Fraction
+    otherwise."""
 
     factors: Tuple[Poly, ...]
     disc: Fraction = field(init=False, compare=False, repr=False)
-    factor_discs: Tuple[Fraction, ...] = field(init=False, compare=False,
-                                               repr=False)
+    factor_discs: Tuple[Union[int, Fraction], ...] = field(
+        init=False, compare=False, repr=False)
     scaled: Tuple[Tuple[Tuple[int, ...], int], ...] = field(
         init=False, compare=False, repr=False)
 
@@ -548,16 +593,20 @@ class EtaleAlgebraQ:
         discs = []
         scaled = []
         for f in self.factors:
-            if polyq.degree(f) < 1 or not polyq.is_monic(f):
+            if len(f) < 2 or f[-1] != 1:
                 raise ValueError("factors must be monic of positive degree")
             F, c = polyq._integral(f)
-            d = Fraction(polyq._int_discriminant(F), c ** (2 * len(F) - 4))
-            if d == 0:
+            d = polyq._int_discriminant(F)
+            if not d:
                 raise ValueError(f"factor {polyq.format_poly(f)} is not squarefree")
+            if c == 1:
+                num *= d
+            else:
+                d = Fraction(d, c ** (2 * len(F) - 4))
+                num *= d.numerator
+                den *= d.denominator
             discs.append(d)
             scaled.append((F, c))
-            num *= d.numerator
-            den *= d.denominator
         for i, (F, c) in enumerate(scaled):
             for G, e in scaled[i + 1:]:
                 # res(f, g) = res(F, G) / (c^deg g * e^deg f)
@@ -576,7 +625,7 @@ class EtaleAlgebraQ:
 
     @property
     def dim(self) -> int:
-        return sum(polyq.degree(f) for f in self.factors)
+        return sum(map(len, self.factors)) - len(self.factors)
 
     def __repr__(self):
         return " * ".join(f"Q[x]/({polyq.format_poly(f)})" for f in self.factors)
@@ -641,7 +690,7 @@ def random_etale_algebra(n: int, rng: random.Random) -> EtaleAlgebraQ:
             if rng.random() < 0.12:
                 part = left
             else:
-                part = min(left, 1 + min(rng.randrange(0, 7), rng.randrange(0, 7)))
+                part = min(left, 1 + min(rng.randrange(7), rng.randrange(7)))
             parts.append(part)
             left -= part
         factors: List[Poly] = []
@@ -662,8 +711,11 @@ def random_etale_algebra(n: int, rng: random.Random) -> EtaleAlgebraQ:
 
 def _random_irreducible(d: int, rng: random.Random) -> Optional[Poly]:
     bound = 20 if d <= 5 else (5 if d <= 8 else 2)
+    # randrange(2*bound + 1) - bound is the draw of randint(-bound, bound),
+    # randrange(a, b + 1), with fewer calls per coefficient
+    width = 2 * bound + 1
     for _ in range(64):
-        coeffs = [rng.randint(-bound, bound) for _ in range(d)] + [1]
+        coeffs = [rng.randrange(width) - bound for _ in range(d)] + [1]
         # certified irreducible implies squarefree: no separate check
         if polyq.certify_irreducible(coeffs):
             return tuple(coeffs)

@@ -6,7 +6,9 @@ values come from the Clifford definition of the canonical lifts (integer
 products of the vectors e_i - e_{i+1}, compared exactly), power sums come
 from companion matrices, the validity of an etale algebra from polynomial gcds
 over Q, resultants and discriminants from Sylvester determinants by Bareiss
-elimination, Gram diagonals from Schur complements in Fractions,
+elimination, Gram diagonals from Schur complements in Fractions and from
+the row-swapping Bareiss elimination the library ran before its in-place
+one,
 irreducibility mod p from Rabin's test, permutation facts from naive mapping
 composition (words too), degree
 multisets from numeric decomposition of the regular representation, Dixon
@@ -593,6 +595,46 @@ def schur_diagonalize_gram(gram: List[List[Fraction]]) -> List[Fraction]:
         diag.append(d)
         m = [[m[i][j] - m[i][0] * m[j][0] / d for j in range(1, size)]
              for i in range(1, size)]
+    return diag
+
+
+def bareiss_diagonal_by_swaps(m: List[List[int]], den: int) -> List[Fraction]:
+    """The reference for `qforms._bareiss_diagonal`: the same symmetric
+    Bareiss steps, pivot rule and zero-diagonal fold, with the pivot swapped
+    into row and column 0 and the trailing block rebuilt as new rows at
+    every step.  m is consumed."""
+    diag: List[Fraction] = []
+    prev = 1
+    while m:
+        size = len(m)
+        scale = abs(den * prev)
+        best = piv = -1
+        for i in range(size):
+            x = m[i][i]
+            if x:
+                g = gcd(x, scale)
+                cost = (abs(x) // g).bit_length() + (scale // g).bit_length()
+                if piv < 0 or cost < best:
+                    best, piv = cost, i
+        if piv < 0:
+            piv, j = next(((i, j) for i in range(size)
+                           for j in range(i + 1, size) if m[i][j]),
+                          (-1, -1))
+            if piv < 0:
+                raise ValueError("degenerate Gram matrix")
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            for row in m:
+                row[0], row[piv] = row[piv], row[0]
+        d = m[0][0]
+        diag.append(Fraction(d, den * prev))
+        col = m[0][1:]
+        m = [[(x * d - a * b) // prev for x, b in zip(row[1:], col)]
+             for row, a in zip(m[1:], col)]
+        prev = d
     return diag
 
 

@@ -159,7 +159,103 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
     assert err == "verification failed at n=6: computed 4, formula 2\n"
 
 
-@pytest.mark.parametrize("argv, message", [
+def _ends_cleanly(capsys, argv, seconds):
+    """Run argv in-process: it must end within `seconds` in exit 0, 2 or
+    3, or in exit 1 with a verification failure, and no exception may
+    escape (that would print a traceback)."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < seconds, argv
+    assert code in (0, 2, 3) or (
+        code == 1 and err.startswith("verification fail")), (argv, err)
+    return code, out, err
+
+
+HUGE = str(10 ** 30)
+
+# every integer argument's advertised range: the argv before the value,
+# its least and greatest value, the usage errors below and above it (and
+# for HUGE when that differs), and whether a run at the greatest value is
+# short enough for tier-1
+INTEGER_ARGUMENTS = [
+    (["cover", "verify", "-n"], 4, 12, "cover verify supports 4 <= n <= 12",
+     None, None, True),
+    (["chartab", "-n"], 4, 16, "covers are only considered for n >= 4",
+     "cover arithmetic is desk-scale: n <= 16", None, False),
+    (["ed2", "-n"], 4, edcalc.FORMULA_MAX_N, "formulas assume n >= 4",
+     f"formulas are capped at n = {edcalc.FORMULA_MAX_N}", None, True),
+    (["ed2", "--computed", "-n"], 4, edcalc.COMPUTED_MAX_N,
+     "formulas assume n >= 4",
+     f"computed values are capped at n = {edcalc.COMPUTED_MAX_N}",
+     f"formulas are capped at n = {edcalc.FORMULA_MAX_N}", True),
+    (["table1", "--n-max"], 4, edcalc.TABLE_MAX_N,
+     f"table1 supports 4 <= n_max <= {edcalc.TABLE_MAX_N}", None, None, True),
+    (["table1", "--verify-max"], 0, edcalc.COMPUTED_MAX_N,
+     "--verify-max must be nonnegative",
+     f"computed values are capped at n = {edcalc.COMPUTED_MAX_N}", None,
+     True),
+    (["trace-check", "--trials", "2", "-n"], 4, 24,
+     "trace-check supports 4 <= n <= 24", None, None, True),
+    (["trace-check", "-n", "4", "--trials"], 0, cli.MAX_TRIALS,
+     "--trials must be nonnegative", f"--trials is capped at {cli.MAX_TRIALS}",
+     None, False),
+    (["cover", "verify", "-n", "4", "--size-bound"], 1, 2 ** 31,
+     "the size bound must be positive", "the size bound must be at most 2^31",
+     None, True),
+]
+
+
+def _past_the_edges():
+    """min - 1, max + 1 and HUGE of every integer argument, with the usage
+    error each must get; then the bounds inside the string arguments."""
+    cases = []
+    for before, lo, hi, below, above, huge, _ in INTEGER_ARGUMENTS:
+        cases += [(before + [str(lo - 1)], below),
+                  (before + [str(hi + 1)], above or below),
+                  (before + [HUGE], huge or above or below)]
+    many = f"a diagonal form takes at most {qforms.MAX_PARSED_DIM} entries"
+    return cases + [
+        (["trace-form", "1"], "polynomial degree must be in 1..24"),
+        (["qform", ",".join(["1"] * (qforms.MAX_PARSED_DIM + 1))], many),
+        (["qform", ",".join(["1"] * 10 ** 5)], many),
+        (["qform", "1" * (qforms.MAX_ENTRY_CHARS + 1)],
+         f"a diagonal entry takes at most {qforms.MAX_ENTRY_CHARS} "
+         "characters"),
+        # Fraction alone builds 10**5000, which the output cannot print,
+        # and reads 1e999999999 for as long as 10**999999999 takes
+        (["qform", "2,1e5000"], "diagonal entries take no exponent: '1e5000'"),
+    ]
+
+
+def _at_the_edges():
+    """min and max of every integer argument (max only where it is short),
+    a huge and a negative seed, and the edges of the string arguments."""
+    cases = []
+    for before, lo, hi, _, _, _, short in INTEGER_ARGUMENTS:
+        cases += [before + [str(lo)]] + ([before + [str(hi)]] if short else [])
+    return cases + [
+        ["--seed", HUGE, "trace-check", "-n", "4", "--trials", "2"],
+        ["--seed", "-" + HUGE, "chartab", "-n", "4"],
+        ["trace-form", "x"], ["trace-form", "x^24 - 2"],
+        ["qform", ""], ["qform", ",".join(["-1", "2"] * 32)],
+        ["qform", "1" + "0" * (qforms.MAX_ENTRY_CHARS - 1)],
+    ]
+
+
+def _malformed_strings():
+    """Seeded strings over the characters of polynomials and diagonals."""
+    rng = random.Random(33)
+    cases = []
+    for command, alphabet in (("trace-form", "x^0123456789+-*/ ."),
+                              ("qform", "0123456789/-,. e_")):
+        for _ in range(40):
+            text = "".join(rng.choice(alphabet)
+                           for _ in range(rng.randint(1, 12)))
+            cases.append([command, "--", text])
+    return cases
+
+
+USAGE_ERRORS = [
     (["chartab", "-n", "3"], "covers are only considered for n >= 4"),
     (["chartab", "-n", "17"], "cover arithmetic is desk-scale: n <= 16"),
     (["ed2", "-n", "3"], "formulas assume n >= 4"),
@@ -181,13 +277,20 @@ def test_table1_mismatch_is_a_verification_failure(capsys, monkeypatch):
      f"formulas are capped at n = {edcalc.FORMULA_MAX_N}"),
     (["ed2", "-n", "1000000", "--which", "sym"],
      f"formulas are capped at n = {edcalc.FORMULA_MAX_N}"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS + [
+    case for case in _past_the_edges() if case not in USAGE_ERRORS])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - t0 < 1.0
+    code, out, err = _ends_cleanly(capsys, argv, 1.0)
     assert code == 2 and out == ""
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", _at_the_edges() + _malformed_strings())
+def test_edge_and_malformed_input_ends_cleanly(capsys, argv):
+    _ends_cleanly(capsys, argv, 10.0)
 
 
 @pytest.mark.parametrize("which", ["sym", "alt"])

@@ -37,6 +37,7 @@ from schur_ed.qforms import (
 )
 
 from oracles import (
+    bareiss_diagonal_by_swaps,
     companion_power_traces,
     defining_polynomial,
     diagonalize_gram,
@@ -569,6 +570,67 @@ def test_diagonalize_gram_matches_schur_oracle():
     assert raised["singular"] == 10
 
 
+def _hankel_cases():
+    """(matrix, den) pairs as `trace_form` builds them: the power-sum Hankel
+    matrices of seeded monic polynomials of degree 2..12, of int
+    coefficients (den = 1) and of rational ones (scaled by den)."""
+    rng = random.Random(1968)
+    cases = []
+    for d in range(2, 13):
+        for _ in range(12):
+            F = [rng.randint(-5, 5) for _ in range(d)] + [1]
+            sums = polyq._power_sums(F, d, 2 * d - 1)
+            cases.append(([sums[i:i + d] for i in range(d)], 1))
+            den = rng.choice([2, 3, 6])
+            g = [c * den ** (d - 1 - i) for i, c in enumerate(F[:-1])] + [1]
+            sums = [x * den ** (2 * d - 2 - k) for k, x in
+                    enumerate(polyq._power_sums(g, d, 2 * d - 1))]
+            cases.append(([sums[i:i + d] for i in range(d)],
+                          den ** (2 * d - 2)))
+    return cases
+
+
+def _tied_cases():
+    """Integer matrices whose pivot costs tie, at the first step or after
+    the pivot left the middle of the elimination order."""
+    rng = random.Random(1969)
+    cases = [[[5, 0, 0, 0], [0, 7, 0, 0], [0, 0, 1, 0], [0, 0, 0, 6]]]
+    for n in range(2, 9):
+        for _ in range(10):
+            # 2, 3, -2 and -3 all cost 2 + 1 bits against den = 1
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = rng.choice([2, 3, -2, -3])
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = rng.choice([0, 0, 1, -1])
+            cases.append(m)
+    return cases
+
+
+def test_bareiss_matches_the_swapping_elimination():
+    hankel, tied = _hankel_cases(), _tied_cases()
+    zero = [[[0, 1], [1, 0]], [[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+            [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]
+    cases = hankel + [(m, 1) for m in tied + zero] + [(m, 5) for m in tied]
+    singular = 0
+    for m, den in cases:
+        try:
+            want = bareiss_diagonal_by_swaps([row[:] for row in m], den)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                qforms._bareiss_diagonal([row[:] for row in m], den)
+            singular += 1
+            continue
+        got = qforms._bareiss_diagonal([row[:] for row in m], den)
+        assert got == want, (m, den)
+    # the seeded polynomials include squareful ones, and the last zero
+    # diagonal case is singular
+    assert 0 < singular < len(hankel) // 10
+    # after the pivot 1 leaves slot 2, index 0 takes its place, behind
+    # index 1: 7 comes before 5 and 6, which then tie again
+    assert qforms._bareiss_diagonal(tied[0], 1) == [1, 7, 5, 6]
+
+
 # ---------------------------------------------------------------------------
 # trace forms
 # ---------------------------------------------------------------------------
@@ -879,6 +941,11 @@ def test_etale_validity_matches_gcd_oracle():
     }
     for factors, message in named.items():
         assert _validity(factors) == message
+        # a factor of int coefficients, as a drawn one is, is validated in
+        # ints; the messages are the same
+        if all(c.denominator == 1 for f in factors for c in f):
+            ints = tuple(tuple(int(c) for c in f) for f in factors)
+            assert _validity(ints) == message, ints
     # seeded draws: small random monic factors, products of them (repeated
     # roots) and repeats of a factor (common factors)
     rng = random.Random(31)
@@ -1059,6 +1126,22 @@ def _check_against_rabin(f):
     assert polyq.certify_irreducible(f) == any(rabin), f
 
 
+def test_root_first_exit_keeps_every_verdict():
+    # every monic polynomial of degree 2..5 with coefficients in -3..3: the
+    # verdict with the exit on a root in {0, +-1, +-2} is that of the plain
+    # loop over the primes
+    exits = 0
+    for d in range(2, 6):
+        for coeffs in itertools.product(range(-3, 4), repeat=d):
+            F = coeffs + (1,)
+            disc = polyq._int_discriminant(F)
+            plain = any(polyq._irreducible_mod_p(F, p, disc)
+                        for p in polyq._CERT_PRIMES)
+            assert polyq.certify_irreducible(F) == plain, F
+            exits += d >= 3 and polyq._has_small_root(F)
+    assert exits > 5000
+
+
 def test_berlekamp_matches_rabin_small_exhaustive():
     for d in (2, 3, 4):
         for coeffs in itertools.product(range(-3, 4), repeat=d):
@@ -1092,8 +1175,11 @@ def test_berlekamp_matches_rabin_random():
 @pytest.mark.parametrize("p", polyq._CERT_PRIMES + (73,))
 def test_residue_columns_hold_the_powers_slot_by_slot(p, monkeypatch):
     # read with shifts, not with polyq's unpacking: slot r of column k is
-    # r^k mod p.  From p = 73 on, a slot is 64 bits wide
+    # r^k mod p.  From p = 73 on, a slot of a 13-column table is 64 bits
+    # wide.  The table is built 4 columns wide first and then widened: from
+    # its last column, or afresh at p = 73, whose 4 columns fit 16 bits
     monkeypatch.setattr(polyq, "_RESIDUE_POWERS", {})
+    assert polyq._residue_powers(p, 4)[:2] == (4, "H")
     width, fmt, cols = polyq._residue_powers(p, 13)
     bits = 64 if p == 73 else 16
     assert width == 13 == len(cols) and fmt == ("Q" if bits == 64 else "H")
