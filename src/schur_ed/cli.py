@@ -302,7 +302,10 @@ def _qform_parser(sub) -> argparse.ArgumentParser:
 
 def _trace_form_parser(sub) -> argparse.ArgumentParser:
     tf = sub.add_parser("trace-form", help="trace form of an etale algebra")
-    tf.add_argument("poly", help="monic squarefree polynomial, e.g. 'x^3 - 2'")
+    tf.add_argument("poly", help=(
+        "monic squarefree polynomial, e.g. 'x^3 - 2' or '1,0,0,-2': degree "
+        f"at most {polyq.MAX_DEGREE}, coefficients of at most "
+        f"{polyq.MAX_COEFF_CHARS} characters, no exponents"))
     tf.set_defaults(func=cmd_trace_form)
     return tf
 

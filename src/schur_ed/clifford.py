@@ -23,6 +23,57 @@ from .radicals import SMatrix, SqrtNum
 # the tensor-construction gamma matrices
 # ---------------------------------------------------------------------------
 
+# the one zero every builder fills its matrices with: a scan skips it by
+# identity before it asks an entry for its truth value, so any other zero
+# is still tested
+_ZERO = SqrtNum()
+
+# a gamma matrix as its row map (flip, entries): row r holds entries[r] in
+# column r ^ flip and zero elsewhere
+RowMap = Tuple[int, List[SqrtNum]]
+
+
+def _gamma_row_maps(n: int, sign: int) -> List[RowMap]:
+    """The row maps of basic_spin_matrices(n, sign)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    m = n - 1
+    pairs = m // 2
+    dim = 1 << pairs
+    one = SqrtNum.rational(1)
+    ii = SqrtNum.imag_unit()
+    unit = one if sign == 1 else ii
+
+    def gamma(flip: int, z_mask: int, c: SqrtNum) -> RowMap:
+        c = unit * c
+        signed = (c, -c)
+        return flip, [signed[(r & z_mask).bit_count() & 1]
+                      for r in range(dim)]
+
+    gammas: List[RowMap] = []
+    for j in range(pairs):
+        bit = dim >> (j + 1)
+        z_slots = dim - 2 * bit
+        gammas.append(gamma(bit, z_slots, one))
+        # Y = -i Z X: the X entry times -i, negated where r has the slot-j bit
+        gammas.append(gamma(bit, z_slots | bit, -ii))
+    if m % 2 == 1:
+        # odd rank: gamma_m = Z tensor ... tensor Z anticommutes with the
+        # rest and squares to +1
+        gammas.append(gamma(0, dim - 1, one))
+    return gammas
+
+
+def _dense(row_map: RowMap) -> SMatrix:
+    flip, entries = row_map
+    out = [[_ZERO] * len(entries) for _ in entries]
+    for r, (row, v) in enumerate(zip(out, entries)):
+        row[r ^ flip] = v
+    return out
+
+
 def basic_spin_matrices(n: int, sign: int = 1) -> List[SMatrix]:
     """Images of the n-1 Clifford generators under the standard tensor
     construction: pairwise anticommuting matrices of size 2^floor((n-1)/2)
@@ -39,37 +90,7 @@ def basic_spin_matrices(n: int, sign: int = 1) -> List[SMatrix]:
     For odd rank the last generator is realized as a scalar multiple of the
     product of the others, which is the unique way to stay in this dimension.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    m = n - 1
-    pairs = m // 2
-    dim = 1 << pairs
-    zero = SqrtNum()
-    one = SqrtNum.rational(1)
-    ii = SqrtNum.imag_unit()
-    unit = one if sign == 1 else ii
-
-    def gamma(flip: int, z_mask: int, c: SqrtNum) -> SMatrix:
-        c = unit * c
-        out = [[zero] * dim for _ in range(dim)]
-        for r in range(dim):
-            out[r][r ^ flip] = -c if (r & z_mask).bit_count() & 1 else c
-        return out
-
-    gammas: List[SMatrix] = []
-    for j in range(pairs):
-        bit = dim >> (j + 1)
-        z_slots = dim - 2 * bit
-        gammas.append(gamma(bit, z_slots, one))
-        # Y = -i Z X: the X entry times -i, negated where r has the slot-j bit
-        gammas.append(gamma(bit, z_slots | bit, -ii))
-    if m % 2 == 1:
-        # odd rank: gamma_m = Z tensor ... tensor Z anticommutes with the
-        # rest and squares to +1
-        gammas.append(gamma(0, dim - 1, one))
-    return gammas
+    return [_dense(g) for g in _gamma_row_maps(n, sign)]
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +110,20 @@ def spin_representation(n: int, variant: str) -> List[SMatrix]:
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
-    sign = 1 if variant == "plus" else -1
-    gammas = basic_spin_matrices(n, sign)
-    dim = len(gammas[0])
-    zero = SqrtNum()
-    gens = []
-    for k in range(1, n):
-        if k == 1:
-            gens.append(gammas[0])
-            continue
+    gammas = _gamma_row_maps(n, 1 if variant == "plus" else -1)
+    dim = len(gammas[0][1])
+    gens = [_dense(gammas[0])]
+    for k in range(2, n):
         # a_k = -sqrt((k-1)/2k) = -sqrt(2k(k-1))/(2k), b_k = sqrt((k+1)/2k)
         a_k = SqrtNum.root(2 * k * (k - 1), Fraction(-1, 2 * k))
         b_k = SqrtNum.root(2 * k * (k + 1), Fraction(1, 2 * k))
-        # the gammas are monomial: scale only their nonzero entries
-        t = [[zero] * dim for _ in range(dim)]
-        for c, g in ((a_k, gammas[k - 2]), (b_k, gammas[k - 1])):
-            for row, g_row in zip(t, g):
-                for col, v in enumerate(g_row):
-                    if v:
-                        row[col] = row[col] + c * v
+        # each row of T_k has its nonzeros where the two gammas have theirs
+        t = [[_ZERO] * dim for _ in range(dim)]
+        for c, (flip, entries) in ((a_k, gammas[k - 2]), (b_k, gammas[k - 1])):
+            scaled = {v: c * v for v in set(entries)}
+            for r, (row, v) in enumerate(zip(t, entries)):
+                col = r ^ flip
+                row[col] = row[col] + scaled[v]
         gens.append(t)
     return gens
 
@@ -215,7 +231,8 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
 
     maps: List[Tuple[List[int], List[int]]] = []
     for j, g in enumerate(gammas, 1):
-        support = [[c for c, v in enumerate(row) if v] for row in g]
+        support = [[c for c, v in enumerate(row) if v is not _ZERO and v]
+                   for row in g]
         if len(g) != dim or any(len(row) != dim or len(cs) != 1
                                 for row, cs in zip(g, support)):
             raise VerificationError(
@@ -251,14 +268,13 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     for j, (cols, ids) in enumerate(maps):
         for b, (a, i) in enumerate(zip(cols, ids)):
             meets.setdefault((a, b), []).append((j, i))
-    zero = SqrtNum()
     scales: Dict[int, SqrtNum] = {}
     elems: List[Dict[int, SqrtNum]] = []
     for k, t in enumerate(gens, 1):
         if len(t) != dim or any(len(row) != dim for row in t):
             raise VerificationError(f"T_{k} is not {dim} x {dim}")
-        support = [[(c, intern(v)) for c, v in enumerate(row) if v]
-                   for row in t]
+        support = [[(c, intern(v)) for c, v in enumerate(row)
+                    if v is not _ZERO and v] for row in t]
         counts: Dict[Tuple[int, int, int], int] = {}
         for a, row in enumerate(support):
             for b, e in row:
@@ -286,7 +302,7 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
             for col, cell in sorted(terms.items()):
                 key = tuple(cell)
                 if key not in cells:
-                    v = zero
+                    v = _ZERO
                     for j, i in cell:
                         v = v + coeffs[j] * values[i]
                     cells[key] = intern(v) if v else None
@@ -301,7 +317,7 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     one, minus_one = SqrtNum.rational(1), SqrtNum.rational(-1)
     squares = []
     for u in elems:
-        s = zero
+        s = _ZERO
         for c in u.values():
             s = s + c * c
         squares.append(s if plus else -s)
@@ -309,7 +325,7 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     def word_is(k: int, l: int, power: int, want: SqrtNum) -> bool:
         """(t_k t_l)^power == want."""
         w = _blade_mul(elems[k - 1], elems[l - 1], sign)
-        b = w.pop(0, zero)
+        b = w.pop(0, _ZERO)
         d = b * b - squares[k - 1] * squares[l - 1]
         alpha, beta = b, one
         for _ in range(power - 1):

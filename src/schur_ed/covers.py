@@ -353,7 +353,11 @@ def _schreier_tree(cols: np.ndarray, root: int
     maps x to x * generator g), a whole level at a time: per index its
     parent and the generator of the edge into it (-1 where there is none),
     and the levels, each in increasing order.  An index never reached has
-    parent -1 and is in no level."""
+    parent -1 and is in no level.
+
+    Each column is a permutation, so one generator's targets from one
+    level are distinct: the generators claim the unseen ones in turn, and
+    the first edge in generator-major order wins."""
     size = cols.shape[1]
     parent = np.full(size, -1, dtype=np.int64)
     pgen = np.full(size, -1, dtype=np.int64)
@@ -363,13 +367,16 @@ def _schreier_tree(cols: np.ndarray, root: int
     levels = []
     while len(level):
         levels.append(level)
-        step = cols[:, level].ravel()  # generator-major
-        fresh = np.flatnonzero(~seen[step])
-        level, first = np.unique(step[fresh], return_index=True)
-        edge = fresh[first]
-        seen[level] = True
-        parent[level] = levels[-1][edge % len(levels[-1])]
-        pgen[level] = edge // len(levels[-1])
+        claimed = []
+        for g, col in enumerate(cols):
+            step = col[level]
+            fresh = np.flatnonzero(~seen[step])
+            target = step[fresh]
+            seen[target] = True
+            parent[target] = level[fresh]
+            pgen[target] = g
+            claimed.append(target)
+        level = np.sort(np.concatenate(claimed)) if claimed else level[:0]
     return parent, pgen, levels
 
 
@@ -405,7 +412,12 @@ def _close(gens: Sequence[Perm], n: int, size_bound: int
         # element-major: row x * len(gens) + g is element x times g
         step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
         products.append(_perm_keys(step))
-        fresh, first = np.unique(products[-1], return_index=True)
+        # equal keys are equal rows, so any occurrence is the frontier row
+        first = np.argsort(products[-1])
+        fresh = products[-1][first]
+        distinct = np.ones(len(fresh), dtype=bool)
+        distinct[1:] = fresh[1:] != fresh[:-1]
+        fresh, first = fresh[distinct], first[distinct]
         at = np.searchsorted(found, fresh)
         new = found[np.minimum(at, len(found) - 1)] != fresh
         found = np.insert(found, at[new], fresh[new])

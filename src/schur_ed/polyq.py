@@ -37,6 +37,11 @@ Poly = Tuple[Union[int, Fraction], ...]
 # the largest degree parsed, and the largest trace form built
 MAX_DEGREE = 24
 
+# the longest coefficient parsed (a 300-digit constant term kept trace-form
+# factoring for more than 8 s), and an exponent as Fraction would read it
+MAX_COEFF_CHARS = 100
+EXPONENT = r"[eE][-+]?\d"
+
 
 def poly(coeffs: Sequence) -> Poly:
     out = [Fraction(c) for c in coeffs]
@@ -257,13 +262,26 @@ _TERM_RE = re.compile(
 )
 
 
+def _check_coefficient(text: str) -> None:
+    """Refuses a coefficient longer than MAX_COEFF_CHARS or with an
+    exponent before Fraction reads it: Fraction reads "1e999999999" as
+    10**999999999."""
+    if len(text) > MAX_COEFF_CHARS:
+        raise ValueError(
+            f"a coefficient takes at most {MAX_COEFF_CHARS} characters")
+    if re.search(EXPONENT, text):
+        raise ValueError(f"coefficients take no exponent: {text!r}")
+
+
 def parse_poly(text: str) -> Poly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial")
     if "x" not in text and "X" not in text and "," in text:
-        coeffs = [Fraction(t.strip()) for t in text.split(",")]
-        return poly(list(reversed(coeffs)))
+        coeffs = [t.strip() for t in text.split(",")]
+        for t in coeffs:
+            _check_coefficient(t)
+        return poly([Fraction(t) for t in reversed(coeffs)])
     pos = 0
     terms: List[Tuple[int, Fraction]] = []
     while pos < len(text):
@@ -273,6 +291,9 @@ def parse_poly(text: str) -> Poly:
         sign_s, coeff_s, var, exp_s, div_s = m.groups()
         if coeff_s is None and var is None:
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+        for t in (coeff_s, div_s):
+            if t:
+                _check_coefficient(t)
         coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
         if sign_s == "-":
             coeff = -coeff

@@ -240,12 +240,11 @@ def quaternion_class(a, b) -> BrauerClass2:
 # ---------------------------------------------------------------------------
 
 # the most entries QuadFormQ.parse reads (the Hasse invariant costs dim^2
-# Hilbert symbols at every place, 0.2-0.7 s at dimension 64), the longest
-# entry (a witness of 100 digits reaches the factoring cap in about 3 s, one
-# of 300 digits in 25 s), and an exponent as Fraction would read it
+# Hilbert symbols at every place, 0.2-0.7 s at dimension 64), and the
+# longest entry, the cap on a polynomial coefficient too (a witness of 100
+# digits reaches the factoring cap in about 3 s, one of 300 digits in 25 s)
 MAX_PARSED_DIM = 64
-MAX_ENTRY_CHARS = 100
-_EXPONENT = r"[eE][-+]?\d"
+MAX_ENTRY_CHARS = polyq.MAX_COEFF_CHARS
 
 
 class QuadFormQ:
@@ -285,7 +284,7 @@ class QuadFormQ:
             if len(t) > MAX_ENTRY_CHARS:
                 raise ValueError("a diagonal entry takes at most "
                                  f"{MAX_ENTRY_CHARS} characters")
-            if re.search(_EXPONENT, t):
+            if re.search(polyq.EXPONENT, t):
                 raise ValueError(f"diagonal entries take no exponent: {t!r}")
         return cls([Fraction(t) for t in entries])
 

@@ -57,6 +57,7 @@ def _normal(num: Dict[int, Tuple[int, int]], den: int) -> "SqrtNum":
     x = _new(SqrtNum)
     x._num = num
     x._den = den
+    x._hash = None
     return x
 
 
@@ -66,10 +67,10 @@ class SqrtNum:
     `SqrtNum({d: (re, im)})` takes rational pairs (int or Fraction) and
     stores them in the normal form of the module docstring: integer
     numerators over the least common denominator.  `parts` rebuilds the
-    Fraction pairs.
+    Fraction pairs.  The hash is computed on first use and kept.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, parts: Dict[int, Tuple[Fraction, Fraction]] | None = None):
         pairs = {}
@@ -85,6 +86,7 @@ class SqrtNum:
                          im.numerator * (den // im.denominator))
                      for d, (re, im) in pairs.items()}
         self._den = den
+        self._hash = None
 
     @property
     def parts(self) -> Dict[int, Tuple[Fraction, Fraction]]:
@@ -137,6 +139,7 @@ class SqrtNum:
         x = _new(SqrtNum)
         x._num = {d: (-re, -im) for d, (re, im) in self._num.items()}
         x._den = self._den
+        x._hash = None
         return x
 
     def __sub__(self, other: "SqrtNum") -> "SqrtNum":
@@ -160,6 +163,7 @@ class SqrtNum:
             x = _new(SqrtNum)
             x._num = {(d1 // g) * (d2 // g): (re, im)}
             x._den = den
+            x._hash = None
             return x
         out: Dict[int, Tuple[int, int]] = {}
         for d1, (r1, i1) in a.items():
@@ -182,7 +186,10 @@ class SqrtNum:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._num.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._den, frozenset(self._num.items())))
+        return h
 
     def __bool__(self) -> bool:
         return bool(self._num)

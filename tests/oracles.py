@@ -17,7 +17,8 @@ from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
 the generator matrices, all three in a field of Fraction pairs, cover groups and tables
 from a breadth-first closure under cover multiplication (for tables with
-every product stored), class matrices from one product per element and
+every product stored), closures and Schreier trees also from the first
+np.unique-based level kernels, class matrices from one product per element and
 class representative, table products, inverses and orders by folding the
 right factor's Schreier word one letter at a time, isomorphism of small
 groups by generator-image backtracking, dense SqrtNum matrix algebra
@@ -995,6 +996,62 @@ def bfs_closure(gens, mul, identity) -> set:
                     new.append(y)
         frontier = new
     return seen
+
+
+def unique_schreier_tree(cols: np.ndarray, root: int
+                         ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """covers._schreier_tree as it was first written: each level's steps in
+    generator-major order, the first edge into each new index picked by
+    np.unique(return_index=True), a stable mergesort of the whole step."""
+    size = cols.shape[1]
+    parent = np.full(size, -1, dtype=np.int64)
+    pgen = np.full(size, -1, dtype=np.int64)
+    seen = np.zeros(size, dtype=bool)
+    seen[root] = True
+    level = np.array([root], dtype=np.int64)
+    levels = []
+    while len(level):
+        levels.append(level)
+        step = cols[:, level].ravel()
+        fresh = np.flatnonzero(~seen[step])
+        level, first = np.unique(step[fresh], return_index=True)
+        edge = fresh[first]
+        seen[level] = True
+        parent[level] = levels[-1][edge % len(levels[-1])]
+        pgen[level] = edge // len(levels[-1])
+    return parent, pgen, levels
+
+
+def unique_close(gens, n: int, size_bound: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """covers._close as it was first written: each level's products
+    deduplicated by np.unique(return_index=True), the first occurrence of
+    each new key kept as its frontier row."""
+    def keys_of(rows):
+        digits = np.int64(n) ** np.arange(n - 1)[::-1]
+        return (rows[:, :n - 1] - 1) @ digits
+
+    moves = np.array(gens, dtype=np.int64).reshape(len(gens), n) - 1
+    frontier = np.arange(1, n + 1, dtype=np.int64).reshape(1, n)
+    found = keys_of(frontier)
+    levels, level_keys, products = [], [found], []
+    while len(frontier):
+        levels.append(frontier)
+        step = frontier[:, moves].reshape(len(frontier) * len(gens), n)
+        products.append(keys_of(step))
+        fresh, first = np.unique(products[-1], return_index=True)
+        at = np.searchsorted(found, fresh)
+        new = found[np.minimum(at, len(found) - 1)] != fresh
+        found = np.insert(found, at[new], fresh[new])
+        if len(found) > size_bound:
+            raise SizeBoundExceeded(f"closure exceeded {size_bound} elements")
+        frontier = step[first[new]]
+        level_keys.append(fresh[new])
+    order = np.argsort(np.concatenate(level_keys))
+    rows = np.concatenate(levels)[order]
+    cols = np.searchsorted(found, np.concatenate(products).reshape(
+        len(rows), len(gens))[order].T)
+    return rows, found, cols
 
 
 class BfsTable:

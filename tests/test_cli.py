@@ -237,6 +237,8 @@ def _at_the_edges():
         ["--seed", HUGE, "trace-check", "-n", "4", "--trials", "2"],
         ["--seed", "-" + HUGE, "chartab", "-n", "4"],
         ["trace-form", "x"], ["trace-form", "x^24 - 2"],
+        ["trace-form", "x^2 - 1" + "0" * (polyq.MAX_COEFF_CHARS - 1)],
+        ["trace-form", "1,0,-1" + "0" * (polyq.MAX_COEFF_CHARS - 2)],
         ["qform", ""], ["qform", ",".join(["-1", "2"] * 32)],
         ["qform", "1" + "0" * (qforms.MAX_ENTRY_CHARS - 1)],
     ]
@@ -280,8 +282,25 @@ USAGE_ERRORS = [
 ]
 
 
+# coefficients past the cap are refused before Fraction reads them: a
+# 300-digit constant term once kept the factoring going for seconds, and
+# Fraction reads 1e999999999 for as long as 10**999999999 takes
+COEFFICIENT_ERRORS = [
+    (["trace-form", "x^2 - " + "7" * 300],
+     f"a coefficient takes at most {polyq.MAX_COEFF_CHARS} characters"),
+    (["trace-form", "1,0,-" + "7" * 300],
+     f"a coefficient takes at most {polyq.MAX_COEFF_CHARS} characters"),
+    (["trace-form", "x/" + "3" * 101 + " + 1"],
+     f"a coefficient takes at most {polyq.MAX_COEFF_CHARS} characters"),
+    (["trace-form", "1,0,-1e999999999"],
+     "coefficients take no exponent: '-1e999999999'"),
+]
+
+
+# new cases go at the end of the list: the ids are numbered by position
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS + [
-    case for case in _past_the_edges() if case not in USAGE_ERRORS])
+    case for case in _past_the_edges() if case not in USAGE_ERRORS]
+    + COEFFICIENT_ERRORS)
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = _ends_cleanly(capsys, argv, 1.0)
     assert code == 2 and out == ""

@@ -120,7 +120,7 @@ def test_gamma_relations(sign):
 def test_gammas_match_pauli_tensor_oracle(sign):
     one, i = SqrtNum.rational(1), SqrtNum.imag_unit()
     units = {SqrtNum(), one, -one, i, -i}
-    for n in range(2, 12):
+    for n in range(2, 13):
         gs = basic_spin_matrices(n, sign)
         assert ([matrix_parts(g) for g in gs]
                 == [matrix_parts(g) for g in kronecker_gamma_matrices(n, sign)])
@@ -129,7 +129,7 @@ def test_gammas_match_pauli_tensor_oracle(sign):
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
 def test_spin_generators_equal_the_dense_build(variant):
-    for n in range(4, 11):
+    for n in range(2, 13):
         assert ([matrix_parts(g) for g in spin_representation(n, variant)]
                 == [matrix_parts(g) for g in dense_spin_generators(n, variant)]), n
 
@@ -287,6 +287,76 @@ def test_broken_gamma_raises(monkeypatch, second_gamma, premise):
         verify_spin_representation(6, "minus")
 
 
+def _fresh_zeros(mats):
+    # every zero entry a new SqrtNum(), none of them the builders' own
+    return [[[v if v else SqrtNum() for v in row] for row in m] for m in mats]
+
+
+@pytest.mark.parametrize("patched", ["basic_spin_matrices",
+                                     "spin_representation"])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_fresh_zero_entries_give_the_same_flags(monkeypatch, patched,
+                                                variant):
+    # the scans skip the builders' zero by identity; any other zero must
+    # still be read as zero
+    want = {n: verify_spin_representation(n, variant) for n in (4, 7, 10)}
+    real = getattr(clifford, patched)
+
+    def fresh(n, *args):
+        mats = _fresh_zeros(real(n, *args))
+        assert not any(v is clifford._ZERO for m in mats for row in m
+                       for v in row)
+        return mats
+
+    monkeypatch.setattr(clifford, patched, fresh)
+    for n, flags in want.items():
+        assert verify_spin_representation(n, variant) == flags
+
+
+@pytest.mark.parametrize("value", [lambda: SqrtNum.rational(1),
+                                   lambda: SqrtNum.root(3, Fraction(1, 2))])
+@pytest.mark.parametrize("fresh", [False, True])
+def test_an_entry_off_the_monomial_support_raises(monkeypatch, value, fresh):
+    # a nonzero where the builders put their zero, among shared or fresh
+    # zeros, breaks the premise it breaks in the dense matrices
+    real_gammas, real_gens = (clifford.basic_spin_matrices,
+                              clifford.spin_representation)
+
+    def off_support(mats, k):
+        mats = _fresh_zeros(mats) if fresh else mats
+        row = mats[k][1]
+        row[next(c for c, v in enumerate(row) if not v)] = value()
+        return mats
+
+    monkeypatch.setattr(clifford, "basic_spin_matrices",
+                        lambda n, sign=1: off_support(real_gammas(n, sign), 1))
+    with pytest.raises(VerificationError,
+                       match="gamma_2 is not a 4 x 4 signed monomial"):
+        verify_spin_representation(6, "minus")
+    monkeypatch.setattr(clifford, "basic_spin_matrices", real_gammas)
+    monkeypatch.setattr(clifford, "spin_representation",
+                        lambda n, v: off_support(real_gens(n, v), 2))
+    with pytest.raises(VerificationError,
+                       match="T_3 is not in the span of the gamma"):
+        verify_spin_representation(6, "plus")
+
+
+def test_a_fresh_zero_on_the_support_raises(monkeypatch):
+    # a gamma row whose one nonzero became a zero no longer has one
+    real = clifford.basic_spin_matrices
+
+    def emptied(n, sign=1):
+        gs = real(n, sign)
+        row = gs[2][0]
+        row[next(c for c, v in enumerate(row) if v)] = SqrtNum()
+        return gs
+
+    monkeypatch.setattr(clifford, "basic_spin_matrices", emptied)
+    with pytest.raises(VerificationError,
+                       match="gamma_3 is not a 4 x 4 signed monomial"):
+        verify_spin_representation(6, "plus")
+
+
 # ---------------------------------------------------------------------------
 # SqrtNum arithmetic and matrices
 # ---------------------------------------------------------------------------
@@ -361,6 +431,53 @@ def test_sqrtnum_has_one_normal_form():
     for zero in (x - x, x * SqrtNum()):
         assert zero.is_zero() and not zero
         assert repr(zero) == "SqrtNum(0)"
+
+
+def test_sqrtnum_hash_is_kept_and_follows_equality():
+    # equal values from every road to a SqrtNum hash equal, and a kept
+    # hash is the hash of the value
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    r2, r3 = SqrtNum.root(2), SqrtNum.root(3)
+    groups = [
+        [SqrtNum({2: (half, 0)}), SqrtNum.root(2, half),
+         SqrtNum.root(8, quarter), r2 * SqrtNum.rational(half),
+         SqrtNum.root(2, quarter) + SqrtNum.root(2, quarter),
+         -SqrtNum.root(2, -half), -(-SqrtNum.root(2, half))],
+        [SqrtNum.rational(-3), SqrtNum({1: (-3, 0)}), -SqrtNum.rational(3),
+         SqrtNum.rational(-1) + SqrtNum.rational(-2),
+         SqrtNum.imag_unit() * SqrtNum.imag_unit() * SqrtNum.rational(3),
+         r3 * r3 * SqrtNum.rational(-1)],
+        [SqrtNum(), SqrtNum({}), SqrtNum({3: (0, 0)}), r2 - r2, -SqrtNum(),
+         SqrtNum.rational(0), r2 * SqrtNum()],
+        [SqrtNum({1: (3, 0), 6: (1, 0)}), (r2 + r3) * r3,
+         SqrtNum.root(6) + SqrtNum.rational(3), -(-r3 * r3 - SqrtNum.root(6))],
+    ]
+    for group in groups:
+        for x in group:
+            assert x == group[0], (x, group[0])
+            assert hash(x) == hash(x) == hash(group[0]), (x, group[0])
+    rng = random.Random(41)
+    parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2)]
+
+    def draw():
+        return SqrtNum({d: (rng.choice(parts), rng.choice(parts))
+                        for d in rng.sample([1, 2, 3, 6], rng.randint(0, 2))})
+
+    values = []
+    for _ in range(150):
+        x, y = draw(), draw()
+        values += [x, y, x + y, x * y, -x, y - x]
+    for x in values:
+        h = hash(x)
+        assert hash(x) == h == hash((x._den, frozenset(x._num.items())))
+    classes = []
+    for x in values:
+        if not any(x == c for c in classes):
+            classes.append(x)
+    assert len(set(values)) == len(classes)
+    for x in values:
+        for c in classes:
+            assert (x == c) <= (hash(x) == hash(c))
 
 
 def _assert_normal_form(x):

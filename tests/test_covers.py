@@ -56,6 +56,8 @@ from oracles import (
     right_column,
     right_multiply_adjacent,
     slow_multivector_mul,
+    unique_close,
+    unique_schreier_tree,
 )
 
 
@@ -681,6 +683,66 @@ def test_cover_subgroup_hands_its_reach_tree_to_the_table(variant):
             assert np.array_equal(t._pgen, pgen)
             assert len(t._levels) == len(levels)
             assert all(np.array_equal(a, b) for a, b in zip(t._levels, levels))
+
+
+def _same_tree(got, want):
+    (parent, pgen, levels), (parent0, pgen0, levels0) = got, want
+    assert np.array_equal(parent, parent0)
+    assert np.array_equal(pgen, pgen0)
+    assert len(levels) == len(levels0)
+    assert all(np.array_equal(a, b) for a, b in zip(levels, levels0))
+
+
+def _bfs_inputs():
+    """(spec, permutation generators, cover generators): S_n lifted by
+    its generators, n = 4..8, the preimages of the Sylow-2 subgroups,
+    n = 4..16, and of A_n, n = 4..7, in both variants."""
+    for variant in ("plus", "minus"):
+        for n in range(4, 17):
+            spec = CoverSpec(n, variant)
+            cov = get_cover(spec)
+            kinds = [sylow2_sym_generators(n), sylow2_alt_generators(n)]
+            if n <= 7:
+                kinds.append([compose(adjacent_transposition(n, i),
+                                      adjacent_transposition(n, i + 1))
+                              for i in range(1, n - 1)])
+            for gens in kinds:
+                yield spec, gens, [cov.elem(g) for g in gens] + [cov.z]
+            if n <= 8:
+                lifts = [cov.gen(i) for i in range(1, n)]
+                yield spec, [g.perm for g in lifts], lifts
+
+
+def test_bfs_kernels_match_the_unique_based_oracles():
+    # the claim-order tree and the one-sort dedupe give exactly what the
+    # np.unique kernels gave, on closures and on lifted cover columns
+    bound = covers.DEFAULT_SIZE_BOUND
+    for spec, perms, lifts in _bfs_inputs():
+        got, want = covers._close(perms, spec.n, bound), \
+            unique_close(perms, spec.n, bound)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), spec
+        _, _, cols = covers._lifted_columns(lifts, get_cover(spec), bound)
+        _same_tree(covers._schreier_tree(cols, 0),
+                   unique_schreier_tree(cols, 0))
+        t = cover_subgroup(lifts, spec)
+        _same_tree(covers._schreier_tree(t._gen_cols, t.identity_idx),
+                   unique_schreier_tree(t._gen_cols, t.identity_idx))
+
+
+@pytest.mark.parametrize("table", [
+    lambda: cyclic_table(12),
+    lambda: FiniteGroupTable.generate([(1, 2, 3)]),
+    lambda: FiniteGroupTable.generate([]),
+])
+def test_bfs_kernels_match_the_oracles_on_degenerate_groups(table):
+    # a group with no generators has empty steps and no second level
+    t = table()
+    tree = covers._schreier_tree(t._gen_cols, t.identity_idx)
+    _same_tree(tree, unique_schreier_tree(t._gen_cols, t.identity_idx))
+    _same_tree(tree, (t._parent, t._pgen, t._levels))
+    for gens, n in (([], 0), ([], 3), ([(2, 3, 1)], 3)):
+        got, want = covers._close(gens, n, 10), unique_close(gens, n, 10)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_subgroup_table():

@@ -54,6 +54,26 @@ def test_a_traced_pass_reads_every_hook_and_metric(capsys):
         assert metrics[name] > 0, name
 
 
+def test_the_spin_check_builds_through_the_public_builders(monkeypatch):
+    # the traced clifford.spin_rep_s times the module-level
+    # spin_representation: a check that built its generators another way
+    # (say from the gammas' row maps) would leave it reading 0
+    from schur_ed import clifford
+
+    calls = []
+    for name in ("basic_spin_matrices", "spin_representation"):
+        real = getattr(clifford, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(clifford, name, counting)
+    assert all(ok for _, ok in clifford.verify_spin_representation(7, "minus"))
+    assert calls == [("basic_spin_matrices", (7, -1)),
+                     ("spin_representation", (7, "minus"))]
+
+
 def test_every_bench_record_summarizes_its_pairs():
     # a BENCH_*.json is a hand-assembled before/after record: its summary
     # must follow from its own pairs, and every run in it must be clean
