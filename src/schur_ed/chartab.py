@@ -2,27 +2,28 @@
 finite-field method.
 
 Everything is computed mod a prime p ≡ 1 (mod exp(G)) with p > 2*sqrt(|G|).
-Degrees are recovered exactly: chi(1) <= sqrt(|G|) < p/2, so the residue
-below p/2 is the degree.  Central signs chi(z)/chi(1) for a central
-involution z are +-1 mod p, which determines them exactly since p is odd.
+Degrees are recovered exactly: chi(1) <= sqrt(|G|) < p/2, and d -> d^2 mod
+p is one to one on 1..(p-1)/2, so chi(1)^2 mod p determines chi(1).
+Central signs chi(z)/chi(1) for a central involution z are +-1 mod p,
+which determines them exactly since p is odd.
 Full character values over C are never needed here.
 
 One routine, _split_characters, splits either the whole class-function
 space (dixon_character_table) or, for a central involution z, its z-odd
-block alone (_spin_degrees), and recovers the degrees of all eigenlines
-in one array step.
+block alone (_spin_degrees), in one pass: it splits until every space is
+a line, then reads every eigenline's degree off a table of squares.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # the benchmark tracer times `center` under this module's name
 from .covers import (FiniteGroupTable, VerificationError, center,
                      conjugacy_classes, np)
-from .numth import SizeBoundExceeded, next_prime, sqrt_mod
+from .numth import SizeBoundExceeded, next_prime
 
 
 def dixon_prime(order: int, exponent: int) -> int:
@@ -410,57 +411,51 @@ def _split_spaces(spaces: List[np.ndarray], B: np.ndarray, p: int,
     return out
 
 
-# fresh random mixtures tried before a splitting failure is reported
-_MAX_RETRIES = 64
 # mixtures of all class matrices tried on the spaces left over by the first
-_MAX_ROUNDS = 16
+_MAX_ROUNDS = 64
 
 
-def _eigenlines(mixture: Callable[[Sequence[int]], np.ndarray], k: int,
-                classes: Sequence[int], p: int, inv: np.ndarray,
-                finish: Callable):
-    """finish(lines) for the common eigenlines of the mixtures on GF(p)^k,
-    split until every space is a line, retried with fresh mixtures while
-    splitting or finish raises VerificationError.
-
-    mixture(cs) is a seeded random combination of the class matrices of
-    the classes cs, on a space of dimension k.  A mixture of the first few
-    classes splits most of the space at once; mixtures of all of them split
-    what is left, and separate two characters unless the mixture takes the
-    same value on both, which happens with probability about 1/p.  The
-    first split is of the whole space, so it runs on the first mixture
-    itself.  The common eigenlines are unique, so the result does not
-    depend on the mixtures drawn or on the bases of the spaces.  inv is
-    `_inverses(p)`, built once for every split and retry."""
-    last_err: Optional[Exception] = None
-    for attempt in range(_MAX_RETRIES):
-        try:
-            spaces = [np.ones((1, 1), dtype=np.int64)]
-            if k > 1:
-                spaces = _eigenspaces(mixture(classes[:8]), p, inv)
-                for _ in range(_MAX_ROUNDS):
-                    if all(S.shape[0] == 1 for S in spaces):
-                        break
-                    spaces = _split_spaces(spaces, mixture(classes), p, inv)
-            if not all(S.shape[0] == 1 for S in spaces):
-                raise VerificationError("common eigenspaces not 1-dimensional")
-            return finish(spaces)
-        except VerificationError as err:  # retry with a fresh mixture
-            last_err = err
-    raise VerificationError(f"Dixon splitting failed after {_MAX_RETRIES} tries: {last_err}")
+def _eigenlines(data: _ClassData, rng: random.Random, p: int,
+                inv: np.ndarray) -> np.ndarray:
+    """The common eigenlines of the class matrices on the rows of data, one
+    row each.  A seeded mixture of the first few classes splits the whole
+    space; fresh mixtures of all the classes split the spaces left over,
+    for at most _MAX_ROUNDS rounds.  Only this separation can fail by
+    chance: p = 1 mod exp(G) is prime to |G|, since an element of order p
+    would put p in the exponent, so every mixture is diagonalizable mod p,
+    and a round keeps two characters together only when its mixture takes
+    the same value on both, with probability about 1/p.  The lines are
+    unique, so they do not depend on the mixtures drawn.  inv is
+    `_inverses(p)`."""
+    k, classes = len(data.rows), data.rows[1:]
+    if k == 1:
+        return np.ones((1, 1), dtype=np.int64)
+    spaces = _eigenspaces(data.mixture(rng, p, classes[:8]), p, inv)
+    for _ in range(_MAX_ROUNDS):
+        if len(spaces) == k:
+            break
+        spaces = _split_spaces(spaces, data.mixture(rng, p, classes), p, inv)
+    if len(spaces) < k:
+        raise VerificationError(f"common eigenspaces not 1-dimensional "
+                                f"after {_MAX_ROUNDS} rounds")
+    return np.vstack(spaces)
 
 
-def _split_characters(table: FiniteGroupTable, z, seed: int,
-                      finish: Callable):
-    """finish(data, p, degrees, W) for the irreducibles chi of the group,
-    or with a central involution z those with chi(z) = -chi(1), one per row
-    of W: the common eigenlines of the mixtures of class matrices,
-    extended to every class and scaled to 1 on the identity class, with
-    their degrees in the same order.  A scaled line w is the central
-    character |C_u| chi(g_u) / chi(1), which gives |G| / chi(1)^2 as
-    sum_u w[u] w[u*] / |C_u|; chi(1) <= sqrt(|G|) < p/2 is the smaller
-    square root mod p, and the squared degrees must add up to |G|, or
-    |G|/2 with z.  _ClassData refuses a z unless the center is {1, z}."""
+def _square_roots(order: int, p: int) -> Dict[int, int]:
+    """{d^2 mod p: d} for every possible degree d = 1..isqrt(|G|), one to
+    one since p > 2 sqrt(|G|)."""
+    return {d * d % p: d for d in range(1, math.isqrt(order) + 1)}
+
+
+def _split_characters(table: FiniteGroupTable, z, seed: int):
+    """(data, p, degrees, W, size_inv) for the irreducibles chi of the
+    group, or with a central involution z those with chi(z) = -chi(1): one
+    row of W per chi, its common eigenline extended to every class and
+    scaled to 1 on the identity class, its degree, and the inverses mod p
+    of the class sizes.  A scaled line w is the central character
+    |C_u| chi(g_u) / chi(1), so sum_u w[u] w[u*] / |C_u| is |G| / chi(1)^2,
+    and chi(1) is read off _square_roots; the squared degrees must add up
+    to |G|, or |G|/2 with z.  Every check here fails only on a bug."""
     data = _ClassData(table, z)
     order = table.order
     p = dixon_prime(order, data.exponent())
@@ -468,53 +463,41 @@ def _split_characters(table: FiniteGroupTable, z, seed: int,
     # the n characters, the split over at most n rows
     _check_products(data.n, p)
     rng = random.Random((seed, order, data.n).__hash__())
+    inv = _inverses(p)
+    W = data.extend(_eigenlines(data, rng, p, inv), p)
+    if not W[:, 0].all():
+        raise VerificationError("eigenvector vanishes on the identity class")
+    W = W * inv[W[:, 0]].reshape(-1, 1) % p
     size_inv = data.size_inverses(p)
-
-    def degrees(spaces):
-        W = data.extend(np.array([S[0] for S in spaces]), p)
-        if not W[:, 0].all():
-            raise VerificationError(
-                "eigenvector vanishes on the identity class")
-        scale = [pow(w0, p - 2, p) for w0 in W[:, 0].tolist()]
-        W = W * np.array(scale, dtype=np.int64).reshape(-1, 1) % p
-        norms = (W * W[:, data.inv_class] % p) @ size_inv % p
-        if not norms.all():
-            raise VerificationError("degenerate norm in degree recovery")
-        degs = []
-        for norm in norms.tolist():
-            try:
-                root = sqrt_mod(order * pow(norm, p - 2, p), p)
-            except ValueError as err:
-                raise VerificationError(f"degree recovery: {err}") from None
-            degs.append(min(root, p - root))
-        if (1 if z is None else 2) * sum(d * d for d in degs) != order:
-            raise VerificationError(
-                "sum of squared degrees does not match the order")
-        return finish(data, p, degs, W)
-
-    return _eigenlines(lambda cs: data.mixture(rng, p, cs), len(data.rows),
-                       data.rows[1:], p, _inverses(p), degrees)
+    norms = (W * W[:, data.inv_class] % p) @ size_inv % p
+    roots = _square_roots(order, p)
+    try:
+        degrees = [roots[order * x % p] for x in inv[norms].tolist()]
+    except KeyError:
+        raise VerificationError("degree recovery: a norm is not |G| / d^2 "
+                                "for any d <= sqrt(|G|)") from None
+    if (1 if z is None else 2) * sum(d * d for d in degrees) != order:
+        raise VerificationError(
+            "sum of squared degrees does not match the order")
+    return data, p, degrees, W, size_inv
 
 
 def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
-    return _split_characters(
-        table, None, seed,
-        lambda data, p, degrees, W: _assemble(table, data, p, degrees, W))
+    return _assemble(table, *_split_characters(table, None, seed))
 
 
 def _spin_degrees(table: FiniteGroupTable, z) -> List[int]:
     """The degrees, in increasing order, of the irreducibles chi with
     chi(z) = -chi(1), from the z-odd class functions alone."""
-    return _split_characters(table, z, 0,
-                             lambda data, p, degrees, W: sorted(degrees))
+    return sorted(_split_characters(table, z, 0)[2])
 
 
 def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,
-              degrees: List[int], W: np.ndarray) -> CharTable:
+              degrees: List[int], W: np.ndarray,
+              size_inv: np.ndarray) -> CharTable:
     """The character table from the scaled central characters W: chi(g_u)
     is chi(1) W[u] / |C_u|, characters in (degree, values) order."""
     order, n = table.order, data.n
-    size_inv = data.size_inverses(p)
     deg = np.array(degrees, dtype=np.int64)
     X = W * size_inv % p * deg.reshape(-1, 1) % p
     # lexsort's last key is the first: degree, then the values in order

@@ -252,38 +252,3 @@ def valuation(n: int, p: int) -> Tuple[int, int]:
         n //= p
         v += 1
     return v, n
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks square root mod odd prime p; raises if nonresidue."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    # a quadratic nonresidue
-    nz = 2
-    while legendre(nz, p) != -1:
-        nz += 1
-    c = pow(nz, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        m = i
-    return x

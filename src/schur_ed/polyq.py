@@ -291,6 +291,10 @@ def parse_poly(text: str) -> Poly:
         sign_s, coeff_s, var, exp_s, div_s = m.groups()
         if coeff_s is None and var is None:
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+        # "x^2 - 2 3" is not x^2 + 1: every term after the first is signed
+        if terms and not sign_s:
+            raise ValueError(
+                f"terms must be joined by + or -, near {text[pos:].lstrip()!r}")
         for t in (coeff_s, div_s):
             if t:
                 _check_coefficient(t)

@@ -11,7 +11,8 @@ the row-swapping Bareiss elimination the library ran before its in-place
 one,
 irreducibility mod p from Rabin's test, permutation facts from naive mapping
 composition (words too), degree
-multisets from numeric decomposition of the regular representation, Dixon
+multisets from numeric decomposition of the regular representation, spin
+degree multisets from Schur's closed form over strict partitions, Dixon
 eigenspaces from a scan of every eigenvalue candidate in GF(p), gamma matrices
 from Kronecker products of explicit 2x2 Pauli matrices, the spin generators
 from dense sums of scaled gammas, the spin relations from dense products of
@@ -38,7 +39,7 @@ inputs from library objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -429,6 +430,41 @@ def nu2_factorial(n: int) -> int:
         total += n // power
         power *= 2
     return total
+
+
+def _strict_partitions(n: int, largest: int) -> List[Tuple[int, ...]]:
+    """The partitions of n into distinct parts, each at most largest."""
+    if n == 0:
+        return [()]
+    return [(part,) + rest for part in range(min(n, largest), 0, -1)
+            for rest in _strict_partitions(n - part, part - 1)]
+
+
+def schur_spin_degrees(n: int, which: str) -> List[int]:
+    """The degrees, in increasing order, of the irreducibles of 2.S_n
+    (which = 'full') or 2.A_n ('alt') that send z to -1, from Schur's
+    formula (J. reine angew. Math. 139, 1911): a strict partition lambda
+    of n with l parts gives
+    g = 2^floor((n - l)/2) n! / prod lambda_i! prod_{i<j} (lambda_i -
+    lambda_j) / (lambda_i + lambda_j).  When n - l is odd, 2.S_n has two
+    characters of degree g, each irreducible on 2.A_n (to the same one);
+    when n - l is even, one, which splits into two of degree g/2 on
+    2.A_n."""
+    degrees = []
+    for lam in _strict_partitions(n, n):
+        g = Fraction(2 ** ((n - len(lam)) // 2) * factorial(n))
+        for i, a in enumerate(lam):
+            g /= factorial(a)
+            for b in lam[i + 1:]:
+                g *= Fraction(a - b, a + b)
+        assert g.denominator == 1
+        g = int(g)
+        odd = (n - len(lam)) % 2
+        if which == "full":
+            degrees += [g, g] if odd else [g]
+        else:
+            degrees += [g] if odd else [g // 2, g // 2]
+    return sorted(degrees)
 
 
 def compose_naive(s: Tuple[int, ...], t: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -49,6 +49,7 @@ from oracles import (
     right_column,
     rref_mod_p,
     scan_split_spaces,
+    schur_spin_degrees,
 )
 
 
@@ -171,9 +172,10 @@ def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
     n = want.n_classes
     assert n > 9
     # with equal coefficients the mixture of all B_r, r >= 1, is -1 on
-    # every nontrivial character, so the first attempt draws its first
-    # mixture and every round's and then fails
-    first_attempt = min(n - 1, 8) + chartab._MAX_ROUNDS * (n - 1)
+    # every nontrivial character: the first 16 rounds split nothing, and
+    # fresh mixtures in the rounds left under the cap split the rest
+    assert 16 < chartab._MAX_ROUNDS
+    rigged = min(n - 1, 8) + 16 * (n - 1)
 
     class Rigged:
         calls = 0
@@ -183,14 +185,87 @@ def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
 
         def randrange(self, start, stop):
             Rigged.calls += 1
-            if Rigged.calls <= first_attempt:
+            if Rigged.calls <= rigged:
                 return 1
             return self.rng.randrange(start, stop)
 
     monkeypatch.setattr(chartab, "random",
                         types.SimpleNamespace(Random=Rigged))
     assert dixon_character_table(table) == want
-    assert Rigged.calls > first_attempt
+    assert Rigged.calls > rigged
+
+
+def test_the_square_table_inverts_squaring_on_the_possible_degrees():
+    # d <= isqrt(|G|) < p/2, so d -> d^2 mod p is one to one there
+    rng = random.Random(35)
+    cases = [(2 ** k, 2 ** rng.randint(1, min(k, 8)))
+             for k in rng.sample(range(1, 32), 8)]
+    for n in rng.sample(range(4, 13), 4):
+        e = math.lcm(*range(1, n + 1))
+        cases += [(math.factorial(n), e), (2 * math.factorial(n), 2 * e)]
+    for order, exponent in cases:
+        p = dixon_prime(order, exponent)
+        roots = chartab._square_roots(order, p)
+        assert len(roots) == math.isqrt(order), (order, exponent)
+        assert all(roots[d * d % p] == d
+                   for d in range(1, math.isqrt(order) + 1)), (order, p)
+
+
+def _counting_mixtures(monkeypatch):
+    calls = []
+    mixture = _ClassData.mixture
+
+    def counting(self, *args):
+        calls.append(args)
+        return mixture(self, *args)
+
+    monkeypatch.setattr(_ClassData, "mixture", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spin", [False, True])
+def test_a_corrupted_norm_raises_after_one_split(zoo, monkeypatch, spin):
+    # a wrong degree is a bug, not bad luck: it raises at once, with no
+    # mixture drawn past those of the clean run
+    table, z = zoo.sylow_cover(8, "plus", "sym")
+
+    def run():
+        return _spin_degrees(table, z) if spin else dixon_character_table(
+            table)
+
+    calls = _counting_mixtures(monkeypatch)
+    run()
+    clean = len(calls)
+    assert clean >= 1
+    size_inverses = _ClassData.size_inverses
+    monkeypatch.setattr(_ClassData, "size_inverses",
+                        lambda self, p: 2 * size_inverses(self, p) % p)
+    calls.clear()
+    with pytest.raises(VerificationError,
+                       match="degree recovery|sum of squared degrees"):
+        run()
+    assert len(calls) == clean
+
+
+def test_the_split_gives_up_after_its_rounds(zoo, monkeypatch):
+    # with equal coefficients no round splits anything
+    table, _ = zoo.sylow_cover(8, "plus", "sym")
+
+    class Equal:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, start, stop):
+            return 1
+
+    monkeypatch.setattr(chartab, "random",
+                        types.SimpleNamespace(Random=Equal))
+    calls = _counting_mixtures(monkeypatch)
+    with pytest.raises(VerificationError, match=(
+            f"^common eigenspaces not 1-dimensional after "
+            f"{chartab._MAX_ROUNDS} rounds$")):
+        dixon_character_table(table)
+    assert len(calls) == 1 + chartab._MAX_ROUNDS
 
 
 def test_the_inverse_table_is_built_once_per_dixon_run(capsys, monkeypatch):
@@ -251,6 +326,25 @@ def test_spin_block_does_not_depend_on_the_seed(zoo, monkeypatch):
         for (table, z), want in zip(cases, wants):
             assert faithful_degrees(table, z) == want, shift
         assert len(seeds) == len(cases)
+
+
+@pytest.mark.parametrize("which", ["full", "alt"])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_spin_block_degrees_equal_schurs_formula(which, variant):
+    for n in range(4, 9):
+        spec = CoverSpec(n, variant)
+        got = faithful_degrees(subgroup_table(spec, which), get_cover(spec).z)
+        assert got == schur_spin_degrees(n, which), n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("which", ["full", "alt"])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_spin_block_degrees_equal_schurs_formula_at_9(which, variant):
+    spec = CoverSpec(9, variant)
+    table = subgroup_table(spec, which, size_bound=10 ** 6)
+    assert faithful_degrees(table, get_cover(spec).z) == schur_spin_degrees(
+        9, which)
 
 
 @pytest.mark.slow
@@ -351,10 +445,11 @@ def test_a_bad_spin_mixture_ends_in_the_right_degrees_through_the_retry(
     want = _odd_degrees_of_the_whole_table(zoo, 8, "plus", "sym")
     m = len(_ClassData(table, z).rows)
     assert m > 1
-    # a coefficient p is 0 mod p, so the first attempt's mixtures are 0,
-    # split nothing, and the attempt fails after its first mixture and
-    # every round's
-    first_attempt = min(m - 1, 8) + chartab._MAX_ROUNDS * (m - 1)
+    # a coefficient p is 0 mod p, so the first mixture and those of the
+    # first 16 rounds are 0 and split nothing; fresh mixtures in the rounds
+    # left under the cap split the space
+    assert 16 < chartab._MAX_ROUNDS
+    rigged = min(m - 1, 8) + 16 * (m - 1)
 
     class Rigged:
         calls = 0
@@ -364,14 +459,14 @@ def test_a_bad_spin_mixture_ends_in_the_right_degrees_through_the_retry(
 
         def randrange(self, start, stop):
             Rigged.calls += 1
-            if Rigged.calls <= first_attempt:
+            if Rigged.calls <= rigged:
                 return stop
             return self.rng.randrange(start, stop)
 
     monkeypatch.setattr(chartab, "random",
                         types.SimpleNamespace(Random=Rigged))
     assert faithful_degrees(table, z) == want
-    assert Rigged.calls > first_attempt
+    assert Rigged.calls > rigged
 
 
 def test_ed2_computed_builds_no_whole_table(monkeypatch):

@@ -297,10 +297,19 @@ COEFFICIENT_ERRORS = [
 ]
 
 
+# terms with no operator between them were once read as a sum: x^2 - 2 3
+# as x^2 + 1, x^3 2 as x^3 + 2 and x x as 2x
+UNSIGNED_TERMS = [
+    (["trace-form", "x^2 - 2 3"], "terms must be joined by + or -, near '3'"),
+    (["trace-form", "x^3 2"], "terms must be joined by + or -, near '2'"),
+    (["trace-form", "x x"], "terms must be joined by + or -, near 'x'"),
+]
+
+
 # new cases go at the end of the list: the ids are numbered by position
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS + [
     case for case in _past_the_edges() if case not in USAGE_ERRORS]
-    + COEFFICIENT_ERRORS)
+    + COEFFICIENT_ERRORS + UNSIGNED_TERMS)
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = _ends_cleanly(capsys, argv, 1.0)
     assert code == 2 and out == ""

@@ -635,6 +635,16 @@ def test_bareiss_matches_the_swapping_elimination():
 # trace forms
 # ---------------------------------------------------------------------------
 
+def test_parse_poly_reads_a_term_after_the_first_only_with_its_sign():
+    F = Fraction
+    assert parse_poly("2 x^2 - 1") == polyq.poly([-1, 0, 2])
+    assert parse_poly("3x^2") == polyq.poly([0, 0, 3])
+    assert parse_poly("x^2/3 + 1/2") == polyq.poly([F(1, 2), 0, F(1, 3)])
+    for text in ("x^2 - 2 3", "x^3 2", "x x"):
+        with pytest.raises(ValueError, match="joined by"):
+            parse_poly(text)
+
+
 def test_power_sums_against_companion_oracle():
     texts = ["x^2 - 1", "x^2 - 7", "x^3 - 2", "x^4 + x - 3",
              "x^2 - 1/2", "x^3 + x/3 - 7/5", "x^5 - 2/3*x^2 + x - 1/7",

@@ -1,14 +1,21 @@
 """The benchmark tracer wraps program functions by name; every name it
 wraps must still exist where it looks it up.  The before/after records
 BENCH_*.json at the repository root must agree with their own pairs.  The
-demos import nothing from the tests, and no library module keeps an unused
-import."""
+demos import nothing from the tests, no library module keeps an unused
+import, and the README cites no code that does not exist."""
 
 import ast
+import builtins
+import dataclasses
+import importlib
+import inspect
 import json
+import re
 import runpy
 import statistics
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -146,3 +153,87 @@ def test_no_module_has_an_unused_import():
         unused = sorted(name for name in imported
                         if name not in used and (module, name) not in traced)
         assert not unused, (path.name, unused)
+
+
+def _modules():
+    """The library modules and the test oracles, by name."""
+    import oracles
+
+    names = sorted(path.stem for path in (ROOT / "src" / "schur_ed").glob("*.py")
+                   if path.stem not in ("__init__", "__main__"))
+    found = {name: importlib.import_module("schur_ed." + name)
+             for name in names}
+    found["oracles"] = oracles
+    return found
+
+
+def _resolves(dotted: str, modules) -> bool:
+    """Whether a dotted name is an attribute chain from schur_ed, a library
+    module, the oracles, a name one of them defines, an importable module,
+    a numpy name or a builtin, tried in that order."""
+    head, *rest = dotted.split(".")
+    if head == "schur_ed" or head in modules:
+        obj = importlib.import_module(
+            "schur_ed" if head == "schur_ed" else modules[head].__name__)
+    else:
+        obj = next((getattr(m, head) for m in modules.values()
+                    if hasattr(m, head)), None)
+        if obj is None:
+            try:
+                obj = importlib.import_module(head)
+            except ImportError:
+                obj = getattr(np, head, getattr(builtins, head, None))
+        if obj is None:
+            return False
+    for attr in rest:
+        if inspect.ismodule(obj) and not hasattr(obj, attr):
+            try:
+                importlib.import_module(f"{obj.__name__}.{attr}")
+            except ImportError:
+                return False
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _defined_names(modules):
+    """Every name the library and the oracles define: module attributes,
+    the attributes and dataclass fields of their classes, and the metric
+    names of BENCHMARK.json."""
+    names = set()
+    for module in modules.values():
+        for value in vars(module).values():
+            if inspect.isclass(value):
+                names.update(dir(value))
+                if dataclasses.is_dataclass(value):
+                    names.update(f.name for f in dataclasses.fields(value))
+        names.update(vars(module))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names.update(m["name"] for kind in ("end_to_end", "per_layer")
+                 for m in declared[kind])
+    return names
+
+
+def test_the_readme_cites_only_code_that_exists():
+    # a deleted function left in the prose (say a `numth.sqrt_mod`) reads
+    # as if it were still there
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
+                  flags=re.S)
+    cited = set(re.findall(r"`([^`\n]+)`", text))
+    modules = _modules()
+    dotted = {t for t in cited if re.fullmatch(r"\w+(\.\w+)+", t)
+              and t.rsplit(".", 1)[1] not in ("json", "py", "md", "toml")}
+    assert dotted and not sorted(t for t in dotted
+                                 if not _resolves(t, modules))
+    oracles = {t.split("::")[1] for t in cited
+               if t.startswith("tests/oracles.py::")}
+    assert oracles and not sorted(
+        name for name in oracles if not hasattr(modules["oracles"], name))
+    defined = _defined_names(modules)
+    bare = {t for t in cited if re.fullmatch(r"[a-z_][a-z0-9_]*", t)
+            and "_" in t.strip("_") and not t.startswith("__")}
+    assert bare and not sorted(bare - defined)
+    # the check itself sees a stale name
+    assert not _resolves("numth.sqrt_mod", modules)
+    assert "sqrt_mod" not in defined
