@@ -23,15 +23,17 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 # the benchmark tracer times `center` under this module's name
 from .covers import (FiniteGroupTable, VerificationError, center,
                      conjugacy_classes, np)
-from .numth import SizeBoundExceeded, next_prime
+from .numth import SizeBoundExceeded, is_prime
 
 
 def dixon_prime(order: int, exponent: int) -> int:
-    p = 2 * math.isqrt(order) + 1
-    while True:
-        p = next_prime(p)
-        if p % exponent == 1 % exponent:
-            return p
+    """The least prime p = 1 mod exponent above 2 isqrt(order) + 1,
+    testing only the candidates 1 + k exponent."""
+    bound = 2 * math.isqrt(order) + 1
+    p = bound + 1 + -bound % exponent
+    while not is_prime(p):
+        p += exponent
+    return p
 
 
 class CharTable(NamedTuple):
@@ -138,13 +140,10 @@ def _inverses(p: int) -> np.ndarray:
 # Dixon's method
 # ---------------------------------------------------------------------------
 
-# elements gathered per bincount of a class-matrix combination
-_GATHER = 1 << 14
-
-
 class _ClassData:
     """Classes of a group table, the inverse class and element order of
-    every class, and the right columns that count class matrix entries.
+    every class, and the right columns that count class matrix entries:
+    _right[i, y] is the class of y g_u, u = rows[i].
 
     With a central involution z, class t pairs with pair[t], the class of
     z g_t, and only the classes t < pair[t] keep a right column: these rows
@@ -183,13 +182,9 @@ class _ClassData:
             self.rows = np.flatnonzero(self.pair > np.arange(self.n))
         invs, self.orders = table.power_cycles(self.reps)
         self.inv_class = class_of[invs].tolist()
-        # _right[i, y] = n*i + (class of y * g_u) for u = rows[i], so that
-        # one bincount over a set of elements y and a run of rows, shifted
-        # to start at 0, counts the pairs (i, t)
         self._right = np.empty((len(self.rows), table.order), dtype=np.int32)
         for i, col in table.right_columns([self.reps[u] for u in self.rows]):
             class_of.take(col, out=self._right[i])
-            self._right[i] += self.n * i
 
     def exponent(self) -> int:
         return math.lcm(*self.orders)
@@ -205,20 +200,22 @@ class _ClassData:
         x^-1 g_u in C_t}, and the common eigenvectors of all B_r are the
         rows of the character table up to normalization.  As x runs over
         C_r, x^-1 runs over the inverse class C_r*, so sum_r c_r B_r[t, u]
-        sums c_r over the y in C_r* with y g_u in C_t.
+        sums c_r over the y in C_r* with y g_u in C_t: one bincount of
+        _right[i] over all of G, u = rows[i], weighted by c_r on C_r*;
+        _right[0] is the class of every y, as g_0 = 1.  Every sum stays
+        below |G| (p - 1) < 2^53, so the float sums are exact.
 
         With z, B_r[t, zu] = B_r[zt, u], so a class matrix maps the z-odd
         central character vectors to vectors of the same kind, through
         N[t, u] = B_r[t, u] - B_r[pair[t], u] on the rows t, u in R.  B_r
         acts as 0 on them when zC_r = C_r, and as -B_s when C_r = zC_s, so
         mixing the classes of R is enough."""
-        ys: List[int] = []
-        weights: List[int] = []
+        coef = np.zeros(self.n)
         for r in classes:
-            c = rng.randrange(1, p)
-            ys.extend(self.classes[self.inv_class[r]])
-            weights.extend([c] * self.sizes[self.inv_class[r]])
-        M = self._count(ys, weights)
+            coef[self.inv_class[r]] = rng.randrange(1, p)
+        weights = coef[self._right[0]]
+        M = np.array([np.bincount(labels, weights, self.n)
+                      for labels in self._right]).T.astype(np.int64)
         if self.pair is not None:
             M = M[self.rows] - M[self.pair[self.rows]]
         return M % p
@@ -231,23 +228,6 @@ class _ClassData:
         if self.pair is not None:
             W[:, self.pair[self.rows]] = -W[:, self.rows] % p
         return W
-
-    def _count(self, ys: List[int], weights: List[int]) -> np.ndarray:
-        """M[t, i] = the sum of weights[j] over the j with ys[j] g_u in C_t,
-        u = rows[i], one weighted bincount for a few rows at a time.  The
-        weights are integers and every sum stays below |G| max(weights)
-        < 2^53, so the float sums are exact."""
-        n, k = self.n, len(self.rows)
-        ys = np.array(ys)
-        weights = np.array(weights, dtype=np.float64)
-        counts = np.zeros(k * n)
-        step = max(1, _GATHER // len(ys))
-        for i in range(0, k, step):
-            block = self._right[i:i + step, ys]
-            block -= n * i
-            part = np.bincount(block.ravel(), np.tile(weights, len(block)))
-            counts[n * i:n * i + len(part)] += part
-        return counts.astype(np.int64).reshape(k, n).T
 
 
 def _hessenberg(A: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:

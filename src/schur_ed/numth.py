@@ -116,17 +116,6 @@ def is_prime(n: int) -> bool:
     return _strong_lucas(n)
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while not is_prime(n):
-        n += 2
-    return n
-
-
 def jacobi(a: int, n: int) -> int:
     if n <= 0 or n % 2 == 0:
         raise ValueError("jacobi symbol needs odd positive n")

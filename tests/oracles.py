@@ -25,21 +25,24 @@ right factor's Schreier word one letter at a time, isomorphism of small
 groups by generator-image backtracking, dense SqrtNum matrix algebra
 entry by entry, and squarefree parts by trial division.
 
-Three helpers here do share code, on purpose.  `power_sums` and
+Some helpers here share code, on purpose.  `power_sums` and
 `diagonalize_gram` run the kernels `polyq._power_sums` and
 `qforms._bareiss_diagonal` on Fractions, a Gram matrix scaled by the lcm of
 its denominators.  That is the road to a trace form that the library no
 longer takes, kept to check the integer road of `qforms.trace_form`.
 `class_matrix` reads one class matrix through the kernel that
 `chartab._ClassData.mixture` runs, to be checked against the per-element
-class matrices.  `orthogonal_sum` and `defining_polynomial` build test
-inputs from library objects.
+class matrices.  `next_prime` and `dixon_prime_by_scan` test primality
+with `numth.is_prime`: the scan over every prime checks the stepped
+candidates of `chartab.dixon_prime`.  `orthogonal_sum` and
+`defining_polynomial` build test inputs from library objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
+from types import SimpleNamespace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +50,7 @@ import numpy as np
 from schur_ed import polyq
 from schur_ed.clifford import spin_representation
 from schur_ed.covers import FiniteGroupTable, SizeBoundExceeded
+from schur_ed.numth import is_prime
 from schur_ed.perms import canonical_word
 from schur_ed.polyq import format_poly
 from schur_ed.qforms import _bareiss_diagonal
@@ -503,6 +507,28 @@ def squarefree_part(n: int) -> int:
             d, m = d * p, m // p
         p += 1
     return (d * m) if n > 0 else -(d * m)
+
+
+def next_prime(n: int) -> int:
+    """The least prime above n, odd numbers tested one by one."""
+    n += 1
+    if n <= 2:
+        return 2
+    if n % 2 == 0:
+        n += 1
+    while not is_prime(n):
+        n += 2
+    return n
+
+
+def dixon_prime_by_scan(order: int, exponent: int) -> int:
+    """The least prime p = 1 mod exponent above 2 isqrt(order) + 1, by
+    walking every prime above the bound."""
+    p = 2 * isqrt(order) + 1
+    while True:
+        p = next_prime(p)
+        if p % exponent == 1 % exponent:
+            return p
 
 
 def orthogonal_sum(q, r):
@@ -1154,11 +1180,11 @@ def class_matrices_by_elements(table, classes) -> List[np.ndarray]:
 
 def class_matrix(data, r: int) -> np.ndarray:
     """The class matrix B_r of a `chartab._ClassData` on its columns u in
-    rows, through the bincount kernel `_count` that its mixtures run: as x
-    runs over C_r, x^-1 runs over the inverse class C_r*, so B_r[t, u]
-    counts the y in C_r* with y g_u in C_t."""
-    ys = data.classes[data.inv_class[r]]
-    return data._count(ys, [1] * len(ys))
+    rows (folded by z when data has one), through the bincount kernel of
+    its mixtures: the mixture of the class list [r] with every coefficient
+    1, mod a prime above |G|, so no count is reduced."""
+    ones = SimpleNamespace(randrange=lambda start, stop: 1)
+    return data.mixture(ones, (1 << 61) - 1, [r])
 
 
 # ---------------------------------------------------------------------------

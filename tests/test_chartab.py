@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 import types
 
 import numpy as np
@@ -41,6 +42,7 @@ from oracles import (
     class_matrix,
     cyclic_table,
     det_mod_p,
+    dixon_prime_by_scan,
     generalized_quaternion_table,
     inv_idx,
     nullspace_mod_p,
@@ -56,6 +58,22 @@ from oracles import (
 def test_dixon_prime_constraints():
     p = dixon_prime(8, 4)
     assert p % 4 == 1 and p > 2 * 2  # > 2*sqrt(8)
+
+
+def test_dixon_prime_steps_through_the_candidates_of_the_scan():
+    # the least prime = 1 mod the exponent above 2 isqrt(|G|) + 1, found by
+    # testing only 1 + k exponent: a large exponent costs no prime scan
+    rng = random.Random(36)
+    cases = [(rng.randint(0, 10 ** 6), rng.randint(1, 300))
+             for _ in range(300)]
+    cases += [(2 ** rng.randint(0, 31), 2 ** rng.randint(0, 8))
+              for _ in range(100)]
+    for order, exponent in cases + [(0, 1), (1, 1), (8, 4), (10 ** 6, 1)]:
+        assert dixon_prime(order, exponent) == dixon_prime_by_scan(
+            order, exponent), (order, exponent)
+    start = time.perf_counter()
+    assert dixon_prime(2 ** 31, 2 ** 16) == 786433
+    assert time.perf_counter() - start < 0.1
 
 
 def test_trivial_group_has_one_degree_one_character():
@@ -104,7 +122,7 @@ def _assert_class_data_matches_the_folds(table, data):
     for t, cls in enumerate(data.classes):
         class_of[cls] = t
     for i, u in enumerate(data.rows.tolist()):
-        want = class_of[right_column(table, data.reps[u])] + data.n * i
+        want = class_of[right_column(table, data.reps[u])]
         assert np.array_equal(data._right[i], want), u
     assert data.inv_class == [int(class_of[inv_idx(table, r)])
                               for r in data.reps]
@@ -139,20 +157,38 @@ def test_class_data_of_the_alt_and_full_tables_matches_the_folds(variant):
                     *(order_of_idx(table, i) for i in range(table.order)))
 
 
-@pytest.mark.parametrize("gather", [1, chartab._GATHER])
-def test_mixture_is_the_seeded_combination_of_class_matrices(
-        zoo, monkeypatch, gather):
-    monkeypatch.setattr(chartab, "_GATHER", gather)
-    for n, which in ((6, "sym"), (10, "alt"), (12, "sym")):
-        table, _ = zoo.sylow_cover(n, "plus", which)
-        data = _ClassData(table)
-        p = dixon_prime(table.order, data.exponent())
-        for classes in (range(1, min(data.n - 1, 8) + 1), range(1, data.n)):
-            got = data.mixture(random.Random(n), p, classes)
-            rng = random.Random(n)
-            want = sum(rng.randrange(1, p) * class_matrix(data, r)
-                       for r in classes) % p
-            assert np.array_equal(got, want), (n, which, classes)
+def _on_the_rows(data, B):
+    """B[rows] - B[pair[rows]] on the columns rows with z, else B."""
+    rows = data.rows
+    if data.pair is not None:
+        B = B[rows] - B[data.pair[rows]]
+    return B[:, rows]
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_mixture_is_the_seeded_combination_of_class_matrices(zoo, variant):
+    # the whole table and the spin block, for the classes of the first
+    # mixture and for all of them, against every B_r counted element by
+    # element; the Sylow spin blocks have at most 2 rows, those of 2 A_6
+    # and 2 S_6 have 6
+    spec = CoverSpec(6, variant)
+    groups = [zoo.sylow_cover(n, variant, which)
+              for n, which in ((6, "sym"), (10, "alt"), (12, "sym"))]
+    groups += [(subgroup_table(spec, which), get_cover(spec).z)
+               for which in ("alt", "full")]
+    for seed, (table, z) in enumerate(groups):
+        whole = _ClassData(table)
+        B = class_matrices_by_elements(table, whole.classes)
+        for data in (whole, _ClassData(table, z)):
+            p = dixon_prime(table.order, data.exponent())
+            classes = data.rows[1:]
+            for listed in (classes[:8], classes):
+                got = data.mixture(random.Random(seed), p, listed)
+                rng = random.Random(seed)
+                want = sum((rng.randrange(1, p) * _on_the_rows(data, B[r])
+                            for r in listed), _on_the_rows(data, 0 * B[0]))
+                assert np.array_equal(got, want % p), (
+                    table.order, data.pair is None, len(listed))
 
 
 @pytest.mark.parametrize("which", ["sym", "alt"])

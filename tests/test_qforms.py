@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from schur_ed import cli, covers, numth, polyq, qforms
-from schur_ed.numth import factorize, is_prime, next_prime
+from schur_ed.numth import factorize, is_prime
 from schur_ed.polyq import parse_poly
 from schur_ed.qforms import (
     INF,
@@ -43,6 +43,7 @@ from oracles import (
     diagonalize_gram,
     gcd_etale_validity,
     is_irreducible_mod_p,
+    next_prime,
     orthogonal_sum,
     power_sums,
     rabin_irreducible_mod_p,
