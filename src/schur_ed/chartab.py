@@ -427,7 +427,7 @@ def _square_roots(order: int, p: int) -> Dict[int, int]:
     return {d * d % p: d for d in range(1, math.isqrt(order) + 1)}
 
 
-def _split_characters(table: FiniteGroupTable, z, seed: int):
+def _split_characters(table: FiniteGroupTable, z):
     """(data, p, degrees, W, size_inv) for the irreducibles chi of the
     group, or with a central involution z those with chi(z) = -chi(1): one
     row of W per chi, its common eigenline extended to every class and
@@ -442,7 +442,7 @@ def _split_characters(table: FiniteGroupTable, z, seed: int):
     # every product sums at most n terms: the gram of _assemble sums over
     # the n characters, the split over at most n rows
     _check_products(data.n, p)
-    rng = random.Random((seed, order, data.n).__hash__())
+    rng = random.Random((0, order, data.n).__hash__())
     inv = _inverses(p)
     W = data.extend(_eigenlines(data, rng, p, inv), p)
     if not W[:, 0].all():
@@ -462,14 +462,14 @@ def _split_characters(table: FiniteGroupTable, z, seed: int):
     return data, p, degrees, W, size_inv
 
 
-def dixon_character_table(table: FiniteGroupTable, seed: int = 0) -> CharTable:
-    return _assemble(table, *_split_characters(table, None, seed))
+def dixon_character_table(table: FiniteGroupTable) -> CharTable:
+    return _assemble(table, *_split_characters(table, None))
 
 
 def _spin_degrees(table: FiniteGroupTable, z) -> List[int]:
     """The degrees, in increasing order, of the irreducibles chi with
     chi(z) = -chi(1), from the z-odd class functions alone."""
-    return sorted(_split_characters(table, z, 0)[2])
+    return sorted(_split_characters(table, z)[2])
 
 
 def _assemble(table: FiniteGroupTable, data: _ClassData, p: int,

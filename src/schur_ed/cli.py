@@ -125,7 +125,7 @@ def cmd_cover_verify(args, config: RunConfig) -> int:
 def cmd_chartab(args, config: RunConfig) -> int:
     cov = _parse(lambda: get_cover(CoverSpec(args.n, args.variant)))
     table = subgroup_table(cov.spec, args.subgroup, config.size_bound)
-    ct = dixon_character_table(table, seed=config.seed)
+    ct = dixon_character_table(table)
     payload = ct.to_json()
     payload["group"] = {"n": args.n, "variant": args.variant,
                         "subgroup": args.subgroup}

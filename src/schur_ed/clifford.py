@@ -5,9 +5,9 @@ Generators e_1, ..., e_m satisfy e_i^2 = sign (a common value +1 or -1) and
 e_i e_j = -e_j e_i for i != j.  The gamma matrices realize them over the
 field of `radicals.SqrtNum`, the generator images of the covers are unit
 vectors in their span, and the defining relations are decided in the plane
-algebra of each pair of vectors, from one product of Clifford elements
-{blade bitmask: coefficient}.  Everything here is immutable and
-side-effect free.
+algebra of each pair of vectors, from the scalar and bivector parts of
+their product, read off the two coordinate dicts.  Everything here is
+immutable and side-effect free.
 """
 
 from __future__ import annotations
@@ -132,26 +132,28 @@ def spin_representation(n: int, variant: str) -> List[SMatrix]:
 # checking the relations in the Clifford algebra
 # ---------------------------------------------------------------------------
 
-def _blade_mul(x: Dict[int, SqrtNum], y: Dict[int, SqrtNum],
-               sign: int) -> Dict[int, SqrtNum]:
-    """Product of two Clifford elements {blade bitmask: coefficient} with
-    e_i^2 = sign and e_i e_j = -e_j e_i."""
-    out: Dict[int, SqrtNum] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            # reordering e_a e_b passes each e_i of a over the lower e_j of b
-            swaps, rest = 0, a >> 1
-            while rest:
-                swaps += (rest & b).bit_count()
-                rest >>= 1
-            if sign == -1:
-                swaps += (a & b).bit_count()
-            c = ca * cb
-            if swaps & 1:
-                c = -c
-            blade = a ^ b
-            out[blade] = out[blade] + c if blade in out else c
-    return {blade: c for blade, c in out.items() if c}
+def _pair_product(u: Dict[int, SqrtNum], v: Dict[int, SqrtNum],
+                  sign: int) -> Tuple[SqrtNum, bool]:
+    """uv = B + w for the vectors u, v given as {generator index: nonzero
+    coefficient}, with e_i^2 = sign and e_i e_j = -e_j e_i: the scalar
+    B = sign * sum_j u_j v_j, and whether the bivector
+    w = sum_{i<j} (u_i v_j - u_j v_i) e_i e_j is zero.
+
+    w = 0 exactly when u and v are parallel.  For u, v != 0 with
+    different supports, some i is in one support and not the other, and
+    with j in the other the (i, j) coefficient is a product of two
+    nonzeros.  With one support, u_i v_j = u_j v_i for a fixed j and
+    every i makes v a multiple of u."""
+    b = _ZERO
+    for j, c in u.items():
+        if j in v:
+            b = b + c * v[j]
+    if sign == -1:
+        b = -b
+    if u.keys() != v.keys():
+        return b, not u or not v
+    j = next(iter(u), None)
+    return b, all(u[i] * v[j] == u[j] * v[i] for i in u)
 
 
 def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
@@ -160,26 +162,26 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
 
     The relations are decided in the Clifford algebra C of the form
     sign*(x_1^2 + ... + x_m^2), m = n-1, over the field K of
-    `radicals.SqrtNum`, and no dense matrix is multiplied.  Every value is
-    interned, so each step multiplies once per distinct pair of values:
+    `radicals.SqrtNum`, and no dense matrix is multiplied:
 
     1. The gammas from `basic_spin_matrices` must be signed monomial (one
-       nonzero entry per row) and satisfy G_j G_l + G_l G_j =
-       2*sign*delta_jl*I, checked by composing row maps.  Their entries
-       take a few values (+-1 and +-i times a unit), whose pairwise products
-       are computed once, so each row compares integer indices.  Then
-       e_j -> G_j is an algebra map rho: C -> M_dim(K).
+       nonzero entry per row, a power of i) and satisfy G_j G_l + G_l G_j =
+       2*sign*delta_jl*I, checked by composing row maps and adding the
+       powers of i mod 4.  Then e_j -> G_j is an algebra map
+       rho: C -> M_dim(K).
     2. Since tr(G_l G_j) = sign*dim*delta_jl, the generator T_k from
        `spin_representation` has coordinates c_kj = sign*tr(G_j T_k)/dim,
-       summed over the distinct (gamma entry, T_k entry) pairs with their
-       counts.  T_k = sum_j c_kj G_j is then checked row by row: the
-       nonzero entries of each row of T_k must be those of the rebuilt row,
-       whose cells are computed once per distinct combination of terms.  If
-       step 1 or 2 fails, VerificationError names the failed premise.
+       summed over the distinct (power of i, T_k entry) pairs with their
+       counts, the entries of T_k interned.  T_k = sum_j c_kj G_j is then
+       checked row by row: the nonzero entries of each row of T_k must be
+       those of the rebuilt row, whose cells are computed once per distinct
+       combination of terms.  If step 1 or 2 fails, VerificationError names
+       the failed premise.
     3. Each relation is t_k^2 = +-1 or (t_k t_l)^p = +-1 for the vectors
        t_k = sum_j c_kj e_j, decided in the plane algebra of u = t_k and
        v = t_l.  The squares u^2 and v^2 are scalars, and uv = B + w with B
-       scalar and w a bivector, read off one `_blade_mul`.  Since
+       scalar and w a bivector, read off the coordinates by
+       `_pair_product`.  Since
        uv + vu = 2B and (uv)(vu) = u^2 v^2, w^2 = D = B^2 - u^2 v^2.  So
        (uv)^p = alpha_p + beta_p w with alpha_1 = B, beta_1 = 1 and
        (alpha, beta) -> (alpha B + beta D, alpha + beta B), and it equals
@@ -215,47 +217,35 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     if dim == 0:
         raise VerificationError("the spin module is zero")
 
-    # 1. each G_j as row maps: row r holds one nonzero entry, the interned
-    #    values[ids[r]], in column cols[r].  Then G_j G_l + G_l G_j =
-    #    2*sign*delta_jl*I, where row r of G_j G_l holds
-    #    values[ids_j[r]] * values[ids_l[c]] in column cols_l[c], c = cols_j[r]
-    values: List[SqrtNum] = []
-    index: Dict[SqrtNum, int] = {}
-
-    def intern(v: SqrtNum) -> int:
-        i = index.get(v)
-        if i is None:
-            i = index[v] = len(values)
-            values.append(v)
-        return i
-
+    # 1. each G_j as row maps: row r holds one nonzero entry,
+    #    units[pws[r]] = i^pws[r], in column cols[r].  Then G_j G_l +
+    #    G_l G_j = 2*sign*delta_jl*I, where row r of G_j G_l holds
+    #    i^(pws_j[r] + pws_l[c]) in column cols_l[c], c = cols_j[r]
+    units = [SqrtNum.rational(1), SqrtNum.imag_unit()]
+    units += [-u for u in units]
+    power_of = {u: p for p, u in enumerate(units)}
     maps: List[Tuple[List[int], List[int]]] = []
     for j, g in enumerate(gammas, 1):
         support = [[c for c, v in enumerate(row) if v is not _ZERO and v]
                    for row in g]
         if len(g) != dim or any(len(row) != dim or len(cs) != 1
+                                or row[cs[0]] not in power_of
                                 for row, cs in zip(g, support)):
             raise VerificationError(
                 f"gamma_{j} is not a {dim} x {dim} signed monomial matrix")
         cols = [cs[0] for cs in support]
-        maps.append((cols, [intern(row[c]) for row, c in zip(g, cols)]))
-    distinct = range(len(values))
-    prod = [[intern(values[a] * values[b]) for b in distinct]
-            for a in distinct]
-    neg = {p: intern(-values[p]) for row in prod for p in row}
-    sign_one = SqrtNum.rational(sign)
-    sign_id = intern(sign_one)
-    for j, (cols_j, ids_j) in enumerate(maps):
+        maps.append((cols, [power_of[row[c]] for row, c in zip(g, cols)]))
+    for j, (cols_j, pws_j) in enumerate(maps):
         for l in range(j, m):
-            cols_l, ids_l = maps[l]
-            for r, (c, i) in enumerate(zip(cols_j, ids_j)):
-                p = prod[i][ids_l[c]]
+            cols_l, pws_l = maps[l]
+            for r, (c, e) in enumerate(zip(cols_j, pws_j)):
+                e += pws_l[c]
                 if j == l:
-                    ok = cols_l[c] == r and p == sign_id
+                    ok = cols_l[c] == r and e % 4 == 1 - sign
                 else:
                     c2 = cols_l[r]
                     ok = (cols_l[c] == cols_j[c2]
-                          and p == neg[prod[ids_l[r]][ids_j[c2]]])
+                          and (e - pws_l[r] - pws_j[c2]) % 4 == 2)
                 if not ok:
                     raise VerificationError(
                         f"gamma_{j + 1} and gamma_{l + 1} break the Clifford "
@@ -264,10 +254,20 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
     # 2. coordinates of each T_k in the gammas, then T_k rebuilt from them.
     #    tr(G_j T_k) = sum_b G_j[b][a] T_k[a][b] over a = cols_j[b], so each
     #    nonzero cell (a, b) of T_k meets the gammas j with cols_j[b] == a
+    values: List[SqrtNum] = []
+    index: Dict[SqrtNum, int] = {}
+
+    def intern(v: SqrtNum) -> int:
+        e = index.get(v)
+        if e is None:
+            e = index[v] = len(values)
+            values.append(v)
+        return e
+
     meets: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for j, (cols, ids) in enumerate(maps):
-        for b, (a, i) in enumerate(zip(cols, ids)):
-            meets.setdefault((a, b), []).append((j, i))
+    for j, (cols, pws) in enumerate(maps):
+        for b, (a, pw) in enumerate(zip(cols, pws)):
+            meets.setdefault((a, b), []).append((j, pw))
     scales: Dict[int, SqrtNum] = {}
     elems: List[Dict[int, SqrtNum]] = []
     for k, t in enumerate(gens, 1):
@@ -278,16 +278,16 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
         counts: Dict[Tuple[int, int, int], int] = {}
         for a, row in enumerate(support):
             for b, e in row:
-                for j, i in meets.get((a, b), ()):
-                    key = (j, i, e)
+                for j, pw in meets.get((a, b), ()):
+                    key = (j, pw, e)
                     counts[key] = counts.get(key, 0) + 1
         coeffs: Dict[int, SqrtNum] = {}
-        for (j, i, e), count in counts.items():
+        for (j, pw, e), count in counts.items():
             scale = scales.get(count)
             if scale is None:
                 scale = scales[count] = SqrtNum.rational(
                     Fraction(sign * count, dim))
-            term = scale * (values[i] * values[e])
+            term = scale * (units[pw] * values[e])
             coeffs[j] = coeffs[j] + term if j in coeffs else term
         coeffs = {j: c for j, c in coeffs.items() if c}
         # row r of sum_j c_kj G_j, its cells computed once per distinct
@@ -296,41 +296,35 @@ def verify_spin_representation(n: int, variant: str) -> List[Tuple[str, bool]]:
         for r, row in enumerate(support):
             terms: Dict[int, List[Tuple[int, int]]] = {}
             for j in coeffs:
-                cols, ids = maps[j]
-                terms.setdefault(cols[r], []).append((j, ids[r]))
+                cols, pws = maps[j]
+                terms.setdefault(cols[r], []).append((j, pws[r]))
             rebuilt = []
             for col, cell in sorted(terms.items()):
                 key = tuple(cell)
                 if key not in cells:
                     v = _ZERO
-                    for j, i in cell:
-                        v = v + coeffs[j] * values[i]
+                    for j, pw in cell:
+                        v = v + coeffs[j] * units[pw]
                     cells[key] = intern(v) if v else None
                 if cells[key] is not None:
                     rebuilt.append((col, cells[key]))
             if rebuilt != row:
                 raise VerificationError(
                     f"T_{k} is not in the span of the gamma matrices")
-        elems.append({1 << j: c for j, c in coeffs.items()})
+        elems.append(coeffs)
 
     # 3. the relations in the plane algebra of each pair of vectors
-    one, minus_one = SqrtNum.rational(1), SqrtNum.rational(-1)
-    squares = []
-    for u in elems:
-        s = _ZERO
-        for c in u.values():
-            s = s + c * c
-        squares.append(s if plus else -s)
+    one, sign_one, minus_one = units[0], units[1 - sign], units[2]
+    squares = [_pair_product(u, u, sign)[0] for u in elems]
 
     def word_is(k: int, l: int, power: int, want: SqrtNum) -> bool:
         """(t_k t_l)^power == want."""
-        w = _blade_mul(elems[k - 1], elems[l - 1], sign)
-        b = w.pop(0, _ZERO)
+        b, w_is_zero = _pair_product(elems[k - 1], elems[l - 1], sign)
         d = b * b - squares[k - 1] * squares[l - 1]
         alpha, beta = b, one
         for _ in range(power - 1):
             alpha, beta = alpha * b + beta * d, alpha + beta * b
-        return alpha == want and (not beta or not w)
+        return alpha == want and (not beta or w_is_zero)
 
     letter = "s" if plus else "t"
     results: List[Tuple[str, bool]] = []

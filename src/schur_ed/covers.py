@@ -127,7 +127,7 @@ def _closed_form(cols: Sequence, words: Iterable[Sequence[int]],
 
 class Cover:
     """Arithmetic context for one CoverSpec: the cocycle, elementwise and
-    over arrays of permutations, and memoized canonical words."""
+    over arrays of permutations."""
 
     def __init__(self, spec: CoverSpec):
         if spec.n > 16:
@@ -135,7 +135,6 @@ class Cover:
         self.spec = spec
         self._minus = int(spec.sign < 0)
         self._ident_perm = identity_perm(spec.n)
-        self._words: Dict[Perm, Tuple[int, ...]] = {}
 
     # -- distinguished elements ---------------------------------------------
 
@@ -168,7 +167,7 @@ class Cover:
         a generator tau is elementary_cocycle's one-letter case."""
         if len(sigma) != self.spec.n or len(tau) != self.spec.n:
             raise ValueError("permutation size does not match the cover spec")
-        word = self._word(tau)
+        word = canonical_word(tau)
         if not word:
             return 0
         if len(word) == 1:
@@ -180,19 +179,11 @@ class Cover:
         array and every tau, one row of bits per tau: _closed_form on the
         columns of the array."""
         out = np.zeros((len(taus), len(sigmas)), dtype=np.int64)
-        words = [self._word(tau) for tau in taus]
+        words = [canonical_word(tau) for tau in taus]
         cols = list(np.ascontiguousarray(sigmas.T, dtype=np.int64))
         for row, (bits, _) in zip(out, _closed_form(cols, words, self._minus)):
             row[:] = bits
         return out
-
-    def _word(self, perm: Perm) -> Tuple[int, ...]:
-        w = self._words.get(perm)
-        if w is None:
-            if len(self._words) > (1 << 17):
-                self._words.clear()
-            w = self._words[perm] = tuple(canonical_word(perm))
-        return w
 
     # -- group arithmetic ------------------------------------------------------
 
@@ -234,7 +225,7 @@ def get_cover(spec: CoverSpec) -> Cover:
 
 
 def clear_cover_cache() -> None:
-    """Drop all memoized cover contexts (canonical words)."""
+    """Drop all memoized cover contexts."""
     _covers.clear()
 
 

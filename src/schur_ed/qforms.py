@@ -14,7 +14,9 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
+from operator import mul
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -239,10 +241,11 @@ def quaternion_class(a, b) -> BrauerClass2:
 # diagonal forms and their invariants
 # ---------------------------------------------------------------------------
 
-# the most entries QuadFormQ.parse reads (the Hasse invariant costs dim^2
-# Hilbert symbols at every place, 0.2-0.7 s at dimension 64), and the
-# longest entry, the cap on a polynomial coefficient too (a witness of 100
-# digits reaches the factoring cap in about 3 s, one of 300 digits in 25 s)
+# the most entries QuadFormQ.parse reads (the Hasse invariant costs dim - 1
+# Hilbert symbols at every place, 0.03 s at dimension 64 with 88 places),
+# and the longest entry, the cap on a polynomial coefficient too (a witness
+# of 100 digits reaches the factoring cap in about 3 s, one of 300 digits in
+# 25 s)
 MAX_PARSED_DIM = 64
 MAX_ENTRY_CHARS = polyq.MAX_COEFF_CHARS
 
@@ -348,13 +351,14 @@ def _squarefree_disc(q: QuadFormQ) -> int:
 
 def hasse_invariant(q: QuadFormQ) -> BrauerClass2:
     """w_2(q) = sum over i < j of the classes (a_i, a_j), evaluated at
-    q.places."""
+    q.places.  The symbol is bimultiplicative, so the sum is that of the
+    classes (a_1 ... a_{j-1}, a_j): dim - 1 symbols per place."""
+    pairs = list(zip(accumulate(q.diag, mul), q.diag[1:]))
     ramified = []
     for v in q.places:
         sym = 1
-        for i in range(q.dim):
-            for j in range(i + 1, q.dim):
-                sym *= hilbert_symbol(q.diag[i], q.diag[j], v)
+        for head, a in pairs:
+            sym *= hilbert_symbol(head, a, v)
         if sym == -1:
             ramified.append(v)
     return BrauerClass2(ramified)

@@ -34,8 +34,10 @@ longer takes, kept to check the integer road of `qforms.trace_form`.
 `chartab._ClassData.mixture` runs, to be checked against the per-element
 class matrices.  `next_prime` and `dixon_prime_by_scan` test primality
 with `numth.is_prime`: the scan over every prime checks the stepped
-candidates of `chartab.dixon_prime`.  `orthogonal_sum` and
-`defining_polynomial` build test inputs from library objects.
+candidates of `chartab.dixon_prime`.  `hasse_by_pairs` multiplies
+`qforms.hilbert_symbol` over every pair i < j, the definition that
+`qforms.hasse_invariant` shortens to one symbol per entry.  `orthogonal_sum`
+and `defining_polynomial` build test inputs from library objects.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from schur_ed.covers import FiniteGroupTable, SizeBoundExceeded
 from schur_ed.numth import is_prime
 from schur_ed.perms import canonical_word
 from schur_ed.polyq import format_poly
-from schur_ed.qforms import _bareiss_diagonal
+from schur_ed.qforms import BrauerClass2, _bareiss_diagonal, hilbert_symbol
 from schur_ed.radicals import SMatrix, SqrtNum, smat_mul
 
 
@@ -534,6 +536,20 @@ def dixon_prime_by_scan(order: int, exponent: int) -> int:
 def orthogonal_sum(q, r):
     """The form q + r of two `QuadFormQ`s, with both sets of witnesses."""
     return type(q)(q.diag + r.diag, q.witnesses + r.witnesses)
+
+
+def hasse_by_pairs(q) -> BrauerClass2:
+    """The Hasse class of a `QuadFormQ` as the product of the symbols
+    (a_i, a_j)_v over every pair i < j, at each of q.places."""
+    ramified = []
+    for v in q.places:
+        sym = 1
+        for i, a in enumerate(q.diag):
+            for b in q.diag[i + 1:]:
+                sym *= hilbert_symbol(a, b, v)
+        if sym == -1:
+            ramified.append(v)
+    return BrauerClass2(ramified)
 
 
 def defining_polynomial(E) -> Tuple:

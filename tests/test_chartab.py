@@ -192,13 +192,22 @@ def test_mixture_is_the_seeded_combination_of_class_matrices(zoo, variant):
 
 
 @pytest.mark.parametrize("which", ["sym", "alt"])
-def test_dixon_table_does_not_depend_on_the_seed(zoo, which):
+def test_dixon_table_does_not_depend_on_the_seed(zoo, monkeypatch, which):
     # the mixtures differ from seed to seed, the common eigenlines do not
-    for n in range(8, 13):
-        table, _ = zoo.sylow_cover(n, "plus", which)
-        want = zoo.chartab(n, "plus", which)
-        for seed in range(1, 5):
-            assert dixon_character_table(table, seed=seed) == want, (n, seed)
+    cases = [(zoo.sylow_cover(n, "plus", which)[0],
+              zoo.chartab(n, "plus", which)) for n in range(8, 13)]
+    for shift in range(1, 5):
+        seeds = []
+
+        def shifted(seed, shift=shift):
+            seeds.append(seed)
+            return random.Random(seed + shift)
+
+        monkeypatch.setattr(chartab, "random",
+                            types.SimpleNamespace(Random=shifted))
+        for n, (table, want) in enumerate(cases, 8):
+            assert dixon_character_table(table) == want, (n, shift)
+        assert len(seeds) == len(cases)
 
 
 def test_a_bad_mixture_ends_in_the_right_table_through_the_retry(
@@ -553,8 +562,8 @@ def test_min_faithful_p8(zoo):
 
 def test_determinism_same_seed():
     q16 = generalized_quaternion_table(16)
-    a = dixon_character_table(q16, seed=7)
-    b = dixon_character_table(q16, seed=7)
+    a = dixon_character_table(q16)
+    b = dixon_character_table(q16)
     assert a.degrees == b.degrees
     assert a.values == b.values
     assert a.prime == b.prime

@@ -6,7 +6,7 @@ import pytest
 
 from schur_ed import clifford
 from schur_ed.clifford import (
-    _blade_mul,
+    _pair_product,
     basic_spin_matrices,
     spin_representation,
     verify_spin_representation,
@@ -31,64 +31,60 @@ from oracles import (
 )
 
 
-def to_blades(terms):
-    """{sorted generator tuple: Fraction} as {blade mask: SqrtNum}."""
-    return {sum(1 << (i - 1) for i in key): SqrtNum.rational(c)
-            for key, c in terms.items()}
-
-
 # ---------------------------------------------------------------------------
-# blade products
+# the product of two vectors
 # ---------------------------------------------------------------------------
+
+def pair_product_by_oracle(u, v, sign):
+    """(B, w == 0) for uv = B + w, with u, v {generator index: Fraction},
+    read off the term-by-term product of slow_multivector_mul."""
+    uv = slow_multivector_mul({(j + 1,): c for j, c in u.items()},
+                              {(j + 1,): c for j, c in v.items()}, sign)
+    assert all(len(key) in (0, 2) for key in uv)
+    return uv.get((), Fraction(0)), all(len(key) != 2 for key in uv)
+
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_generator_square_and_anticommutation(sign):
     one = SqrtNum.rational(1)
-    e1, e2 = {0b01: one}, {0b10: one}
-    assert _blade_mul(e1, e1, sign) == {0: SqrtNum.rational(sign)}
-    assert _blade_mul(e1, e2, sign) == {0b11: one}
-    assert _blade_mul(e2, e1, sign) == {0b11: -one}
+    e1, e2 = {0: one}, {1: one}
+    assert _pair_product(e1, e1, sign) == (SqrtNum.rational(sign), True)
+    assert _pair_product(e1, e2, sign) == (SqrtNum(), False)
+    assert _pair_product(e2, e1, sign) == (SqrtNum(), False)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_lift_square_matches_presentation(sign):
     # the unit vector (e1 - e2)/sqrt(2) squares to sign: s_1^2 = 1, t_1^2 = z
     c = SqrtNum.root(2, Fraction(1, 2))
-    v = {0b01: c, 0b10: -c}
-    assert _blade_mul(v, v, sign) == {0: SqrtNum.rational(sign)}
+    v = {0: c, 1: -c}
+    assert _pair_product(v, v, sign) == (SqrtNum.rational(sign), True)
 
 
-def test_lift_expansion_oracle():
-    # ((e1 - e2)/sqrt2) * ((e2 - e3)/sqrt2) * (e1 + e3)/sqrt2 expanded term
-    # by term: sqrt(2)^-3 = sqrt(2)/4 times the integer product
-    c = SqrtNum.root(2, Fraction(1, 2))
-    vectors = [{(1,): 1, (2,): -1}, {(2,): 1, (3,): -1}, {(1,): 1, (3,): 1}]
-    for sign in (1, -1):
-        expected = {(): Fraction(1)}
-        got = {0: SqrtNum.rational(1)}
-        for vec in vectors:
-            expected = slow_multivector_mul(expected, vec, sign)
-            got = _blade_mul(got, {m: c * x for m, x in to_blades(vec).items()},
-                             sign)
-        scale = SqrtNum.root(2, Fraction(1, 4))
-        assert got == {m: scale * x for m, x in to_blades(expected).items()}
-
-
-def test_mul_against_term_oracle_random():
+def test_pair_product_against_term_oracle_random():
+    # random vector pairs over shared, disjoint and nested supports, with
+    # parallel pairs (w = 0) drawn on purpose
     rng = random.Random(3)
-    for sign in (1, -1):
-        for _ in range(60):
-            terms_x = {}
-            terms_y = {}
-            for _ in range(rng.randint(1, 4)):
-                key = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 3))))
-                terms_x[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                key = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 3))))
-                terms_y[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            terms_x = {k: v for k, v in terms_x.items() if v}
-            terms_y = {k: v for k, v in terms_y.items() if v}
-            assert _blade_mul(to_blades(terms_x), to_blades(terms_y), sign) == \
-                to_blades(slow_multivector_mul(terms_x, terms_y, sign))
+    seen = set()
+    for _ in range(400):
+        sign = rng.choice((1, -1))
+        u = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for j in rng.sample(range(6), rng.randint(1, 4))}
+        if rng.random() < 0.3:
+            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            v = {j: scale * c for j, c in u.items()}
+        else:
+            v = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for j in rng.sample(range(6), rng.randint(1, 4))}
+        u = {j: c for j, c in u.items() if c}
+        v = {j: c for j, c in v.items() if c}
+        b, w_is_zero = pair_product_by_oracle(u, v, sign)
+        got = _pair_product({j: SqrtNum.rational(c) for j, c in u.items()},
+                            {j: SqrtNum.rational(c) for j, c in v.items()},
+                            sign)
+        assert got == (SqrtNum.rational(b), w_is_zero), (u, v)
+        seen.add((sign, bool(b), w_is_zero))
+    assert len(seen) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +269,12 @@ def test_generator_outside_the_gamma_span_raises(monkeypatch):
     # a repeated gamma is monomial but commutes with its copy
     (lambda gs: gs[0], "break the Clifford relation"),
     (lambda gs: smat_add(gs[0], gs[2]), "signed monomial matrix"),
+    # monomial, but its entries are +-2 or +-2i, not powers of i
+    pytest.param(lambda gs: smat_scale(SqrtNum.rational(2), gs[1]),
+                 "signed monomial matrix", id="scaled-by-2"),
+    # i times a gamma anticommutes with the rest but squares to -sign
+    pytest.param(lambda gs: smat_scale(SqrtNum.imag_unit(), gs[1]),
+                 "break the Clifford relation", id="times-i"),
 ])
 def test_broken_gamma_raises(monkeypatch, second_gamma, premise):
     real = clifford.basic_spin_matrices

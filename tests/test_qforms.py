@@ -4,6 +4,7 @@ import math
 import random
 import signal
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     defining_polynomial,
     diagonalize_gram,
     gcd_etale_validity,
+    hasse_by_pairs,
     is_irreducible_mod_p,
     next_prime,
     orthogonal_sum,
@@ -215,6 +217,28 @@ def test_hasse_unaffected_by_unit_summand():
                          rng.randint(1, 6)) for _ in range(dim)]
         q = QuadFormQ(diag)
         assert hasse_invariant(QuadFormQ([1] + diag)) == hasse_invariant(q)
+
+
+def test_hasse_equals_the_product_over_pairs():
+    rng = random.Random(501)
+    for dim in range(1, 13):
+        for _ in range(25):
+            q = _random_form(rng, dim)
+            assert hasse_invariant(q) == hasse_by_pairs(q), q
+
+
+def test_hasse_at_the_largest_parsed_dimension():
+    # 64 entries, each the product of two of the first primes, about 90
+    # places: one symbol per entry and place, not one per pair
+    rng = random.Random(502)
+    primes = [p for p in range(3, 1000) if is_prime(p)]
+    q = QuadFormQ([rng.choice([1, -1]) * math.prod(rng.sample(primes, 2))
+                   for _ in range(qforms.MAX_PARSED_DIM)])
+    assert len(q.places) > 80
+    start = time.perf_counter()
+    got = hasse_invariant(q)
+    assert time.perf_counter() - start < 0.2
+    assert got == hasse_by_pairs(q)
 
 
 def test_discriminant_examples():
